@@ -19,6 +19,7 @@ from .counting import (
     joint_pmf,
     restricted_count_table,
     support_size,
+    table_mode,
 )
 from .dickman import (
     DickmanEvaluator,
@@ -38,6 +39,7 @@ from .distances import (
     harmonic_number,
     macroscopic_bound,
     refined_bound,
+    tv_cycle_counts,
     tv_empirical,
     tv_exact,
 )
@@ -48,8 +50,11 @@ from .permutations import (
     Permutation,
     Transposition,
     apply_transposition,
+    class_size,
     cycle_counts,
     cycle_structure,
+    cycle_type_counts,
+    cycle_types,
     longest_cycle,
     permutations_with_bounded_cycles,
 )
@@ -74,6 +79,7 @@ from .stein import (
     destruction_probability,
     destruction_probability_rearranged,
     event_probabilities,
+    event_tally,
     term_estimates_exact,
     term_estimates_mc,
     verify_closed_forms,

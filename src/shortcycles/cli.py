@@ -22,14 +22,9 @@ from fractions import Fraction
 import numpy as np
 
 from . import __version__
-from .counting import (
-    brute_force_pmf,
-    count_ratio_check,
-    count_table,
-    joint_pmf,
-)
+from .counting import count_table, joint_pmf, table_mode
 from .dickman import DickmanEvaluator, XiEvaluator, gamma_bound_check, rho_ratio_check
-from .distances import PoissonSpec, macroscopic_bound, refined_bound, tv_empirical, tv_exact
+from .distances import PoissonSpec, macroscopic_bound, refined_bound, tv_cycle_counts, tv_empirical
 from .errors import ResourceLimitError
 from .permutations import cycle_counts, cycle_structure
 from .sampling import SamplerConfig, draw
@@ -76,14 +71,14 @@ def _fraction_str(x) -> str:
 
 
 def _cmd_count(args) -> int:
-    mode = "exact" if args.exact or args.n <= 200 else "double"
+    mode = "exact" if args.exact else table_mode(args.n)
     table = count_table(args.n, args.r, mode)
     nu = table.fraction(args.n)
     if mode == "exact":
         print(f"|restricted set| = {table.count(args.n)}")
         print(f"nu = {_fraction_str(nu)} = {float(nu)!r}")
     else:
-        print(f"nu = {nu!r}")
+        print(f"nu = {float(nu)!r}")
     if args.out:
         table.to_csv(args.out)
         print(f"table written to {args.out}")
@@ -120,7 +115,7 @@ def _cmd_sample(args) -> int:
         mcmc_burn_in=args.burn_in,
         mcmc_thinning=args.thinning,
     )
-    table = count_table(args.n, args.r, "exact" if args.n <= 200 else "double") if args.method == "sequential" else None
+    table = count_table(args.n, args.r, table_mode(args.n)) if args.method == "sequential" else None
     sizes = _sample_chunks(args.count)
     seeds = np.random.SeedSequence(args.seed).spawn(len(sizes))
 
@@ -249,8 +244,7 @@ def _cmd_tv(args) -> int:
     spec = PoissonSpec.cycle_reference(args.d)
     payload: dict = {"n": args.n, "r": args.r, "d": args.d, "mode": args.mode}
     if args.mode == "exact":
-        pmf = joint_pmf(args.n, args.r, args.d)
-        payload["tv"] = tv_exact(pmf, spec)
+        payload["tv"] = tv_cycle_counts(args.n, args.r, args.d)
     else:
         cfg = SamplerConfig(n=args.n, r=args.r, method="sequential", seed=args.seed)
         perms = draw(cfg, args.samples)
@@ -292,7 +286,7 @@ def _cmd_sweep(args) -> int:
                     continue
                 u = n / r
                 if args.tv_mode == "exact":
-                    tv = tv_exact(joint_pmf(n, r, d), PoissonSpec.cycle_reference(d))
+                    tv = tv_cycle_counts(n, r, d)
                 elif args.tv_mode == "mc":
                     cfg = SamplerConfig(n=n, r=r, method="sequential", seed=args.seed)
                     vectors = [cycle_counts(p, d) for p in draw(cfg, args.samples)]

@@ -41,7 +41,7 @@ import numpy as np
 
 from .dickman import XiEvaluator
 from .errors import ResourceLimitError
-from .permutations import CountsVector
+from .permutations import CountsVector, cycle_type_counts
 
 Probability = Union[Fraction, float]
 
@@ -57,6 +57,11 @@ def support_cap() -> int:
 def brute_force_cap() -> int:
     """Largest n brute-force enumeration accepts; override with SHORTCYCLES_BRUTE_FORCE_CAP."""
     return int(os.environ.get("SHORTCYCLES_BRUTE_FORCE_CAP", DEFAULT_BRUTE_FORCE_CAP))
+
+
+def table_mode(n: int) -> str:
+    """Default table arithmetic for size n: exact rationals up to 200, doubles beyond."""
+    return "exact" if n <= 200 else "double"
 
 
 class CountTable:
@@ -277,12 +282,7 @@ class SparsePMF:
 
 def support_size(n: int, d: int) -> int:
     """Number of count vectors (c_1, ..., c_d) with sum_j j*c_j <= n."""
-    ways = [0] * (n + 1)
-    ways[0] = 1
-    for part in range(1, d + 1):
-        for s in range(part, n + 1):
-            ways[s] += ways[s - part]
-    return sum(ways)
+    return sum(cycle_type_counts(n, d))
 
 
 def _iter_count_vectors(n: int, d: int) -> Iterator[tuple[int, ...]]:
@@ -469,8 +469,7 @@ def count_ratio_check(n: int, r: int, k: int, table: CountTable | None = None) -
             stacklevel=2,
         )
     if table is None:
-        mode = "exact" if n <= 200 else "double"
-        table = count_table(n, r, mode)
+        table = count_table(n, r, table_mode(n))
     exact_ratio = float(table.fraction(n - k)) / float(table.fraction(n))
     u = n / r
     xi_u = 0.0 if u == 1.0 else XiEvaluator().xi(u)

@@ -13,6 +13,17 @@ themselves, which a log-space recurrence keeps at the 1e-15 level.  An
 optional high-precision path (mpmath) exists for regression points where
 the true distance sits below double rounding.
 
+For the cycle counts themselves the sum collapses further.  P and Q share
+the weight w(c) = prod_j j^{-c_j}/c_j!: P(c) = w(c) mu(n-s)/nu(n, r) and
+Q(c) = w(c) e^{-H_d} with s = sum_j j c_j, and the weights of all c with
+the same s add up to nu(s, d) (the conditioning relation of Arratia,
+Barbour and Tavare, Logarithmic Combinatorial Structures, 2003).  Hence
+
+    TV = 1/2 * [ sum_{s<=n} nu(s, d) |mu(n-s)/nu(n, r) - e^{-H_d}|
+                 + 1 - e^{-H_d} sum_{s<=n} nu(s, d) ],
+
+one term per s <= n instead of one per count vector.
+
 Two closed-form upper bounds on that distance are provided for a uniform
 permutation with cycle lengths capped at r (u = n/r, natural logs, and an
 explicit constant that is always surfaced rather than baked in):
@@ -28,12 +39,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from decimal import Decimal, localcontext
 from fractions import Fraction
 from typing import Iterable, Sequence, Union
 
 import numpy as np
 
-from .counting import SparsePMF
+from .counting import SparsePMF, count_table, restricted_count_table
 from .permutations import CountsVector
 
 
@@ -122,6 +134,38 @@ def tv_exact(pmf: SparsePMF, other: Union[PoissonSpec, SparsePMF], precision: in
         q_terms.append(q)
     covered = math.fsum(q_terms)
     return 0.5 * (math.fsum(abs_terms) + max(0.0, 1.0 - covered))
+
+
+def tv_cycle_counts(n: int, r: int, d: int) -> float:
+    """Total-variation distance of the 1..d-cycle counts from the reference.
+
+    The law is that of a uniform permutation of n elements with all cycles
+    <= r, the reference is independent Poisson(1/k), k = 1..d; the value is
+    the one :func:`tv_exact` gives on the full joint law, evaluated by the
+    conditioning identity in O(n) terms.  Tables are exact rationals and
+    each term is rounded to a float once, then summed with ``math.fsum``.
+    """
+    if not 1 <= d <= r <= n:
+        raise ValueError(f"need 1 <= d <= r <= n, got d={d}, r={r}, n={n}")
+    nu_d = count_table(n, d, "exact").values
+    mu = restricted_count_table(d, r, n, "exact").values
+    norm = count_table(n, r, "exact").fraction(n)
+    ratios = [mu[n - s] / norm for s in range(n + 1)]
+    covered = sum(nu_d)
+    harmonic = sum(Fraction(1, k) for k in range(1, d + 1))
+    # An error of 10^(1-digits) in e^{-H_d} moves the result by at most that
+    # much, because e^{-H_d} * sum nu(s, d) <= 1.  40 digits leave a double
+    # exact down to 1e-22; below that, use enough digits for the smallest
+    # possible distance, e^{-H_d}/(n+1)! (the mass of c_1 = n+1).
+    for digits in (40, 25 + int(math.lgamma(n + 2) / math.log(10))):
+        with localcontext() as ctx:
+            ctx.prec = digits
+            q0 = Fraction((-(Decimal(harmonic.numerator) / harmonic.denominator)).exp())
+        terms = [float(nu_d[s] * abs(ratios[s] - q0)) for s in range(n + 1)]
+        tv = 0.5 * (math.fsum(terms) + max(0.0, float(1 - q0 * covered)))
+        if tv >= 10.0 ** (18 - digits):
+            break
+    return tv
 
 
 def _tv_exact_mpmath(pmf: SparsePMF, spec: PoissonSpec, precision: int) -> float:

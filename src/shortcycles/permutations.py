@@ -14,6 +14,8 @@ threads.
 from __future__ import annotations
 
 import itertools
+import math
+from collections import Counter
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
@@ -48,6 +50,19 @@ class Permutation:
     @classmethod
     def identity(cls, n: int) -> "Permutation":
         return cls(range(n))
+
+    @classmethod
+    def from_cycle_type(cls, lengths: Sequence[int]) -> "Permutation":
+        """A representative of the cycle type: consecutive blocks rotated by one.
+
+        >>> Permutation.from_cycle_type((1, 2)).mapping
+        (0, 2, 1)
+        """
+        mapping = []
+        for length in lengths:
+            start = len(mapping)
+            mapping.extend(start + (i + 1) % length for i in range(length))
+        return cls(mapping)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Permutation) and self.mapping == other.mapping
@@ -182,3 +197,54 @@ def permutations_with_bounded_cycles(n: int, r: int) -> Iterator[Permutation]:
         p = Permutation(mapping)
         if longest_cycle(p) <= r:
             yield p
+
+
+def cycle_types(n: int, r: int) -> Iterator[tuple[int, ...]]:
+    """Every cycle type of n elements with all cycles <= r.
+
+    A cycle type is a partition of n, written as non-decreasing cycle
+    lengths like :attr:`CycleStructure.lengths`.  Partitions are visited in
+    reverse lexicographic order of their parts read largest first, so the
+    first one is (r, ..., r, n mod r) and parts never exceed r.
+    """
+    if n < 1 or r < 1:
+        raise ValueError(f"need n >= 1 and r >= 1, got n={n}, r={r}")
+    parts = [r] * (n // r) + ([n % r] if n % r else [])  # non-increasing
+    while True:
+        yield tuple(reversed(parts))
+        h = len(parts) - 1
+        while h >= 0 and parts[h] == 1:
+            h -= 1
+        if h < 0:
+            return
+        # lower parts[h] by one and regroup it with the trailing ones
+        size = parts[h] - 1
+        spread = len(parts) - h
+        del parts[h:]
+        parts.append(size)
+        q, rem = divmod(spread, size)
+        parts.extend([size] * q)
+        if rem:
+            parts.append(rem)
+
+
+def cycle_type_counts(n: int, r: int) -> list[int]:
+    """Entry s: the number of cycle types of s elements with all cycles <= r.
+
+    That is the number of partitions of s with parts <= r, and also the
+    number of count vectors (c_1, ..., c_r) with sum_j j*c_j = s; entry n
+    counts what :func:`cycle_types` visits.
+    """
+    ways = [1] + [0] * n
+    for part in range(1, min(n, r) + 1):
+        for s in range(part, n + 1):
+            ways[s] += ways[s - part]
+    return ways
+
+
+def class_size(lengths: Sequence[int]) -> int:
+    """Number of permutations with the given cycle type: n! / prod_j j^{c_j} c_j!."""
+    size = math.factorial(sum(lengths))
+    for length, count in Counter(lengths).items():
+        size //= length**count * math.factorial(count)
+    return size

@@ -32,7 +32,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .counting import CountTable, count_table
+from .counting import CountTable, count_table, table_mode
 from .errors import ResourceLimitError
 from .permutations import (
     Permutation,
@@ -181,8 +181,7 @@ def draw(cfg: SamplerConfig, count: int, *, table: CountTable | None = None, rng
     if rng is None:
         rng = np.random.default_rng(cfg.seed)
     if cfg.method == "sequential" and table is None:
-        mode = "exact" if cfg.n <= 200 else "double"
-        table = count_table(cfg.n, cfg.r, mode)
+        table = count_table(cfg.n, cfg.r, table_mode(cfg.n))
     out: list[Permutation] = []
     if cfg.method == "rejection":
         for _ in range(count):

@@ -10,9 +10,10 @@ counts with independent Poissons:
 * destruction: the number of k-cycles drops by exactly one, same freeze.
 
 Both probabilities are exactly computable per sigma in two independent
-ways.  The enumeration route walks all n(n-1)/2 transpositions and
-classifies each outcome.  The closed-form route reads them off the cycle
-structure:
+ways, and both depend on sigma only through its cycle type.  The
+enumeration route (:func:`event_tally`) classifies the outcome of each of
+the n(n-1)/2 transpositions, grouped by effect.  The closed-form route
+reads them off the cycle structure:
 
   P[create] = 2/(n(n-1)) * sum_a [ 1{L_a > d+k} + 1{d < L_a < 2k} ]
             + 1/(n(n-1)) * sum_{a != b} 1{cycle_a != cycle_b} 1{L_a + L_b = k}
@@ -53,17 +54,22 @@ which is identically 1 here since 1.4^2 * k >= 1 for every k >= 1.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import Iterable
 
 import numpy as np
 
-from .counting import count_table
+from .counting import count_table, support_cap, table_mode
 from .errors import ResourceLimitError
 from .permutations import (
     CycleStructure,
     Permutation,
+    class_size,
     cycle_structure,
+    cycle_type_counts,
+    cycle_types,
     permutations_with_bounded_cycles,
 )
 from .sampling import SamplerConfig, sample_sequential
@@ -100,35 +106,30 @@ class EventTally:
     n_transpositions: int
 
 
-def _pair_effects(struct: CycleStructure, r: int) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
-    """(created lengths, destroyed lengths) per accepted transposition.
+def _transposition_effects(lengths: tuple[int, ...], r: int) -> dict[tuple[tuple[int, ...], tuple[int, ...]], int]:
+    """(created lengths, destroyed lengths) -> number of transpositions with that effect.
 
-    Rejected proposals (merges that would exceed r) appear as ((), ()).
-    Splits of a cycle of length L at within-cycle distance j give parts
-    (j, L-j); there are exactly L unordered pairs per distance class except
-    j = L/2, which has L/2.
+    Depends on the permutation only through its cycle type.  A cycle of
+    length L splits into parts (j, L-j) under exactly L unordered pairs per
+    distance class j < L/2 and L/2 pairs for j = L/2.  Two cycles of lengths
+    a and b merge under a*b pairs; merges longer than r are rejected and
+    have no effect, so they are left out (they still count towards the
+    n(n-1)/2 proposals).
     """
-    n = struct.n
-    effects: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
-    cycles = struct.cycles
-    # position of each element within its cycle
-    pos = [0] * n
-    for cycle in cycles:
-        for i, x in enumerate(cycle):
-            pos[x] = i
-    for a in range(n):
-        for b in range(a + 1, n):
-            ca, cb = struct.cycle_id[a], struct.cycle_id[b]
-            if ca == cb:
-                length = struct.cycle_length[a]
-                j = (pos[b] - pos[a]) % length
-                effects.append(((j, length - j), (length,)))
-            else:
-                la, lb = struct.cycle_length[a], struct.cycle_length[b]
-                if la + lb > r:
-                    effects.append(((), ()))
-                else:
-                    effects.append(((la + lb,), (la, lb)))
+    hist = Counter(lengths)
+    effects: Counter = Counter()
+    for length, count in hist.items():
+        for j in range(1, length // 2 + 1):
+            pairs = length // 2 if 2 * j == length else length
+            effects[((j, length - j), (length,))] += count * pairs
+    distinct = sorted(hist)
+    for i, la in enumerate(distinct):
+        for lb in distinct[i:]:
+            if la + lb > r:
+                break
+            cycle_pairs = hist[la] * (hist[la] - 1) // 2 if la == lb else hist[la] * hist[lb]
+            if cycle_pairs:
+                effects[((la + lb,), (la, lb))] += cycle_pairs * la * lb
     return effects
 
 
@@ -142,22 +143,41 @@ def _classify(created: tuple[int, ...], destroyed: tuple[int, ...], k: int, d: i
     return "increase" if delta_k == 1 else "decrease"
 
 
+def event_tally(struct: CycleStructure, r: int, ds: Iterable[int]) -> dict[tuple[int, int], tuple[Fraction, Fraction]]:
+    """(P[create], P[destroy]) of a k-cycle for every d in ``ds`` and k <= d.
+
+    Keyed by (d, k).  Classifies the outcome of each of the n(n-1)/2
+    transpositions of a permutation with this cycle structure (rejected
+    proposals included); the enumeration is grouped by effect, so it costs
+    O(n) rather than O(n^2) per (d, k).
+    """
+    n = struct.n
+    if n < 2:
+        raise ValueError("a transposition needs n >= 2")
+    total = n * (n - 1) // 2
+    effects = _transposition_effects(struct.lengths, r)
+    out = {}
+    for d in ds:
+        for k in range(1, d + 1):
+            up = down = 0
+            for (created, destroyed), pairs in effects.items():
+                outcome = _classify(created, destroyed, k, d)
+                if outcome == "increase":
+                    up += pairs
+                elif outcome == "decrease":
+                    down += pairs
+            out[(d, k)] = (Fraction(up, total), Fraction(down, total))
+    return out
+
+
 def event_probabilities(p: Permutation, k: int, d: int, r: int) -> EventTally:
     """Classify all n(n-1)/2 transpositions of ``p``; exact rationals."""
     _validate_kdr(p.n, k, d, r)
     struct = cycle_structure(p)
     if max(struct.lengths) > r:
         raise ValueError("permutation has a cycle longer than r")
-    up = down = 0
-    effects = _pair_effects(struct, r)
-    for created, destroyed in effects:
-        outcome = _classify(created, destroyed, k, d)
-        if outcome == "increase":
-            up += 1
-        elif outcome == "decrease":
-            down += 1
-    total = len(effects)
-    return EventTally(k, Fraction(up, total), Fraction(down, total), total)
+    p_up, p_down = event_tally(struct, r, (d,))[(d, k)]
+    return EventTally(k, p_up, p_down, p.n * (p.n - 1) // 2)
 
 
 def _validate_kdr(n: int, k: int, d: int, r: int) -> None:
@@ -271,45 +291,43 @@ def verify_closed_forms(n: int, r: int, d_max: int, include_rearranged: bool = T
 
     Sweeps all sigma in the bounded-cycle set, all d <= min(d_max, r-1) and
     k <= d; every disagreement is recorded with its witness permutation.
+    Both sides depend on sigma only through its cycle type, so they are
+    evaluated once per type and the verdict is reused for the rest of it.
     """
     if n > 8:
         raise ResourceLimitError("exhaustive verification capped at n <= 8")
     report = ClosedFormReport(n, r, d_max)
+    ds = range(1, min(d_max, r - 1) + 1)
+    verdicts: dict[tuple[int, ...], list[tuple[int, int, str, Fraction, Fraction]]] = {}
     for p in permutations_with_bounded_cycles(n, r):
         struct = cycle_structure(p)
-        effects = _pair_effects(struct, r)
-        total = len(effects)
-        for d in range(1, min(d_max, r - 1) + 1):
-            for k in range(1, d + 1):
-                up = down = 0
-                for created, destroyed in effects:
-                    outcome = _classify(created, destroyed, k, d)
-                    if outcome == "increase":
-                        up += 1
-                    elif outcome == "decrease":
-                        down += 1
-                enum_up = Fraction(up, total)
-                enum_down = Fraction(down, total)
-                report.checked += 1
-                formula_up = creation_probability(struct, k, d)
-                if formula_up != enum_up:
-                    report.mismatches.append(
-                        ClosedFormMismatch(n, r, d, k, "creation", p.mapping, enum_up, formula_up)
-                    )
-                formula_down = destruction_probability(struct, k, d, r)
-                if formula_down != enum_down:
-                    report.mismatches.append(
-                        ClosedFormMismatch(n, r, d, k, "destruction", p.mapping, enum_down, formula_down)
-                    )
-                if include_rearranged:
-                    variant = destruction_probability_rearranged(struct, k, d, r)
-                    if variant != enum_down:
-                        report.mismatches.append(
-                            ClosedFormMismatch(
-                                n, r, d, k, "destruction_rearranged", p.mapping, enum_down, variant
-                            )
-                        )
+        gaps = verdicts.get(struct.lengths)
+        if gaps is None:
+            gaps = verdicts[struct.lengths] = _closed_form_gaps(struct, r, ds, include_rearranged)
+        report.checked += sum(ds)
+        report.mismatches.extend(
+            ClosedFormMismatch(n, r, d, k, which, p.mapping, enumerated, formula)
+            for d, k, which, enumerated, formula in gaps
+        )
     return report
+
+
+def _closed_form_gaps(struct: CycleStructure, r: int, ds: range, include_rearranged: bool):
+    """(d, k, which, enumerated, formula) for every closed form that misses the tally."""
+    gaps = []
+    tally = event_tally(struct, r, ds) if ds else {}
+    for (d, k), (enum_up, enum_down) in tally.items():
+        formula_up = creation_probability(struct, k, d)
+        if formula_up != enum_up:
+            gaps.append((d, k, "creation", enum_up, formula_up))
+        formula_down = destruction_probability(struct, k, d, r)
+        if formula_down != enum_down:
+            gaps.append((d, k, "destruction", enum_down, formula_down))
+        if include_rearranged:
+            variant = destruction_probability_rearranged(struct, k, d, r)
+            if variant != enum_down:
+                gaps.append((d, k, "destruction_rearranged", enum_down, variant))
+    return gaps
 
 
 @dataclass(frozen=True)
@@ -335,32 +353,32 @@ class TermEstimates:
 
 
 def term_estimates_exact(n: int, r: int, d: int) -> TermEstimates:
-    """Exact expectations over the whole bounded-cycle set (n <= 8)."""
-    if n > 8:
-        raise ResourceLimitError("exact expectations capped at n <= 8")
+    """Exact expectations over the whole bounded-cycle set.
+
+    Every summand depends on a permutation only through its cycle type, so
+    the sum runs over partitions of n with parts <= r, one representative
+    each, weighted by the class size n!/prod_j j^{c_j} c_j!.  The number of
+    cycle types is capped by SHORTCYCLES_SUPPORT_CAP.
+    """
     if not 1 <= d < r <= n:
         raise ValueError(f"need 1 <= d < r <= n, got d={d}, r={r}, n={n}")
+    types, cap = cycle_type_counts(n, r)[n], support_cap()
+    if types > cap:
+        raise ResourceLimitError(f"{types} cycle types of n={n} with parts <= {r} exceed the cap of {cap}")
     params = SteinParameters.for_cycle_counts(n, d)
     sums_up = [Fraction(0)] * d
     sums_down = [Fraction(0)] * d
     count = 0
-    for p in permutations_with_bounded_cycles(n, r):
-        struct = cycle_structure(p)
-        effects = _pair_effects(struct, r)
-        total = len(effects)
-        hist = _length_statistics(struct)
+    for lengths in cycle_types(n, r):
+        weight = class_size(lengths)
+        struct = cycle_structure(Permutation.from_cycle_type(lengths))
+        tally = event_tally(struct, r, (d,))
         for k in range(1, d + 1):
-            up = down = 0
-            for created, destroyed in effects:
-                outcome = _classify(created, destroyed, k, d)
-                if outcome == "increase":
-                    up += 1
-                elif outcome == "decrease":
-                    down += 1
+            p_up, p_down = tally[(d, k)]
             c_k = params.scalings[k - 1]
-            sums_up[k - 1] += abs(params.lambdas[k - 1] - c_k * Fraction(up, total))
-            sums_down[k - 1] += abs(hist.get(k, 0) - c_k * Fraction(down, total))
-        count += 1
+            sums_up[k - 1] += weight * abs(params.lambdas[k - 1] - c_k * p_up)
+            sums_down[k - 1] += weight * abs(lengths.count(k) - c_k * p_down)
+        count += weight
     rows = tuple(
         TermRow(k, sums_up[k - 1] / count, sums_down[k - 1] / count) for k in range(1, d + 1)
     )
@@ -389,7 +407,7 @@ def term_estimates_mc(
     if not 1 <= d < r <= n:
         raise ValueError(f"need 1 <= d < r <= n, got d={d}, r={r}, n={n}")
     params = SteinParameters.for_cycle_counts(n, d)
-    table = count_table(n, r, "exact" if n <= 200 else "double")
+    table = count_table(n, r, table_mode(n))
     cfg = SamplerConfig(n=n, r=r, method="sequential")
     acc_up = np.zeros((sample_count, d))
     acc_down = np.zeros((sample_count, d))
@@ -397,7 +415,7 @@ def term_estimates_mc(
         p = sample_sequential(cfg, rng, table)
         struct = cycle_structure(p)
         hist = _length_statistics(struct)
-        effects = None
+        tally = None
         for k in range(1, d + 1):
             c_k = params.scalings[k - 1]
             p_up = creation_probability(struct, k, d)
@@ -405,14 +423,10 @@ def term_estimates_mc(
                 p_down = destruction_probability(struct, k, d, r)
             else:
                 # the closed form over-counts merges the chain rejects when
-                # r <= 2k-2; fall back to enumeration there
-                if effects is None:
-                    effects = _pair_effects(struct, r)
-                down = sum(
-                    1 for created, destroyed in effects
-                    if _classify(created, destroyed, k, d) == "decrease"
-                )
-                p_down = Fraction(down, len(effects))
+                # r <= 2k-2; fall back to the enumeration tally there
+                if tally is None:
+                    tally = event_tally(struct, r, (d,))
+                p_down = tally[(d, k)][1]
             acc_up[i, k - 1] = abs(float(params.lambdas[k - 1] - c_k * p_up))
             acc_down[i, k - 1] = abs(float(hist.get(k, 0) - c_k * p_down))
     means_up = acc_up.mean(axis=0)

@@ -5,7 +5,17 @@ These deliberately avoid the code paths they are meant to check.
 
 from __future__ import annotations
 
+from fractions import Fraction
+
 import numpy as np
+
+from shortcycles.permutations import (
+    CycleStructure,
+    Permutation,
+    cycle_structure,
+    permutations_with_bounded_cycles,
+)
+from shortcycles.stein import SteinParameters, TermEstimates, TermRow
 
 
 def dickman_fixed_step(t_max: int, step: float = 1e-6) -> list[np.ndarray]:
@@ -67,3 +77,80 @@ def dickman_fixed_step_at(panels: list[np.ndarray], t: float, step: float = 1e-6
     if abs(offset - idx) > 1e-6:
         raise ValueError(f"t={t} is not on the step grid")
     return float(panels[k][idx])
+
+
+def pair_effects(struct: CycleStructure, r: int) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """(created lengths, destroyed lengths) for each of the n(n-1)/2 transpositions.
+
+    Walks the actual element pairs of the permutation.  Rejected proposals
+    (merges that would exceed r) appear as ((), ()); a pair inside a cycle
+    of length L at within-cycle distance j splits it into (j, L-j).
+    """
+    n = struct.n
+    pos = [0] * n
+    for cycle in struct.cycles:
+        for i, x in enumerate(cycle):
+            pos[x] = i
+    effects = []
+    for a in range(n):
+        for b in range(a + 1, n):
+            if struct.cycle_id[a] == struct.cycle_id[b]:
+                length = struct.cycle_length[a]
+                j = (pos[b] - pos[a]) % length
+                effects.append(((j, length - j), (length,)))
+            else:
+                la, lb = struct.cycle_length[a], struct.cycle_length[b]
+                if la + lb > r:
+                    effects.append(((), ()))
+                else:
+                    effects.append(((la + lb,), (la, lb)))
+    return effects
+
+
+def classify(created: tuple[int, ...], destroyed: tuple[int, ...], k: int, d: int) -> str | None:
+    """"increase"/"decrease" when the k-cycle count moves by one and k+1..d stay put."""
+    delta_k = created.count(k) - destroyed.count(k)
+    if delta_k not in (1, -1):
+        return None
+    for j in range(k + 1, d + 1):
+        if created.count(j) != destroyed.count(j):
+            return None
+    return "increase" if delta_k == 1 else "decrease"
+
+
+def enumerated_events(p: Permutation, r: int, k: int, d: int) -> tuple[Fraction, Fraction]:
+    """(P[create], P[destroy]) of a k-cycle for ``p``, pair by pair."""
+    effects = pair_effects(cycle_structure(p), r)
+    outcomes = [classify(created, destroyed, k, d) for created, destroyed in effects]
+    total = len(effects)
+    return Fraction(outcomes.count("increase"), total), Fraction(outcomes.count("decrease"), total)
+
+
+def term_estimates_per_permutation(n: int, r: int, d: int) -> TermEstimates:
+    """Exact bound terms as an average over every permutation with cycles <= r."""
+    params = SteinParameters.for_cycle_counts(n, d)
+    sums_up = [Fraction(0)] * d
+    sums_down = [Fraction(0)] * d
+    count = 0
+    for p in permutations_with_bounded_cycles(n, r):
+        struct = cycle_structure(p)
+        effects = pair_effects(struct, r)
+        total = len(effects)
+        for k in range(1, d + 1):
+            up = down = 0
+            for created, destroyed in effects:
+                outcome = classify(created, destroyed, k, d)
+                if outcome == "increase":
+                    up += 1
+                elif outcome == "decrease":
+                    down += 1
+            c_k = params.scalings[k - 1]
+            sums_up[k - 1] += abs(params.lambdas[k - 1] - c_k * Fraction(up, total))
+            sums_down[k - 1] += abs(struct.lengths.count(k) - c_k * Fraction(down, total))
+        count += 1
+    rows = tuple(TermRow(k, sums_up[k - 1] / count, sums_down[k - 1] / count) for k in range(1, d + 1))
+    total_bound = sum(
+        params.alphas[k - 1] / 2 * (rows[k - 1].creation_term + rows[k - 1].destruction_term)
+        for k in range(1, d + 1)
+    )
+    return TermEstimates(n, r, d, "exact", rows, total_bound)

@@ -5,6 +5,7 @@ import sys
 import pytest
 
 from shortcycles.cli import main
+from shortcycles.distances import tv_cycle_counts
 
 
 def run(argv, capsys):
@@ -19,6 +20,13 @@ class TestCount:
         assert code == 0
         assert "10" in out
         assert "5/12" in out
+
+    def test_double_mode_prints_plain_float(self, capsys):
+        for n, r in [(300, 30), (1000, 200)]:
+            code, out, _ = run(["count", "--n", str(n), "--r", str(r)], capsys)
+            assert code == 0
+            assert "np.float64" not in out
+            assert 0 < float(out.split("=")[1]) < 1
 
     def test_csv_out(self, tmp_path, capsys):
         path = tmp_path / "table.csv"
@@ -127,6 +135,18 @@ class TestTv:
         assert payload["schema_version"] == 1
         assert 0 <= payload["tv"] <= 1
 
+    def test_exact_matches_identity(self, capsys):
+        code, out, _ = run(["tv", "--n", "30", "--r", "10", "--d", "3"], capsys)
+        assert code == 0
+        assert json.loads(out)["tv"] == tv_cycle_counts(30, 10, 3)
+
+    def test_exact_beyond_joint_law_support_cap(self, tmp_path, capsys):
+        # the joint law of (400, 100, 6) has more than 10^7 support points
+        path = tmp_path / "tv.json"
+        code, _, err = run(["tv", "--n", "400", "--r", "100", "--d", "6", "--out", str(path)], capsys)
+        assert code == 0, err
+        assert 0 <= json.loads(path.read_text())["tv"] <= 1
+
     def test_mc_mode(self, capsys):
         code, out, _ = run(
             ["tv", "--n", "8", "--r", "4", "--d", "2", "--mode", "mc", "--samples", "2000"],
@@ -169,6 +189,14 @@ class TestSweepAndCheck:
         header = path.read_text().splitlines()[0]
         assert header == "n,r,d,u,tv,refined_C1,macroscopic_C1"
         assert run(["check", str(path)], capsys)[0] == 0
+
+    def test_exact_sweep_ignores_support_cap(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("SHORTCYCLES_SUPPORT_CAP", "3")
+        path = tmp_path / "sweep.csv"
+        code, _, _ = run(["sweep", "--n", "40", "--r", "10", "--d", "2", "--out", str(path)], capsys)
+        assert code == 0
+        row = path.read_text().splitlines()[1].split(",")
+        assert float(row[4]) == tv_cycle_counts(40, 10, 2)
 
     def test_every_output_format_reparses(self, tmp_path, capsys):
         outputs = []

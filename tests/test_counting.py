@@ -15,6 +15,7 @@ from shortcycles.counting import (
     joint_pmf,
     restricted_count_table,
     support_size,
+    table_mode,
 )
 from shortcycles.errors import ResourceLimitError
 from shortcycles.permutations import CountsVector
@@ -30,6 +31,9 @@ class TestCountTable:
 
     def test_s4_r2(self):
         assert count_table(4, 2).fraction(4) == Fraction(5, 12)
+
+    def test_table_mode_threshold(self):
+        assert [table_mode(n) for n in (1, 200, 201, 10**6)] == ["exact", "exact", "double", "double"]
 
     @pytest.mark.parametrize("n,r", [(5, 2), (6, 3), (7, 4), (8, 5)])
     def test_against_brute_force(self, n, r):

@@ -4,12 +4,13 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from shortcycles.counting import SparsePMF, joint_pmf
+from shortcycles.counting import SparsePMF, brute_force_pmf, joint_pmf
 from shortcycles.distances import (
     PoissonSpec,
     harmonic_number,
     macroscopic_bound,
     refined_bound,
+    tv_cycle_counts,
     tv_empirical,
     tv_exact,
 )
@@ -93,6 +94,38 @@ class TestTvExact:
         bad = SparsePMF(1, {CountsVector((0,)): Fraction(1, 2)}, "exact")
         with pytest.raises(ValueError):
             tv_exact(bad, PoissonSpec.cycle_reference(1))
+
+
+class TestTvCycleCounts:
+    @pytest.mark.parametrize("n,r,d", [(10, 5, 2), (30, 10, 3), (60, 20, 4), (120, 40, 4)])
+    def test_matches_full_joint_law(self, n, r, d):
+        expected = tv_exact(joint_pmf(n, r, d), PoissonSpec.cycle_reference(d))
+        assert tv_cycle_counts(n, r, d) == pytest.approx(expected, rel=1e-12, abs=0)
+
+    def test_matches_brute_force(self):
+        cases = [(n, r, d) for n in range(1, 7) for r in range(1, n + 1) for d in range(1, r + 1)]
+        cases += [(7, 4, 2), (7, 7, 3), (8, 3, 3), (8, 5, 2)]
+        for n, r, d in cases:
+            expected = tv_exact(brute_force_pmf(n, r, d), PoissonSpec.cycle_reference(d))
+            assert tv_cycle_counts(n, r, d) == pytest.approx(expected, rel=1e-12, abs=0), (n, r, d)
+
+    @pytest.mark.parametrize("n,d", [(20, 1), (30, 1), (40, 1), (40, 2)])
+    def test_full_precision_far_below_double_rounding(self, n, d):
+        # at r = n the distance falls to 3e-38; summing float masses loses it
+        expected = tv_exact(joint_pmf(n, n, d), PoissonSpec.cycle_reference(d), precision=80)
+        assert tv_cycle_counts(n, n, d) == pytest.approx(expected, rel=1e-14, abs=0)
+
+    def test_frozen_regression_value(self):
+        assert tv_cycle_counts(4, 2, 1) == pytest.approx(TV_N4_R2_D1, rel=1e-15)
+
+    def test_beyond_joint_law_support_cap(self, monkeypatch):
+        monkeypatch.setenv("SHORTCYCLES_SUPPORT_CAP", "3")
+        assert 0 < tv_cycle_counts(400, 100, 6) < 1
+
+    def test_validation(self):
+        for n, r, d in [(5, 3, 0), (5, 3, 4), (5, 6, 2)]:
+            with pytest.raises(ValueError):
+                tv_cycle_counts(n, r, d)
 
 
 class TestTvEmpirical:

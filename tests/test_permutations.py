@@ -1,4 +1,6 @@
 import itertools
+import math
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -9,8 +11,11 @@ from shortcycles.permutations import (
     Permutation,
     Transposition,
     apply_transposition,
+    class_size,
     cycle_counts,
     cycle_structure,
+    cycle_type_counts,
+    cycle_types,
     longest_cycle,
     permutations_with_bounded_cycles,
 )
@@ -166,3 +171,41 @@ class TestBoundedEnumeration:
     def test_members_satisfy_bound(self):
         for p in permutations_with_bounded_cycles(5, 2):
             assert longest_cycle(p) <= 2
+
+
+class TestCycleTypes:
+    def test_n4(self):
+        assert list(cycle_types(4, 4)) == [(4,), (1, 3), (2, 2), (1, 1, 2), (1, 1, 1, 1)]
+        assert list(cycle_types(4, 2)) == [(2, 2), (1, 1, 2), (1, 1, 1, 1)]
+        assert list(cycle_types(5, 1)) == [(1, 1, 1, 1, 1)]
+
+    def test_partitions_counts_and_class_sizes_match_enumeration(self):
+        for n in range(1, 8):
+            tally = Counter(cycle_structure(Permutation(m)).lengths for m in itertools.permutations(range(n)))
+            for r in range(1, n + 1):
+                types = list(cycle_types(n, r))
+                assert len(set(types)) == len(types) == cycle_type_counts(n, r)[n]
+                assert set(types) == {t for t in tally if max(t) <= r}
+                for t in types:
+                    assert class_size(t) == tally[t]
+
+    def test_large_counts(self):
+        assert cycle_type_counts(100, 100)[100] == 190569292
+        assert cycle_type_counts(20, 10)[20] == sum(1 for _ in cycle_types(20, 10))
+        assert sum(class_size(t) for t in cycle_types(12, 12)) == math.factorial(12)
+
+    def test_deep_partition_is_iterative(self):
+        types = list(cycle_types(3000, 2))
+        assert len(types) == 1501
+        assert types[-1] == (1,) * 3000
+
+    def test_representative(self):
+        for t in cycle_types(9, 5):
+            assert cycle_structure(Permutation.from_cycle_type(t)).lengths == t
+        assert Permutation.from_cycle_type((1, 3)).mapping == (0, 2, 3, 1)
+
+    def test_validation(self):
+        with pytest.raises(ValueError):
+            next(cycle_types(0, 3))
+        with pytest.raises(ValueError):
+            next(cycle_types(3, 0))

@@ -1,18 +1,27 @@
+import itertools
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from oracles import enumerated_events, term_estimates_per_permutation
+
 from shortcycles.counting import joint_pmf
-from shortcycles.distances import PoissonSpec, tv_exact
+from shortcycles.distances import PoissonSpec, tv_cycle_counts, tv_exact
 from shortcycles.errors import ResourceLimitError
-from shortcycles.permutations import Permutation, permutations_with_bounded_cycles
+from shortcycles.permutations import (
+    Permutation,
+    cycle_structure,
+    longest_cycle,
+    permutations_with_bounded_cycles,
+)
 from shortcycles.stein import (
     SteinParameters,
     creation_probability,
     destruction_probability,
     destruction_probability_rearranged,
     event_probabilities,
+    event_tally,
     term_estimates_exact,
     term_estimates_mc,
     verify_closed_forms,
@@ -149,6 +158,46 @@ class TestTermEstimates:
         with pytest.raises(ValueError):
             term_estimates_mc(10, 5, 2, 0, np.random.default_rng(0))
 
-    def test_exact_cap(self):
-        with pytest.raises(ResourceLimitError):
+    def test_exact_cap(self, monkeypatch):
+        # the cap counts cycle types: (9, 4) has 18 partitions of 9 with parts <= 4
+        monkeypatch.setenv("SHORTCYCLES_SUPPORT_CAP", "17")
+        with pytest.raises(ResourceLimitError, match="18 cycle types"):
             term_estimates_exact(9, 4, 2)
+        monkeypatch.setenv("SHORTCYCLES_SUPPORT_CAP", "18")
+        assert term_estimates_exact(9, 4, 2).n == 9
+
+
+class TestCycleTypeCore:
+    @pytest.mark.parametrize("n", range(2, 7))
+    def test_tally_matches_pair_enumeration_and_is_conjugation_invariant(self, n):
+        # conjugating by a rotation relabels elements but keeps the cycle type
+        shift = tuple((i + 1) % n for i in range(n))
+        inverse = {image: i for i, image in enumerate(shift)}
+        for p in map(Permutation, itertools.permutations(range(n))):
+            conjugate = Permutation(tuple(shift[p.mapping[inverse[x]]] for x in range(n)))
+            assert cycle_structure(conjugate).lengths == cycle_structure(p).lengths
+            for r in range(max(longest_cycle(p), 2), n + 1):
+                tally = event_tally(cycle_structure(p), r, range(1, r))
+                for (d, k), probabilities in tally.items():
+                    assert probabilities == enumerated_events(p, r, k, d), (p, r, d, k)
+                    assert probabilities == enumerated_events(conjugate, r, k, d), (p, r, d, k)
+
+    def test_tally_keys_and_totals(self):
+        struct = cycle_structure(Permutation((1, 2, 0, 4, 3)))
+        tally = event_tally(struct, 3, (1, 2))
+        assert sorted(tally) == [(1, 1), (2, 1), (2, 2)]
+        assert tally[(2, 2)] == (Fraction(3, 10), Fraction(1, 10))
+        with pytest.raises(ValueError):
+            event_tally(cycle_structure(Permutation.identity(1)), 1, (1,))
+
+    @pytest.mark.parametrize("n", range(2, 8))
+    def test_term_estimates_match_per_permutation_oracle(self, n):
+        for r in range(2, n + 1):
+            for d in range(1, r):
+                assert term_estimates_exact(n, r, d) == term_estimates_per_permutation(n, r, d), (n, r, d)
+
+    @pytest.mark.parametrize("n,r,d", [(12, 6, 2), (16, 8, 3), (20, 10, 4), (20, 5, 4)])
+    def test_exact_terms_beyond_enumeration_bound_the_distance(self, n, r, d):
+        terms = term_estimates_exact(n, r, d)
+        assert all(isinstance(row.creation_term, Fraction) for row in terms.rows)
+        assert float(terms.total) >= tv_cycle_counts(n, r, d)
