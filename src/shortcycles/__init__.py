@@ -7,9 +7,8 @@ the product-Poisson reference together with the two closed-form bounds.
 """
 
 from .counting import (
-    CountTable,
-    RestrictedCountTable,
     SparsePMF,
+    WindowTable,
     brute_force_count,
     brute_force_pmf,
     count_ratio_check,
@@ -20,6 +19,7 @@ from .counting import (
     restricted_count_table,
     support_size,
     table_mode,
+    window_table,
 )
 from .dickman import (
     DickmanEvaluator,
@@ -63,7 +63,9 @@ from .sampling import (
     TransitionMatrix,
     acceptance_rate,
     draw,
+    draw_cycle_types,
     mcmc_step,
+    sample_cycle_type,
     sample_rejection,
     sample_sequential,
     stage_length_pmf,

@@ -16,23 +16,20 @@ import csv
 import json
 import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 import numpy as np
 
 from . import __version__
-from .counting import count_table, joint_pmf, table_mode
+from .counting import count_table, int_str, joint_pmf, log_fraction, table_mode
 from .dickman import DickmanEvaluator, XiEvaluator, gamma_bound_check, rho_ratio_check
 from .distances import PoissonSpec, macroscopic_bound, refined_bound, tv_cycle_counts, tv_empirical
 from .errors import ResourceLimitError
-from .permutations import cycle_counts, cycle_structure
-from .sampling import SamplerConfig, draw
+from .permutations import CountsVector, cycle_structure
+from .sampling import SamplerConfig, draw, draw_cycle_types
 from .stein import term_estimates_exact, term_estimates_mc, verify_closed_forms
 
 SCHEMA_VERSION = 1
-
-SAMPLE_CHUNK = 4096  # fixed chunk granularity keeps output identical for any thread count
 
 
 class _Parser(argparse.ArgumentParser):
@@ -63,8 +60,21 @@ def _write_csv(path, header, rows) -> None:
 
 def _fraction_str(x) -> str:
     if isinstance(x, Fraction):
-        return f"{x.numerator}/{x.denominator}"
+        return f"{int_str(x.numerator)}/{int_str(x.denominator)}"
     return repr(x)
+
+
+def _positive_str(value: float, log_value: float) -> str:
+    """repr of a positive float, or, where it is below the normal double
+    range, scientific notation built from its natural log."""
+    if value >= sys.float_info.min:
+        return repr(value)
+    decimal_log = log_value / math.log(10)
+    exponent = math.floor(decimal_log)
+    mantissa = float(f"{10.0 ** (decimal_log - exponent):.15g}")
+    if mantissa >= 10.0:
+        mantissa, exponent = mantissa / 10.0, exponent + 1
+    return f"{mantissa!r}e{exponent}"
 
 
 # -- subcommand handlers -----------------------------------------------------
@@ -75,10 +85,12 @@ def _cmd_count(args) -> int:
     table = count_table(args.n, args.r, mode)
     nu = table.fraction(args.n)
     if mode == "exact":
-        print(f"|restricted set| = {table.count(args.n)}")
-        print(f"nu = {_fraction_str(nu)} = {float(nu)!r}")
+        print(f"|restricted set| = {int_str(table.count(args.n))}")
+        print(f"nu = {_fraction_str(nu)} = {_positive_str(float(nu), log_fraction(nu))}")
     else:
-        print(f"nu = {float(nu)!r}")
+        log_nu = float(table.log_view()[args.n])
+        print(f"nu = {_positive_str(nu, log_nu)}")
+        print(f"log_nu = {log_nu!r}")
     if args.out:
         table.to_csv(args.out)
         print(f"table written to {args.out}")
@@ -96,16 +108,6 @@ def _cmd_pmf(args) -> int:
     return 0
 
 
-def _sample_chunks(count: int) -> list[int]:
-    sizes = []
-    remaining = count
-    while remaining > 0:
-        take = min(SAMPLE_CHUNK, remaining)
-        sizes.append(take)
-        remaining -= take
-    return sizes
-
-
 def _cmd_sample(args) -> int:
     cfg = SamplerConfig(
         n=args.n,
@@ -115,33 +117,18 @@ def _cmd_sample(args) -> int:
         mcmc_burn_in=args.burn_in,
         mcmc_thinning=args.thinning,
     )
+    rng = np.random.default_rng(args.seed)
     table = count_table(args.n, args.r, table_mode(args.n)) if args.method == "sequential" else None
-    sizes = _sample_chunks(args.count)
-    seeds = np.random.SeedSequence(args.seed).spawn(len(sizes))
-
-    def run_chunk(chunk_index: int) -> list:
-        rng = np.random.default_rng(seeds[chunk_index])
-        return draw(cfg, sizes[chunk_index], table=table, rng=rng)
-
-    if args.threads > 1 and args.method != "mcmc":  # a chain is inherently serial
-        with ThreadPoolExecutor(max_workers=args.threads) as pool:
-            chunks = list(pool.map(run_chunk, range(len(sizes))))
+    if args.method == "sequential" and not args.full:
+        rows = draw_cycle_types(args.n, args.r, args.count, rng, table)
     else:
-        chunks = [run_chunk(i) for i in range(len(sizes))]
-    rows = []
-    index = 0
-    for chunk in chunks:
-        for p in chunk:
-            if args.full:
-                rows.append((index, " ".join(map(str, p.mapping))))
-            else:
-                lengths = cycle_structure(p).lengths
-                rows.append((index, " ".join(map(str, lengths))))
-            index += 1
+        perms = draw(cfg, args.count, table=table, rng=rng)
+        rows = [p.mapping if args.full else cycle_structure(p).lengths for p in perms]
+    rows = [(index, " ".join(map(str, row))) for index, row in enumerate(rows)]
     header = ["index", "mapping" if args.full else "cycle_type"]
     if args.out:
         _write_csv(args.out, header, rows)
-        print(f"{index} samples written to {args.out}")
+        print(f"{len(rows)} samples written to {args.out}")
     else:
         for row in rows:
             print(*row)
@@ -246,9 +233,10 @@ def _cmd_tv(args) -> int:
     if args.mode == "exact":
         payload["tv"] = tv_cycle_counts(args.n, args.r, args.d)
     else:
-        cfg = SamplerConfig(n=args.n, r=args.r, method="sequential", seed=args.seed)
-        perms = draw(cfg, args.samples)
-        vectors = [cycle_counts(p, args.d) for p in perms]
+        if not 1 <= args.d <= args.n:
+            raise ValueError(f"d must be in 1..{args.n}, got {args.d}")
+        types = draw_cycle_types(args.n, args.r, args.samples, np.random.default_rng(args.seed))
+        vectors = [CountsVector.from_cycle_type(lengths, args.d) for lengths in types]
         rng = np.random.default_rng(args.seed + 1)
         estimate = tv_empirical(vectors, spec, rng=rng)
         payload["tv"] = estimate.value
@@ -288,8 +276,8 @@ def _cmd_sweep(args) -> int:
                 if args.tv_mode == "exact":
                     tv = tv_cycle_counts(n, r, d)
                 elif args.tv_mode == "mc":
-                    cfg = SamplerConfig(n=n, r=r, method="sequential", seed=args.seed)
-                    vectors = [cycle_counts(p, d) for p in draw(cfg, args.samples)]
+                    types = draw_cycle_types(n, r, args.samples, np.random.default_rng(args.seed))
+                    vectors = [CountsVector.from_cycle_type(lengths, d) for lengths in types]
                     tv = tv_empirical(vectors, PoissonSpec.cycle_reference(d), rng=np.random.default_rng(args.seed + 1)).value
                 else:
                     tv = ""
@@ -358,7 +346,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--burn-in", type=int, default=0)
     p.add_argument("--thinning", type=int, default=1)
     p.add_argument("--full", action="store_true", help="emit one-line arrays instead of cycle types")
-    p.add_argument("--threads", type=int, default=1)
     p.add_argument("--out", help="CSV destination")
     p.set_defaults(handler=_cmd_sample)
 

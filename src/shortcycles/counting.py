@@ -6,10 +6,13 @@ of the cycle containing a fixed element gives the recurrence
 
     m * nu(m, r) = sum_{k=1}^{min(m, r)} nu(m - k, r),      nu(0, r) = 1,
 
-which a sliding window of prefix sums evaluates in O(m) total.  Working with
-the fraction rather than the raw count keeps every value in (0, 1], so the
-floating-point variant stays stable far beyond the n where factorials
-overflow.
+evaluated for all m <= n in O(n) by :func:`window_table`, which also
+tabulates mu(m), the same fraction for cycle lengths confined to a window
+(d, r].  The fraction itself does not keep a float path safe: nu(n, r)
+decays like the Dickman function rho(n/r) and leaves the double range
+(below 1e-308) in the paper's regime.  The float variant therefore stores
+log nu, sums only positive terms and rescales once per block of m; it
+tracks the exact rationals to ~1e-12 relative at u = n/r in the hundreds.
 
 From the same classification follow, exactly and not just asymptotically:
 
@@ -21,9 +24,9 @@ From the same classification follow, exactly and not just asymptotically:
   with s = sum_j j*c_j and mu(m) the fraction of permutations of m elements
   whose cycle lengths all lie in the window (d, r].
 
-Everything supports an exact-rational mode (the oracle) and a float mode for
-large n.  A brute-force enumerator over all n! permutations is kept as an
-independent cross-check of the recurrences.
+Everything supports an exact-rational mode (the oracle) and a log-scaled
+float mode for large n.  A brute-force enumerator over all n! permutations
+is kept as an independent cross-check of the recurrences.
 """
 
 from __future__ import annotations
@@ -34,6 +37,7 @@ import math
 import os
 import warnings
 from dataclasses import dataclass
+from decimal import Decimal
 from fractions import Fraction
 from typing import Iterable, Iterator, Union
 
@@ -64,151 +68,256 @@ def table_mode(n: int) -> str:
     return "exact" if n <= 200 else "double"
 
 
-class CountTable:
-    """nu(m, r) for m = 0..n_max at fixed r, exact-rational or float."""
+LN2 = math.log(2.0)
 
-    def __init__(self, r: int, values, mode: str):
-        self.r = r
+
+def int_str(value: int) -> str:
+    """Decimal digits of an int of any size (``str`` refuses more than 4300)."""
+    try:
+        return str(value)
+    except ValueError:
+        return str(Decimal(value))
+
+
+def log_fraction(x: Fraction) -> float:
+    """log x for a non-negative rational, accurate also far below the double range."""
+    if x == 0:
+        return -math.inf
+    p, q = x.numerator, x.denominator
+    shift = p.bit_length() - q.bit_length()
+    ratio = p / (q << shift) if shift >= 0 else (p << -shift) / q  # in (1/2, 2)
+    return math.log(ratio) + shift * LN2
+
+
+class WindowTable:
+    """f(m) for m = 0..n_max: the fraction of the m! permutations of m
+    elements whose cycle lengths all lie in [lo, hi].
+
+    nu(m, r) is the table with lo = 1, hi = r; mu(m) for the window (d, r]
+    has lo = d+1.  Exact mode holds Fractions; double mode holds only
+    log f(m) (-inf where f(m) = 0), because deep in the tail f(m) lies
+    below the smallest double.
+    """
+
+    def __init__(self, lo: int, hi: int, mode: str, values):
+        self.lo = lo
+        self.hi = hi
         self.mode = mode
-        self._float_view: np.ndarray | None = None
         if mode == "exact":
             self.values = tuple(values)
+            self._log = None
         elif mode == "double":
-            arr = np.asarray(values, dtype=np.float64)
-            arr.setflags(write=False)
-            self.values = arr
+            self._log = np.asarray(values, dtype=np.float64)
+            self._log.setflags(write=False)
         else:
             raise ValueError(f"unknown mode {mode!r}")
 
     @property
+    def r(self) -> int:
+        return self.hi
+
+    @property
+    def d(self) -> int:
+        return self.lo - 1
+
+    @property
     def n_max(self) -> int:
-        return len(self.values) - 1
+        return len(self.values if self.mode == "exact" else self._log) - 1
 
     def fraction(self, m: int) -> Probability:
-        """nu(m, r), i.e. |{permutations of m elements, cycles <= r}| / m!."""
+        """f(m); in double mode a float, which underflows to 0.0 deep in the tail."""
         if not 0 <= m <= self.n_max:
             raise ValueError(f"m={m} outside tabulated range 0..{self.n_max}")
-        return self.values[m]
+        if self.mode == "exact":
+            return self.values[m]
+        return math.exp(self._log[m])
 
     def count(self, m: int) -> int:
-        """|{permutations of m elements with all cycles <= r}| (exact mode only)."""
+        """m! f(m), the number of such permutations (exact mode only)."""
         if self.mode != "exact":
             raise ValueError("integer counts require exact mode")
         value = self.fraction(m) * math.factorial(m)
         assert value.denominator == 1
         return value.numerator
 
-    def float_view(self) -> np.ndarray:
-        """Read-only float64 view of the table (cached in exact mode)."""
-        if self.mode == "double":
-            return self.values
-        if self._float_view is None:
-            arr = np.array([float(v) for v in self.values], dtype=np.float64)
+    def log_view(self) -> np.ndarray:
+        """Read-only float64 array of log f(m), -inf where f(m) = 0 (cached in exact mode)."""
+        if self._log is None:
+            arr = np.array([log_fraction(v) for v in self.values], dtype=np.float64)
             arr.setflags(write=False)
-            self._float_view = arr
-        return self._float_view
+            self._log = arr
+        return self._log
 
     def rows(self) -> Iterator[tuple]:
         if self.mode == "exact":
             for m, v in enumerate(self.values):
-                yield (m, v.numerator, v.denominator)
+                yield (m, int_str(v.numerator), int_str(v.denominator))
         else:
-            for m, v in enumerate(self.values):
-                yield (m, float(v))
+            for m, log_value in enumerate(self._log):
+                yield (m, math.exp(log_value), float(log_value))
 
     def to_csv(self, path) -> None:
-        header = ["m", "nu_exact_num", "nu_exact_den"] if self.mode == "exact" else ["m", "nu_double"]
+        if self.mode == "exact":
+            header = ["m", "nu_exact_num", "nu_exact_den"]
+        else:
+            header = ["m", "nu_double", "log_nu_double"]
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(header)
             writer.writerows(self.rows())
 
 
-class RestrictedCountTable:
-    """mu(m) for m = 0..n_max: fraction of permutations of m elements whose
-    cycle lengths all lie in the window (d, r]."""
+def window_table(lo: int, hi: int, n_max: int, mode: str = "exact") -> WindowTable:
+    """Tabulate f(m), m = 0..n_max, for cycle lengths confined to [lo, hi].
 
-    def __init__(self, d: int, r: int, values, mode: str):
-        self.d = d
-        self.r = r
-        self.mode = mode
-        if mode == "exact":
-            self.values = tuple(values)
-        else:
-            arr = np.asarray(values, dtype=np.float64)
-            arr.setflags(write=False)
-            self.values = arr
+    f(0) = 1 and m f(m) = sum_{k=lo}^{min(m, hi)} f(m - k): classify by the
+    length k of the cycle through a fixed element.  An empty window
+    (hi = lo - 1) leaves f(m) = 0 for every m > 0.
 
-    @property
-    def n_max(self) -> int:
-        return len(self.values) - 1
+    Exact mode runs the recurrence in Fractions.  Double mode works in
+    blocks of m, adds positive terms only (no sliding-window subtraction,
+    whose absolute error floor once swamped the tail) and keeps one scale
+    per block, so log f stays accurate to ~1e-12 relative far below the
+    smallest double:
 
-    def fraction(self, m: int) -> Probability:
-        if not 0 <= m <= self.n_max:
-            raise ValueError(f"m={m} outside tabulated range 0..{self.n_max}")
-        return self.values[m]
-
-
-def count_table(n_max: int, r: int, mode: str = "exact") -> CountTable:
-    """Tabulate nu(m, r) for m = 0..n_max via the prefix-sum recurrence."""
+    * lo = 1 (nu), blocks of length hi.  m f(m) = A(m) + B(m), with A(m)
+      the part of the window below the block (a suffix sum of the previous
+      block) and B(m) the part inside it.  b(m) = B(m)/m starts at 0 and
+      obeys b(m+1) = b(m) + A(m)/(m(m+1)), so a block costs one cumsum.
+    * lo >= 2, blocks of length min(lo, hi-lo+1).  No window reaches into
+      its own block, and each window sum splits into a suffix of its first
+      min(lo, hi-lo+1) terms, a middle range shared by the whole block (kept
+      by :class:`_SlidingSum`) and a prefix of its last terms.
+    """
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
-    if r < 1:
-        raise ValueError("r must be >= 1")
+    if lo < 1 or hi < lo - 1:
+        raise ValueError(f"need 1 <= lo <= hi + 1, got lo={lo}, hi={hi}")
     if mode == "exact":
         values = [Fraction(1)]
-        window = Fraction(0)  # sum of the last min(m, r) values
+        window = Fraction(0)  # sum of f(m-k) over lo <= k <= min(m, hi)
         for m in range(1, n_max + 1):
-            window += values[m - 1]
-            if m - r - 1 >= 0:
-                window -= values[m - r - 1]
+            if m - lo >= 0:
+                window += values[m - lo]
+            if m - hi - 1 >= 0:
+                window -= values[m - hi - 1]
             values.append(window / m)
-        return CountTable(r, values, "exact")
-    if mode == "double":
-        values = np.empty(n_max + 1)
-        values[0] = 1.0
-        window = 0.0
-        comp = 0.0  # Neumaier compensation keeps the running window drift-free
-        for m in range(1, n_max + 1):
-            for x in (values[m - 1],) if m <= r else (values[m - 1], -values[m - r - 1]):
-                t = window + x
-                if abs(window) >= abs(x):
-                    comp += (window - t) + x
-                else:
-                    comp += (x - t) + window
-                window = t
-            values[m] = (window + comp) / m
-        return CountTable(r, values, "double")
-    raise ValueError(f"unknown mode {mode!r}")
+        return WindowTable(lo, hi, "exact", values)
+    if mode != "double":
+        raise ValueError(f"unknown mode {mode!r}")
+    top = min(hi, n_max)  # no cycle of m <= n_max elements is longer
+    if top < lo:
+        logs = np.full(n_max + 1, -np.inf)
+        logs[0] = 0.0
+    elif lo == 1:
+        logs = _nu_logs(top, n_max)
+    else:
+        with np.errstate(divide="ignore"):  # log 0 = -inf marks f(m) = 0
+            logs = _windowed_logs(lo, top, n_max)
+    return WindowTable(lo, hi, "double", logs)
 
 
-def restricted_count_table(d: int, r: int, n_max: int, mode: str = "exact") -> RestrictedCountTable:
+def _nu_logs(r: int, n_max: int) -> np.ndarray:
+    logs = np.zeros(n_max + 1)  # nu(m, r) = 1 for m <= r
+    prev = np.ones(r)  # the last block, in units of 2**exponent
+    exponent = 0
+    for m0 in range(r + 1, n_max + 1, r):
+        ms = np.arange(m0, min(m0 + r, n_max + 1), dtype=np.float64)
+        size = len(ms)
+        below = np.cumsum(prev[::-1])[::-1][:size]  # A(m) = sum of nu over [m - r, m0)
+        b = np.zeros(size)
+        np.cumsum(below[:-1] / (ms[:-1] * (ms[:-1] + 1.0)), out=b[1:])
+        block = below / ms + b
+        logs[m0 : m0 + size] = np.log(block) + exponent * LN2
+        shift = math.frexp(block[0])[1]  # nu is non-increasing, so block[0] is the largest
+        prev = np.ldexp(block, -shift)
+        exponent += shift
+    return logs
+
+
+def _log_cumsum(logs: np.ndarray) -> np.ndarray:
+    """log of the running sums of exp(logs): one positive cumsum at the largest term's scale."""
+    top = logs.max(initial=-np.inf)
+    if top == -np.inf:
+        return np.full(len(logs), -np.inf)
+    return np.log(np.cumsum(np.exp(logs - top))) + top
+
+
+class _SlidingSum:
+    """log sum of exp(logs[start:stop]) for ranges whose ends only move forward.
+
+    A two-stack queue: the front holds suffix sums of an older stretch, the
+    back a running total of the terms appended since, so every sum is of
+    positive terms.  The front is rebuilt from the queue when ``start``
+    leaves it, which costs O(1) amortized per entry.
+    """
+
+    def __init__(self, logs: np.ndarray):
+        self.logs = logs
+        self.stop = 0
+        self.front = np.empty(0)  # front[i] = log sum logs[front_start + i : split]
+        self.front_start = self.split = 0
+        self.back_scale = -np.inf  # back total = back * exp(back_scale)
+        self.back = 0.0
+
+    def log_sum(self, start: int, stop: int) -> float:
+        if stop > self.stop:
+            new = self.logs[self.stop : stop]
+            top = new.max()
+            if top > self.back_scale:
+                self.back = self.back * math.exp(self.back_scale - top) if self.back else 0.0
+                self.back_scale = top
+            if top > -np.inf:
+                self.back += float(np.exp(new - self.back_scale).sum())
+            self.stop = stop
+        if start >= self.split:
+            self.front = _log_cumsum(self.logs[start:stop][::-1])[::-1]
+            self.front_start, self.split = start, stop
+            self.back_scale, self.back = -np.inf, 0.0
+        head = self.front[start - self.front_start] if start < self.split else -np.inf
+        tail = math.log(self.back) + self.back_scale if self.back else -np.inf
+        return float(np.logaddexp(head, tail))
+
+
+def _windowed_logs(lo: int, hi: int, n_max: int) -> np.ndarray:
+    width = hi - lo + 1
+    step = min(lo, width)
+    # buf[hi + j] = log f(j); the hi leading entries stand for f(j < 0) = 0
+    buf = np.full(hi + n_max + 1, -np.inf)
+    buf[hi] = 0.0
+    log_m = np.log(np.arange(1, n_max + 1, dtype=np.float64))
+    middle = _SlidingSum(buf)
+    for m0 in range(lo, n_max + 1, step):
+        size = min(step, n_max + 1 - m0)
+        # the window of f(m0 + a) is buf[m0 + a : m0 + a + width]: a suffix of
+        # buf[m0 : m0 + step], the middle shared by the block, and a prefix of
+        # buf[m0 + width :]
+        head = _log_cumsum(buf[m0 : m0 + step][::-1])[::-1][:size]
+        sums = np.logaddexp(head, middle.log_sum(m0 + step, m0 + width))
+        np.logaddexp(sums[1:], _log_cumsum(buf[m0 + width : m0 + width + size - 1]), out=sums[1:])
+        buf[hi + m0 : hi + m0 + size] = sums - log_m[m0 - 1 : m0 - 1 + size]
+    return buf[hi:].copy()
+
+
+def count_table(n_max: int, r: int, mode: str = "exact") -> WindowTable:
+    """Tabulate nu(m, r) for m = 0..n_max: the window table with lo = 1, hi = r."""
+    if r < 1:
+        raise ValueError("r must be >= 1")
+    return window_table(1, r, n_max, mode)
+
+
+def restricted_count_table(d: int, r: int, n_max: int, mode: str = "exact") -> WindowTable:
     """Tabulate mu(m) for cycle lengths confined to (d, r].
 
-    Same recurrence as :func:`count_table` with the cycle-length sum running
-    over k = d+1 .. min(m, r); with d = 0 this reproduces nu(m, r).  With
-    d = r the window is empty and mu(m) = 0 for all m > 0.
+    The window table with lo = d+1, hi = r; d = 0 gives nu(m, r) and d = r
+    the empty window, where mu(m) = 0 for all m > 0.
     """
     if not 0 <= d <= r:
         raise ValueError(f"need 0 <= d <= r, got d={d}, r={r}")
-    if n_max < 0:
-        raise ValueError("n_max must be >= 0")
-    zero = Fraction(0) if mode == "exact" else 0.0
-    one = Fraction(1) if mode == "exact" else 1.0
-    values = [one]
-    window = zero
-    for m in range(1, n_max + 1):
-        if m - d - 1 >= 0:
-            window += values[m - d - 1]
-        if m - r - 1 >= 0:
-            window -= values[m - r - 1]
-        values.append(window / m)
-    if mode == "double":
-        return RestrictedCountTable(d, r, values, "double")
-    return RestrictedCountTable(d, r, values, "exact")
+    return window_table(d + 1, r, n_max, mode)
 
 
-def first_element_cycle_length_pmf(n: int, r: int, table: CountTable):
+def first_element_cycle_length_pmf(n: int, r: int, table: WindowTable):
     """Exact law of the cycle length of a fixed element, k = 1..r.
 
     Entry k-1 is nu(n-k, r) / (n * nu(n, r)).  For r = n this is uniform:
@@ -220,10 +329,11 @@ def first_element_cycle_length_pmf(n: int, r: int, table: CountTable):
         raise ValueError(f"table was built for r={table.r}, not r={r}")
     if table.n_max < n:
         raise ValueError(f"table covers m <= {table.n_max} < n={n}")
-    denom = n * table.fraction(n)
     if table.mode == "exact":
+        denom = n * table.fraction(n)
         return [table.fraction(n - k) / denom for k in range(1, r + 1)]
-    return np.array([table.fraction(n - k) / denom for k in range(1, r + 1)])
+    logs = table.log_view()
+    return np.exp(logs[n - r : n][::-1] - (logs[n] + math.log(n)))
 
 
 class SparsePMF:
@@ -270,8 +380,8 @@ class SparsePMF:
         return cls(d, {cv: Fraction(c, total) for cv, c in tally.items()}, "exact")
 
     def rows(self) -> Iterator[tuple]:
-        for cv in self.support():
-            yield (*cv.counts, float(self.entries[cv]))
+        for cv, p in sorted(self.entries.items(), key=lambda item: item[0].counts):
+            yield (*cv.counts, float(p))
 
     def to_csv(self, path) -> None:
         with open(path, "w", newline="") as fh:
@@ -285,21 +395,17 @@ def support_size(n: int, d: int) -> int:
     return sum(cycle_type_counts(n, d))
 
 
-def _iter_count_vectors(n: int, d: int) -> Iterator[tuple[int, ...]]:
-    """All (c_1, ..., c_d) with sum_j j*c_j <= n, in lexicographic order."""
-    c = [0] * d
-
-    def rec(j: int, budget: int):
-        if j == d:
-            yield tuple(c)
-            return
-        length = j + 1
-        for value in range(budget // length + 1):
-            c[j] = value
-            yield from rec(j + 1, budget - length * value)
-        c[j] = 0
-
-    yield from rec(0, n)
+def _count_vector_array(n: int, d: int) -> tuple[np.ndarray, np.ndarray]:
+    """All (c_1, ..., c_d) with sum_j j*c_j <= n as rows, in lexicographic order, and their sums."""
+    rows = np.zeros((1, 0), dtype=np.int64)
+    used = np.zeros(1, dtype=np.int64)
+    for j in range(1, d + 1):
+        reps = (n - used) // j + 1
+        parent = np.repeat(np.arange(len(used)), reps)
+        c = np.arange(parent.size) - np.repeat(np.cumsum(reps) - reps, reps)
+        rows = np.column_stack([rows[parent], c])
+        used = used[parent] + j * c
+    return rows, used
 
 
 def joint_pmf(
@@ -308,8 +414,8 @@ def joint_pmf(
     d: int,
     *,
     mode: str = "exact",
-    nu: CountTable | None = None,
-    mu: RestrictedCountTable | None = None,
+    nu: WindowTable | None = None,
+    mu: WindowTable | None = None,
     cap: int | None = None,
 ) -> SparsePMF:
     """Exact joint law of the counts of 1-, 2-, ..., d-cycles.
@@ -330,32 +436,35 @@ def joint_pmf(
         nu = count_table(n, r, mode)
     if mu is None:
         mu = restricted_count_table(d, r, n, mode)
-    norm = nu.fraction(n)
-    entries: dict[CountsVector, Probability] = {}
-    for c in _iter_count_vectors(n, d):
-        s = sum(j * cj for j, cj in enumerate(c, start=1))
-        tail = mu.fraction(n - s)
-        if tail == 0:
-            continue
-        if mode == "exact":
-            prob = tail / norm
-            for j, cj in enumerate(c, start=1):
-                if cj:
-                    prob *= Fraction(1, j**cj * math.factorial(cj))
-        else:
-            log_prob = math.log(tail) - math.log(norm)
-            for j, cj in enumerate(c, start=1):
-                if cj:
-                    log_prob -= cj * math.log(j) + math.lgamma(cj + 1)
-            prob = math.exp(log_prob)
-        entries[CountsVector(c)] = prob
+    counts, used = _count_vector_array(n, d)
+    if mode == "exact":
+        norm = nu.fraction(n)
+        ratios = [mu.fraction(n - s) / norm for s in range(n + 1)]
+        # 1/(j^c c!) = 1/denominators[j-1][c]
+        denominators = [[j**c * math.factorial(c) for c in range(n // j + 1)] for j in range(1, d + 1)]
+        entries: dict[CountsVector, Probability] = {}
+        for c, s in zip(zip(*counts.T.tolist()), used.tolist()):
+            if ratios[s]:
+                denominator = 1
+                for column, cj in zip(denominators, c):
+                    denominator *= column[cj]
+                entries[CountsVector(c)] = ratios[s] / denominator
+    else:
+        log_prob = mu.log_view()[n - used] - nu.log_view()[n]
+        for j in range(1, d + 1):
+            # log(j^c c!) for c = 0..n//j
+            log_denominator = np.array([c * math.log(j) + math.lgamma(c + 1) for c in range(n // j + 1)])
+            log_prob -= log_denominator[counts[:, j - 1]]
+        keep = np.isfinite(log_prob)
+        vectors = map(CountsVector, zip(*counts[keep].T.tolist()))
+        entries = dict(zip(vectors, np.exp(log_prob[keep]).tolist()))
     pmf = SparsePMF(d, entries, mode)
     if mode == "exact":
         assert pmf.total_mass == 1, "exact joint law failed to normalize"
     return pmf
 
 
-def expected_count(n: int, r: int, k: int, table: CountTable | None = None) -> Probability:
+def expected_count(n: int, r: int, k: int, table: WindowTable | None = None) -> Probability:
     """E[number of k-cycles] for a uniform permutation with cycles <= r.
 
     Equals nu(n-k, r) / (k * nu(n, r)); in particular exactly 1/k when r = n.
@@ -371,7 +480,10 @@ def expected_count(n: int, r: int, k: int, table: CountTable | None = None) -> P
         table = count_table(n, r, "exact")
     if table.r != r or table.n_max < n:
         raise ValueError("table does not cover this (n, r)")
-    return table.fraction(n - k) / (k * table.fraction(n))
+    if table.mode == "exact":
+        return table.fraction(n - k) / (k * table.fraction(n))
+    logs = table.log_view()
+    return math.exp(logs[n - k] - logs[n]) / k
 
 
 def _cycle_lengths_of(mapping: tuple[int, ...]) -> list[int]:
@@ -451,7 +563,7 @@ class RatioReport:
     in_regime: bool
 
 
-def count_ratio_check(n: int, r: int, k: int, table: CountTable | None = None) -> RatioReport:
+def count_ratio_check(n: int, r: int, k: int, table: WindowTable | None = None) -> RatioReport:
     """Compare nu(n-k, r)/nu(n, r) with exp((k/r) * xi(n/r)).
 
     xi(t) is the positive root of e^x = 1 + t*x (with xi(1) = 0 by the limit
@@ -470,7 +582,11 @@ def count_ratio_check(n: int, r: int, k: int, table: CountTable | None = None) -
         )
     if table is None:
         table = count_table(n, r, table_mode(n))
-    exact_ratio = float(table.fraction(n - k)) / float(table.fraction(n))
+    if table.mode == "exact":
+        exact_ratio = float(table.fraction(n - k) / table.fraction(n))
+    else:
+        logs = table.log_view()
+        exact_ratio = math.exp(logs[n - k] - logs[n])
     u = n / r
     xi_u = 0.0 if u == 1.0 else XiEvaluator().xi(u)
     predicted = math.exp(k / r * xi_u)

@@ -119,6 +119,15 @@ class CountsVector:
     def d(self) -> int:
         return len(self.counts)
 
+    @classmethod
+    def from_cycle_type(cls, lengths: Sequence[int], d: int) -> "CountsVector":
+        """Number of cycles of each length 1..d among the cycle lengths ``lengths``."""
+        counts = [0] * d
+        for length in lengths:
+            if length <= d:
+                counts[length - 1] += 1
+        return cls(tuple(counts))
+
     def weighted_sum(self) -> int:
         """Total number of elements lying in cycles of length <= d."""
         return sum(k * c for k, c in enumerate(self.counts, start=1))
@@ -159,11 +168,7 @@ def cycle_counts(p: Permutation, d: int) -> CountsVector:
     """Number of cycles of each length 1..d in ``p``."""
     if not 1 <= d <= p.n:
         raise ValueError(f"d must be in 1..{p.n}, got {d}")
-    counts = [0] * d
-    for length in cycle_structure(p).lengths:
-        if length <= d:
-            counts[length - 1] += 1
-    return CountsVector(tuple(counts))
+    return CountsVector.from_cycle_type(cycle_structure(p).lengths, d)
 
 
 def apply_transposition(p: Permutation, t: Transposition) -> Permutation:

@@ -5,11 +5,15 @@ Three routes to the same distribution:
 * rejection: draw uniform permutations (Fisher-Yates) until the longest
   cycle is <= r.  Exact, with acceptance probability nu(n, r), so only
   practical when that fraction is not tiny.
-* sequential: build the permutation cycle by cycle.  With m elements left,
-  the cycle containing the smallest unplaced element has length k with
-  probability nu(m-k, r) / (m * nu(m, r)); its k-1 partners are a uniform
-  draw without replacement and the cycle order is uniform.  Exact in one
-  pass, no rejection.
+* sequential: draw the cycle type, then the labels.  With m elements
+  left, the cycle through any fixed one of them has length k with
+  probability nu(m-k, r) / (m * nu(m, r)); drawing one such length per
+  cycle gives the cycle type with its exact law, in as many stages as
+  there are cycles (:func:`sample_cycle_type`).  Given its type, a uniform
+  permutation is uniform over that conjugacy class, so cutting one uniform
+  arrangement of 0..n-1 into consecutive cycles of those lengths finishes
+  the draw.  Exact, no rejection; callers that need only cycle counts stop
+  after the first step.
 * mcmc: the random-transposition walk restricted to the bounded-cycle set.
   A step proposes a uniform transposition tau and accepts sigma' = tau o
   sigma only if sigma' still has no cycle longer than r.  The proposal is
@@ -17,9 +21,7 @@ Three routes to the same distribution:
   stationary; one step is also the perturbation the event-probability
   identities in :mod:`shortcycles.stein` describe.
 
-All draws consume a numpy Generator.  Parallel work should give each worker
-its own substream (numpy SeedSequence.spawn); samplers never share mutable
-state.
+All draws consume a numpy Generator; samplers never share mutable state.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .counting import CountTable, count_table, table_mode
+from .counting import WindowTable, count_table, table_mode
 from .errors import ResourceLimitError
 from .permutations import (
     Permutation,
@@ -98,60 +100,64 @@ def acceptance_rate(n: int, r: int, trials: int, rng: np.random.Generator) -> fl
     return hits / trials
 
 
-def stage_length_pmf(m: int, r: int, table: CountTable) -> np.ndarray:
+def stage_length_pmf(m: int, r: int, table: WindowTable) -> np.ndarray:
     """Cycle-length law of the next anchor when m elements remain.
 
-    Entry k-1 is nu(m-k, r) / (m * nu(m, r)) for k = 1..min(m, r).  The
+    Entry k-1 is nu(m-k, r) / (m * nu(m, r)) for k = 1..min(m, r), read as
+    differences of log nu so that it holds deep in the tail.  The
     probabilities sum to 1 by the counting recurrence; the float path
     renormalizes to absorb table rounding.
     """
     top = min(m, r)
-    values = table.float_view()
-    probs = values[m - top : m][::-1] / (m * values[m])
+    logs = table.log_view()
+    probs = np.exp(logs[m - top : m][::-1] - (logs[m] + math.log(m)))
     total = probs.sum()
     if abs(total - 1.0) > 1e-9:
         raise ValueError(f"stage law sums to {total}, table looks inconsistent")
     return probs / total
 
 
-def sample_sequential(cfg: SamplerConfig, rng: np.random.Generator, table: CountTable) -> Permutation:
-    """One exact uniform draw built cycle by cycle, no rejection."""
-    n, r = cfg.n, cfg.r
+def sample_cycle_type(n: int, r: int, rng: np.random.Generator, table: WindowTable) -> tuple[int, ...]:
+    """Cycle lengths of one uniform draw with all cycles <= r, ascending.
+
+    One stage per cycle: with m elements left the next cycle has length k
+    with probability nu(m-k, r) / (m * nu(m, r)).  The result is what
+    ``cycle_structure(p).lengths`` gives for the permutation drawn.
+    """
     if table.r != r or table.n_max < n:
         raise ValueError("table does not cover this (n, r)")
-    mapping = [0] * n
-    pool = list(range(n))  # unplaced elements, swap-removed
-    position = list(range(n))  # position[x] = index of x in pool
-    placed = bytearray(n)
-    anchor_scan = 0
+    lengths = []
     m = n
-
-    def remove(x: int) -> None:
-        nonlocal m
-        i = position[x]
-        last = pool[m - 1]
-        pool[i] = last
-        position[last] = i
-        m -= 1
-
     while m > 0:
-        while placed[anchor_scan]:
-            anchor_scan += 1
-        anchor = anchor_scan
         probs = stage_length_pmf(m, r, table)
         k = 1 + int(np.searchsorted(np.cumsum(probs), rng.random(), side="right"))
         k = min(k, len(probs))  # guard the 1-ulp edge of the cumulative sum
-        remove(anchor)
-        placed[anchor] = 1
-        cycle = [anchor]
-        for _ in range(k - 1):
-            partner = pool[int(rng.integers(m))]
-            remove(partner)
-            placed[partner] = 1
-            cycle.append(partner)
-        for i, x in enumerate(cycle):
-            mapping[x] = cycle[(i + 1) % k]
-    return Permutation(mapping)
+        lengths.append(k)
+        m -= k
+    return tuple(sorted(lengths))
+
+
+def draw_cycle_types(
+    n: int, r: int, count: int, rng: np.random.Generator, table: WindowTable | None = None
+) -> list[tuple[int, ...]]:
+    """``count`` independent cycle types of uniform permutations with cycles <= r."""
+    if not 1 <= r <= n:
+        raise ValueError(f"need 1 <= r <= n, got r={r}, n={n}")
+    if table is None:
+        table = count_table(n, r, table_mode(n))
+    return [sample_cycle_type(n, r, rng, table) for _ in range(count)]
+
+
+def sample_sequential(cfg: SamplerConfig, rng: np.random.Generator, table: WindowTable) -> Permutation:
+    """One exact uniform draw: a cycle type, then a uniform labelling."""
+    lengths = np.array(sample_cycle_type(cfg.n, cfg.r, rng, table))
+    order = rng.permutation(cfg.n)
+    ends = np.cumsum(lengths)
+    successor = np.arange(1, cfg.n + 1)
+    successor[ends - 1] = ends - lengths  # each cycle closes on its first position
+    mapping = np.empty(cfg.n, dtype=np.int64)
+    mapping[order] = order[successor]
+    return Permutation(mapping.tolist())
 
 
 def mcmc_step(p: Permutation, r: int, rng: np.random.Generator) -> Permutation:
@@ -174,7 +180,7 @@ def mcmc_step(p: Permutation, r: int, rng: np.random.Generator) -> Permutation:
     return apply_transposition(p, Transposition(a, b))
 
 
-def draw(cfg: SamplerConfig, count: int, *, table: CountTable | None = None, rng: np.random.Generator | None = None) -> list[Permutation]:
+def draw(cfg: SamplerConfig, count: int, *, table: WindowTable | None = None, rng: np.random.Generator | None = None) -> list[Permutation]:
     """``count`` draws with the configured method (burn-in/thinning for mcmc)."""
     if count < 0:
         raise ValueError("count must be >= 0")

@@ -61,7 +61,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .counting import count_table, support_cap, table_mode
+from .counting import support_cap
 from .errors import ResourceLimitError
 from .permutations import (
     CycleStructure,
@@ -72,7 +72,7 @@ from .permutations import (
     cycle_types,
     permutations_with_bounded_cycles,
 )
-from .sampling import SamplerConfig, sample_sequential
+from .sampling import draw_cycle_types
 
 
 @dataclass(frozen=True)
@@ -143,19 +143,21 @@ def _classify(created: tuple[int, ...], destroyed: tuple[int, ...], k: int, d: i
     return "increase" if delta_k == 1 else "decrease"
 
 
-def event_tally(struct: CycleStructure, r: int, ds: Iterable[int]) -> dict[tuple[int, int], tuple[Fraction, Fraction]]:
+def event_tally(cycle_type, r: int, ds: Iterable[int]) -> dict[tuple[int, int], tuple[Fraction, Fraction]]:
     """(P[create], P[destroy]) of a k-cycle for every d in ``ds`` and k <= d.
 
-    Keyed by (d, k).  Classifies the outcome of each of the n(n-1)/2
-    transpositions of a permutation with this cycle structure (rejected
+    Keyed by (d, k).  ``cycle_type`` is a permutation, its CycleStructure
+    or its cycle lengths.  Classifies the outcome of each of the n(n-1)/2
+    transpositions of a permutation with this cycle type (rejected
     proposals included); the enumeration is grouped by effect, so it costs
     O(n) rather than O(n^2) per (d, k).
     """
-    n = struct.n
+    lengths = _cycle_type(cycle_type)
+    n = sum(lengths)
     if n < 2:
         raise ValueError("a transposition needs n >= 2")
     total = n * (n - 1) // 2
-    effects = _transposition_effects(struct.lengths, r)
+    effects = _transposition_effects(lengths, r)
     out = {}
     for d in ds:
         for k in range(1, d + 1):
@@ -185,21 +187,25 @@ def _validate_kdr(n: int, k: int, d: int, r: int) -> None:
         raise ValueError(f"need 1 <= k <= d < r <= n, got k={k}, d={d}, r={r}, n={n}")
 
 
-def _length_statistics(struct: CycleStructure) -> dict[int, int]:
-    """length -> number of cycles of that length."""
-    hist: dict[int, int] = {}
-    for length in struct.lengths:
-        hist[length] = hist.get(length, 0) + 1
-    return hist
+def _cycle_type(obj) -> tuple[int, ...]:
+    """Cycle lengths of a Permutation, of a CycleStructure, or given directly."""
+    if isinstance(obj, Permutation):
+        return cycle_structure(obj).lengths
+    if isinstance(obj, CycleStructure):
+        return obj.lengths
+    return tuple(obj)
 
 
-def creation_probability(p_or_struct, k: int, d: int) -> Fraction:
-    """Closed form for the creation event, read off the cycle structure."""
-    struct = p_or_struct if isinstance(p_or_struct, CycleStructure) else cycle_structure(p_or_struct)
-    n = struct.n
+def creation_probability(cycle_type, k: int, d: int) -> Fraction:
+    """Closed form for the creation event, read off the cycle type.
+
+    ``cycle_type`` is a permutation, its CycleStructure or its cycle lengths.
+    """
+    lengths = _cycle_type(cycle_type)
+    n = sum(lengths)
     if not 1 <= k <= d:
         raise ValueError(f"need 1 <= k <= d, got k={k}, d={d}")
-    hist = _length_statistics(struct)
+    hist = Counter(lengths)
     elements = {length: length * count for length, count in hist.items()}
     split = sum(e for length, e in elements.items() if length > d + k or d < length < 2 * k)
     merge_ordered = 0
@@ -213,12 +219,12 @@ def creation_probability(p_or_struct, k: int, d: int) -> Fraction:
     return Fraction(2 * split + merge_ordered, n * (n - 1))
 
 
-def destruction_probability(p_or_struct, k: int, d: int, r: int) -> Fraction:
-    """Closed form for the destruction event, read off the cycle structure."""
-    struct = p_or_struct if isinstance(p_or_struct, CycleStructure) else cycle_structure(p_or_struct)
-    n = struct.n
+def destruction_probability(cycle_type, k: int, d: int, r: int) -> Fraction:
+    """Closed form for the destruction event, read off the cycle type."""
+    lengths = _cycle_type(cycle_type)
+    n = sum(lengths)
     _validate_kdr(n, k, d, r)
-    hist = _length_statistics(struct)
+    hist = Counter(lengths)
     k_elements = k * hist.get(k, 0)
     partner_weight = 0
     for length, count in hist.items():
@@ -227,17 +233,17 @@ def destruction_probability(p_or_struct, k: int, d: int, r: int) -> Fraction:
     return Fraction(2 * k_elements * partner_weight + (k - 1) * k_elements, n * (n - 1))
 
 
-def destruction_probability_rearranged(p_or_struct, k: int, d: int, r: int) -> Fraction:
+def destruction_probability_rearranged(cycle_type, k: int, d: int, r: int) -> Fraction:
     """Complement-substituted variant with the raw count as leading term.
 
     Not an identity: enumeration sweeps catalogue its deviation (the leading
     term matches the event probability only after the n/2k scaling).  Kept
     so reports can show the gap explicitly.
     """
-    struct = p_or_struct if isinstance(p_or_struct, CycleStructure) else cycle_structure(p_or_struct)
-    n = struct.n
+    lengths = _cycle_type(cycle_type)
+    n = sum(lengths)
     _validate_kdr(n, k, d, r)
-    hist = _length_statistics(struct)
+    hist = Counter(lengths)
     w_k = hist.get(k, 0)
     k_elements = k * w_k
 
@@ -371,8 +377,7 @@ def term_estimates_exact(n: int, r: int, d: int) -> TermEstimates:
     count = 0
     for lengths in cycle_types(n, r):
         weight = class_size(lengths)
-        struct = cycle_structure(Permutation.from_cycle_type(lengths))
-        tally = event_tally(struct, r, (d,))
+        tally = event_tally(lengths, r, (d,))
         for k in range(1, d + 1):
             p_up, p_down = tally[(d, k)]
             c_k = params.scalings[k - 1]
@@ -396,36 +401,32 @@ def term_estimates_mc(
     sample_count: int,
     rng: np.random.Generator,
 ) -> TermEstimates:
-    """Monte Carlo over sampled permutations; per-sample terms stay exact.
+    """Monte Carlo over sampled cycle types; per-sample terms stay exact.
 
     The conditional event probabilities come from the (exhaustively
-    verified) closed forms, so sampling noise enters only through the
-    choice of permutations.
+    verified) closed forms, which need only the cycle type, so sampling
+    noise enters only through the choice of cycle types.
     """
     if sample_count <= 0:
         raise ValueError("sample_count must be positive")
     if not 1 <= d < r <= n:
         raise ValueError(f"need 1 <= d < r <= n, got d={d}, r={r}, n={n}")
     params = SteinParameters.for_cycle_counts(n, d)
-    table = count_table(n, r, table_mode(n))
-    cfg = SamplerConfig(n=n, r=r, method="sequential")
     acc_up = np.zeros((sample_count, d))
     acc_down = np.zeros((sample_count, d))
-    for i in range(sample_count):
-        p = sample_sequential(cfg, rng, table)
-        struct = cycle_structure(p)
-        hist = _length_statistics(struct)
+    for i, lengths in enumerate(draw_cycle_types(n, r, sample_count, rng)):
+        hist = Counter(lengths)
         tally = None
         for k in range(1, d + 1):
             c_k = params.scalings[k - 1]
-            p_up = creation_probability(struct, k, d)
+            p_up = creation_probability(lengths, k, d)
             if r >= 2 * k - 1:
-                p_down = destruction_probability(struct, k, d, r)
+                p_down = destruction_probability(lengths, k, d, r)
             else:
                 # the closed form over-counts merges the chain rejects when
                 # r <= 2k-2; fall back to the enumeration tally there
                 if tally is None:
-                    tally = event_tally(struct, r, (d,))
+                    tally = event_tally(lengths, r, (d,))
                 p_down = tally[(d, k)][1]
             acc_up[i, k - 1] = abs(float(params.lambdas[k - 1] - c_k * p_up))
             acc_down[i, k - 1] = abs(float(hist.get(k, 0) - c_k * p_down))

@@ -1,4 +1,5 @@
 import json
+import math
 import subprocess
 import sys
 
@@ -6,12 +7,18 @@ import pytest
 
 from shortcycles.cli import main
 from shortcycles.distances import tv_cycle_counts
+from shortcycles.permutations import Permutation, cycle_structure
 
 
 def run(argv, capsys):
     code = main(argv)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def printed(out, name):
+    """The value after ``name = `` on the line that starts with it."""
+    return next(line for line in out.splitlines() if line.startswith(name + " = ")).split(" = ")[-1]
 
 
 class TestCount:
@@ -26,7 +33,29 @@ class TestCount:
             code, out, _ = run(["count", "--n", str(n), "--r", str(r)], capsys)
             assert code == 0
             assert "np.float64" not in out
-            assert 0 < float(out.split("=")[1]) < 1
+            assert 0 < float(printed(out, "nu")) < 1
+
+    def test_deep_tail(self, capsys):
+        code, out, _ = run(["count", "--n", "3000", "--r", "30"], capsys)
+        assert code == 0
+        assert float(printed(out, "nu")) == pytest.approx(3.108010735518831e-225, rel=1e-9)
+        assert math.exp(float(printed(out, "log_nu"))) == pytest.approx(3.108010735518831e-225, rel=1e-9)
+
+    def test_below_double_range_prints_scientific(self, capsys):
+        code, out, _ = run(["count", "--n", "100000", "--r", "300"], capsys)
+        assert code == 0
+        mantissa, exponent = printed(out, "nu").split("e")
+        log_nu = float(printed(out, "log_nu"))
+        assert 1 <= float(mantissa) < 10
+        assert int(exponent) == math.floor(log_nu / math.log(10)) < -308
+        assert math.log10(float(mantissa)) + int(exponent) == pytest.approx(log_nu / math.log(10), rel=1e-13)
+
+    def test_exact_beyond_int_digit_limit(self, capsys):
+        code, out, _ = run(["count", "--n", "3000", "--r", "30", "--exact"], capsys)
+        assert code == 0
+        count = printed(out, "|restricted set|")
+        assert count.isdigit() and len(count) > 4300
+        assert float(printed(out, "nu")) == 3.108010735518831e-225
 
     def test_csv_out(self, tmp_path, capsys):
         path = tmp_path / "table.csv"
@@ -92,12 +121,23 @@ class TestSample:
         assert run(args + ["--out", str(b)], capsys)[0] == 0
         assert a.read_bytes() == b.read_bytes()
 
-    def test_thread_count_does_not_change_output(self, tmp_path, capsys):
-        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-        args = ["sample", "--n", "8", "--r", "4", "--count", "200", "--seed", "9"]
-        assert run(args + ["--threads", "1", "--out", str(a)], capsys)[0] == 0
-        assert run(args + ["--threads", "4", "--out", str(b)], capsys)[0] == 0
-        assert a.read_bytes() == b.read_bytes()
+    def test_deep_tail(self, tmp_path, capsys):
+        path = tmp_path / "types.csv"
+        code, _, err = run(["sample", "--n", "1000", "--r", "20", "--count", "4", "--out", str(path)], capsys)
+        assert code == 0, err
+        rows = path.read_text().strip().splitlines()[1:]
+        assert len(rows) == 4
+        for row in rows:
+            lengths = [int(x) for x in row.split(",")[1].split()]
+            assert sum(lengths) == 1000 and max(lengths) <= 20 and lengths == sorted(lengths)
+
+    def test_full_rows_are_bijections_with_short_cycles(self, tmp_path, capsys):
+        path = tmp_path / "perms.csv"
+        code, _, _ = run(["sample", "--n", "300", "--r", "7", "--count", "5", "--full", "--out", str(path)], capsys)
+        assert code == 0
+        for row in path.read_text().strip().splitlines()[1:]:
+            p = Permutation([int(x) for x in row.split(",")[1].split()])
+            assert max(cycle_structure(p).lengths) <= 7
 
     def test_full_mapping_output(self, tmp_path, capsys):
         path = tmp_path / "perm.csv"

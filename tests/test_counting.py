@@ -12,10 +12,13 @@ from shortcycles.counting import (
     count_table,
     expected_count,
     first_element_cycle_length_pmf,
+    int_str,
     joint_pmf,
+    log_fraction,
     restricted_count_table,
     support_size,
     table_mode,
+    window_table,
 )
 from shortcycles.errors import ResourceLimitError
 from shortcycles.permutations import CountsVector
@@ -106,6 +109,97 @@ class TestRestrictedTable:
             restricted_count_table(4, 3, 5)
 
 
+def assert_logs_close(double, exact, rel=1e-10):
+    """log f agrees to ``rel`` relative (0 exactly where log f = 0), and f to ``rel`` relative."""
+    got, want = double.log_view(), exact.log_view()[: double.n_max + 1]
+    assert got.shape == want.shape
+    zero = want == -np.inf
+    assert np.array_equal(got == -np.inf, zero)
+    error = np.abs(got[~zero] - want[~zero])
+    assert np.all(error <= rel * np.abs(want[~zero]))
+    assert error.max(initial=0.0) <= rel
+
+
+@pytest.fixture(scope="module")
+def exact_nu_6000_30():
+    return count_table(6000, 30, "exact")
+
+
+class TestWindowTable:
+    """The block-scaled double table against the exact rationals, deep in the tail."""
+
+    @pytest.mark.parametrize("n", [3000, 6000])
+    def test_nu_deep_tail_r30(self, n, exact_nu_6000_30):
+        double = count_table(n, 30, "double")
+        assert double.log_view()[n] < math.log(1e-224)  # u = 100: far below 1e-35
+        assert_logs_close(double, exact_nu_6000_30)
+
+    def test_nu_deep_tail_r100(self):
+        assert_logs_close(count_table(3000, 100, "double"), count_table(3000, 100, "exact"))
+
+    @pytest.mark.parametrize("d,r,n", [(2, 5, 60), (4, 30, 3000)])
+    def test_mu_deep_tail(self, d, r, n):
+        double = restricted_count_table(d, r, n, "double")
+        assert_logs_close(double, restricted_count_table(d, r, n, "exact"))
+        assert double.fraction(n) > 0
+
+    def test_every_small_window(self):
+        for lo in range(1, 7):
+            for hi in range(lo - 1, 9):
+                assert_logs_close(window_table(lo, hi, 40, "double"), window_table(lo, hi, 40, "exact"), 1e-12)
+
+    def test_wrappers_are_windows(self):
+        assert count_table(20, 4).values == window_table(1, 4, 20).values
+        assert restricted_count_table(2, 4, 20).values == window_table(3, 4, 20).values
+        t = restricted_count_table(2, 4, 20, "double")
+        assert (t.lo, t.hi, t.d, t.r, t.n_max) == (3, 4, 2, 4, 20)
+
+    def test_nu_exact_below_r(self):
+        t = count_table(500, 300, "double")
+        assert np.all(t.log_view()[:301] == 0.0)
+        assert t.fraction(300) == 1.0
+
+    def test_window_wider_than_table(self):
+        # cycles longer than n_max never occur, so a huge r costs nothing
+        t = count_table(5, 10**9, "double")
+        assert t.r == 10**9 and np.all(t.log_view() == 0.0)
+        assert_logs_close(restricted_count_table(2, 10**9, 40, "double"), restricted_count_table(2, 40, 40, "exact"))
+
+    def test_large_table_matches_dickman_scale(self):
+        # nu(10^6, 10^5) ~ rho(10) = 2.77e-11; a block costs one cumsum
+        t = count_table(10**6, 10**5, "double")
+        assert t.n_max == 10**6
+        assert t.fraction(10**6) == pytest.approx(2.7706291833e-11, rel=1e-8)
+
+    def test_csv_double_has_log_column(self, tmp_path):
+        path = tmp_path / "nu.csv"
+        count_table(5, 2, "double").to_csv(path)
+        lines = path.read_text().strip().splitlines()
+        assert lines[0] == "m,nu_double,log_nu_double"
+        m, nu, log_nu = lines[-1].split(",")
+        assert float(nu) == pytest.approx(26 / 120, rel=1e-14)
+        assert float(log_nu) == pytest.approx(math.log(26 / 120), rel=1e-14)
+
+    def test_validation(self):
+        with pytest.raises(ValueError):
+            window_table(0, 3, 5)
+        with pytest.raises(ValueError):
+            window_table(5, 3, 5)
+        with pytest.raises(ValueError):
+            window_table(1, 3, -1)
+        with pytest.raises(ValueError):
+            window_table(1, 3, 5, "single")
+
+    def test_log_fraction_below_double_range(self):
+        assert log_fraction(Fraction(0)) == -math.inf
+        assert log_fraction(Fraction(3, 7)) == pytest.approx(math.log(3 / 7), rel=1e-15)
+        assert log_fraction(Fraction(1, 10**400)) == pytest.approx(-400 * math.log(10), rel=1e-15)
+
+    def test_int_str_beyond_digit_limit(self):
+        assert int_str(12) == "12"
+        assert int_str(10**5000) == "1" + "0" * 5000
+
+
 class TestFirstElementLaw:
     def test_uniform_when_unrestricted(self):
         n = 9
@@ -167,6 +261,14 @@ class TestJointLaw:
     def test_validation(self):
         with pytest.raises(ValueError):
             joint_pmf(4, 2, 3)
+
+    @pytest.mark.parametrize("n,r,d", [(12, 5, 3), (60, 20, 2)])
+    def test_double_matches_exact(self, n, r, d):
+        exact = joint_pmf(n, r, d)
+        double = joint_pmf(n, r, d, mode="double")
+        assert set(double.entries) == set(exact.entries)
+        for cv, p in exact.entries.items():
+            assert double.entries[cv] == pytest.approx(float(p), rel=1e-12)
 
 
 class TestBruteForce:

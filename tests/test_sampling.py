@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -8,7 +9,9 @@ from shortcycles.counting import count_table
 from shortcycles.errors import ResourceLimitError
 from shortcycles.permutations import (
     Permutation,
+    class_size,
     cycle_structure,
+    cycle_types,
     longest_cycle,
     permutations_with_bounded_cycles,
 )
@@ -16,7 +19,9 @@ from shortcycles.sampling import (
     SamplerConfig,
     acceptance_rate,
     draw,
+    draw_cycle_types,
     mcmc_step,
+    sample_cycle_type,
     sample_rejection,
     sample_sequential,
     stage_length_pmf,
@@ -98,6 +103,42 @@ class TestSequential:
     def test_reproducible(self):
         cfg = SamplerConfig(n=12, r=5, method="sequential", seed=77)
         assert draw(cfg, 10) == draw(cfg, 10)
+
+
+class TestCycleType:
+    @pytest.mark.parametrize("n,r,seed", [(8, 4, 1), (10, 3, 2)])
+    def test_chi_square_against_exact_type_law(self, n, r, seed):
+        # P(type) = class_size(type) / (n! nu(n, r))
+        nu = count_table(n, r).fraction(n)
+        types = list(cycle_types(n, r))
+        expected = np.array([float(Fraction(class_size(t), math.factorial(n)) / nu) for t in types])
+        assert expected.sum() == pytest.approx(1.0, abs=1e-12)
+        draws = 40000
+        tally = {t: 0 for t in types}
+        for t in draw_cycle_types(n, r, draws, np.random.default_rng(seed)):
+            tally[t] += 1
+        observed = np.array([tally[t] for t in types])
+        assert stats.chisquare(observed, expected * draws).pvalue >= 1e-3
+
+    def test_sequential_draw_relabels_the_sampled_type(self):
+        table = count_table(40, 6)
+        cfg = SamplerConfig(n=40, r=6)
+        for seed in range(5):
+            p = sample_sequential(cfg, np.random.default_rng(seed), table)
+            assert cycle_structure(p).lengths == sample_cycle_type(40, 6, np.random.default_rng(seed), table)
+
+    def test_deep_tail_double_table(self):
+        # u = 50: the stage law still sums to 1, and every type is a partition of n
+        table = count_table(1000, 20, "double")
+        assert stage_length_pmf(1000, 20, table).sum() == pytest.approx(1.0, abs=1e-12)
+        for lengths in draw_cycle_types(1000, 20, 5, np.random.default_rng(3), table):
+            assert sum(lengths) == 1000 and max(lengths) <= 20 and list(lengths) == sorted(lengths)
+
+    def test_table_must_cover(self):
+        with pytest.raises(ValueError):
+            sample_cycle_type(10, 3, np.random.default_rng(0), count_table(10, 4))
+        with pytest.raises(ValueError):
+            sample_cycle_type(10, 3, np.random.default_rng(0), count_table(9, 3))
 
 
 class TestMcmc:
