@@ -44,11 +44,15 @@ class _Parser(argparse.ArgumentParser):
         return 1
 
 
-def _write_json(path, payload: dict) -> None:
-    payload = {"schema_version": SCHEMA_VERSION, **payload}
-    text = json.dumps(payload, sort_keys=True, indent=2)
-    with open(path, "w") as fh:
-        fh.write(text + "\n")
+def _emit_json(payload: dict, out) -> None:
+    """Write the report with its schema version to ``out``, or print it."""
+    text = json.dumps({"schema_version": SCHEMA_VERSION, **payload}, sort_keys=True, indent=2)
+    if out:
+        with open(out, "w") as fh:
+            fh.write(text + "\n")
+        print(f"report written to {out}")
+    else:
+        print(text)
 
 
 def _write_csv(path, header, rows) -> None:
@@ -184,6 +188,7 @@ def _cmd_stein_verify(args) -> int:
                 "d": m.d,
                 "k": m.k,
                 "witness_permutation": list(m.mapping),
+                "class_size": m.class_size,
                 "enumerated": _fraction_str(m.enumerated),
                 "closed_form": _fraction_str(m.formula),
             }
@@ -219,34 +224,31 @@ def _cmd_stein_verify(args) -> int:
             for row in terms.rows
         ]
         payload["total_bound"] = terms.total
-    if args.out:
-        _write_json(args.out, payload)
-        print(f"report written to {args.out}")
-    else:
-        print(json.dumps({"schema_version": SCHEMA_VERSION, **payload}, sort_keys=True, indent=2))
+    _emit_json(payload, args.out)
     return 0
 
 
+def _tv_mc(n: int, r: int, d: int, samples: int, seed: int):
+    """Empirical TV to the Poisson reference of ``samples`` cycle types drawn with ``seed``;
+    the bootstrap uses ``seed + 1``."""
+    spec = PoissonSpec.cycle_reference(d)
+    if not 1 <= d <= n:
+        raise ValueError(f"d must be in 1..{n}, got {d}")
+    types = draw_cycle_types(n, r, samples, np.random.default_rng(seed))
+    vectors = [CountsVector.from_cycle_type(lengths, d) for lengths in types]
+    return tv_empirical(vectors, spec, rng=np.random.default_rng(seed + 1))
+
+
 def _cmd_tv(args) -> int:
-    spec = PoissonSpec.cycle_reference(args.d)
     payload: dict = {"n": args.n, "r": args.r, "d": args.d, "mode": args.mode}
     if args.mode == "exact":
         payload["tv"] = tv_cycle_counts(args.n, args.r, args.d)
     else:
-        if not 1 <= args.d <= args.n:
-            raise ValueError(f"d must be in 1..{args.n}, got {args.d}")
-        types = draw_cycle_types(args.n, args.r, args.samples, np.random.default_rng(args.seed))
-        vectors = [CountsVector.from_cycle_type(lengths, args.d) for lengths in types]
-        rng = np.random.default_rng(args.seed + 1)
-        estimate = tv_empirical(vectors, spec, rng=rng)
+        estimate = _tv_mc(args.n, args.r, args.d, args.samples, args.seed)
         payload["tv"] = estimate.value
         payload["stderr"] = estimate.stderr
         payload["samples"] = estimate.sample_count
-    if args.out:
-        _write_json(args.out, payload)
-        print(f"report written to {args.out}")
-    else:
-        print(json.dumps({"schema_version": SCHEMA_VERSION, **payload}, sort_keys=True, indent=2))
+    _emit_json(payload, args.out)
     return 0
 
 
@@ -276,9 +278,7 @@ def _cmd_sweep(args) -> int:
                 if args.tv_mode == "exact":
                     tv = tv_cycle_counts(n, r, d)
                 elif args.tv_mode == "mc":
-                    types = draw_cycle_types(n, r, args.samples, np.random.default_rng(args.seed))
-                    vectors = [CountsVector.from_cycle_type(lengths, d) for lengths in types]
-                    tv = tv_empirical(vectors, PoissonSpec.cycle_reference(d), rng=np.random.default_rng(args.seed + 1)).value
+                    tv = _tv_mc(n, r, d, args.samples, args.seed).value
                 else:
                     tv = ""
                 rows.append((n, r, d, u, tv, refined_bound(n, r, d, 1.0).total, macroscopic_bound(n, r, d, 1.0)))

@@ -141,6 +141,8 @@ def draw_cycle_types(
     n: int, r: int, count: int, rng: np.random.Generator, table: WindowTable | None = None
 ) -> list[tuple[int, ...]]:
     """``count`` independent cycle types of uniform permutations with cycles <= r."""
+    if count < 0:
+        raise ValueError("count must be >= 0")
     if not 1 <= r <= n:
         raise ValueError(f"need 1 <= r <= n, got r={r}, n={n}")
     if table is None:

@@ -33,8 +33,9 @@ itself (k-1 partners per element).
 The creation identity is exact for every valid (k, d, r).  The destruction
 display has one finite-size blind spot: its small-partner window d-k < L_b
 < k ignores the length budget, so when r <= 2k-2 it counts merges the walk
-actually rejects.  Exhaustive sweeps catalogue exactly those cases (witness
-permutations included) rather than patching the formula silently.
+actually rejects.  Exhaustive sweeps catalogue exactly those cases rather
+than patching the formula silently: one record per (cycle type, d, k), with
+the type's ``Permutation.from_cycle_type`` as witness and its class size.
 
 ``destruction_probability_rearranged`` evaluates a complement-substituted
 variant whose leading term is the raw k-cycle count; it is retained because
@@ -70,7 +71,6 @@ from .permutations import (
     cycle_structure,
     cycle_type_counts,
     cycle_types,
-    permutations_with_bounded_cycles,
 )
 from .sampling import draw_cycle_types
 
@@ -273,9 +273,10 @@ class ClosedFormMismatch:
     d: int
     k: int
     which: str  # "creation" | "destruction" | "destruction_rearranged"
-    mapping: tuple[int, ...]  # witness permutation
+    mapping: tuple[int, ...]  # witness: Permutation.from_cycle_type of the cycle type
     enumerated: Fraction
     formula: Fraction
+    class_size: int  # permutations of that cycle type, all sharing the verdict
 
 
 @dataclass
@@ -289,50 +290,52 @@ class ClosedFormReport:
     mismatches: list[ClosedFormMismatch] = field(default_factory=list)
 
     def mismatch_count(self, which: str) -> int:
-        return sum(1 for m in self.mismatches if m.which == which)
+        return sum(m.class_size for m in self.mismatches if m.which == which)
 
 
-def verify_closed_forms(n: int, r: int, d_max: int, include_rearranged: bool = True) -> ClosedFormReport:
-    """Compare both closed forms against enumeration for every permutation.
+def _weighted_cycle_types(n: int, r: int):
+    """(lengths, class size) of every cycle type of n with parts <= r, at most SHORTCYCLES_SUPPORT_CAP."""
+    types, cap = cycle_type_counts(n, r)[n], support_cap()
+    if types > cap:
+        raise ResourceLimitError(f"{types} cycle types of n={n} with parts <= {r} exceed the cap of {cap}")
+    return ((lengths, class_size(lengths)) for lengths in cycle_types(n, r))
 
-    Sweeps all sigma in the bounded-cycle set, all d <= min(d_max, r-1) and
-    k <= d; every disagreement is recorded with its witness permutation.
-    Both sides depend on sigma only through its cycle type, so they are
-    evaluated once per type and the verdict is reused for the rest of it.
+
+def verify_closed_forms(n: int, r: int, d_max: int) -> ClosedFormReport:
+    """Compare the closed forms against enumeration over the bounded-cycle set.
+
+    Covers all d <= min(d_max, r-1) and k <= d.  Both sides depend on a
+    permutation only through its cycle type, so each type is checked once;
+    ``checked`` and ``mismatch_count`` weight it by its class size.
     """
-    if n > 8:
-        raise ResourceLimitError("exhaustive verification capped at n <= 8")
+    if not 1 <= r <= n:
+        raise ValueError(f"need 1 <= r <= n, got r={r}, n={n}")
     report = ClosedFormReport(n, r, d_max)
     ds = range(1, min(d_max, r - 1) + 1)
-    verdicts: dict[tuple[int, ...], list[tuple[int, int, str, Fraction, Fraction]]] = {}
-    for p in permutations_with_bounded_cycles(n, r):
-        struct = cycle_structure(p)
-        gaps = verdicts.get(struct.lengths)
-        if gaps is None:
-            gaps = verdicts[struct.lengths] = _closed_form_gaps(struct, r, ds, include_rearranged)
-        report.checked += sum(ds)
+    for lengths, size in _weighted_cycle_types(n, r):
+        report.checked += size * sum(ds)
+        witness = Permutation.from_cycle_type(lengths).mapping
         report.mismatches.extend(
-            ClosedFormMismatch(n, r, d, k, which, p.mapping, enumerated, formula)
-            for d, k, which, enumerated, formula in gaps
+            ClosedFormMismatch(n, r, d, k, which, witness, enumerated, formula, size)
+            for d, k, which, enumerated, formula in _closed_form_gaps(lengths, r, ds)
         )
     return report
 
 
-def _closed_form_gaps(struct: CycleStructure, r: int, ds: range, include_rearranged: bool):
+def _closed_form_gaps(lengths: tuple[int, ...], r: int, ds: range):
     """(d, k, which, enumerated, formula) for every closed form that misses the tally."""
     gaps = []
-    tally = event_tally(struct, r, ds) if ds else {}
+    tally = event_tally(lengths, r, ds) if ds else {}
     for (d, k), (enum_up, enum_down) in tally.items():
-        formula_up = creation_probability(struct, k, d)
+        formula_up = creation_probability(lengths, k, d)
         if formula_up != enum_up:
             gaps.append((d, k, "creation", enum_up, formula_up))
-        formula_down = destruction_probability(struct, k, d, r)
+        formula_down = destruction_probability(lengths, k, d, r)
         if formula_down != enum_down:
             gaps.append((d, k, "destruction", enum_down, formula_down))
-        if include_rearranged:
-            variant = destruction_probability_rearranged(struct, k, d, r)
-            if variant != enum_down:
-                gaps.append((d, k, "destruction_rearranged", enum_down, variant))
+        variant = destruction_probability_rearranged(lengths, k, d, r)
+        if variant != enum_down:
+            gaps.append((d, k, "destruction_rearranged", enum_down, variant))
     return gaps
 
 
@@ -368,15 +371,11 @@ def term_estimates_exact(n: int, r: int, d: int) -> TermEstimates:
     """
     if not 1 <= d < r <= n:
         raise ValueError(f"need 1 <= d < r <= n, got d={d}, r={r}, n={n}")
-    types, cap = cycle_type_counts(n, r)[n], support_cap()
-    if types > cap:
-        raise ResourceLimitError(f"{types} cycle types of n={n} with parts <= {r} exceed the cap of {cap}")
     params = SteinParameters.for_cycle_counts(n, d)
     sums_up = [Fraction(0)] * d
     sums_down = [Fraction(0)] * d
     count = 0
-    for lengths in cycle_types(n, r):
-        weight = class_size(lengths)
+    for lengths, weight in _weighted_cycle_types(n, r):
         tally = event_tally(lengths, r, (d,))
         for k in range(1, d + 1):
             p_up, p_down = tally[(d, k)]

@@ -163,6 +163,16 @@ class TestSample:
         assert code == 0
         assert len(path.read_text().strip().splitlines()) == 11
 
+    def test_negative_count_is_a_validation_error(self, tmp_path, capsys):
+        for extra in ([], ["--full"]):
+            path = tmp_path / "never.csv"
+            code, _, err = run(
+                ["sample", "--n", "8", "--r", "4", "--count", "-1", "--out", str(path), *extra], capsys
+            )
+            assert code == 1
+            assert "count must be >= 0" in err
+            assert not path.exists()
+
 
 class TestTv:
     def test_exact_json(self, tmp_path, capsys):
@@ -209,6 +219,30 @@ class TestSteinVerify:
         assert payload["mismatch_counts"]["creation"] == 0
         for m in payload["mismatches"]:
             assert len(m["witness_permutation"]) == 5
+
+    def test_exhaustive_one_record_per_cycle_type(self, tmp_path, capsys):
+        # 408211 permutations miss the rearranged variant, in 240 (type, d, k) records
+        path = tmp_path / "report.json"
+        code, _, _ = run(
+            ["stein-verify", "--n", "8", "--r", "8", "--d", "7", "--exhaustive", "--out", str(path)],
+            capsys,
+        )
+        assert code == 0
+        payload = json.loads(path.read_text())
+        mismatches = payload["mismatches"]
+        assert len(mismatches) == 240
+        assert payload["mismatch_counts"] == {
+            "creation": 0, "destruction": 0, "destruction_rearranged": 408211,
+        }
+        assert sum(m["class_size"] for m in mismatches) == 408211
+        keys = {(tuple(m["witness_permutation"]), m["d"], m["k"], m["which"]) for m in mismatches}
+        assert len(keys) == 240
+
+    def test_r_above_n_names_the_given_values(self, capsys):
+        code, _, err = run(["stein-verify", "--n", "5", "--r", "6", "--d", "2", "--exhaustive"], capsys)
+        assert code == 1
+        assert "got r=6, n=5" in err
+        assert "d=1" not in err
 
     def test_mc_report(self, capsys):
         code, out, _ = run(

@@ -1,4 +1,5 @@
 import itertools
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -6,7 +7,7 @@ import pytest
 
 from oracles import enumerated_events, term_estimates_per_permutation
 
-from shortcycles.counting import joint_pmf
+from shortcycles.counting import count_table, joint_pmf
 from shortcycles.distances import PoissonSpec, tv_cycle_counts, tv_exact
 from shortcycles.errors import ResourceLimitError
 from shortcycles.permutations import (
@@ -129,9 +130,54 @@ class TestExhaustiveVerification:
         for m in report.mismatches:
             assert Permutation(m.mapping) is not None  # witness is well-formed
 
-    def test_cap(self):
-        with pytest.raises(ResourceLimitError):
+    def test_cap(self, monkeypatch):
+        # the cap counts cycle types: (9, 3) has 12 partitions of 9 with parts <= 3
+        monkeypatch.setenv("SHORTCYCLES_SUPPORT_CAP", "11")
+        with pytest.raises(ResourceLimitError, match="12 cycle types"):
             verify_closed_forms(9, 3, 2)
+        monkeypatch.setenv("SHORTCYCLES_SUPPORT_CAP", "12")
+        # every permutation with cycles <= 3, each checked at (d, k) = (1, 1), (2, 1), (2, 2)
+        assert verify_closed_forms(9, 3, 2).checked == 3 * count_table(9, 3, "exact").count(9)
+
+    def test_r_above_n_names_the_given_values(self):
+        with pytest.raises(ValueError, match=r"need 1 <= r <= n, got r=6, n=5"):
+            verify_closed_forms(5, 6, 2)
+
+    def test_records_group_per_permutation_verdicts_by_cycle_type(self):
+        # pair-by-pair enumeration and the closed forms on every permutation,
+        # grouped by (cycle type, d, k, which), are the records and their class sizes
+        for n in range(2, 7):
+            for r in range(2, n + 1):
+                verdicts: Counter = Counter()
+                values = {}
+                combinations = 0
+                for p in permutations_with_bounded_cycles(n, r):
+                    lengths = cycle_structure(p).lengths
+                    for d in range(1, min(3, r - 1) + 1):
+                        for k in range(1, d + 1):
+                            combinations += 1
+                            up, down = enumerated_events(p, r, k, d)
+                            for which, enumerated, formula in (
+                                ("creation", up, creation_probability(p, k, d)),
+                                ("destruction", down, destruction_probability(p, k, d, r)),
+                                ("destruction_rearranged", down, destruction_probability_rearranged(p, k, d, r)),
+                            ):
+                                if formula != enumerated:
+                                    verdicts[(lengths, d, k, which)] += 1
+                                    values[(lengths, d, k, which)] = (enumerated, formula)
+                report = verify_closed_forms(n, r, 3)
+                records = {}
+                for m in report.mismatches:
+                    key = (cycle_structure(Permutation(m.mapping)).lengths, m.d, m.k, m.which)
+                    assert key not in records
+                    records[key] = m.class_size
+                    assert (m.enumerated, m.formula) == values[key]
+                assert records == dict(verdicts)
+                assert report.checked == combinations
+                for which in ("creation", "destruction", "destruction_rearranged"):
+                    assert report.mismatch_count(which) == sum(
+                        size for key, size in verdicts.items() if key[3] == which
+                    )
 
 
 class TestTermEstimates:
