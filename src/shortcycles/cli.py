@@ -140,13 +140,15 @@ def _cmd_sample(args) -> int:
 
 
 def _cmd_dickman(args) -> int:
-    ev = DickmanEvaluator(panel_tolerance=args.tolerance, t_max=args.t_max)
+    ev = DickmanEvaluator(t_max=args.t_max)
     if args.dickman_command == "rho":
         if args.grid is None and args.t is None:
             print("error: rho needs --t or --grid", file=sys.stderr)
             return 1
         if args.grid:
             start, stop, num = args.grid
+            if not (num.is_integer() and num >= 1):
+                raise ValueError(f"--grid NUM must be a positive integer, got {num}")
             ts = np.linspace(start, stop, int(num))
             rows = [(float(t), ev.rho(float(t)), ev.log_rho(float(t))) for t in ts]
             if args.out:
@@ -362,7 +364,6 @@ def build_parser() -> argparse.ArgumentParser:
             q.add_argument("--t", type=float, required=True)
         if name == "ratio":
             q.add_argument("--v", type=float, required=True)
-        q.add_argument("--tolerance", type=float, default=1e-12)
         q.add_argument("--t-max", type=float, default=200.0)
         q.set_defaults(handler=_cmd_dickman)
 

@@ -67,8 +67,10 @@ class SamplerConfig:
             raise ValueError(f"need 1 <= r <= n, got r={self.r}, n={self.n}")
         if self.method not in ("rejection", "sequential", "mcmc"):
             raise ValueError(f"unknown method {self.method!r}")
-        if self.mcmc_burn_in < 0 or self.mcmc_thinning < 0:
-            raise ValueError("burn-in and thinning must be >= 0")
+        if self.mcmc_burn_in < 0:
+            raise ValueError(f"burn-in must be >= 0, got {self.mcmc_burn_in}")
+        if self.mcmc_thinning < 1:
+            raise ValueError(f"thinning must be >= 1, got {self.mcmc_thinning}")
 
     @property
     def u(self) -> float:
@@ -201,9 +203,8 @@ def draw(cfg: SamplerConfig, count: int, *, table: WindowTable | None = None, rn
         state = Permutation.identity(cfg.n)
         for _ in range(cfg.mcmc_burn_in):
             state = mcmc_step(state, cfg.r, rng)
-        stride = max(1, cfg.mcmc_thinning)
         for _ in range(count):
-            for _ in range(stride):
+            for _ in range(cfg.mcmc_thinning):
                 state = mcmc_step(state, cfg.r, rng)
             out.append(state)
     return out

@@ -5,8 +5,10 @@ These deliberately avoid the code paths they are meant to check.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 
 from shortcycles.permutations import (
@@ -77,6 +79,38 @@ def dickman_fixed_step_at(panels: list[np.ndarray], t: float, step: float = 1e-6
     if abs(offset - idx) > 1e-6:
         raise ValueError(f"t={t} is not on the step grid")
     return float(panels[k][idx])
+
+
+def dickman_log_rho_series(points, digits: int = 60, terms: int = 220) -> list[float]:
+    """log rho at each point of ``points`` (all in [1, 200]) from the panel
+    power series in ``digits``-digit mpmath.
+
+    On [k, k+1], rho(k + 1 - z) = sum_i a_i z^i with
+    a_{i+1} = (c_i + i a_i) / ((k + 1)(i + 1)), c the series of the previous
+    panel, and a_0 = rho(k + 1) = (1/k) sum_{i >= 1} a_i / (i + 1), a sum of
+    positive terms.  No scaling is needed: mpmath's exponent range covers
+    rho(200) ~ 1e-700.  Panel [1, 2] converges slowest, like 2^-i, so 220
+    terms leave a relative truncation below 1e-68, past 60 digits.
+    """
+    top = max(1, math.ceil(max(points)))
+    with mpmath.workdps(digits):
+        panels = [[mpmath.mpf(1)] + [mpmath.mpf(0)] * (terms - 1)]  # rho(1 - z) = 1
+        for k in range(1, top):
+            c = panels[-1]
+            a = [mpmath.mpf(0)] * terms
+            for i in range(terms - 1):
+                a[i + 1] = (c[i] + i * a[i]) / ((k + 1) * (i + 1))
+            a[0] = mpmath.fsum(a[i] / (i + 1) for i in range(1, terms)) / k
+            panels.append(a)
+        out = []
+        for t in points:
+            if t <= 1:
+                out.append(0.0)
+                continue
+            k = math.ceil(t) - 1  # t in (k, k+1]
+            z = mpmath.mpf(k + 1) - mpmath.mpf(t)
+            out.append(float(mpmath.log(mpmath.polyval(panels[k][::-1], z))))
+    return out
 
 
 def pair_effects(struct: CycleStructure, r: int) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:

@@ -94,6 +94,39 @@ class TestDickman:
         code, _, _ = run(["dickman", "rho"], capsys)
         assert code == 1
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["rho", "--t", "5", "--t-max", "inf"], "got inf"),
+            (["rho", "--t", "5", "--t-max", "nan"], "got nan"),
+            (["rho", "--t", "nan"], "t=nan"),
+            (["rho", "--t", "inf"], "t=inf"),
+            (["gamma-check", "--t", "nan"], "t=nan"),
+            (["xi", "--t", "nan"], "t=nan"),
+            (["xi", "--t", "inf"], "t=inf"),
+            (["ratio", "--t", "5", "--v", "nan"], "v=nan"),
+            (["ratio", "--t", "inf", "--v", "1"], "t=inf"),
+        ],
+    )
+    def test_non_finite_values_are_validation_errors(self, argv, message, capsys):
+        code, out, err = run(["dickman", *argv], capsys)
+        assert code == 1
+        assert out == ""
+        assert message in err
+
+    @pytest.mark.parametrize("num", ["2.7", "0", "-3", "nan"])
+    def test_grid_count_must_be_a_positive_integer(self, num, tmp_path, capsys):
+        path = tmp_path / "rho.csv"
+        code, _, err = run(["dickman", "rho", "--grid", "1", "5", num, "--out", str(path)], capsys)
+        assert code == 1
+        assert "--grid NUM must be a positive integer" in err
+        assert not path.exists()
+
+    def test_tolerance_option_is_gone(self, capsys):
+        code, _, err = run(["dickman", "rho", "--t", "2.5", "--tolerance", "1e-9"], capsys)
+        assert code == 1
+        assert "--tolerance" in err
+
 
 class TestBound:
     def test_example_value(self, capsys):
@@ -162,6 +195,19 @@ class TestSample:
         )
         assert code == 0
         assert len(path.read_text().strip().splitlines()) == 11
+
+    def test_zero_thinning_is_a_validation_error(self, tmp_path, capsys):
+        path = tmp_path / "never.csv"
+        code, _, err = run(
+            [
+                "sample", "--n", "6", "--r", "3", "--method", "mcmc", "--count", "2",
+                "--thinning", "0", "--out", str(path),
+            ],
+            capsys,
+        )
+        assert code == 1
+        assert "thinning must be >= 1, got 0" in err
+        assert not path.exists()
 
     def test_negative_count_is_a_validation_error(self, tmp_path, capsys):
         for extra in ([], ["--full"]):

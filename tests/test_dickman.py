@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from oracles import dickman_fixed_step, dickman_fixed_step_at
+from oracles import dickman_fixed_step, dickman_fixed_step_at, dickman_log_rho_series
 from shortcycles.dickman import (
     DickmanEvaluator,
     XiEvaluator,
@@ -42,6 +42,9 @@ class TestRho:
             dickman.rho(-0.1)
         with pytest.raises(ValueError):
             dickman.rho(dickman.t_max + 1)
+        for t in (math.nan, math.inf):
+            with pytest.raises(ValueError, match=f"t={t}"):
+                dickman.log_rho(t)
 
     def test_continuity_at_integer_boundaries(self, dickman):
         for k in (2, 3, 5, 8):
@@ -57,12 +60,12 @@ class TestRho:
         for a, b in zip(values, values[1:]):
             assert a >= b - 1e-11
 
-    def test_refinement_convergence(self):
-        coarse = DickmanEvaluator(panel_tolerance=1e-9)
-        fine = DickmanEvaluator(panel_tolerance=5e-10)
-        for t in (0.5, 2.5, 7.3, 13.0, 19.5):
-            a, b = coarse.rho(t), fine.rho(t)
-            assert abs(a - b) <= 1e-9 * max(a, 1e-30)
+    def test_log_rho_against_series_oracle(self, dickman):
+        integers = [float(t) for t in range(2, 201)]
+        off_grid = [j / 10 + 0.037 for j in range(10, 2000)]
+        points = integers + off_grid
+        for t, expected in zip(points, dickman_log_rho_series(points)):
+            assert abs(dickman.log_rho(t) - expected) <= 5e-12, t
 
     def test_derivative_consistency(self, dickman):
         # centered difference of rho vs -rho(t-1)/t, away from the knots
@@ -83,10 +86,9 @@ class TestRho:
         assert lr < dickman.log_rho(150.0)
 
     def test_invalid_construction(self):
-        with pytest.raises(ValueError):
-            DickmanEvaluator(panel_tolerance=0.0)
-        with pytest.raises(ValueError):
-            DickmanEvaluator(t_max=0.5)
+        for t_max in (0.5, math.nan, math.inf):
+            with pytest.raises(ValueError, match="t_max"):
+                DickmanEvaluator(t_max=t_max)
 
 
 class TestXi:
@@ -110,8 +112,9 @@ class TestXi:
         assert xi(1.0) == 0.0
 
     def test_domain(self):
-        with pytest.raises(ValueError):
-            xi(0.5)
+        for t in (0.5, math.nan, math.inf):
+            with pytest.raises(ValueError, match=f"t={t}"):
+                xi(t)
 
 
 class TestRhoRatio:
@@ -137,6 +140,9 @@ class TestRhoRatio:
             rho_ratio_check(0.5, 0.1, dickman)
         with pytest.raises(ValueError):
             rho_ratio_check(3.0, 4.0, dickman)
+        for t, v in ((math.nan, 1.0), (5.0, math.nan), (math.inf, 1.0)):
+            with pytest.raises(ValueError, match="finite"):
+                rho_ratio_check(t, v, dickman)
 
 
 class TestGammaBound:
@@ -159,3 +165,8 @@ class TestGammaBound:
     def test_grid(self, dickman):
         for j in range(0, 101):
             assert gamma_bound_check(j * 0.5, dickman).holds
+
+    def test_non_finite(self, dickman):
+        for t in (math.nan, math.inf):
+            with pytest.raises(ValueError, match=f"t={t}"):
+                gamma_bound_check(t, dickman)

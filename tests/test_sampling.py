@@ -38,6 +38,10 @@ class TestConfig:
             SamplerConfig(n=4, r=5)
         with pytest.raises(ValueError):
             SamplerConfig(n=4, r=2, method="magic")
+        with pytest.raises(ValueError, match="thinning must be >= 1"):
+            SamplerConfig(n=4, r=2, method="mcmc", mcmc_thinning=0)
+        with pytest.raises(ValueError, match="burn-in must be >= 0"):
+            SamplerConfig(n=4, r=2, method="mcmc", mcmc_burn_in=-1)
 
 
 class TestRejection:
