@@ -26,7 +26,7 @@ from .dickman import DickmanEvaluator, XiEvaluator, gamma_bound_check, rho_ratio
 from .distances import PoissonSpec, macroscopic_bound, refined_bound, tv_cycle_counts, tv_empirical
 from .errors import ResourceLimitError
 from .permutations import CountsVector, cycle_structure
-from .sampling import SamplerConfig, draw, draw_cycle_types
+from .sampling import SamplerConfig, draw, draw_cycle_types, mcmc_cycle_types
 from .stein import term_estimates_exact, term_estimates_mc, verify_closed_forms
 
 SCHEMA_VERSION = 1
@@ -122,12 +122,15 @@ def _cmd_sample(args) -> int:
         mcmc_thinning=args.thinning,
     )
     rng = np.random.default_rng(args.seed)
-    table = count_table(args.n, args.r, table_mode(args.n)) if args.method == "sequential" else None
-    if args.method == "sequential" and not args.full:
+    table = count_table(args.n, args.r, table_mode(args.n)) if args.method != "rejection" else None
+    if args.full:
+        rows = [p.mapping for p in draw(cfg, args.count, table=table, rng=rng)]
+    elif args.method == "sequential":
         rows = draw_cycle_types(args.n, args.r, args.count, rng, table)
+    elif args.method == "mcmc":
+        rows = mcmc_cycle_types(cfg, args.count, rng, table)
     else:
-        perms = draw(cfg, args.count, table=table, rng=rng)
-        rows = [p.mapping if args.full else cycle_structure(p).lengths for p in perms]
+        rows = [cycle_structure(p).lengths for p in draw(cfg, args.count, rng=rng)]
     rows = [(index, " ".join(map(str, row))) for index, row in enumerate(rows)]
     header = ["index", "mapping" if args.full else "cycle_type"]
     if args.out:

@@ -53,6 +53,8 @@ from dataclasses import dataclass
 
 PANEL_TERMS = 64
 DEFAULT_T_MAX = 200.0
+# |g(x)| <= XI_RESIDUAL_TOLERANCE * x stops the solve; one last Newton step
+# then takes the root to rounding level
 XI_RESIDUAL_TOLERANCE = 1e-13
 XI_MAX_ITERATIONS = 200
 # relative slack of gamma_bound_check, 100 times the panel accuracy
@@ -133,22 +135,27 @@ class XiEvaluator:
             raise ValueError(f"xi requires a finite t >= 1, got t={t}")
         if t == 1.0:
             return 0.0  # limit convention: the positive root degenerates at t = 1
-        lo = math.log(t)
-        hi = 2.0 * math.log(t)
-        # f(x) = e^x - 1 - t*x is increasing and convex on [lo, hi], with
-        # f(lo) < 0 <= f(hi), so Newton from the upper end is safe; any step
-        # leaving the bracket falls back to bisection.
+        # In logs the equation reads g(x) = x - log t - log(x + 1/t) = 0, which
+        # needs neither e^x nor t*x and so holds up to the largest double.
+        # g is increasing and convex on [log t, 2 log t], with g(log t) < 0
+        # <= g(2 log t), so Newton from the upper end is safe; any step
+        # leaving the bracket falls back to bisection.  log(x + 1/t) is taken
+        # as log1p(x - (t-1)/t), which keeps its digits when t is near 1.
+        log_t = math.log(t)
+        shift = (t - 1.0) / t
+        lo, hi = log_t, 2.0 * log_t
         x = hi
         for _ in range(XI_MAX_ITERATIONS):
-            ex = math.exp(x)
-            f = ex - 1.0 - t * x
-            if abs(f) <= XI_RESIDUAL_TOLERANCE * (1.0 + t * x):
-                return x
-            if f > 0:
+            excess = x - shift  # x + 1/t - 1 > 0 on the bracket
+            g = x - log_t - math.log1p(excess)
+            step = g * (1.0 + excess) / excess  # g / g'
+            if abs(g) <= XI_RESIDUAL_TOLERANCE * x:
+                return x - step
+            if g > 0:
                 hi = x
             else:
                 lo = x
-            candidate = x - f / (ex - t)
+            candidate = x - step
             if not lo < candidate < hi:
                 candidate = 0.5 * (lo + hi)
             x = candidate

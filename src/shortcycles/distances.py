@@ -220,8 +220,8 @@ def tv_empirical(
     sampling variability only.
     """
     samples = list(samples)
-    if not samples:
-        raise ValueError("empty sample set")
+    if len(samples) < 2:
+        raise ValueError(f"need at least 2 samples for a standard error, got {len(samples)}")
     if rng is None:
         rng = np.random.default_rng(0)
     d = spec.d

@@ -14,11 +14,17 @@ Three routes to the same distribution:
   arrangement of 0..n-1 into consecutive cycles of those lengths finishes
   the draw.  Exact, no rejection; callers that need only cycle counts stop
   after the first step.
-* mcmc: the random-transposition walk restricted to the bounded-cycle set.
-  A step proposes a uniform transposition tau and accepts sigma' = tau o
-  sigma only if sigma' still has no cycle longer than r.  The proposal is
+* mcmc: the random-transposition walk restricted to the bounded-cycle set,
+  run on cycle types.  A step draws an ordered pair of distinct elements
+  and composes their transposition with sigma: two elements of one cycle
+  split it, two elements of different cycles merge them, and a merge
+  longer than r is rejected (the chain stays put).  The proposal is
   symmetric and rejection keeps the chain reversible, so the uniform law is
-  stationary; one step is also the perturbation the event-probability
+  stationary, and the law of the next cycle type depends on sigma only
+  through its type.  The chain starts from one exact sequential draw of the
+  type, so every state it emits is exactly uniform; burn-in only delays
+  the first output and thinning weakens the correlation between successive
+  ones.  One step is also the perturbation the event-probability
   identities in :mod:`shortcycles.stein` describe.
 
 All draws consume a numpy Generator; samplers never share mutable state.
@@ -26,9 +32,10 @@ All draws consume a numpy Generator; samplers never share mutable state.
 
 from __future__ import annotations
 
+import itertools
 import math
 import os
-import warnings
+from bisect import bisect_right, insort
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -40,7 +47,6 @@ from .permutations import (
     Permutation,
     Transposition,
     apply_transposition,
-    cycle_structure,
     longest_cycle,
     permutations_with_bounded_cycles,
 )
@@ -152,62 +158,112 @@ def draw_cycle_types(
     return [sample_cycle_type(n, r, rng, table) for _ in range(count)]
 
 
-def sample_sequential(cfg: SamplerConfig, rng: np.random.Generator, table: WindowTable) -> Permutation:
-    """One exact uniform draw: a cycle type, then a uniform labelling."""
-    lengths = np.array(sample_cycle_type(cfg.n, cfg.r, rng, table))
-    order = rng.permutation(cfg.n)
+def _labelled(lengths: tuple[int, ...], rng: np.random.Generator) -> Permutation:
+    """A uniform permutation of the cycle type ``lengths``: one uniform
+    arrangement of 0..n-1 cut into consecutive cycles of those lengths."""
+    lengths = np.array(lengths)
+    n = int(lengths.sum())
+    order = rng.permutation(n)
     ends = np.cumsum(lengths)
-    successor = np.arange(1, cfg.n + 1)
+    successor = np.arange(1, n + 1)
     successor[ends - 1] = ends - lengths  # each cycle closes on its first position
-    mapping = np.empty(cfg.n, dtype=np.int64)
+    mapping = np.empty(n, dtype=np.int64)
     mapping[order] = order[successor]
     return Permutation(mapping.tolist())
 
 
-def mcmc_step(p: Permutation, r: int, rng: np.random.Generator) -> Permutation:
-    """One step of the restricted random-transposition walk.
+def sample_sequential(cfg: SamplerConfig, rng: np.random.Generator, table: WindowTable) -> Permutation:
+    """One exact uniform draw: a cycle type, then a uniform labelling."""
+    return _labelled(sample_cycle_type(cfg.n, cfg.r, rng, table), rng)
 
-    Proposes a uniform unordered pair (a, b), composes the swap after ``p``,
-    and keeps the proposal only when no cycle grows beyond ``r``.
+
+def _transposition_move(lengths: tuple[int, ...], a: int, b: int, r: int) -> tuple[int, ...]:
+    """Cycle type after the transposition of elements ``a != b`` acts on
+    ``Permutation.from_cycle_type(lengths)``, whose cycles run through
+    consecutive elements in the order of ``lengths``.
+
+    Two elements of one cycle of length L split it into (b - a) mod L and
+    the rest; elements of two cycles merge them.  A merge longer than ``r``
+    is rejected and returns ``lengths`` itself.  O(number of cycles).
     """
-    struct = cycle_structure(p)
-    if max(struct.lengths) > r:
-        raise ValueError("chain state has a cycle longer than r")
-    n = p.n
-    a = int(rng.integers(n))
-    b = int(rng.integers(n))
-    while b == a:
-        b = int(rng.integers(n))
-    if struct.cycle_id[a] != struct.cycle_id[b]:
-        if struct.cycle_length[a] + struct.cycle_length[b] > r:
-            return p
-    return apply_transposition(p, Transposition(a, b))
+    ends = list(itertools.accumulate(lengths))
+    i = bisect_right(ends, a)
+    j = bisect_right(ends, b)
+    parts = list(lengths)
+    if i == j:
+        length = parts.pop(i)
+        offset = (b - a) % length
+        insort(parts, offset)
+        insort(parts, length - offset)
+    else:
+        merged = parts[i] + parts[j]
+        if merged > r:
+            return lengths
+        del parts[max(i, j)], parts[min(i, j)]
+        insort(parts, merged)
+    return tuple(parts)
+
+
+def mcmc_step(lengths: tuple[int, ...], r: int, rng: np.random.Generator) -> tuple[int, ...]:
+    """One step of the restricted random-transposition walk on cycle types.
+
+    ``lengths`` is a sorted cycle type with parts <= ``r``.  Draws a uniform
+    ordered pair of distinct elements and returns the sorted type after
+    their transposition; a rejected merge returns ``lengths`` itself.  With
+    one element there is no transposition and the fixed point stays.
+    """
+    if max(lengths) > r:
+        raise ValueError(f"chain state {lengths} has a cycle longer than r={r}")
+    n = sum(lengths)
+    if n == 1:
+        return lengths
+    pair = int(rng.integers(n * (n - 1)))
+    a, b = divmod(pair, n - 1)
+    return _transposition_move(lengths, a, b + (b >= a), r)
+
+
+def mcmc_cycle_types(
+    cfg: SamplerConfig, count: int, rng: np.random.Generator, table: WindowTable | None = None
+) -> list[tuple[int, ...]]:
+    """``count`` cycle types from the transposition walk.
+
+    The chain starts from one :func:`sample_cycle_type` draw, which has the
+    exact uniform law, and runs ``cfg.mcmc_burn_in`` steps, then emits
+    every ``cfg.mcmc_thinning``-th state.  Every emitted type therefore has
+    the exact law; successive ones are correlated.
+    """
+    if count < 0:
+        raise ValueError("count must be >= 0")
+    if table is None:
+        table = count_table(cfg.n, cfg.r, table_mode(cfg.n))
+    state = sample_cycle_type(cfg.n, cfg.r, rng, table)
+    for _ in range(cfg.mcmc_burn_in):
+        state = mcmc_step(state, cfg.r, rng)
+    out: list[tuple[int, ...]] = []
+    for _ in range(count):
+        for _ in range(cfg.mcmc_thinning):
+            state = mcmc_step(state, cfg.r, rng)
+        out.append(state)
+    return out
 
 
 def draw(cfg: SamplerConfig, count: int, *, table: WindowTable | None = None, rng: np.random.Generator | None = None) -> list[Permutation]:
-    """``count`` draws with the configured method (burn-in/thinning for mcmc)."""
+    """``count`` draws with the configured method.
+
+    mcmc labels each type of :func:`mcmc_cycle_types` independently and
+    uniformly, after the whole chain has run.
+    """
     if count < 0:
         raise ValueError("count must be >= 0")
     if rng is None:
         rng = np.random.default_rng(cfg.seed)
     if cfg.method == "sequential" and table is None:
         table = count_table(cfg.n, cfg.r, table_mode(cfg.n))
-    out: list[Permutation] = []
     if cfg.method == "rejection":
-        for _ in range(count):
-            out.append(sample_rejection(cfg, rng))
-    elif cfg.method == "sequential":
-        for _ in range(count):
-            out.append(sample_sequential(cfg, rng, table))
-    else:
-        state = Permutation.identity(cfg.n)
-        for _ in range(cfg.mcmc_burn_in):
-            state = mcmc_step(state, cfg.r, rng)
-        for _ in range(count):
-            for _ in range(cfg.mcmc_thinning):
-                state = mcmc_step(state, cfg.r, rng)
-            out.append(state)
-    return out
+        return [sample_rejection(cfg, rng) for _ in range(count)]
+    if cfg.method == "sequential":
+        return [sample_sequential(cfg, rng, table) for _ in range(count)]
+    return [_labelled(lengths, rng) for lengths in mcmc_cycle_types(cfg, count, rng, table)]
 
 
 @dataclass(frozen=True)

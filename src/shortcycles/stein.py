@@ -406,8 +406,8 @@ def term_estimates_mc(
     verified) closed forms, which need only the cycle type, so sampling
     noise enters only through the choice of cycle types.
     """
-    if sample_count <= 0:
-        raise ValueError("sample_count must be positive")
+    if sample_count < 2:
+        raise ValueError(f"need at least 2 samples for a standard error, got {sample_count}")
     if not 1 <= d < r <= n:
         raise ValueError(f"need 1 <= d < r <= n, got d={d}, r={r}, n={n}")
     params = SteinParameters.for_cycle_counts(n, d)
@@ -431,8 +431,8 @@ def term_estimates_mc(
             acc_down[i, k - 1] = abs(float(hist.get(k, 0) - c_k * p_down))
     means_up = acc_up.mean(axis=0)
     means_down = acc_down.mean(axis=0)
-    ses_up = acc_up.std(axis=0, ddof=1) / np.sqrt(sample_count) if sample_count > 1 else np.zeros(d)
-    ses_down = acc_down.std(axis=0, ddof=1) / np.sqrt(sample_count) if sample_count > 1 else np.zeros(d)
+    ses_up = acc_up.std(axis=0, ddof=1) / np.sqrt(sample_count)
+    ses_down = acc_down.std(axis=0, ddof=1) / np.sqrt(sample_count)
     rows = tuple(
         TermRow(k, float(means_up[k - 1]), float(means_down[k - 1]),
                 float(ses_up[k - 1]), float(ses_down[k - 1]))

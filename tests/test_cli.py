@@ -1,13 +1,17 @@
 import json
 import math
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 from shortcycles.cli import main
 from shortcycles.distances import tv_cycle_counts
 from shortcycles.permutations import Permutation, cycle_structure
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def run(argv, capsys):
@@ -74,6 +78,11 @@ class TestDickman:
         code, out, _ = run(["dickman", "xi", "--t", "2.0"], capsys)
         assert code == 0
         assert float(out) == pytest.approx(1.2564312086261697, rel=1e-10)
+
+    def test_xi_large_t(self, capsys):
+        code, out, err = run(["dickman", "xi", "--t", "1e200"], capsys)
+        assert code == 0, err
+        assert float(out) == pytest.approx(466.6626251653469, rel=1e-14)
 
     def test_grid_csv(self, tmp_path, capsys):
         path = tmp_path / "rho.csv"
@@ -196,6 +205,41 @@ class TestSample:
         assert code == 0
         assert len(path.read_text().strip().splitlines()) == 11
 
+    def test_mcmc_single_element(self):
+        # no transposition exists, so the walk keeps the fixed point; run in
+        # a subprocess with a timeout in case the step loops on its draw
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+        result = subprocess.run(
+            [sys.executable, "-m", "shortcycles", "sample", "--method", "mcmc", "--n", "1", "--r", "1", "--count", "2"],
+            env=env, capture_output=True, text=True, timeout=60,
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.splitlines() == ["0 1", "1 1"]
+
+    def test_mcmc_starts_stationary(self, capsys):
+        # an identity start would print about 1998 fixed points per row
+        code, out, _ = run(
+            ["sample", "--n", "2000", "--r", "400", "--method", "mcmc", "--count", "16", "--seed", "1"], capsys
+        )
+        assert code == 0
+        rows = [[int(x) for x in line.split()[1:]] for line in out.splitlines()]
+        assert len(rows) == 16
+        for row in rows:
+            assert sum(row) == 2000 and max(row) <= 400 and row == sorted(row)
+        assert sum(row.count(1) for row in rows) / len(rows) <= 10
+
+    def test_mcmc_full_rows_label_the_chain_types(self, capsys):
+        argv = ["sample", "--n", "12", "--r", "4", "--method", "mcmc", "--count", "8", "--seed", "2",
+                "--burn-in", "3", "--thinning", "2"]
+        code, out, _ = run(argv, capsys)
+        assert code == 0
+        types = [tuple(int(x) for x in line.split()[1:]) for line in out.splitlines()]
+        code, out, _ = run([*argv, "--full"], capsys)
+        assert code == 0
+        perms = [Permutation(tuple(int(x) for x in line.split()[1:])) for line in out.splitlines()]
+        assert [cycle_structure(p).lengths for p in perms] == types
+
     def test_zero_thinning_is_a_validation_error(self, tmp_path, capsys):
         path = tmp_path / "never.csv"
         code, _, err = run(
@@ -252,6 +296,18 @@ class TestTv:
         payload = json.loads(out)
         assert "stderr" in payload
 
+    def test_mc_needs_two_samples(self, tmp_path, capsys):
+        path = tmp_path / "sweep.csv"
+        for argv in (
+            ["tv", "--n", "8", "--r", "4", "--d", "2", "--mode", "mc", "--samples", "1"],
+            ["sweep", "--n", "8", "--r", "4", "--d", "2", "--tv-mode", "mc", "--samples", "1", "--out", str(path)],
+        ):
+            code, out, err = run(argv, capsys)
+            assert code == 1
+            assert out == ""
+            assert "need at least 2 samples for a standard error, got 1" in err
+        assert not path.exists()
+
 
 class TestSteinVerify:
     def test_exhaustive_report(self, tmp_path, capsys):
@@ -297,6 +353,12 @@ class TestSteinVerify:
         assert code == 0
         payload = json.loads(out)
         assert len(payload["terms"]) == 2
+
+    def test_mc_needs_two_samples(self, capsys):
+        code, out, err = run(["stein-verify", "--n", "30", "--r", "15", "--d", "2", "--samples", "1"], capsys)
+        assert code == 1
+        assert out == ""
+        assert "need at least 2 samples for a standard error, got 1" in err
 
 
 class TestSweepAndCheck:

@@ -1,4 +1,5 @@
 import math
+import sys
 
 import pytest
 
@@ -110,6 +111,20 @@ class TestXi:
 
     def test_limit_convention_at_one(self):
         assert xi(1.0) == 0.0
+
+    @pytest.mark.parametrize(
+        "t, expected",
+        [
+            # roots of x = log t + log(x + 1/t) from 50-digit mpmath.findroot
+            (1e100, 235.72115887568532),
+            (1e154, 360.4855562110165),
+            (1e200, 466.6626251653469),
+            (sys.float_info.max, 716.3568913878179),
+        ],
+    )
+    def test_large_t(self, t, expected):
+        # e^x and t*x overflow long before t does
+        assert xi(t) == pytest.approx(expected, rel=1e-14)
 
     def test_domain(self):
         for t in (0.5, math.nan, math.inf):

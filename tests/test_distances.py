@@ -167,6 +167,11 @@ class TestTvEmpirical:
         with pytest.raises(ValueError):
             tv_empirical([], PoissonSpec.cycle_reference(1))
 
+    def test_single_sample_rejected(self):
+        # one sample has no spread: its bootstrap standard error would read 0.0
+        with pytest.raises(ValueError, match="at least 2 samples for a standard error, got 1"):
+            tv_empirical([CountsVector((1,))], PoissonSpec.cycle_reference(1))
+
 
 class TestBounds:
     def test_refined_d1(self):

@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -9,6 +10,8 @@ from shortcycles.counting import count_table
 from shortcycles.errors import ResourceLimitError
 from shortcycles.permutations import (
     Permutation,
+    Transposition,
+    apply_transposition,
     class_size,
     cycle_structure,
     cycle_types,
@@ -17,9 +20,11 @@ from shortcycles.permutations import (
 )
 from shortcycles.sampling import (
     SamplerConfig,
+    _transposition_move,
     acceptance_rate,
     draw,
     draw_cycle_types,
+    mcmc_cycle_types,
     mcmc_step,
     sample_cycle_type,
     sample_rejection,
@@ -27,6 +32,7 @@ from shortcycles.sampling import (
     stage_length_pmf,
     stationarity_matrix,
 )
+from shortcycles.stein import _transposition_effects
 
 
 class TestConfig:
@@ -148,15 +154,13 @@ class TestCycleType:
 class TestMcmc:
     def test_unrestricted_always_moves(self):
         rng = np.random.default_rng(4)
-        p = Permutation.identity(6)
+        state = (1,) * 6
         for _ in range(50):
-            q = mcmc_step(p, 6, rng)
-            assert q != p
-            p = q
+            moved = mcmc_step(state, 6, rng)
+            assert moved != state
+            state = moved
 
     def test_small_case_transition_counts(self):
-        from shortcycles.permutations import Transposition, apply_transposition
-
         pairs = [(a, b) for a in range(3) for b in range(a + 1, 3)]
         # from the identity every proposal is accepted (results are 2-cycles)
         accepted_from_id = [
@@ -171,20 +175,82 @@ class TestMcmc:
             longest_cycle(apply_transposition(p, Transposition(a, b))) <= 2 for a, b in pairs
         ]
         assert sum(accepted) == 1
+        # on types: from (1, 2) the walk splits the 2-cycle or stays put
         rng = np.random.default_rng(12)
-        seen = {mcmc_step(p, 2, rng).mapping for _ in range(200)}
-        assert seen == {(1, 0, 2), (0, 1, 2)}
+        state = (1, 2)
+        seen = {mcmc_step(state, 2, rng) for _ in range(200)}
+        assert seen == {(1, 2), (1, 1, 1)}
 
     def test_step_stays_in_state_space(self):
         rng = np.random.default_rng(8)
-        p = Permutation.identity(7)
+        state = (1,) * 7
         for _ in range(300):
-            p = mcmc_step(p, 3, rng)
-            assert longest_cycle(p) <= 3
+            state = mcmc_step(state, 3, rng)
+            assert sum(state) == 7 and max(state) <= 3 and list(state) == sorted(state)
 
     def test_rejects_bad_state(self):
-        with pytest.raises(ValueError):
-            mcmc_step(Permutation((1, 2, 0)), 2, np.random.default_rng(0))
+        with pytest.raises(ValueError, match="longer than r=2"):
+            mcmc_step((3,), 2, np.random.default_rng(0))
+
+    def test_rejected_step_returns_its_input(self):
+        # a rejected merge hands back the input object itself, so callers
+        # can count accepted steps by identity
+        rng = np.random.default_rng(5)
+        state = (1, 2)
+        outcomes = [mcmc_step(state, 2, rng) for _ in range(100)]
+        assert any(out is state for out in outcomes)
+        assert all(out is state or out == (1, 1, 1) for out in outcomes)
+
+    @pytest.mark.parametrize("n", range(2, 8))
+    def test_move_law_equals_transposition_effects(self, n):
+        # over all n(n-1) ordered pairs, every accepted move is one of the
+        # unordered transposition effects, each counted twice
+        for r in range(1, n + 1):
+            for lengths in cycle_types(n, r):
+                representative = Permutation.from_cycle_type(lengths)
+                counts = Counter()
+                for a in range(n):
+                    for b in range(n):
+                        if a == b:
+                            continue
+                        moved = _transposition_move(lengths, a, b, r)
+                        if moved is lengths:
+                            continue
+                        assert moved == cycle_structure(apply_transposition(representative, Transposition(a, b))).lengths
+                        counts[(tuple(sorted((Counter(moved) - Counter(lengths)).elements())),
+                                tuple(sorted((Counter(lengths) - Counter(moved)).elements())))] += 1
+                expected = {key: 2 * pairs for key, pairs in _transposition_effects(lengths, r).items()}
+                assert dict(counts) == expected, (lengths, r)
+
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_class_size_law_is_stationary(self, n):
+        # pi(mu) = sum_lambda pi(lambda) P(lambda -> mu) in exact rationals,
+        # with pi(lambda) proportional to the class size
+        for r in range(1, n + 1):
+            types = list(cycle_types(n, r))
+            pi = {t: Fraction(class_size(t)) for t in types}
+            pairs = max(n * (n - 1), 1)
+            after = {t: Fraction(0) for t in types}
+            for lengths in types:
+                moves = [_transposition_move(lengths, a, b, r) for a in range(n) for b in range(n) if a != b]
+                for moved in moves or [lengths]:
+                    after[moved] += pi[lengths] / pairs
+            assert after == pi, (n, r)
+
+    def test_chain_starts_uniform(self):
+        # the first output, one step from a stationary start, is uniform
+        states = list(permutations_with_bounded_cycles(5, 3))
+        samples = [draw(SamplerConfig(5, 3, "mcmc", seed=seed), 1)[0] for seed in range(5000)]
+        assert chi_square_uniform_pvalue(samples, states) >= 1e-3
+
+    def test_chain_types_match_labelled_draws(self):
+        # draw labels the chain's types after the chain has run, so the
+        # same seed gives the same types with and without labels
+        cfg = SamplerConfig(30, 6, "mcmc", seed=3, mcmc_burn_in=5, mcmc_thinning=3)
+        types = mcmc_cycle_types(cfg, 20, np.random.default_rng(3))
+        perms = draw(cfg, 20)
+        assert [cycle_structure(p).lengths for p in perms] == types
+        assert all(max(t) <= 6 and sum(t) == 30 for t in types)
 
 
 class TestStationarityMatrix:

@@ -203,6 +203,9 @@ class TestTermEstimates:
     def test_mc_validation(self):
         with pytest.raises(ValueError):
             term_estimates_mc(10, 5, 2, 0, np.random.default_rng(0))
+        # one sample has no standard error; the estimate never reports 0.0 for it
+        with pytest.raises(ValueError, match="at least 2 samples for a standard error, got 1"):
+            term_estimates_mc(10, 5, 2, 1, np.random.default_rng(0))
 
     def test_exact_cap(self, monkeypatch):
         # the cap counts cycle types: (9, 4) has 18 partitions of 9 with parts <= 4
