@@ -8,11 +8,12 @@ domination is verifiable with no tolerance at all; at larger n the terms
 are estimated by Monte Carlo with exact per-sample probabilities.
 """
 
+from fractions import Fraction
+
 import numpy as np
 
 from shortcycles import (
     PoissonSpec,
-    SteinParameters,
     joint_pmf,
     term_estimates_exact,
     term_estimates_mc,
@@ -22,10 +23,10 @@ from shortcycles import (
 print("=" * 72)
 print("Damping factors are identically 1 here")
 print("=" * 72)
-params = SteinParameters.for_cycle_counts(100, 5)
-print(f"  reference means 1/k: {[str(x) for x in params.lambdas]}")
-print(f"  scalings n/(2k):     {[str(x) for x in params.scalings]}")
-print(f"  alphas:              {[str(x) for x in params.alphas]}  (1.4 sqrt(k) >= 1)")
+n, d = 100, 5
+print(f"  reference means 1/k: {[str(Fraction(1, k)) for k in range(1, d + 1)]}")
+print(f"  scalings n/(2k):     {[str(Fraction(n, 2 * k)) for k in range(1, d + 1)]}")
+print(f"  alphas:              {['1'] * d}  (min(1, 1.4 sqrt(k)) = 1)")
 
 print("\n" + "=" * 72)
 print("Exact domination at desk scale (no tolerance: both sides exact)")

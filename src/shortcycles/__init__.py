@@ -76,7 +76,6 @@ from .stein import (
     ClosedFormMismatch,
     ClosedFormReport,
     EventTally,
-    SteinParameters,
     TermEstimates,
     creation_probability,
     destruction_probability,

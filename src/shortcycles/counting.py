@@ -39,7 +39,7 @@ import warnings
 from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
-from typing import Iterable, Iterator, Union
+from typing import Iterator, Union
 
 import numpy as np
 
@@ -364,20 +364,6 @@ class SparsePMF:
         if not 1 <= k <= self.d:
             raise ValueError(f"k must be in 1..{self.d}")
         return sum(cv.counts[k - 1] * p for cv, p in self.entries.items())
-
-    @classmethod
-    def from_samples(cls, vectors: Iterable[CountsVector], d: int) -> "SparsePMF":
-        """Empirical measure of a sample of count vectors (exact rationals)."""
-        tally: dict[CountsVector, int] = {}
-        total = 0
-        for cv in vectors:
-            if cv.d != d:
-                raise ValueError(f"sample has dimension {cv.d}, expected {d}")
-            tally[cv] = tally.get(cv, 0) + 1
-            total += 1
-        if total == 0:
-            raise ValueError("empty sample set")
-        return cls(d, {cv: Fraction(c, total) for cv, c in tally.items()}, "exact")
 
     def rows(self) -> Iterator[tuple]:
         for cv, p in sorted(self.entries.items(), key=lambda item: item[0].counts):

@@ -57,6 +57,9 @@ DEFAULT_T_MAX = 200.0
 # then takes the root to rounding level
 XI_RESIDUAL_TOLERANCE = 1e-13
 XI_MAX_ITERATIONS = 200
+# up to this t, xi comes from the positive series in t - 1, whose error stays
+# near 2e-16 while the log form's grows like 3e-17/(t - 1); they cross near here
+XI_SERIES_MAX_T = 1.25
 # relative slack of gamma_bound_check, 100 times the panel accuracy
 GAMMA_BOUND_SLACK = 1e-10
 
@@ -135,6 +138,8 @@ class XiEvaluator:
             raise ValueError(f"xi requires a finite t >= 1, got t={t}")
         if t == 1.0:
             return 0.0  # limit convention: the positive root degenerates at t = 1
+        if t <= XI_SERIES_MAX_T:
+            return self._xi_series(t - 1.0)
         # In logs the equation reads g(x) = x - log t - log(x + 1/t) = 0, which
         # needs neither e^x nor t*x and so holds up to the largest double.
         # g is increasing and convex on [log t, 2 log t], with g(log t) < 0
@@ -160,6 +165,31 @@ class XiEvaluator:
                 candidate = 0.5 * (lo + hi)
             x = candidate
         raise ArithmeticError(f"xi failed to converge for t={t}")
+
+    @staticmethod
+    def _xi_series(excess: float) -> float:
+        """Root x > 0 of h(x) = sum_{i>=1} x^i/(i+1)! = excess, i.e. (e^x - 1 - x)/x = t - 1.
+
+        Near t = 1 the log form has a double root (g and g' both vanish), so
+        it keeps only about 1e-16/(t-1) of relative accuracy.  h is a series
+        of positive terms and t - 1 is exact in doubles, so nothing cancels.
+        h(x) >= x/2 puts the root below 2(t-1), and h is increasing and
+        convex, so Newton from there decreases monotonically to it.
+        """
+        x = 2.0 * excess
+        for _ in range(XI_MAX_ITERATIONS):
+            # a_i = x^(i-1)/(i+1)!: h = x sum_i a_i and h' = sum_i i a_i
+            term, total, slope, i = 0.5, 0.0, 0.0, 1
+            while term > 1e-17 * total:
+                total += term
+                slope += i * term
+                i += 1
+                term *= x / (i + 1)
+            step = (x * total - excess) / slope
+            x -= step
+            if step <= XI_RESIDUAL_TOLERANCE * x:
+                return x
+        raise ArithmeticError(f"xi failed to converge for t={1.0 + excess}")
 
 
 _DEFAULT_EVALUATOR: DickmanEvaluator | None = None

@@ -115,25 +115,27 @@ def tv_exact(pmf: SparsePMF, other: Union[PoissonSpec, SparsePMF], precision: in
     if spec.d != pmf.d:
         raise ValueError(f"pmf dimension {pmf.d} != spec dimension {spec.d}")
     _require_normalized(pmf)
-    support = pmf.support()
     if precision is not None:
         return _tv_exact_mpmath(pmf, spec, precision)
-    maxima = [0] * spec.d
-    for cv in support:
-        for j, c in enumerate(cv.counts):
-            maxima[j] = max(maxima[j], c)
-    columns = _poisson_mass_columns(spec, maxima)
-    abs_terms = []
-    q_terms = []
-    for cv in support:
-        q = 1.0
-        for j, c in enumerate(cv.counts):
-            q *= columns[j][c]
-        p = float(pmf.entries[cv])
-        abs_terms.append(abs(p - q))
-        q_terms.append(q)
-    covered = math.fsum(q_terms)
-    return 0.5 * (math.fsum(abs_terms) + max(0.0, 1.0 - covered))
+    support = pmf.support()
+    rows = np.array([cv.counts for cv in support])
+    masses = np.array([float(pmf.entries[cv]) for cv in support])
+    return float(_tv_to_poisson(rows, masses, spec)[0])
+
+
+def _tv_to_poisson(rows: np.ndarray, masses: np.ndarray, spec: PoissonSpec) -> np.ndarray:
+    """1/2 * (fsum |p - q| + max(0, 1 - fsum q)) for each law p in ``masses``.
+
+    ``rows`` holds the common support, one count vector per row; ``masses``
+    is one law (a vector) or several (one per row).  q is the product of the
+    per-coordinate Poisson masses, multiplied in coordinate order.
+    """
+    columns = _poisson_mass_columns(spec, rows.max(axis=0))
+    q = np.ones(len(rows))
+    for j, column in enumerate(columns):
+        q *= column[rows[:, j]]
+    tail = max(0.0, 1.0 - math.fsum(q))
+    return np.array([0.5 * (math.fsum(np.abs(p - q)) + tail) for p in np.atleast_2d(masses)])
 
 
 def tv_cycle_counts(n: int, r: int, d: int) -> float:
@@ -217,26 +219,25 @@ def tv_empirical(
     Depends only on the empirical measure (duplicating the sample set
     changes nothing).  The estimator carries a positive bias of order
     sqrt(support size / sample size); the bootstrap standard error reflects
-    sampling variability only.
+    sampling variability only.  The value, and each of the ``bootstrap``
+    replicates (multinomial resamples of the empirical law), is the same
+    finite sum :func:`tv_exact` evaluates.
     """
     samples = list(samples)
     if len(samples) < 2:
         raise ValueError(f"need at least 2 samples for a standard error, got {len(samples)}")
+    if bootstrap < 2:
+        raise ValueError(f"need at least 2 bootstrap replicates for a standard error, got bootstrap={bootstrap}")
+    for cv in samples:
+        if cv.d != spec.d:
+            raise ValueError(f"sample has dimension {cv.d}, expected {spec.d}")
     if rng is None:
         rng = np.random.default_rng(0)
-    d = spec.d
-    empirical = SparsePMF.from_samples(samples, d)
-    value = tv_exact(empirical, spec)
     n_samples = len(samples)
-    support = empirical.support()
-    counts = np.array([round(float(empirical.entries[cv]) * n_samples) for cv in support])
-    probs = counts / counts.sum()
-    qs = np.array([spec.pmf(cv.counts) for cv in support])
-    replicates = np.empty(bootstrap)
-    for b in range(bootstrap):
-        resampled = rng.multinomial(n_samples, probs) / n_samples
-        replicates[b] = 0.5 * (np.abs(resampled - qs).sum() + max(0.0, 1.0 - qs.sum()))
-    return TvEstimate(value, float(replicates.std(ddof=1)), n_samples)
+    support, counts = np.unique(np.array([cv.counts for cv in samples]), axis=0, return_counts=True)
+    replicates = rng.multinomial(n_samples, counts / n_samples, size=bootstrap)
+    value, *spread = _tv_to_poisson(support, np.vstack([counts, replicates]) / n_samples, spec)
+    return TvEstimate(float(value), float(np.std(spread, ddof=1)), n_samples)
 
 
 def harmonic_number(d: int) -> float:

@@ -49,8 +49,12 @@ Poisson law is
   sum_k (alpha_k / 2) * ( E|lambda_k - c_k P[create_k]|
                           + E|W_k - c_k P[destroy_k]| ),
 
-with lambda_k = 1/k, c_k = n/(2k) and alpha_k = min(1, 1.4/sqrt(lambda_k)),
-which is identically 1 here since 1.4^2 * k >= 1 for every k >= 1.
+with lambda_k = 1/k, c_k = n/(2k) and alpha_k = min(1, 1.4/sqrt(lambda_k)).
+The damping factor is identically 1 here: 1.4/sqrt(lambda_k) = 1.4 sqrt(k)
+and 1.4^2 * k >= 1 for every k >= 1, so the code drops it.  Both
+expectations are over the cycle type, so one routine evaluates the exact
+terms of a single type; the exact estimate weights it by class size over
+every type, the Monte Carlo estimate averages it over sampled types.
 """
 
 from __future__ import annotations
@@ -73,27 +77,6 @@ from .permutations import (
     cycle_types,
 )
 from .sampling import draw_cycle_types
-
-
-@dataclass(frozen=True)
-class SteinParameters:
-    """Per-length reference means, damping factors, and scalings."""
-
-    n: int
-    d: int
-    lambdas: tuple[Fraction, ...]
-    alphas: tuple[Fraction, ...]
-    scalings: tuple[Fraction, ...]
-
-    @classmethod
-    def for_cycle_counts(cls, n: int, d: int) -> "SteinParameters":
-        if not 1 <= d <= n:
-            raise ValueError(f"need 1 <= d <= n, got d={d}, n={n}")
-        lambdas = tuple(Fraction(1, k) for k in range(1, d + 1))
-        # min(1, 1.4 * sqrt(k)) = 1 exactly: (7/5)^2 * k >= 1 for k >= 1
-        alphas = tuple(Fraction(1) for _ in range(d))
-        scalings = tuple(Fraction(n, 2 * k) for k in range(1, d + 1))
-        return cls(n, d, lambdas, alphas, scalings)
 
 
 @dataclass(frozen=True)
@@ -361,36 +344,58 @@ class TermEstimates:
     sample_count: int | None = None
 
 
+def _type_terms(lengths: tuple[int, ...], r: int, d: int) -> list[tuple[Fraction, Fraction]]:
+    """(|1/k - c_k P[create_k]|, |W_k - c_k P[destroy_k]|) for k = 1..d, exact, c_k = n/(2k).
+
+    P[create] is the closed form.  P[destroy] is the closed form where it is
+    an identity (r >= 2k-1) and the enumeration tally elsewhere, because the
+    display over-counts merges the walk rejects when r <= 2k-2.
+    """
+    n = sum(lengths)
+    tally = None
+    terms = []
+    for k in range(1, d + 1):
+        c_k = Fraction(n, 2 * k)
+        p_up = creation_probability(lengths, k, d)
+        if r >= 2 * k - 1:
+            p_down = destruction_probability(lengths, k, d, r)
+        else:
+            tally = tally or event_tally(lengths, r, (d,))
+            p_down = tally[(d, k)][1]
+        terms.append((abs(Fraction(1, k) - c_k * p_up), abs(lengths.count(k) - c_k * p_down)))
+    return terms
+
+
+def _assemble(n: int, r: int, d: int, mode: str, means, ses=None, sample_count: int | None = None) -> TermEstimates:
+    """Rows from per-length (creation, destruction) means and standard errors,
+    and the bound sum_k (alpha_k/2) (creation + destruction) with alpha_k = 1."""
+    ses = [(None, None)] * d if ses is None else ses
+    rows = tuple(
+        TermRow(k, up, down, se_up, se_down)
+        for k, ((up, down), (se_up, se_down)) in enumerate(zip(means, ses), start=1)
+    )
+    total = sum((row.creation_term + row.destruction_term) / 2 for row in rows)
+    return TermEstimates(n, r, d, mode, rows, total, sample_count)
+
+
 def term_estimates_exact(n: int, r: int, d: int) -> TermEstimates:
     """Exact expectations over the whole bounded-cycle set.
 
     Every summand depends on a permutation only through its cycle type, so
-    the sum runs over partitions of n with parts <= r, one representative
-    each, weighted by the class size n!/prod_j j^{c_j} c_j!.  The number of
-    cycle types is capped by SHORTCYCLES_SUPPORT_CAP.
+    the sum runs over partitions of n with parts <= r, one per type,
+    weighted by the class size n!/prod_j j^{c_j} c_j!.  The number of cycle
+    types is capped by SHORTCYCLES_SUPPORT_CAP.
     """
     if not 1 <= d < r <= n:
         raise ValueError(f"need 1 <= d < r <= n, got d={d}, r={r}, n={n}")
-    params = SteinParameters.for_cycle_counts(n, d)
-    sums_up = [Fraction(0)] * d
-    sums_down = [Fraction(0)] * d
+    sums = [[Fraction(0), Fraction(0)] for _ in range(d)]
     count = 0
     for lengths, weight in _weighted_cycle_types(n, r):
-        tally = event_tally(lengths, r, (d,))
-        for k in range(1, d + 1):
-            p_up, p_down = tally[(d, k)]
-            c_k = params.scalings[k - 1]
-            sums_up[k - 1] += weight * abs(params.lambdas[k - 1] - c_k * p_up)
-            sums_down[k - 1] += weight * abs(lengths.count(k) - c_k * p_down)
+        for acc, (up, down) in zip(sums, _type_terms(lengths, r, d)):
+            acc[0] += weight * up
+            acc[1] += weight * down
         count += weight
-    rows = tuple(
-        TermRow(k, sums_up[k - 1] / count, sums_down[k - 1] / count) for k in range(1, d + 1)
-    )
-    total_bound = sum(
-        params.alphas[k - 1] / 2 * (rows[k - 1].creation_term + rows[k - 1].destruction_term)
-        for k in range(1, d + 1)
-    )
-    return TermEstimates(n, r, d, "exact", rows, total_bound)
+    return _assemble(n, r, d, "exact", [(up / count, down / count) for up, down in sums])
 
 
 def term_estimates_mc(
@@ -400,46 +405,17 @@ def term_estimates_mc(
     sample_count: int,
     rng: np.random.Generator,
 ) -> TermEstimates:
-    """Monte Carlo over sampled cycle types; per-sample terms stay exact.
+    """Mean and standard error of the exact per-type terms over sampled cycle types.
 
-    The conditional event probabilities come from the (exhaustively
-    verified) closed forms, which need only the cycle type, so sampling
-    noise enters only through the choice of cycle types.
+    Sampling noise enters only through the choice of cycle types.
     """
     if sample_count < 2:
         raise ValueError(f"need at least 2 samples for a standard error, got {sample_count}")
     if not 1 <= d < r <= n:
         raise ValueError(f"need 1 <= d < r <= n, got d={d}, r={r}, n={n}")
-    params = SteinParameters.for_cycle_counts(n, d)
-    acc_up = np.zeros((sample_count, d))
-    acc_down = np.zeros((sample_count, d))
-    for i, lengths in enumerate(draw_cycle_types(n, r, sample_count, rng)):
-        hist = Counter(lengths)
-        tally = None
-        for k in range(1, d + 1):
-            c_k = params.scalings[k - 1]
-            p_up = creation_probability(lengths, k, d)
-            if r >= 2 * k - 1:
-                p_down = destruction_probability(lengths, k, d, r)
-            else:
-                # the closed form over-counts merges the chain rejects when
-                # r <= 2k-2; fall back to the enumeration tally there
-                if tally is None:
-                    tally = event_tally(lengths, r, (d,))
-                p_down = tally[(d, k)][1]
-            acc_up[i, k - 1] = abs(float(params.lambdas[k - 1] - c_k * p_up))
-            acc_down[i, k - 1] = abs(float(hist.get(k, 0) - c_k * p_down))
-    means_up = acc_up.mean(axis=0)
-    means_down = acc_down.mean(axis=0)
-    ses_up = acc_up.std(axis=0, ddof=1) / np.sqrt(sample_count)
-    ses_down = acc_down.std(axis=0, ddof=1) / np.sqrt(sample_count)
-    rows = tuple(
-        TermRow(k, float(means_up[k - 1]), float(means_down[k - 1]),
-                float(ses_up[k - 1]), float(ses_down[k - 1]))
-        for k in range(1, d + 1)
+    terms = np.array(
+        [_type_terms(lengths, r, d) for lengths in draw_cycle_types(n, r, sample_count, rng)], dtype=float
     )
-    total_bound = sum(
-        float(params.alphas[k - 1]) / 2 * (rows[k - 1].creation_term + rows[k - 1].destruction_term)
-        for k in range(1, d + 1)
-    )
-    return TermEstimates(n, r, d, "mc", rows, total_bound, sample_count)
+    means = terms.mean(axis=0)
+    ses = terms.std(axis=0, ddof=1) / np.sqrt(sample_count)
+    return _assemble(n, r, d, "mc", means.tolist(), ses.tolist(), sample_count)

@@ -14,10 +14,12 @@ import numpy as np
 from shortcycles.permutations import (
     CycleStructure,
     Permutation,
+    class_size,
     cycle_structure,
+    cycle_types,
     permutations_with_bounded_cycles,
 )
-from shortcycles.stein import SteinParameters, TermEstimates, TermRow
+from shortcycles.stein import TermEstimates, TermRow, event_tally
 
 
 def dickman_fixed_step(t_max: int, step: float = 1e-6) -> list[np.ndarray]:
@@ -113,6 +115,19 @@ def dickman_log_rho_series(points, digits: int = 60, terms: int = 220) -> list[f
     return out
 
 
+def xi_oracle(t: float, digits: int = 50) -> float:
+    """Positive root of e^x = 1 + t x for t > 1 from ``digits``-digit mpmath.
+
+    Solved as expm1(x) = t x, with t read exactly from the double; near
+    t = 1 the two sides agree to about log10(1/(t-1)) digits, which the
+    working precision absorbs.
+    """
+    with mpmath.workdps(digits):
+        t = mpmath.mpf(t)
+        start = 2 * (t - 1) if t < 2 else 2 * mpmath.log(t)
+        return float(mpmath.findroot(lambda x: mpmath.expm1(x) - t * x, start))
+
+
 def pair_effects(struct: CycleStructure, r: int) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
     """(created lengths, destroyed lengths) for each of the n(n-1)/2 transpositions.
 
@@ -160,9 +175,14 @@ def enumerated_events(p: Permutation, r: int, k: int, d: int) -> tuple[Fraction,
     return Fraction(outcomes.count("increase"), total), Fraction(outcomes.count("decrease"), total)
 
 
+def _assembled(n: int, r: int, d: int, sums_up, sums_down, count) -> TermEstimates:
+    rows = tuple(TermRow(k, sums_up[k - 1] / count, sums_down[k - 1] / count) for k in range(1, d + 1))
+    total_bound = sum(Fraction(1, 2) * (row.creation_term + row.destruction_term) for row in rows)
+    return TermEstimates(n, r, d, "exact", rows, total_bound)
+
+
 def term_estimates_per_permutation(n: int, r: int, d: int) -> TermEstimates:
     """Exact bound terms as an average over every permutation with cycles <= r."""
-    params = SteinParameters.for_cycle_counts(n, d)
     sums_up = [Fraction(0)] * d
     sums_down = [Fraction(0)] * d
     count = 0
@@ -178,13 +198,28 @@ def term_estimates_per_permutation(n: int, r: int, d: int) -> TermEstimates:
                     up += 1
                 elif outcome == "decrease":
                     down += 1
-            c_k = params.scalings[k - 1]
-            sums_up[k - 1] += abs(params.lambdas[k - 1] - c_k * Fraction(up, total))
+            c_k = Fraction(n, 2 * k)
+            sums_up[k - 1] += abs(Fraction(1, k) - c_k * Fraction(up, total))
             sums_down[k - 1] += abs(struct.lengths.count(k) - c_k * Fraction(down, total))
         count += 1
-    rows = tuple(TermRow(k, sums_up[k - 1] / count, sums_down[k - 1] / count) for k in range(1, d + 1))
-    total_bound = sum(
-        params.alphas[k - 1] / 2 * (rows[k - 1].creation_term + rows[k - 1].destruction_term)
-        for k in range(1, d + 1)
-    )
-    return TermEstimates(n, r, d, "exact", rows, total_bound)
+    return _assembled(n, r, d, sums_up, sums_down, count)
+
+
+def term_estimates_by_tally(n: int, r: int, d: int) -> TermEstimates:
+    """Exact bound terms from the enumeration tally of every cycle type, weighted by class size.
+
+    Uses no closed form: both event probabilities come from ``event_tally``.
+    """
+    sums_up = [Fraction(0)] * d
+    sums_down = [Fraction(0)] * d
+    count = 0
+    for lengths in cycle_types(n, r):
+        weight = class_size(lengths)
+        tally = event_tally(lengths, r, (d,))
+        for k in range(1, d + 1):
+            p_up, p_down = tally[(d, k)]
+            c_k = Fraction(n, 2 * k)
+            sums_up[k - 1] += weight * abs(Fraction(1, k) - c_k * p_up)
+            sums_down[k - 1] += weight * abs(lengths.count(k) - c_k * p_down)
+        count += weight
+    return _assembled(n, r, d, sums_up, sums_down, count)

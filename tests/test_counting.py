@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from shortcycles.counting import (
-    SparsePMF,
     brute_force_count,
     brute_force_pmf,
     count_ratio_check,
@@ -317,16 +316,6 @@ class TestExpectedCount:
 
 
 class TestSparsePMF:
-    def test_from_samples(self):
-        vectors = [CountsVector((1, 0)), CountsVector((1, 0)), CountsVector((0, 1))]
-        pmf = SparsePMF.from_samples(vectors, 2)
-        assert pmf.probability((1, 0)) == Fraction(2, 3)
-        assert pmf.total_mass == 1
-
-    def test_from_samples_rejects_empty(self):
-        with pytest.raises(ValueError):
-            SparsePMF.from_samples([], 1)
-
     def test_csv(self, tmp_path):
         pmf = joint_pmf(4, 2, 2)
         path = tmp_path / "pmf.csv"

@@ -3,7 +3,7 @@ import sys
 
 import pytest
 
-from oracles import dickman_fixed_step, dickman_fixed_step_at, dickman_log_rho_series
+from oracles import dickman_fixed_step, dickman_fixed_step_at, dickman_log_rho_series, xi_oracle
 from shortcycles.dickman import (
     DickmanEvaluator,
     XiEvaluator,
@@ -130,6 +130,11 @@ class TestXi:
         for t in (0.5, math.nan, math.inf):
             with pytest.raises(ValueError, match=f"t={t}"):
                 xi(t)
+
+    @pytest.mark.parametrize("t", [1 + 1e-12, 1 + 1e-9, 1 + 1e-6, 1.001, 1.01])
+    def test_near_one(self, t):
+        # the log form has a double root at t = 1; the answer must keep full precision
+        assert xi(t) == pytest.approx(xi_oracle(t), rel=1e-14, abs=0)
 
 
 class TestRhoRatio:

@@ -1,4 +1,5 @@
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -166,6 +167,32 @@ class TestTvEmpirical:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             tv_empirical([], PoissonSpec.cycle_reference(1))
+
+    @pytest.mark.parametrize("seed", [1, 7, 20])
+    def test_value_is_tv_exact_of_empirical_law(self, seed):
+        # the plug-in value is tv_exact on the empirical measure, to the last bit
+        rng = np.random.default_rng(seed)
+        samples = [CountsVector(tuple(int(c) for c in rng.poisson([1.0, 0.5, 1 / 3]))) for _ in range(999)]
+        tally = {}
+        for cv in samples:
+            tally[cv] = tally.get(cv, 0) + 1
+        empirical = SparsePMF(3, {cv: Fraction(c, len(samples)) for cv, c in tally.items()}, "exact")
+        spec = PoissonSpec.cycle_reference(3)
+        assert tv_empirical(samples, spec, rng=rng).value == tv_exact(empirical, spec)
+
+    def test_dimension_mismatch_rejected(self):
+        samples = [CountsVector((1, 0)), CountsVector((0, 1, 0))]
+        with pytest.raises(ValueError, match="dimension 3, expected 2"):
+            tv_empirical(samples, PoissonSpec.cycle_reference(2))
+
+    @pytest.mark.parametrize("bootstrap", [0, 1])
+    def test_too_few_bootstrap_replicates_rejected(self, bootstrap):
+        # fewer than two replicates have no spread: no nan, no numpy warning
+        samples = [CountsVector((i % 3,)) for i in range(10)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=f"bootstrap={bootstrap}"):
+                tv_empirical(samples, PoissonSpec.cycle_reference(1), bootstrap=bootstrap)
 
     def test_single_sample_rejected(self):
         # one sample has no spread: its bootstrap standard error would read 0.0

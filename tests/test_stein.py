@@ -5,7 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from oracles import enumerated_events, term_estimates_per_permutation
+from oracles import enumerated_events, term_estimates_by_tally, term_estimates_per_permutation
 
 from shortcycles.counting import count_table, joint_pmf
 from shortcycles.distances import PoissonSpec, tv_cycle_counts, tv_exact
@@ -16,8 +16,9 @@ from shortcycles.permutations import (
     longest_cycle,
     permutations_with_bounded_cycles,
 )
+from shortcycles.sampling import draw_cycle_types
 from shortcycles.stein import (
-    SteinParameters,
+    _type_terms,
     creation_probability,
     destruction_probability,
     destruction_probability_rearranged,
@@ -27,19 +28,6 @@ from shortcycles.stein import (
     term_estimates_mc,
     verify_closed_forms,
 )
-
-
-class TestParameters:
-    def test_all_damping_factors_are_one(self):
-        params = SteinParameters.for_cycle_counts(100, 10)
-        assert all(a == 1 for a in params.alphas)
-        # closed form: (7/5)^2 * k >= 1 for every k >= 1
-        assert all(Fraction(49, 25) * k >= 1 for k in range(1, 11))
-
-    def test_values(self):
-        params = SteinParameters.for_cycle_counts(12, 3)
-        assert params.lambdas == (Fraction(1), Fraction(1, 2), Fraction(1, 3))
-        assert params.scalings == (Fraction(6), Fraction(3), Fraction(2))
 
 
 class TestEventProbabilities:
@@ -189,8 +177,8 @@ class TestTermEstimates:
     def test_identity_contribution_computable(self):
         # with d = k = 1 the identity permutation only loses fixed points
         tally = event_probabilities(Permutation.identity(6), 1, 1, 4)
-        params = SteinParameters.for_cycle_counts(6, 1)
-        value = abs(6 - params.scalings[0] * tally.p_decrease)
+        c_1 = Fraction(6, 2 * 1)
+        value = abs(6 - c_1 * tally.p_decrease)
         assert value == abs(Fraction(6) - 3 * tally.p_decrease)
 
     def test_mc_concentrates_near_reference_mean(self):
@@ -206,6 +194,32 @@ class TestTermEstimates:
         # one sample has no standard error; the estimate never reports 0.0 for it
         with pytest.raises(ValueError, match="at least 2 samples for a standard error, got 1"):
             term_estimates_mc(10, 5, 2, 1, np.random.default_rng(0))
+
+    @pytest.mark.parametrize("n", range(2, 13))
+    def test_exact_matches_tally_oracle(self, n):
+        # closed forms (with the tally fallback at r <= 2k-2) against the tally alone
+        for r in range(2, n + 1):
+            for d in range(1, r):
+                assert term_estimates_exact(n, r, d) == term_estimates_by_tally(n, r, d), (n, r, d)
+
+    @pytest.mark.parametrize("n,r,d", [(20, 5, 4), (20, 10, 4)])
+    def test_exact_matches_tally_oracle_at_twenty(self, n, r, d):
+        assert term_estimates_exact(n, r, d) == term_estimates_by_tally(n, r, d)
+
+    @pytest.mark.parametrize("n,r,d", [(200, 40, 4), (50, 5, 4)])
+    def test_mc_is_mean_of_exact_type_terms(self, n, r, d):
+        # (50, 5, 4) has r <= 2k-2 for k = 4, where destruction comes from the tally
+        samples = 60
+        terms = term_estimates_mc(n, r, d, samples, np.random.default_rng(11))
+        types = draw_cycle_types(n, r, samples, np.random.default_rng(11))
+        per_type = np.array([[[float(x) for x in pair] for pair in _type_terms(t, r, d)] for t in types])
+        means = per_type.mean(axis=0)
+        ses = per_type.std(axis=0, ddof=1) / np.sqrt(samples)
+        assert terms.sample_count == samples
+        for row in terms.rows:
+            assert (row.creation_term, row.destruction_term) == tuple(means[row.k - 1])
+            assert (row.creation_se, row.destruction_se) == tuple(ses[row.k - 1])
+        assert terms.total == sum((up + down) / 2 for up, down in means)
 
     def test_exact_cap(self, monkeypatch):
         # the cap counts cycle types: (9, 4) has 18 partitions of 9 with parts <= 4
