@@ -105,10 +105,18 @@ def _cmd_pmf(args) -> int:
     pmf = joint_pmf(args.n, args.r, args.d, mode=args.mode)
     if args.out:
         pmf.to_csv(args.out)
-        print(f"pmf written to {args.out} ({len(pmf.entries)} support points)")
+        print(f"pmf written to {args.out} ({len(pmf)} support points)")
     else:
-        for cv in pmf.support():
-            print(" ".join(map(str, cv.counts)), _fraction_str(pmf.entries[cv]))
+        for row, p in zip(pmf.counts.tolist(), pmf.mass_list()):
+            print(" ".join(map(str, row)), _fraction_str(p))
+    if args.mode == "double":
+        below = int(np.count_nonzero(pmf.masses < sys.float_info.min))
+        if below:
+            print(
+                f"warning: {below} of {len(pmf)} masses lie below the smallest normal double "
+                "and are written as 0.0 or subnormal; --mode exact gives their true values",
+                file=sys.stderr,
+            )
     return 0
 
 

@@ -36,6 +36,7 @@ import itertools
 import math
 import os
 import warnings
+from collections.abc import Mapping
 from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
@@ -336,19 +337,76 @@ def first_element_cycle_length_pmf(n: int, r: int, table: WindowTable):
     return np.exp(logs[n - r : n][::-1] - (logs[n] + math.log(n)))
 
 
+class _Entries(Mapping):
+    """A law's count vectors and masses as a read-only mapping keyed by
+    :class:`CountsVector`.  ``len`` reads the arrays; the dict behind the
+    lookups is built on first use and kept."""
+
+    def __init__(self, pmf: "SparsePMF", built: dict | None = None):
+        self._pmf = pmf
+        self._dict = built
+
+    def _built(self) -> dict:
+        if self._dict is None:
+            self._dict = dict(zip(self._pmf.support(), self._pmf.mass_list()))
+        return self._dict
+
+    def __len__(self) -> int:
+        return len(self._pmf)
+
+    def __getitem__(self, key: CountsVector) -> Probability:
+        return self._built()[key]
+
+    def __iter__(self) -> Iterator[CountsVector]:
+        return iter(self._built())
+
+
 class SparsePMF:
-    """Finitely supported probability measure on count vectors."""
+    """Finitely supported probability measure on count vectors.
+
+    ``counts`` is an int64 matrix with one count vector per row, in
+    lexicographic order, and ``masses`` the aligned probabilities: a
+    float64 array in double mode, a list of Fractions in exact mode.
+    ``entries`` views the same law as a mapping keyed by
+    :class:`CountsVector`.
+    """
 
     def __init__(self, d: int, entries: dict, mode: str):
+        """The law with masses ``entries``, a dict keyed by :class:`CountsVector`, in any order."""
+        support = sorted(entries, key=lambda cv: cv.counts)
+        counts = np.array([cv.counts for cv in support], dtype=np.int64).reshape(len(support), d)
+        masses = [entries[cv] for cv in support]
+        self._set(d, counts, masses if mode == "exact" else np.array(masses, dtype=np.float64), mode)
+        self.entries = _Entries(self, dict(entries))
+
+    @classmethod
+    def from_arrays(cls, d: int, counts: np.ndarray, masses, mode: str) -> "SparsePMF":
+        """The law with rows ``counts`` (lexicographically sorted) and masses ``masses``."""
+        pmf = cls.__new__(cls)
+        pmf._set(d, counts, masses, mode)
+        pmf.entries = _Entries(pmf)
+        return pmf
+
+    def _set(self, d: int, counts: np.ndarray, masses, mode: str) -> None:
+        if len(masses) != len(counts):
+            raise ValueError(f"{len(masses)} masses for {len(counts)} count vectors")
         self.d = d
-        self.entries = dict(entries)
+        self.counts = counts
+        self.masses = masses
         self.mode = mode
         self._total = None
+
+    def __len__(self) -> int:
+        return len(self.counts)
+
+    def mass_list(self) -> list[Probability]:
+        """The masses as Python numbers: Fractions in exact mode, floats in double mode."""
+        return self.masses if self.mode == "exact" else self.masses.tolist()
 
     @property
     def total_mass(self) -> Probability:
         if self._total is None:
-            self._total = sum(self.entries.values())
+            self._total = sum(self.mass_list())
         return self._total
 
     def probability(self, counts) -> Probability:
@@ -357,23 +415,27 @@ class SparsePMF:
         return self.entries.get(key, zero)
 
     def support(self) -> list[CountsVector]:
-        return sorted(self.entries, key=lambda cv: cv.counts)
+        return list(map(CountsVector, map(tuple, self.counts.tolist())))
 
     def expectation(self, k: int) -> Probability:
         """E[number of k-cycles] under this law, k <= d."""
         if not 1 <= k <= self.d:
             raise ValueError(f"k must be in 1..{self.d}")
-        return sum(cv.counts[k - 1] * p for cv, p in self.entries.items())
+        return sum(c * p for c, p in zip(self.counts[:, k - 1].tolist(), self.mass_list()))
 
     def rows(self) -> Iterator[tuple]:
-        for cv, p in sorted(self.entries.items(), key=lambda item: item[0].counts):
-            yield (*cv.counts, float(p))
+        for c, p in zip(self.counts.tolist(), self.mass_list()):
+            yield (*c, float(p))
 
     def to_csv(self, path) -> None:
+        """Header and one row per count vector, in the bytes ``csv.writer`` gives for :meth:`rows`."""
+        numbers = [str(c) for c in range(int(self.counts.max(initial=0)) + 1)]
+        columns = [map(numbers.__getitem__, column) for column in self.counts.T.tolist()]
+        masses = self.mass_list() if self.mode == "double" else map(float, self.masses)
+        lines = [",".join([f"c_{j}" for j in range(1, self.d + 1)] + ["probability"])]
+        lines.extend(map(",".join, zip(*columns, map(repr, masses))))
         with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow([f"c_{j}" for j in range(1, self.d + 1)] + ["probability"])
-            writer.writerows(self.rows())
+            fh.write("\r\n".join(lines) + "\r\n")
 
 
 def support_size(n: int, d: int) -> int:
@@ -407,8 +469,11 @@ def joint_pmf(
     """Exact joint law of the counts of 1-, 2-, ..., d-cycles.
 
     P[counts = c] = (prod_j (1/j)^{c_j} / c_j!) * mu(n - s) / nu(n, r) with
-    s = sum_j j*c_j; vectors of probability zero are omitted.  In exact mode
-    the masses sum to exactly 1.
+    s = sum_j j*c_j; vectors with mu(n - s) = 0 are omitted, and the rest
+    are the rows of the returned law in lexicographic order.  In exact mode
+    the masses sum to exactly 1.  In double mode a mass below the double
+    range underflows: it is kept, as a subnormal or as 0.0 (exact mode
+    gives its true value).
     """
     if not 1 <= d <= r <= n:
         raise ValueError(f"need 1 <= d <= r <= n, got d={d}, r={r}, n={n}")
@@ -425,16 +490,15 @@ def joint_pmf(
     counts, used = _count_vector_array(n, d)
     if mode == "exact":
         norm = nu.fraction(n)
-        ratios = [mu.fraction(n - s) / norm for s in range(n + 1)]
-        # 1/(j^c c!) = 1/denominators[j-1][c]
-        denominators = [[j**c * math.factorial(c) for c in range(n // j + 1)] for j in range(1, d + 1)]
-        entries: dict[CountsVector, Probability] = {}
-        for c, s in zip(zip(*counts.T.tolist()), used.tolist()):
-            if ratios[s]:
-                denominator = 1
-                for column, cj in zip(denominators, c):
-                    denominator *= column[cj]
-                entries[CountsVector(c)] = ratios[s] / denominator
+        ratios = np.array([mu.fraction(n - s) / norm for s in range(n + 1)], dtype=object)
+        keep = (ratios != 0)[used]
+        counts = counts[keep]
+        denominator = np.ones(len(counts), dtype=object)
+        for j in range(1, d + 1):
+            # j^c c! for c = 0..n//j
+            column = np.array([j**c * math.factorial(c) for c in range(n // j + 1)], dtype=object)
+            denominator *= column[counts[:, j - 1]]
+        masses = (ratios[used[keep]] / denominator).tolist()
     else:
         log_prob = mu.log_view()[n - used] - nu.log_view()[n]
         for j in range(1, d + 1):
@@ -442,9 +506,9 @@ def joint_pmf(
             log_denominator = np.array([c * math.log(j) + math.lgamma(c + 1) for c in range(n // j + 1)])
             log_prob -= log_denominator[counts[:, j - 1]]
         keep = np.isfinite(log_prob)
-        vectors = map(CountsVector, zip(*counts[keep].T.tolist()))
-        entries = dict(zip(vectors, np.exp(log_prob[keep]).tolist()))
-    pmf = SparsePMF(d, entries, mode)
+        counts = counts[keep]
+        masses = np.exp(log_prob[keep])
+    pmf = SparsePMF.from_arrays(d, counts, masses, mode)
     if mode == "exact":
         assert pmf.total_mass == 1, "exact joint law failed to normalize"
     return pmf

@@ -47,12 +47,17 @@ v, which is also the scale of consecutive checkpoint ratios above.
 from __future__ import annotations
 
 import math
+import os
 import threading
 import warnings
 from dataclasses import dataclass
 
+from .errors import ResourceLimitError
+
 PANEL_TERMS = 64
 DEFAULT_T_MAX = 200.0
+# about 2 kB and 35 us per panel; the paper's regime needs u = n/r up to a few hundred
+DEFAULT_PANEL_CAP = 10**4
 # |g(x)| <= XI_RESIDUAL_TOLERANCE * x stops the solve; one last Newton step
 # then takes the root to rounding level
 XI_RESIDUAL_TOLERANCE = 1e-13
@@ -62,6 +67,11 @@ XI_MAX_ITERATIONS = 200
 XI_SERIES_MAX_T = 1.25
 # relative slack of gamma_bound_check, 100 times the panel accuracy
 GAMMA_BOUND_SLACK = 1e-10
+
+
+def panel_cap() -> int:
+    """Most unit panels an evaluator builds (rho on [0, cap]); override with SHORTCYCLES_DICKMAN_PANEL_CAP."""
+    return int(os.environ.get("SHORTCYCLES_DICKMAN_PANEL_CAP", DEFAULT_PANEL_CAP))
 
 
 class DickmanEvaluator:
@@ -96,6 +106,12 @@ class DickmanEvaluator:
         """Make panels 0..k (hence checkpoints 0..k+1) available."""
         if len(self._panels) > k:
             return
+        cap = panel_cap()
+        if k >= cap:
+            raise ResourceLimitError(
+                f"rho on [0, {k + 1}] needs {k + 1} Dickman panels, exceeding the cap of {cap} "
+                "(SHORTCYCLES_DICKMAN_PANEL_CAP)"
+            )
         with self._lock:
             while len(self._panels) <= k:
                 self._build_panel(len(self._panels))

@@ -117,10 +117,8 @@ def tv_exact(pmf: SparsePMF, other: Union[PoissonSpec, SparsePMF], precision: in
     _require_normalized(pmf)
     if precision is not None:
         return _tv_exact_mpmath(pmf, spec, precision)
-    support = pmf.support()
-    rows = np.array([cv.counts for cv in support])
-    masses = np.array([float(pmf.entries[cv]) for cv in support])
-    return float(_tv_to_poisson(rows, masses, spec)[0])
+    masses = np.asarray(pmf.masses, dtype=np.float64)
+    return float(_tv_to_poisson(pmf.counts, masses, spec)[0])
 
 
 def _tv_to_poisson(rows: np.ndarray, masses: np.ndarray, spec: PoissonSpec) -> np.ndarray:
@@ -177,12 +175,11 @@ def _tv_exact_mpmath(pmf: SparsePMF, spec: PoissonSpec, precision: int) -> float
         means = [mpf(repr(m)) for m in spec.means]
         total_abs = mpf(0)
         covered = mpf(0)
-        for cv in pmf.support():
+        for counts, mass in zip(pmf.counts.tolist(), pmf.mass_list()):
             q = mpf(1)
-            for mean, c in zip(means, cv.counts):
+            for mean, c in zip(means, counts):
                 q *= mp.e ** (-mean) * mean**c / mp.factorial(c)
-            p_frac = pmf.entries[cv]
-            p = mpf(p_frac.numerator) / p_frac.denominator if isinstance(p_frac, Fraction) else mpf(repr(p_frac))
+            p = mpf(mass.numerator) / mass.denominator if isinstance(mass, Fraction) else mpf(repr(mass))
             total_abs += abs(p - q)
             covered += q
         tail = mpf(1) - covered

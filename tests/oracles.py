@@ -5,6 +5,8 @@ These deliberately avoid the code paths they are meant to check.
 
 from __future__ import annotations
 
+import csv
+import io
 import math
 from fractions import Fraction
 
@@ -20,6 +22,25 @@ from shortcycles.permutations import (
     permutations_with_bounded_cycles,
 )
 from shortcycles.stein import TermEstimates, TermRow, event_tally
+
+
+def pmf_csv_by_writer(d: int, entries: dict) -> bytes:
+    """The CSV bytes of a joint law as ``csv.writer`` writes its sorted dict entries."""
+    buffer = io.StringIO(newline="")
+    writer = csv.writer(buffer)
+    writer.writerow([f"c_{j}" for j in range(1, d + 1)] + ["probability"])
+    for cv, p in sorted(entries.items(), key=lambda item: item[0].counts):
+        writer.writerow([*cv.counts, float(p)])
+    return buffer.getvalue().encode()
+
+
+def pmf_printed_by_dict(entries: dict) -> str:
+    """``pmf`` stdout without ``--out``: one line per sorted count vector, then its exact mass."""
+    lines = []
+    for cv, p in sorted(entries.items(), key=lambda item: item[0].counts):
+        mass = f"{p.numerator}/{p.denominator}" if isinstance(p, Fraction) else repr(p)
+        lines.append(" ".join(map(str, cv.counts)) + " " + mass + "\n")
+    return "".join(lines)
 
 
 def dickman_fixed_step(t_max: int, step: float = 1e-6) -> list[np.ndarray]:

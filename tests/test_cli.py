@@ -7,7 +7,9 @@ from pathlib import Path
 
 import pytest
 
+from oracles import pmf_csv_by_writer, pmf_printed_by_dict
 from shortcycles.cli import main
+from shortcycles.counting import joint_pmf
 from shortcycles.distances import tv_cycle_counts
 from shortcycles.permutations import Permutation, cycle_structure
 
@@ -66,6 +68,40 @@ class TestCount:
         code, _, _ = run(["count", "--n", "6", "--r", "3", "--out", str(path)], capsys)
         assert code == 0
         assert path.read_text().startswith("m,nu_exact_num,nu_exact_den")
+
+
+class TestPmf:
+    def test_exact_stdout(self, capsys):
+        code, out, err = run(["pmf", "--n", "12", "--r", "5", "--d", "3"], capsys)
+        assert code == 0
+        assert out == pmf_printed_by_dict(joint_pmf(12, 5, 3).entries)
+        assert err == ""
+
+    def test_double_stdout(self, capsys):
+        code, out, _ = run(["pmf", "--n", "30", "--r", "7", "--d", "2", "--mode", "double"], capsys)
+        assert code == 0
+        assert out == pmf_printed_by_dict(joint_pmf(30, 7, 2, mode="double").entries)
+
+    def test_double_csv_without_underflow_is_quiet(self, tmp_path, capsys):
+        path = tmp_path / "pmf.csv"
+        code, out, err = run(["pmf", "--n", "80", "--r", "20", "--d", "4", "--mode", "double", "--out", str(path)], capsys)
+        assert code == 0
+        assert out == f"pmf written to {path} (76993 support points)\n"
+        assert err == ""
+
+    def test_double_underflow_is_reported(self, tmp_path, capsys):
+        # u = 50: 1316 masses underflow to 0.0 and 7 are subnormal
+        path = tmp_path / "pmf.csv"
+        code, out, err = run(["pmf", "--n", "1500", "--r", "30", "--d", "1", "--mode", "double", "--out", str(path)], capsys)
+        assert code == 0
+        assert out == f"pmf written to {path} (1500 support points)\n"
+        assert err.count("\n") == 1
+        assert "1323 of 1500 masses lie below the smallest normal double" in err
+        assert "--mode exact" in err
+        assert path.read_bytes() == pmf_csv_by_writer(1, joint_pmf(1500, 30, 1, mode="double").entries)
+        code, out, err_stdout = run(["pmf", "--n", "1500", "--r", "30", "--d", "1", "--mode", "double"], capsys)
+        assert err_stdout == err
+        assert out.count(" 0.0\n") == 1316
 
 
 class TestDickman:
@@ -129,6 +165,22 @@ class TestDickman:
         code, _, err = run(["dickman", "rho", "--grid", "1", "5", num, "--out", str(path)], capsys)
         assert code == 1
         assert "--grid NUM must be a positive integer" in err
+        assert not path.exists()
+
+    def test_panel_cap_is_a_resource_error(self, capsys):
+        code, out, err = run(["dickman", "rho", "--t", "20000.5", "--t-max", "1e9"], capsys)
+        assert code == 2
+        assert out == ""
+        assert "20001 Dickman panels, exceeding the cap of 10000" in err
+
+    def test_panel_cap_override(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("SHORTCYCLES_DICKMAN_PANEL_CAP", "30")
+        assert run(["dickman", "rho", "--t", "30", "--log"], capsys)[0] == 0
+        code, _, err = run(["dickman", "rho", "--t", "30.5"], capsys)
+        assert code == 2
+        assert "SHORTCYCLES_DICKMAN_PANEL_CAP" in err
+        path = tmp_path / "rho.csv"
+        assert run(["dickman", "rho", "--grid", "1", "40", "4", "--out", str(path)], capsys)[0] == 2
         assert not path.exists()
 
     def test_tolerance_option_is_gone(self, capsys):

@@ -1,10 +1,13 @@
 import math
+import sys
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from oracles import pmf_csv_by_writer
 from shortcycles.counting import (
+    SparsePMF,
     brute_force_count,
     brute_force_pmf,
     count_ratio_check,
@@ -269,6 +272,28 @@ class TestJointLaw:
         for cv, p in exact.entries.items():
             assert double.entries[cv] == pytest.approx(float(p), rel=1e-12)
 
+    def test_double_deep_tail_against_exact(self):
+        # u = 50: most masses lie below the double range and underflow; the
+        # rest track the exact rationals in log
+        n, r, d = 1500, 30, 1
+        exact = joint_pmf(n, r, d)
+        double = joint_pmf(n, r, d, mode="double")
+        assert np.array_equal(double.counts, exact.counts)
+        exact_logs = np.array([log_fraction(p) for p in exact.masses])
+        normal = double.masses >= sys.float_info.min
+        assert 0 < normal.sum() < len(double)
+        assert np.abs(np.log(double.masses[normal]) - exact_logs[normal]).max() <= 1e-11
+        assert np.array_equal(~normal, exact_logs < math.log(sys.float_info.min))
+
+    @pytest.mark.parametrize("mode", ["exact", "double"])
+    def test_rows_are_lexicographic_arrays(self, mode):
+        pmf = joint_pmf(20, 6, 3, mode=mode)
+        assert pmf.counts.dtype == np.int64
+        assert pmf.counts.shape == (len(pmf), 3)
+        assert [tuple(c) for c in pmf.counts.tolist()] == sorted(cv.counts for cv in pmf.entries)
+        assert isinstance(pmf.masses, list if mode == "exact" else np.ndarray)
+        assert pmf.mass_list() == [pmf.entries[cv] for cv in pmf.support()]
+
 
 class TestBruteForce:
     def test_derangements(self):
@@ -323,6 +348,39 @@ class TestSparsePMF:
         lines = path.read_text().strip().splitlines()
         assert lines[0] == "c_1,c_2,probability"
         assert len(lines) == len(pmf.entries) + 1
+
+    @pytest.mark.parametrize("n,r,d,mode", [(80, 20, 4, "double"), (12, 5, 3, "exact")])
+    def test_csv_bytes_match_csv_writer(self, n, r, d, mode, tmp_path):
+        pmf = joint_pmf(n, r, d, mode=mode)
+        path = tmp_path / "pmf.csv"
+        pmf.to_csv(path)
+        assert path.read_bytes() == pmf_csv_by_writer(d, pmf.entries)
+
+    def test_csv_bytes_of_dict_built_law(self, tmp_path):
+        # brute force tallies in enumeration order, not lexicographic order
+        law = brute_force_pmf(7, 4, 3)
+        path = tmp_path / "pmf.csv"
+        law.to_csv(path)
+        assert path.read_bytes() == pmf_csv_by_writer(3, law.entries)
+
+    def test_dict_built_law_matches_joint_law(self):
+        law = joint_pmf(7, 4, 3)
+        rebuilt = SparsePMF(3, dict(reversed(list(brute_force_pmf(7, 4, 3).entries.items()))), "exact")
+        assert np.array_equal(rebuilt.counts, law.counts)
+        assert rebuilt.masses == law.masses
+        assert rebuilt.total_mass == 1
+        assert [rebuilt.expectation(k) for k in (1, 2, 3)] == [law.expectation(k) for k in (1, 2, 3)]
+
+    def test_entries_view(self):
+        pmf = joint_pmf(6, 3, 2)
+        assert len(pmf.entries) == len(pmf) == 7
+        assert pmf.entries == dict(zip(pmf.support(), pmf.masses))
+        assert CountsVector((0, 3)) in pmf.entries
+        assert pmf.probability((1, 0)) == 0  # 5 elements left, all in 3-cycles: impossible
+
+    def test_from_arrays_rejects_misaligned_masses(self):
+        with pytest.raises(ValueError, match="2 masses for 1 count vectors"):
+            SparsePMF.from_arrays(1, np.zeros((1, 1), dtype=np.int64), [0.5, 0.5], "double")
 
 
 class TestRatioCheck:

@@ -11,6 +11,7 @@ from shortcycles.dickman import (
     rho_ratio_check,
     xi,
 )
+from shortcycles.errors import ResourceLimitError
 
 # certified against an independent high-precision window-identity solver
 RHO_3_5 = 0.016229593243236007
@@ -85,6 +86,15 @@ class TestRho:
         lr = dickman.log_rho(190.0)
         assert lr < -745
         assert lr < dickman.log_rho(150.0)
+
+    def test_panel_cap(self, monkeypatch):
+        monkeypatch.setenv("SHORTCYCLES_DICKMAN_PANEL_CAP", "20")
+        ev = DickmanEvaluator(t_max=1e6)
+        assert ev.log_rho(20.0) < 0
+        with pytest.raises(ResourceLimitError, match="21 Dickman panels, exceeding the cap of 20"):
+            ev.log_rho(20.5)
+        monkeypatch.delenv("SHORTCYCLES_DICKMAN_PANEL_CAP")
+        assert ev.log_rho(20.5) == DickmanEvaluator().log_rho(20.5)
 
     def test_invalid_construction(self):
         for t_max in (0.5, math.nan, math.inf):

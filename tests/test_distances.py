@@ -8,6 +8,7 @@ import pytest
 from shortcycles.counting import SparsePMF, brute_force_pmf, joint_pmf
 from shortcycles.distances import (
     PoissonSpec,
+    _tv_to_poisson,
     harmonic_number,
     macroscopic_bound,
     refined_bound,
@@ -72,6 +73,18 @@ class TestTvExact:
         assert tv_exact(pmf, PoissonSpec.cycle_reference(1), precision=50) == pytest.approx(
             TV_N4_R2_D1, rel=1e-12
         )
+
+    @pytest.mark.parametrize("mode", ["exact", "double"])
+    def test_reads_rows_and_masses_in_dict_order(self, mode):
+        # the same reduction fed from the sorted dict, as before the arrays
+        law = joint_pmf(20, 6, 3, mode=mode)
+        spec = PoissonSpec.cycle_reference(3)
+        support = sorted(law.entries, key=lambda cv: cv.counts)
+        rows = np.array([cv.counts for cv in support])
+        masses = np.array([float(law.entries[cv]) for cv in support])
+        assert tv_exact(law, spec) == float(_tv_to_poisson(rows, masses, spec)[0])
+        rebuilt = SparsePMF(3, dict(reversed(list(law.entries.items()))), mode)
+        assert tv_exact(rebuilt, spec, precision=30) == tv_exact(law, spec, precision=30)
 
     def test_bounds_and_symmetry_between_finite_laws(self):
         p = joint_pmf(5, 3, 2)
