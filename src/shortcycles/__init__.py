@@ -69,7 +69,6 @@ from .sampling import (
     sample_cycle_type,
     sample_rejection,
     sample_sequential,
-    stage_length_pmf,
     stationarity_matrix,
 )
 from .stein import (

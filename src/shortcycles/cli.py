@@ -151,7 +151,7 @@ def _cmd_sample(args) -> int:
 
 
 def _cmd_dickman(args) -> int:
-    ev = DickmanEvaluator(t_max=args.t_max)
+    ev = DickmanEvaluator()
     if args.dickman_command == "rho":
         if args.grid is None and args.t is None:
             print("error: rho needs --t or --grid", file=sys.stderr)
@@ -375,7 +375,6 @@ def build_parser() -> argparse.ArgumentParser:
             q.add_argument("--t", type=float, required=True)
         if name == "ratio":
             q.add_argument("--v", type=float, required=True)
-        q.add_argument("--t-max", type=float, default=200.0)
         q.set_defaults(handler=_cmd_dickman)
 
     p = sub.add_parser("stein-verify", help="event identities: exhaustive check or MC terms")

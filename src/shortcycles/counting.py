@@ -138,7 +138,8 @@ class WindowTable:
         if self.mode != "exact":
             raise ValueError("integer counts require exact mode")
         value = self.fraction(m) * math.factorial(m)
-        assert value.denominator == 1
+        if value.denominator != 1:
+            raise ArithmeticError(f"table entry {m} is not a count over {m}!")
         return value.numerator
 
     def log_view(self) -> np.ndarray:
@@ -462,8 +463,6 @@ def joint_pmf(
     d: int,
     *,
     mode: str = "exact",
-    nu: WindowTable | None = None,
-    mu: WindowTable | None = None,
     cap: int | None = None,
 ) -> SparsePMF:
     """Exact joint law of the counts of 1-, 2-, ..., d-cycles.
@@ -471,7 +470,8 @@ def joint_pmf(
     P[counts = c] = (prod_j (1/j)^{c_j} / c_j!) * mu(n - s) / nu(n, r) with
     s = sum_j j*c_j; vectors with mu(n - s) = 0 are omitted, and the rest
     are the rows of the returned law in lexicographic order.  In exact mode
-    the masses sum to exactly 1.  In double mode a mass below the double
+    the masses sum to exactly 1; that is checked in integers, and an
+    ArithmeticError is raised if it fails.  In double mode a mass below the double
     range underflows: it is kept, as a subnormal or as 0.0 (exact mode
     gives its true value).
     """
@@ -483,10 +483,8 @@ def joint_pmf(
         raise ResourceLimitError(
             f"joint law support has {size} vectors, exceeding the cap of {cap}"
         )
-    if nu is None:
-        nu = count_table(n, r, mode)
-    if mu is None:
-        mu = restricted_count_table(d, r, n, mode)
+    nu = count_table(n, r, mode)
+    mu = restricted_count_table(d, r, n, mode)
     counts, used = _count_vector_array(n, d)
     if mode == "exact":
         norm = nu.fraction(n)
@@ -499,6 +497,11 @@ def joint_pmf(
             column = np.array([j**c * math.factorial(c) for c in range(n // j + 1)], dtype=object)
             denominator *= column[counts[:, j - 1]]
         masses = (ratios[used[keep]] / denominator).tolist()
+        # the masses sum to 1 iff the permutations they count add up to nu.count(n):
+        # perm(n, s) / denominator (an integer) small-cycle placements times mu.count(n - s)
+        placed = np.array([math.perm(n, s) * mu.count(n - s) for s in range(n + 1)], dtype=object)
+        if (placed[used[keep]] // denominator).sum() != nu.count(n):
+            raise ArithmeticError("exact joint law failed to normalize")
     else:
         log_prob = mu.log_view()[n - used] - nu.log_view()[n]
         for j in range(1, d + 1):
@@ -510,7 +513,7 @@ def joint_pmf(
         masses = np.exp(log_prob[keep])
     pmf = SparsePMF.from_arrays(d, counts, masses, mode)
     if mode == "exact":
-        assert pmf.total_mass == 1, "exact joint law failed to normalize"
+        pmf._total = Fraction(1)
     return pmf
 
 

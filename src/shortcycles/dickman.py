@@ -55,7 +55,6 @@ from dataclasses import dataclass
 from .errors import ResourceLimitError
 
 PANEL_TERMS = 64
-DEFAULT_T_MAX = 200.0
 # about 2 kB and 35 us per panel; the paper's regime needs u = n/r up to a few hundred
 DEFAULT_PANEL_CAP = 10**4
 # |g(x)| <= XI_RESIDUAL_TOLERANCE * x stops the solve; one last Newton step
@@ -75,13 +74,9 @@ def panel_cap() -> int:
 
 
 class DickmanEvaluator:
-    """Panel-by-panel evaluator for rho and log-rho on [0, t_max]."""
+    """Panel-by-panel evaluator for rho and log-rho; :func:`panel_cap` bounds t."""
 
-    def __init__(self, t_max: float = DEFAULT_T_MAX):
-        t_max = float(t_max)
-        if not (math.isfinite(t_max) and t_max >= 1):
-            raise ValueError(f"t_max must be a finite number >= 1, got {t_max}")
-        self.t_max = t_max
+    def __init__(self):
         # panel k covers [k, k+1] and stores the coefficients of rho(k+1-z)/rho(k+1)
         self._panels: list[list[float]] = [[1.0] + [0.0] * (PANEL_TERMS - 1)]
         self._log_checkpoints: list[float] = [0.0, 0.0]  # log rho(0), log rho(1)
@@ -123,8 +118,6 @@ class DickmanEvaluator:
         t = float(t)
         if not (math.isfinite(t) and t >= 0):
             raise ValueError(f"rho is only defined for finite t >= 0, got t={t}")
-        if t > self.t_max:
-            raise ValueError(f"t={t} exceeds t_max={self.t_max}")
         if t <= 1.0:
             return 0.0
         k = int(math.floor(t))

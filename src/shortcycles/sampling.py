@@ -9,11 +9,15 @@ Three routes to the same distribution:
   left, the cycle through any fixed one of them has length k with
   probability nu(m-k, r) / (m * nu(m, r)); drawing one such length per
   cycle gives the cycle type with its exact law, in as many stages as
-  there are cycles (:func:`sample_cycle_type`).  Given its type, a uniform
-  permutation is uniform over that conjugacy class, so cutting one uniform
-  arrangement of 0..n-1 into consecutive cycles of those lengths finishes
-  the draw.  Exact, no rejection; callers that need only cycle counts stop
-  after the first step.
+  there are cycles (:func:`sample_cycle_type`).  A stage proposes k
+  uniformly on 1..top, top = min(m, r), and accepts with probability
+  nu(m-k, r) / nu(m-top, r) <= 1 (nu is non-increasing), so the law is
+  never formed; that takes one proposal when m <= r and about
+  xi(u) / (1 - e^-xi(u)) deep in the tail, 6.5 at u = n/r = 100.  Given
+  its type, a uniform permutation is uniform over that conjugacy class,
+  so cutting one uniform arrangement of 0..n-1 into consecutive cycles of
+  those lengths finishes the draw.  Exact, and no whole draw is ever
+  rejected; callers that need only cycle counts stop after the first step.
 * mcmc: the random-transposition walk restricted to the bounded-cycle set,
   run on cycle types.  A step draws an ordered pair of distinct elements
   and composes their transposition with sigma: two elements of one cycle
@@ -108,38 +112,34 @@ def acceptance_rate(n: int, r: int, trials: int, rng: np.random.Generator) -> fl
     return hits / trials
 
 
-def stage_length_pmf(m: int, r: int, table: WindowTable) -> np.ndarray:
-    """Cycle-length law of the next anchor when m elements remain.
-
-    Entry k-1 is nu(m-k, r) / (m * nu(m, r)) for k = 1..min(m, r), read as
-    differences of log nu so that it holds deep in the tail.  The
-    probabilities sum to 1 by the counting recurrence; the float path
-    renormalizes to absorb table rounding.
-    """
-    top = min(m, r)
-    logs = table.log_view()
-    probs = np.exp(logs[m - top : m][::-1] - (logs[m] + math.log(m)))
-    total = probs.sum()
-    if abs(total - 1.0) > 1e-9:
-        raise ValueError(f"stage law sums to {total}, table looks inconsistent")
-    return probs / total
-
-
 def sample_cycle_type(n: int, r: int, rng: np.random.Generator, table: WindowTable) -> tuple[int, ...]:
     """Cycle lengths of one uniform draw with all cycles <= r, ascending.
 
-    One stage per cycle: with m elements left the next cycle has length k
-    with probability nu(m-k, r) / (m * nu(m, r)).  The result is what
-    ``cycle_structure(p).lengths`` gives for the permutation drawn.
+    One stage per cycle, drawn by rejection against two entries of the
+    log nu table ``table``, which must cover n; a stage law at m = n that
+    does not sum to 1, or a proposal ratio above 1, raises ValueError.
+    The result is what ``cycle_structure(p).lengths`` gives for the
+    permutation drawn.
     """
-    if table.r != r or table.n_max < n:
+    if table.lo != 1 or table.r != r or table.n_max < n:
         raise ValueError("table does not cover this (n, r)")
+    logs = table.log_view()
+    top = min(n, r)
+    total = np.exp(logs[n - top : n] - (logs[n] + math.log(n))).sum()
+    if not abs(total - 1.0) <= 1e-9:
+        raise ValueError(f"stage law sums to {total}, table looks inconsistent")
     lengths = []
     m = n
     while m > 0:
-        probs = stage_length_pmf(m, r, table)
-        k = 1 + int(np.searchsorted(np.cumsum(probs), rng.random(), side="right"))
-        k = min(k, len(probs))  # guard the 1-ulp edge of the cumulative sum
+        top = min(m, r)
+        floor = logs[m - top]
+        while True:
+            k = 1 + int(top * rng.random())
+            ratio = math.exp(logs[m - k] - floor)
+            if not ratio <= 1 + 1e-9:
+                raise ValueError(f"nu ratio {ratio} at m={m}, k={k}, table looks inconsistent")
+            if rng.random() < ratio:
+                break
         lengths.append(k)
         m -= k
     return tuple(sorted(lengths))

@@ -142,8 +142,8 @@ class TestDickman:
     @pytest.mark.parametrize(
         "argv, message",
         [
-            (["rho", "--t", "5", "--t-max", "inf"], "got inf"),
-            (["rho", "--t", "5", "--t-max", "nan"], "got nan"),
+            (["rho", "--grid", "1", "5", "inf"], "got inf"),
+            (["rho", "--grid", "1", "5", "nan"], "got nan"),
             (["rho", "--t", "nan"], "t=nan"),
             (["rho", "--t", "inf"], "t=inf"),
             (["gamma-check", "--t", "nan"], "t=nan"),
@@ -168,7 +168,7 @@ class TestDickman:
         assert not path.exists()
 
     def test_panel_cap_is_a_resource_error(self, capsys):
-        code, out, err = run(["dickman", "rho", "--t", "20000.5", "--t-max", "1e9"], capsys)
+        code, out, err = run(["dickman", "rho", "--t", "20000.5"], capsys)
         assert code == 2
         assert out == ""
         assert "20001 Dickman panels, exceeding the cap of 10000" in err
@@ -182,6 +182,14 @@ class TestDickman:
         path = tmp_path / "rho.csv"
         assert run(["dickman", "rho", "--grid", "1", "40", "4", "--out", str(path)], capsys)[0] == 2
         assert not path.exists()
+
+    def test_t_max_option_is_gone(self, capsys):
+        code, out, _ = run(["dickman", "rho", "--t", "300"], capsys)
+        assert code == 0
+        assert float(out) == 0.0  # rho(300) lies below the smallest double
+        code, _, err = run(["dickman", "rho", "--t", "5", "--t-max", "1e9"], capsys)
+        assert code == 1
+        assert "--t-max" in err
 
     def test_tolerance_option_is_gone(self, capsys):
         code, _, err = run(["dickman", "rho", "--t", "2.5", "--tolerance", "1e-9"], capsys)

@@ -1,13 +1,19 @@
 import math
+import os
+import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from oracles import pmf_csv_by_writer
+from shortcycles import counting
+from shortcycles.cli import main
 from shortcycles.counting import (
     SparsePMF,
+    WindowTable,
     brute_force_count,
     brute_force_pmf,
     count_ratio_check,
@@ -24,6 +30,8 @@ from shortcycles.counting import (
 )
 from shortcycles.errors import ResourceLimitError
 from shortcycles.permutations import CountsVector
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 class TestCountTable:
@@ -50,6 +58,12 @@ class TestCountTable:
         for m in range(9):
             value = t.fraction(m) * math.factorial(m)
             assert value.denominator == 1
+
+    def test_count_of_a_non_count_raises(self):
+        t = WindowTable(1, 2, "exact", [Fraction(1), Fraction(1), Fraction(1, 3)])
+        assert t.count(1) == 1
+        with pytest.raises(ArithmeticError, match="table entry 2 is not a count"):
+            t.count(2)
 
     def test_double_matches_exact(self):
         exact = count_table(200, 17, "exact")
@@ -250,6 +264,39 @@ class TestJointLaw:
     def test_total_mass_one(self):
         for n, r, d in [(9, 5, 2), (10, 10, 4)]:
             assert joint_pmf(n, r, d).total_mass == 1
+
+    def test_masses_add_up_to_one(self):
+        for n, r, d in [(9, 5, 2), (12, 5, 2), (30, 10, 3)]:
+            assert sum(joint_pmf(n, r, d).mass_list()) == 1
+
+    def test_normalization_failure_raises(self, monkeypatch, capsys):
+        # the (d+1, r] table in place of mu: the law loses mass
+        window = counting.restricted_count_table
+        monkeypatch.setattr(
+            counting, "restricted_count_table", lambda d, r, n_max, mode="exact": window(d + 1, r, n_max, mode)
+        )
+        with pytest.raises(ArithmeticError, match="exact joint law failed to normalize"):
+            joint_pmf(12, 5, 2)
+        assert main(["pmf", "--n", "12", "--r", "5", "--d", "2"]) == 1
+        assert "exact joint law failed to normalize" in capsys.readouterr().err
+
+    def test_normalization_check_holds_under_python_O(self):
+        script = """
+from shortcycles import counting
+window = counting.restricted_count_table
+counting.restricted_count_table = lambda d, r, n_max, mode="exact": window(d + 1, r, n_max, mode)
+try:
+    counting.joint_pmf(12, 5, 2)
+except ArithmeticError as exc:
+    print(exc)
+"""
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+        result = subprocess.run(
+            [sys.executable, "-O", "-c", script], env=env, capture_output=True, text=True, timeout=120
+        )
+        assert result.returncode == 0, result.stderr[-2000:]
+        assert result.stdout.strip() == "exact joint law failed to normalize"
 
     def test_support_cap(self):
         with pytest.raises(ResourceLimitError, match=r"\d+ vectors"):

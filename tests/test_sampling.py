@@ -1,12 +1,22 @@
 import math
+import os
+import subprocess
+import sys
 from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy import stats
 
-from shortcycles.counting import count_table
+from shortcycles.counting import (
+    WindowTable,
+    count_table,
+    expected_count,
+    first_element_cycle_length_pmf,
+    restricted_count_table,
+)
 from shortcycles.errors import ResourceLimitError
 from shortcycles.permutations import (
     Permutation,
@@ -29,10 +39,11 @@ from shortcycles.sampling import (
     sample_cycle_type,
     sample_rejection,
     sample_sequential,
-    stage_length_pmf,
     stationarity_matrix,
 )
 from shortcycles.stein import _transposition_effects
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 class TestConfig:
@@ -81,14 +92,15 @@ class TestRejection:
 
 
 class TestSequential:
+    # the stage law with m elements left is the first element's cycle-length law at m
     def test_stage_law_uniform_when_unrestricted(self):
         table = count_table(9, 9)
-        probs = stage_length_pmf(9, 9, table)
+        probs = np.array(first_element_cycle_length_pmf(9, 9, table), dtype=np.float64)
         assert np.allclose(probs, np.full(9, 1 / 9))
 
     def test_stage_law_double_mode(self):
         table = count_table(300, 40, "double")
-        probs = stage_length_pmf(250, 40, table)
+        probs = first_element_cycle_length_pmf(250, 40, table)
         assert probs.shape == (40,)
         assert probs.sum() == pytest.approx(1.0, abs=1e-12)
 
@@ -140,7 +152,7 @@ class TestCycleType:
     def test_deep_tail_double_table(self):
         # u = 50: the stage law still sums to 1, and every type is a partition of n
         table = count_table(1000, 20, "double")
-        assert stage_length_pmf(1000, 20, table).sum() == pytest.approx(1.0, abs=1e-12)
+        assert first_element_cycle_length_pmf(1000, 20, table).sum() == pytest.approx(1.0, abs=1e-12)
         for lengths in draw_cycle_types(1000, 20, 5, np.random.default_rng(3), table):
             assert sum(lengths) == 1000 and max(lengths) <= 20 and list(lengths) == sorted(lengths)
 
@@ -149,6 +161,58 @@ class TestCycleType:
             sample_cycle_type(10, 3, np.random.default_rng(0), count_table(10, 4))
         with pytest.raises(ValueError):
             sample_cycle_type(10, 3, np.random.default_rng(0), count_table(9, 3))
+
+    @pytest.mark.parametrize("mode", ["exact", "double"])
+    def test_table_must_be_a_nu_table(self, mode):
+        # a mu table for the window (d, r] has the right r but is not nu
+        for d in (1, 2, 3):
+            with pytest.raises(ValueError, match="does not cover"):
+                sample_cycle_type(30, 6, np.random.default_rng(0), restricted_count_table(d, 6, 30, mode))
+        lengths = sample_cycle_type(30, 6, np.random.default_rng(0), restricted_count_table(0, 6, 30, mode))
+        assert sum(lengths) == 30 and max(lengths) <= 6
+
+    def test_inconsistent_table_is_rejected(self):
+        # entries with the wrong total at m = n fail the once-per-draw check
+        logs = np.array(count_table(60, 10, "double").log_view())
+        logs[50:60] -= 1.0
+        with pytest.raises(ValueError, match="stage law sums to .* table looks inconsistent"):
+            sample_cycle_type(60, 10, np.random.default_rng(0), WindowTable(1, 10, "double", logs))
+
+    @pytest.mark.parametrize("corruption", ["nan", "increasing"])
+    def test_corrupt_table_raises_instead_of_hanging(self, corruption):
+        # the stage law at m = n is intact; every entry below n - r is corrupt,
+        # so the second stage proposes against it and must raise, not loop
+        script = f"""
+import numpy as np
+from shortcycles.counting import WindowTable, count_table
+from shortcycles.sampling import sample_cycle_type
+logs = np.array(count_table(60, 10, "double").log_view())
+logs[:50] = np.nan if {corruption!r} == "nan" else np.arange(50.0)
+table = WindowTable(1, 10, "double", logs)
+for seed in range(20):
+    try:
+        sample_cycle_type(60, 10, np.random.default_rng(seed), table)
+    except ValueError as exc:
+        assert "table looks inconsistent" in str(exc), exc
+    else:
+        raise SystemExit("a draw from a corrupt table returned")
+"""
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+        result = subprocess.run(
+            [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=60
+        )
+        assert result.returncode == 0, result.stderr[-2000:]
+
+    def test_deep_tail_fixed_point_mean(self):
+        # u = 50 on the double table: the mean number of fixed points over
+        # 4000 draws lies within 4 standard errors of the exact expectation
+        table = count_table(1000, 20, "double")
+        fixed = np.array(
+            [t.count(1) for t in draw_cycle_types(1000, 20, 4000, np.random.default_rng(11), table)]
+        )
+        stderr = fixed.std(ddof=1) / math.sqrt(len(fixed))
+        assert abs(fixed.mean() - float(expected_count(1000, 20, 1))) <= 4 * stderr
 
 
 class TestMcmc:
