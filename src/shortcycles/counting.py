@@ -11,7 +11,8 @@ tabulates mu(m), the same fraction for cycle lengths confined to a window
 (d, r].  The fraction itself does not keep a float path safe: nu(n, r)
 decays like the Dickman function rho(n/r) and leaves the double range
 (below 1e-308) in the paper's regime.  The float variant therefore stores
-log nu, sums only positive terms and rescales once per block of m; it
+log f and sums only positive terms at one scale per block of m: one cumsum
+per block for nu, one scalar pass of chunk prefix and suffix sums for mu.  It
 tracks the exact rationals to ~1e-12 relative at u = n/r in the hundreds.
 
 From the same classification follow, exactly and not just asymptotically:
@@ -36,6 +37,7 @@ import itertools
 import math
 import os
 import warnings
+from array import array
 from collections.abc import Mapping
 from dataclasses import dataclass
 from decimal import Decimal
@@ -46,7 +48,7 @@ import numpy as np
 
 from .dickman import XiEvaluator
 from .errors import ResourceLimitError
-from .permutations import CountsVector, cycle_type_counts
+from .permutations import CountsVector, capped_type_count, cycle_type_counts
 
 Probability = Union[Fraction, float]
 
@@ -186,10 +188,11 @@ def window_table(lo: int, hi: int, n_max: int, mode: str = "exact") -> WindowTab
       the part of the window below the block (a suffix sum of the previous
       block) and B(m) the part inside it.  b(m) = B(m)/m starts at 0 and
       obeys b(m+1) = b(m) + A(m)/(m(m+1)), so a block costs one cumsum.
-    * lo >= 2, blocks of length min(lo, hi-lo+1).  No window reaches into
-      its own block, and each window sum splits into a suffix of its first
-      min(lo, hi-lo+1) terms, a middle range shared by the whole block (kept
-      by :class:`_SlidingSum`) and a prefix of its last terms.
+    * lo >= 2, one scalar pass over m.  With j cut into chunks of width
+      hi-lo+1 at multiples of it, the window [m-hi, m-lo] is one whole chunk
+      or a suffix of one plus a prefix of the next (van Herk; Gil and
+      Werman).  A step extends its chunk's prefix sum by one add, and a
+      complete chunk fills its suffix sums backwards.
     """
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
@@ -237,68 +240,38 @@ def _nu_logs(r: int, n_max: int) -> np.ndarray:
     return logs
 
 
-def _log_cumsum(logs: np.ndarray) -> np.ndarray:
-    """log of the running sums of exp(logs): one positive cumsum at the largest term's scale."""
-    top = logs.max(initial=-np.inf)
-    if top == -np.inf:
-        return np.full(len(logs), -np.inf)
-    return np.log(np.cumsum(np.exp(logs - top))) + top
-
-
-class _SlidingSum:
-    """log sum of exp(logs[start:stop]) for ranges whose ends only move forward.
-
-    A two-stack queue: the front holds suffix sums of an older stretch, the
-    back a running total of the terms appended since, so every sum is of
-    positive terms.  The front is rebuilt from the queue when ``start``
-    leaves it, which costs O(1) amortized per entry.
-    """
-
-    def __init__(self, logs: np.ndarray):
-        self.logs = logs
-        self.stop = 0
-        self.front = np.empty(0)  # front[i] = log sum logs[front_start + i : split]
-        self.front_start = self.split = 0
-        self.back_scale = -np.inf  # back total = back * exp(back_scale)
-        self.back = 0.0
-
-    def log_sum(self, start: int, stop: int) -> float:
-        if stop > self.stop:
-            new = self.logs[self.stop : stop]
-            top = new.max()
-            if top > self.back_scale:
-                self.back = self.back * math.exp(self.back_scale - top) if self.back else 0.0
-                self.back_scale = top
-            if top > -np.inf:
-                self.back += float(np.exp(new - self.back_scale).sum())
-            self.stop = stop
-        if start >= self.split:
-            self.front = _log_cumsum(self.logs[start:stop][::-1])[::-1]
-            self.front_start, self.split = start, stop
-            self.back_scale, self.back = -np.inf, 0.0
-        head = self.front[start - self.front_start] if start < self.split else -np.inf
-        tail = math.log(self.back) + self.back_scale if self.back else -np.inf
-        return float(np.logaddexp(head, tail))
-
-
 def _windowed_logs(lo: int, hi: int, n_max: int) -> np.ndarray:
     width = hi - lo + 1
-    step = min(lo, width)
-    # buf[hi + j] = log f(j); the hi leading entries stand for f(j < 0) = 0
-    buf = np.full(hi + n_max + 1, -np.inf)
-    buf[hi] = 0.0
-    log_m = np.log(np.arange(1, n_max + 1, dtype=np.float64))
-    middle = _SlidingSum(buf)
-    for m0 in range(lo, n_max + 1, step):
-        size = min(step, n_max + 1 - m0)
-        # the window of f(m0 + a) is buf[m0 + a : m0 + a + width]: a suffix of
-        # buf[m0 : m0 + step], the middle shared by the block, and a prefix of
-        # buf[m0 + width :]
-        head = _log_cumsum(buf[m0 : m0 + step][::-1])[::-1][:size]
-        sums = np.logaddexp(head, middle.log_sum(m0 + step, m0 + width))
-        np.logaddexp(sums[1:], _log_cumsum(buf[m0 + width : m0 + width + size - 1]), out=sums[1:])
-        buf[hi + m0 : hi + m0 + size] = sums - log_m[m0 - 1 : m0 - 1 + size]
-    return buf[hi:].copy()
+    # chunk c holds f(j), c*width <= j < (c+1)*width, in units of 2**exps[c];
+    # pre[j] and suf[j] sum the chunk's values up to j and from j
+    val = array("d", bytes(8 * (n_max + 1)))
+    pre = array("d", val)
+    suf = array("d", val)
+    exps = array("q", bytes(8 * (n_max // width + 1)))
+    val[0] = pre[0] = 1.0  # f(0) = 1
+    for m in range(1, n_max + 1):
+        c, i = divmod(m, width)
+        x = 0.0  # f(m) in units of 2**exps[cb]
+        if m >= lo:
+            # the window [m - hi, m - lo] is the chunk cb of m - lo if m - lo
+            # ends it, else a suffix of chunk cb - 1 plus a prefix of cb
+            cb, ib = divmod(m - lo, width)
+            s = pre[m - lo]
+            if ib < width - 1 and cb:
+                s += math.ldexp(suf[m - hi], exps[cb - 1] - exps[cb])
+            x = s / m
+        if i == 0:  # the chunk's scale is its first value's, or its predecessor's
+            exps[c] = exps[cb] + math.frexp(x)[1] if x else exps[c - 1]
+        if x:
+            val[m] = math.ldexp(x, exps[cb] - exps[c])
+        pre[m] = pre[m - 1] + val[m] if i else val[m]
+        if i == width - 1:
+            total = 0.0
+            for j in range(m, m - width, -1):
+                total += val[j]
+                suf[j] = total
+    scale = np.repeat(np.frombuffer(exps, dtype=np.int64), width)[: n_max + 1]
+    return np.log(np.frombuffer(val)) + scale * LN2
 
 
 def count_table(n_max: int, r: int, mode: str = "exact") -> WindowTable:
@@ -319,6 +292,12 @@ def restricted_count_table(d: int, r: int, n_max: int, mode: str = "exact") -> W
     return window_table(d + 1, r, n_max, mode)
 
 
+def _check_nu_table(table: WindowTable, n: int, r: int) -> None:
+    """Raise ValueError unless ``table`` holds nu(m, r) for every m <= n."""
+    if table.lo != 1 or table.r != r or table.n_max < n:
+        raise ValueError(f"table ({table.lo}..{table.hi}, m <= {table.n_max}) does not cover nu(m, {r}), m <= {n}")
+
+
 def first_element_cycle_length_pmf(n: int, r: int, table: WindowTable):
     """Exact law of the cycle length of a fixed element, k = 1..r.
 
@@ -327,10 +306,7 @@ def first_element_cycle_length_pmf(n: int, r: int, table: WindowTable):
     """
     if not 1 <= r <= n:
         raise ValueError(f"need 1 <= r <= n, got r={r}, n={n}")
-    if table.r != r:
-        raise ValueError(f"table was built for r={table.r}, not r={r}")
-    if table.n_max < n:
-        raise ValueError(f"table covers m <= {table.n_max} < n={n}")
+    _check_nu_table(table, n, r)
     if table.mode == "exact":
         denom = n * table.fraction(n)
         return [table.fraction(n - k) / denom for k in range(1, r + 1)]
@@ -478,11 +454,10 @@ def joint_pmf(
     if not 1 <= d <= r <= n:
         raise ValueError(f"need 1 <= d <= r <= n, got d={d}, r={r}, n={n}")
     cap = support_cap() if cap is None else cap
-    size = support_size(n, d)
+    size, exact = capped_type_count(n, d, sum, cap)
     if size > cap:
-        raise ResourceLimitError(
-            f"joint law support has {size} vectors, exceeding the cap of {cap}"
-        )
+        bound = "" if exact else "at least "
+        raise ResourceLimitError(f"joint law support has {bound}{size} vectors, exceeding the cap of {cap}")
     nu = count_table(n, r, mode)
     mu = restricted_count_table(d, r, n, mode)
     counts, used = _count_vector_array(n, d)
@@ -527,12 +502,12 @@ def expected_count(n: int, r: int, k: int, table: WindowTable | None = None) -> 
         raise ValueError(f"need 1 <= r <= n, got r={r}, n={n}")
     if not 1 <= k <= n:
         raise ValueError(f"k must be in 1..{n}, got k={k}")
+    if table is not None:
+        _check_nu_table(table, n, r)
     if k > r:
         return Fraction(0) if (table is None or table.mode == "exact") else 0.0
     if table is None:
         table = count_table(n, r, "exact")
-    if table.r != r or table.n_max < n:
-        raise ValueError("table does not cover this (n, r)")
     if table.mode == "exact":
         return table.fraction(n - k) / (k * table.fraction(n))
     logs = table.log_view()
@@ -626,6 +601,9 @@ def count_ratio_check(n: int, r: int, k: int, table: WindowTable | None = None) 
         raise ValueError(f"need 1 <= r <= n, got r={r}, n={n}")
     if not 0 <= k <= n:
         raise ValueError(f"k must be in 0..{n}")
+    if table is None:
+        table = count_table(n, r, table_mode(n))
+    _check_nu_table(table, n, r)
     in_regime = r * r >= n * math.log(max(n, 2))
     if not in_regime:
         warnings.warn(
@@ -633,8 +611,6 @@ def count_ratio_check(n: int, r: int, k: int, table: WindowTable | None = None) 
             "is not expected to be accurate",
             stacklevel=2,
         )
-    if table is None:
-        table = count_table(n, r, table_mode(n))
     if table.mode == "exact":
         exact_ratio = float(table.fraction(n - k) / table.fraction(n))
     else:

@@ -17,7 +17,7 @@ import itertools
 import math
 from collections import Counter
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 
 class Permutation:
@@ -240,11 +240,31 @@ def cycle_type_counts(n: int, r: int) -> list[int]:
     number of count vectors (c_1, ..., c_r) with sum_j j*c_j = s; entry n
     counts what :func:`cycle_types` visits.
     """
+    *_, ways = _admit_parts(n, r)
+    return ways
+
+
+def _admit_parts(n: int, r: int) -> Iterator[list[int]]:
+    """cycle_type_counts(n, p) for p = 0, 1, ..., min(n, r): one list, updated in place."""
     ways = [1] + [0] * n
+    yield ways
     for part in range(1, min(n, r) + 1):
         for s in range(part, n + 1):
             ways[s] += ways[s - part]
-    return ways
+        yield ways
+
+
+def capped_type_count(n: int, r: int, measure: Callable[[list[int]], int], cap: int) -> tuple[int, bool]:
+    """``measure(cycle_type_counts(n, r))`` and True, or a lower bound above ``cap`` and False.
+
+    ``measure``, an entry or a sum of entries, never decreases as part sizes
+    are admitted, so the recurrence stops once it exceeds ``cap``.
+    """
+    for part, ways in enumerate(_admit_parts(n, r)):
+        value = measure(ways)
+        if value > cap:
+            break
+    return value, part == min(n, r)
 
 
 def class_size(lengths: Sequence[int]) -> int:

@@ -45,7 +45,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .counting import WindowTable, count_table, table_mode
+from .counting import WindowTable, _check_nu_table, count_table, table_mode
 from .errors import ResourceLimitError
 from .permutations import (
     Permutation,
@@ -121,8 +121,7 @@ def sample_cycle_type(n: int, r: int, rng: np.random.Generator, table: WindowTab
     The result is what ``cycle_structure(p).lengths`` gives for the
     permutation drawn.
     """
-    if table.lo != 1 or table.r != r or table.n_max < n:
-        raise ValueError("table does not cover this (n, r)")
+    _check_nu_table(table, n, r)
     logs = table.log_view()
     top = min(n, r)
     total = np.exp(logs[n - top : n] - (logs[n] + math.log(n))).sum()

@@ -71,9 +71,9 @@ from .errors import ResourceLimitError
 from .permutations import (
     CycleStructure,
     Permutation,
+    capped_type_count,
     class_size,
     cycle_structure,
-    cycle_type_counts,
     cycle_types,
 )
 from .sampling import draw_cycle_types
@@ -278,9 +278,11 @@ class ClosedFormReport:
 
 def _weighted_cycle_types(n: int, r: int):
     """(lengths, class size) of every cycle type of n with parts <= r, at most SHORTCYCLES_SUPPORT_CAP."""
-    types, cap = cycle_type_counts(n, r)[n], support_cap()
+    cap = support_cap()
+    types, exact = capped_type_count(n, r, lambda ways: ways[n], cap)
     if types > cap:
-        raise ResourceLimitError(f"{types} cycle types of n={n} with parts <= {r} exceed the cap of {cap}")
+        bound = "" if exact else "at least "
+        raise ResourceLimitError(f"{bound}{types} cycle types of n={n} with parts <= {r} exceed the cap of {cap}")
     return ((lengths, class_size(lengths)) for lengths in cycle_types(n, r))
 
 

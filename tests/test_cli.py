@@ -479,6 +479,25 @@ class TestExitCodes:
         monkeypatch.setenv("SHORTCYCLES_SUPPORT_CAP", "3")
         assert run(["pmf", "--n", "10", "--r", "5", "--d", "2"], capsys)[0] == 2
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["pmf", "--n", "1000000", "--r", "10000", "--d", "5000", "--mode", "double"],
+            ["stein-verify", "--n", "1000000", "--r", "10000", "--d", "3", "--exhaustive"],
+        ],
+        ids=["pmf", "stein-verify"],
+    )
+    def test_resource_cap_exits_without_the_full_count(self, argv):
+        # the count behind the cap is a lower bound as soon as it passes the cap;
+        # counting every part size would take hours here
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+        result = subprocess.run(
+            [sys.executable, "-m", "shortcycles", *argv], env=env, capture_output=True, text=True, timeout=60
+        )
+        assert result.returncode == 2, result.stderr
+        assert "at least" in result.stderr
+
     def test_console_entry_point(self):
         result = subprocess.run(
             [sys.executable, "-m", "shortcycles.cli", "count", "--n", "4", "--r", "2"],

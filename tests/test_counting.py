@@ -30,6 +30,7 @@ from shortcycles.counting import (
 )
 from shortcycles.errors import ResourceLimitError
 from shortcycles.permutations import CountsVector
+from shortcycles.sampling import sample_cycle_type
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -153,16 +154,33 @@ class TestWindowTable:
     def test_nu_deep_tail_r100(self):
         assert_logs_close(count_table(3000, 100, "double"), count_table(3000, 100, "exact"))
 
-    @pytest.mark.parametrize("d,r,n", [(2, 5, 60), (4, 30, 3000)])
+    # (1, 30, 3000): chunks of 2 entries at u = 100; (29, 30, 3000): the width-1
+    # window, where mu is non-zero only at multiples of 30
+    @pytest.mark.parametrize("d,r,n", [(2, 5, 60), (4, 30, 3000), (1, 30, 3000), (29, 30, 3000)])
     def test_mu_deep_tail(self, d, r, n):
         double = restricted_count_table(d, r, n, "double")
         assert_logs_close(double, restricted_count_table(d, r, n, "exact"))
         assert double.fraction(n) > 0
 
+    def test_mu_below_double_range(self):
+        # the window [2, 3]: mu(3000) = e^-6910, far below the smallest double (e^-744)
+        double = restricted_count_table(1, 3, 3000, "double")
+        assert double.log_view()[3000] < -6900
+        assert_logs_close(double, restricted_count_table(1, 3, 3000, "exact"))
+
     def test_every_small_window(self):
         for lo in range(1, 7):
             for hi in range(lo - 1, 9):
                 assert_logs_close(window_table(lo, hi, 40, "double"), window_table(lo, hi, 40, "exact"), 1e-12)
+
+    def test_mu_pass_agrees_with_nu_table(self):
+        # the mean number of fixed points from the mu pass (through the joint law)
+        # against nu(n-1, r)/nu(n, r) from the nu table
+        n, r = 10**5, 1000
+        pmf = joint_pmf(n, r, 1, mode="double")
+        assert pmf.total_mass == pytest.approx(1.0, abs=1e-9)
+        want = expected_count(n, r, 1, count_table(n, r, "double"))
+        assert pmf.expectation(1) == pytest.approx(want, rel=5e-13)
 
     def test_wrappers_are_windows(self):
         assert count_table(20, 4).values == window_table(1, 4, 20).values
@@ -242,6 +260,31 @@ class TestFirstElementLaw:
             first_element_cycle_length_pmf(9, 3, count_table(5, 3))
 
 
+class TestNuTableCheck:
+    """Every reader of a nu table rejects a table that does not hold nu(m, r) for m <= n.
+
+    A mu table has the right r and length: read as nu, the first-element law
+    at (30, 10) summed to 1.09.
+    """
+
+    READERS = {  # (30, 12) lies in the regime r >= sqrt(n log n)
+        "first_element": lambda t: first_element_cycle_length_pmf(30, 12, t),
+        "expected_count": lambda t: expected_count(30, 12, 1, t),
+        "expected_count_above_r": lambda t: expected_count(30, 12, 13, t),
+        "ratio_check": lambda t: count_ratio_check(30, 12, 1, t),
+        "sample": lambda t: sample_cycle_type(30, 12, np.random.default_rng(0), t),
+    }
+
+    @pytest.mark.parametrize("mode", ["exact", "double"])
+    @pytest.mark.parametrize("reader", sorted(READERS))
+    def test_rejects_tables_that_do_not_cover(self, reader, mode):
+        read = self.READERS[reader]
+        for table in (restricted_count_table(2, 12, 30, mode), count_table(30, 15, mode), count_table(29, 12, mode)):
+            with pytest.raises(ValueError, match="does not cover"):
+                read(table)
+        read(count_table(30, 12, mode))
+
+
 class TestJointLaw:
     def test_n4_r2_d1(self):
         pmf = joint_pmf(4, 2, 1)
@@ -301,6 +344,14 @@ except ArithmeticError as exc:
     def test_support_cap(self):
         with pytest.raises(ResourceLimitError, match=r"\d+ vectors"):
             joint_pmf(30, 30, 5, cap=10)
+
+    def test_support_cap_stops_counting_once_passed(self):
+        # fixed points alone give 31 vectors; the count stops there
+        with pytest.raises(ResourceLimitError, match="has at least 31 vectors, exceeding the cap of 10"):
+            joint_pmf(30, 30, 5, cap=10)
+        # passed only by the last part size: the count is exact
+        with pytest.raises(ResourceLimitError, match=f"has {support_size(30, 5)} vectors"):
+            joint_pmf(30, 30, 5, cap=support_size(30, 5) - 1)
 
     def test_support_size_matches_enumeration(self):
         pmf = joint_pmf(6, 6, 2)

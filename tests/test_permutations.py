@@ -11,6 +11,7 @@ from shortcycles.permutations import (
     Permutation,
     Transposition,
     apply_transposition,
+    capped_type_count,
     class_size,
     cycle_counts,
     cycle_structure,
@@ -193,6 +194,16 @@ class TestCycleTypes:
         assert cycle_type_counts(100, 100)[100] == 190569292
         assert cycle_type_counts(20, 10)[20] == sum(1 for _ in cycle_types(20, 10))
         assert sum(class_size(t) for t in cycle_types(12, 12)) == math.factorial(12)
+
+    def test_capped_type_count(self):
+        # (9, 3): 1, 5 and 12 partitions of 9 with parts <= 1, 2, 3
+        entry_n = lambda ways: ways[9]
+        assert capped_type_count(9, 3, entry_n, 100) == (12, True)
+        assert capped_type_count(9, 3, entry_n, 11) == (12, True)
+        assert capped_type_count(9, 3, entry_n, 4) == (5, False)
+        assert capped_type_count(9, 3, entry_n, 0) == (1, False)
+        assert capped_type_count(6, 2, sum, 100) == (sum(cycle_type_counts(6, 2)), True)
+        assert capped_type_count(0, 3, sum, 0) == (1, True)
 
     def test_deep_partition_is_iterative(self):
         types = list(cycle_types(3000, 2))
