@@ -400,12 +400,9 @@ class SparsePMF:
             raise ValueError(f"k must be in 1..{self.d}")
         return sum(c * p for c, p in zip(self.counts[:, k - 1].tolist(), self.mass_list()))
 
-    def rows(self) -> Iterator[tuple]:
-        for c, p in zip(self.counts.tolist(), self.mass_list()):
-            yield (*c, float(p))
-
     def to_csv(self, path) -> None:
-        """Header and one row per count vector, in the bytes ``csv.writer`` gives for :meth:`rows`."""
+        """Header and one row ``c_1, ..., c_d, float(mass)`` per count vector,
+        in the bytes ``csv.writer`` gives for those rows."""
         numbers = [str(c) for c in range(int(self.counts.max(initial=0)) + 1)]
         columns = [map(numbers.__getitem__, column) for column in self.counts.T.tolist()]
         masses = self.mass_list() if self.mode == "double" else map(float, self.masses)
@@ -433,14 +430,7 @@ def _count_vector_array(n: int, d: int) -> tuple[np.ndarray, np.ndarray]:
     return rows, used
 
 
-def joint_pmf(
-    n: int,
-    r: int,
-    d: int,
-    *,
-    mode: str = "exact",
-    cap: int | None = None,
-) -> SparsePMF:
+def joint_pmf(n: int, r: int, d: int, *, mode: str = "exact") -> SparsePMF:
     """Exact joint law of the counts of 1-, 2-, ..., d-cycles.
 
     P[counts = c] = (prod_j (1/j)^{c_j} / c_j!) * mu(n - s) / nu(n, r) with
@@ -449,11 +439,11 @@ def joint_pmf(
     the masses sum to exactly 1; that is checked in integers, and an
     ArithmeticError is raised if it fails.  In double mode a mass below the double
     range underflows: it is kept, as a subnormal or as 0.0 (exact mode
-    gives its true value).
+    gives its true value).  The support is capped by SHORTCYCLES_SUPPORT_CAP.
     """
     if not 1 <= d <= r <= n:
         raise ValueError(f"need 1 <= d <= r <= n, got d={d}, r={r}, n={n}")
-    cap = support_cap() if cap is None else cap
+    cap = support_cap()
     size, exact = capped_type_count(n, d, sum, cap)
     if size > cap:
         bound = "" if exact else "at least "
@@ -496,7 +486,9 @@ def expected_count(n: int, r: int, k: int, table: WindowTable | None = None) -> 
     """E[number of k-cycles] for a uniform permutation with cycles <= r.
 
     Equals nu(n-k, r) / (k * nu(n, r)); in particular exactly 1/k when r = n.
-    Returns 0 for r < k <= n (no such cycle can exist).
+    Returns 0 for r < k <= n (no such cycle can exist).  The value is a
+    Fraction from an exact table and a float from a double table; without
+    ``table`` one is built in :func:`table_mode`, so n > 200 gives a float.
     """
     if not 1 <= r <= n:
         raise ValueError(f"need 1 <= r <= n, got r={r}, n={n}")
@@ -504,10 +496,11 @@ def expected_count(n: int, r: int, k: int, table: WindowTable | None = None) -> 
         raise ValueError(f"k must be in 1..{n}, got k={k}")
     if table is not None:
         _check_nu_table(table, n, r)
+    mode = table_mode(n) if table is None else table.mode
     if k > r:
-        return Fraction(0) if (table is None or table.mode == "exact") else 0.0
+        return Fraction(0) if mode == "exact" else 0.0
     if table is None:
-        table = count_table(n, r, "exact")
+        table = count_table(n, r, mode)
     if table.mode == "exact":
         return table.fraction(n - k) / (k * table.fraction(n))
     logs = table.log_view()

@@ -7,11 +7,12 @@ complement identity:
 
     TV(P, Q) = 1/2 * [ sum_{c in supp P} |P(c) - Q(c)| + (1 - Q(supp P)) ],
 
-because off the support |P - Q| = Q pointwise.  No truncation heuristics
-are involved; the only inexactness is the evaluation of the Poisson masses
-themselves, which a log-space recurrence keeps at the 1e-15 level.  An
-optional high-precision path (mpmath) exists for regression points where
-the true distance sits below double rounding.
+because off the support |P - Q| = Q pointwise.  :func:`tv_exact` evaluates
+this for a finite law against a :class:`PoissonSpec`, and only that.  No
+truncation heuristics are involved; the only inexactness is the evaluation
+of the Poisson masses themselves, which a log-space recurrence keeps at the
+1e-15 level.  An optional high-precision path (mpmath) exists for regression
+points where the true distance sits below double rounding.
 
 For the cycle counts themselves the sum collapses further.  P and Q share
 the weight w(c) = prod_j j^{-c_j}/c_j!: P(c) = w(c) mu(n-s)/nu(n, r) and
@@ -41,7 +42,7 @@ import math
 from dataclasses import dataclass
 from decimal import Decimal, localcontext
 from fractions import Fraction
-from typing import Iterable, Sequence, Union
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -70,17 +71,6 @@ class PoissonSpec:
             raise ValueError("d must be >= 1")
         return cls(tuple(1.0 / k for k in range(1, d + 1)))
 
-    def log_pmf(self, counts: Sequence[int]) -> float:
-        if len(counts) != self.d:
-            raise ValueError(f"vector has dimension {len(counts)}, spec has {self.d}")
-        out = 0.0
-        for mean, c in zip(self.means, counts):
-            out += -mean + c * math.log(mean) - math.lgamma(c + 1)
-        return out
-
-    def pmf(self, counts: Sequence[int]) -> float:
-        return math.exp(self.log_pmf(counts))
-
 
 def _poisson_mass_columns(spec: PoissonSpec, maxima: Sequence[int]) -> list[np.ndarray]:
     """Per-coordinate mass arrays 0..max via the stable log recurrence."""
@@ -95,23 +85,14 @@ def _poisson_mass_columns(spec: PoissonSpec, maxima: Sequence[int]) -> list[np.n
     return columns
 
 
-def tv_exact(pmf: SparsePMF, other: Union[PoissonSpec, SparsePMF], precision: int | None = None) -> float:
-    """Total-variation distance between a finite law and the reference.
+def tv_exact(pmf: SparsePMF, spec: PoissonSpec, precision: int | None = None) -> float:
+    """Total-variation distance between a finite law and a product-Poisson law.
 
-    ``other`` may be a Poisson spec (complement identity handles the
-    infinite tail) or a second finite law (union of supports).  ``precision``
-    switches the Poisson path to mpmath with that many decimal digits.
+    The complement identity handles the Poisson tail off the support of
+    ``pmf``.  ``precision`` switches to mpmath with that many decimal digits.
     """
-    if isinstance(other, SparsePMF):
-        if other.d != pmf.d:
-            raise ValueError("dimension mismatch")
-        _require_normalized(pmf)
-        _require_normalized(other)
-        keys = set(pmf.entries) | set(other.entries)
-        return 0.5 * float(
-            sum(abs(Fraction(pmf.probability(cv)) - Fraction(other.probability(cv))) for cv in keys)
-        )
-    spec = other
+    if not isinstance(spec, PoissonSpec):
+        raise TypeError(f"tv_exact compares a law with a PoissonSpec, got {type(spec).__name__}")
     if spec.d != pmf.d:
         raise ValueError(f"pmf dimension {pmf.d} != spec dimension {spec.d}")
     _require_normalized(pmf)

@@ -56,6 +56,7 @@ from .permutations import (
 )
 
 DEFAULT_RETRY_CAP = 10**7
+STATIONARITY_MAX_N = 7  # an exact oracle, not a resource cap: 7! = 5040 states
 
 
 def retry_cap() -> int:
@@ -87,9 +88,9 @@ class SamplerConfig:
         return self.n / self.r
 
 
-def sample_rejection(cfg: SamplerConfig, rng: np.random.Generator, *, cap: int | None = None) -> Permutation:
-    """One exact uniform draw by rejection on the longest cycle."""
-    cap = retry_cap() if cap is None else cap
+def sample_rejection(cfg: SamplerConfig, rng: np.random.Generator) -> Permutation:
+    """One exact uniform draw by rejection on the longest cycle, at most SHORTCYCLES_RETRY_CAP tries."""
+    cap = retry_cap()
     for _ in range(cap):
         p = Permutation(rng.permutation(cfg.n))
         if longest_cycle(p) <= cfg.r:
@@ -302,10 +303,10 @@ class TransitionMatrix:
         return all(s == 1 for s in column_sums)
 
 
-def stationarity_matrix(n: int, r: int, cap: int = 7) -> TransitionMatrix:
-    """Build the exact transition matrix over the bounded-cycle state space."""
-    if n > cap:
-        raise ResourceLimitError(f"state space enumeration capped at n <= {cap}")
+def stationarity_matrix(n: int, r: int) -> TransitionMatrix:
+    """Build the exact transition matrix over the bounded-cycle state space, n <= 7."""
+    if n > STATIONARITY_MAX_N:
+        raise ResourceLimitError(f"state space enumeration capped at n <= {STATIONARITY_MAX_N}")
     if not 1 <= r <= n:
         raise ValueError(f"need 1 <= r <= n, got r={r}, n={n}")
     states = tuple(permutations_with_bounded_cycles(n, r))

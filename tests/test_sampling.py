@@ -73,11 +73,6 @@ class TestRejection:
         p = sample_rejection(cfg, np.random.default_rng(0))
         assert p == Permutation.identity(4)
 
-    def test_retry_cap(self):
-        cfg = SamplerConfig(n=9, r=1, method="rejection")
-        with pytest.raises(ResourceLimitError):
-            sample_rejection(cfg, np.random.default_rng(0), cap=10)
-
     def test_retry_cap_env_override(self, monkeypatch):
         monkeypatch.setenv("SHORTCYCLES_RETRY_CAP", "5")
         cfg = SamplerConfig(n=9, r=1, method="rejection")

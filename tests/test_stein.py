@@ -71,6 +71,12 @@ class TestClosedForms:
         p = Permutation(tuple(range(1, n)) + (0,))
         assert creation_probability(p, k, d) == Fraction(2, n - 1)
 
+    def test_cycle_longer_than_r_is_rejected(self):
+        with pytest.raises(ValueError, match="has a cycle longer than r"):
+            destruction_probability((1, 1, 6), 1, 1, 3)
+        with pytest.raises(ValueError, match="has a cycle longer than r"):
+            event_tally((1, 1, 6), 3, (1,))
+
     def test_no_k_cycle_means_no_destruction(self):
         p = Permutation((1, 2, 0, 4, 5, 3))  # two 3-cycles
         assert destruction_probability(p, 2, 2, 4) == 0
