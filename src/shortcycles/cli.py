@@ -56,10 +56,16 @@ def _emit_json(payload: dict, out) -> None:
 
 
 def _write_csv(path, header, rows) -> None:
+    """Write ``header`` and ``rows`` one line at a time, in the bytes
+    ``csv.writer`` gives for fields that need no quoting: fields joined by
+    ``,`` and each line ended by ``\r\n``.  A field holding ``,``, ``"``,
+    ``\r`` or ``\n`` raises ValueError."""
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
+        for row in (header, *rows):
+            line = ",".join(map(str, row))
+            if line.count(",") != len(row) - 1 or '"' in line or "\r" in line or "\n" in line:
+                raise ValueError(f"CSV field would need quoting in row {row!r}")
+            fh.write(line + "\r\n")
 
 
 def _fraction_str(x) -> str:
@@ -132,14 +138,17 @@ def _cmd_sample(args) -> int:
     rng = np.random.default_rng(args.seed)
     table = count_table(args.n, args.r, table_mode(args.n)) if args.method != "rejection" else None
     if args.full:
-        rows = [p.mapping for p in draw(cfg, args.count, table=table, rng=rng)]
-    elif args.method == "sequential":
-        rows = draw_cycle_types(args.n, args.r, args.count, rng, table)
-    elif args.method == "mcmc":
-        rows = mcmc_cycle_types(cfg, args.count, rng, table)
+        decimal = [str(i) for i in range(args.n)]
+        lines = [" ".join([decimal[x] for x in p.mapping]) for p in draw(cfg, args.count, table=table, rng=rng)]
     else:
-        rows = [cycle_structure(p).lengths for p in draw(cfg, args.count, rng=rng)]
-    rows = [(index, " ".join(map(str, row))) for index, row in enumerate(rows)]
+        if args.method == "sequential":
+            types = draw_cycle_types(args.n, args.r, args.count, rng, table)
+        elif args.method == "mcmc":
+            types = mcmc_cycle_types(cfg, args.count, rng, table)
+        else:
+            types = [cycle_structure(p).lengths for p in draw(cfg, args.count, rng=rng)]
+        lines = [" ".join(map(str, lengths)) for lengths in types]
+    rows = list(enumerate(lines))
     header = ["index", "mapping" if args.full else "cycle_type"]
     if args.out:
         _write_csv(args.out, header, rows)

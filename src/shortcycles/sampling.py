@@ -13,7 +13,10 @@ Three routes to the same distribution:
   uniformly on 1..top, top = min(m, r), and accepts with probability
   nu(m-k, r) / nu(m-top, r) <= 1 (nu is non-increasing), so the law is
   never formed; that takes one proposal when m <= r and about
-  xi(u) / (1 - e^-xi(u)) deep in the tail, 6.5 at u = n/r = 100.  Given
+  xi(u) / (1 - e^-xi(u)) deep in the tail, 6.5 at u = n/r = 100.  A
+  proposal takes two uniforms, one for k and one for the acceptance; a draw
+  reads them from blocks of 64 that one numpy call each fills, refilling
+  when a block runs out and dropping what is left when the draw ends.  Given
   its type, a uniform permutation is uniform over that conjugacy class,
   so cutting one uniform arrangement of 0..n-1 into consecutive cycles of
   those lengths finishes the draw.  Exact, and no whole draw is ever
@@ -57,6 +60,7 @@ from .permutations import (
 
 DEFAULT_RETRY_CAP = 10**7
 STATIONARITY_MAX_N = 7  # an exact oracle, not a resource cap: 7! = 5040 states
+_UNIFORM_BLOCK = 64  # uniforms drawn per numpy call in sample_cycle_type; even, two per proposal
 
 
 def retry_cap() -> int:
@@ -119,6 +123,8 @@ def sample_cycle_type(n: int, r: int, rng: np.random.Generator, table: WindowTab
     One stage per cycle, drawn by rejection against two entries of the
     log nu table ``table``, which must cover n; a stage law at m = n that
     does not sum to 1, or a proposal ratio above 1, raises ValueError.
+    Uniforms come from ``rng`` in blocks of ``_UNIFORM_BLOCK``, two per
+    proposal; the unused rest of the last block is dropped.
     The result is what ``cycle_structure(p).lengths`` gives for the
     permutation drawn.
     """
@@ -129,16 +135,22 @@ def sample_cycle_type(n: int, r: int, rng: np.random.Generator, table: WindowTab
     if not abs(total - 1.0) <= 1e-9:
         raise ValueError(f"stage law sums to {total}, table looks inconsistent")
     lengths = []
+    uniforms: list[float] = []
+    at = _UNIFORM_BLOCK  # empty: the first proposal fills the block
     m = n
     while m > 0:
         top = min(m, r)
         floor = logs[m - top]
         while True:
-            k = 1 + int(top * rng.random())
+            if at == _UNIFORM_BLOCK:
+                uniforms = rng.random(_UNIFORM_BLOCK).tolist()
+                at = 0
+            k = 1 + int(top * uniforms[at])
             ratio = math.exp(logs[m - k] - floor)
             if not ratio <= 1 + 1e-9:
                 raise ValueError(f"nu ratio {ratio} at m={m}, k={k}, table looks inconsistent")
-            if rng.random() < ratio:
+            at += 2
+            if uniforms[at - 1] < ratio:
                 break
         lengths.append(k)
         m -= k

@@ -230,6 +230,7 @@ def destruction_probability_rearranged(cycle_type, k: int, d: int, r: int) -> Fr
     lengths = _cycle_type(cycle_type)
     n = sum(lengths)
     _validate_kdr(n, k, d, r)
+    _check_longest(lengths, r)
     hist = Counter(lengths)
     w_k = hist.get(k, 0)
     k_elements = k * w_k

@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import math
 import os
@@ -8,6 +10,7 @@ from pathlib import Path
 import pytest
 
 from oracles import pmf_csv_by_writer, pmf_printed_by_dict
+from shortcycles import cli
 from shortcycles.cli import main
 from shortcycles.counting import joint_pmf
 from shortcycles.distances import tv_cycle_counts
@@ -465,6 +468,41 @@ class TestSweepAndCheck:
 
     def test_check_missing_file(self, capsys):
         assert run(["check", "/nonexistent/file.json"], capsys)[0] == 1
+
+
+class TestCsvWriter:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["sample", "--n", "60", "--r", "10", "--count", "5", "--seed", "3"],
+            ["sample", "--n", "60", "--r", "10", "--count", "5", "--seed", "3", "--full"],
+            ["sweep", "--n", "10", "12", "--r", "4", "6", "--d", "1", "2"],
+            ["sweep", "--n", "10", "12", "--r", "4", "6", "--d", "1", "2", "--tv-mode", "skip"],
+            ["dickman", "rho", "--grid", "1", "5", "9"],
+        ],
+    )
+    def test_bytes_match_csv_writer(self, argv, tmp_path, capsys, monkeypatch):
+        calls = []
+        write = cli._write_csv
+
+        def recording(path, header, rows):
+            calls.append((header, list(rows)))
+            write(path, header, rows)
+
+        monkeypatch.setattr(cli, "_write_csv", recording)
+        path = tmp_path / "out.csv"
+        assert run(argv + ["--out", str(path)], capsys)[0] == 0
+        [(header, rows)] = calls
+        buffer = io.StringIO(newline="")
+        writer = csv.writer(buffer)
+        writer.writerow(header)
+        writer.writerows(rows)
+        assert path.read_bytes() == buffer.getvalue().encode()
+
+    @pytest.mark.parametrize("field", ["a,b", 'say "x"', "a\rb", "a\nb"])
+    def test_field_needing_quotes_is_rejected(self, field, tmp_path):
+        with pytest.raises(ValueError, match="would need quoting"):
+            cli._write_csv(tmp_path / "x.csv", ["index", "value"], [(0, "1"), (1, field)])
 
 
 class TestExitCodes:

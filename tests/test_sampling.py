@@ -123,7 +123,8 @@ class TestSequential:
 
 
 class TestCycleType:
-    @pytest.mark.parametrize("n,r,seed", [(8, 4, 1), (10, 3, 2)])
+    # (40, 2): 21 types and about 23 cycles, so a draw refills its block of uniforms
+    @pytest.mark.parametrize("n,r,seed", [(8, 4, 1), (10, 3, 2), (40, 2, 3)])
     def test_chi_square_against_exact_type_law(self, n, r, seed):
         # P(type) = class_size(type) / (n! nu(n, r))
         nu = count_table(n, r).fraction(n)
@@ -135,7 +136,12 @@ class TestCycleType:
         for t in draw_cycle_types(n, r, draws, np.random.default_rng(seed)):
             tally[t] += 1
         observed = np.array([tally[t] for t in types])
-        assert stats.chisquare(observed, expected * draws).pvalue >= 1e-3
+        expected *= draws
+        rare = expected < 5  # pooled into one cell, where the chi-square approximation holds
+        if rare.any():
+            observed = np.append(observed[~rare], observed[rare].sum())
+            expected = np.append(expected[~rare], expected[rare].sum())
+        assert stats.chisquare(observed, expected).pvalue >= 1e-3
 
     def test_sequential_draw_relabels_the_sampled_type(self):
         table = count_table(40, 6)

@@ -76,6 +76,8 @@ class TestClosedForms:
             destruction_probability((1, 1, 6), 1, 1, 3)
         with pytest.raises(ValueError, match="has a cycle longer than r"):
             event_tally((1, 1, 6), 3, (1,))
+        with pytest.raises(ValueError, match="has a cycle longer than r"):
+            destruction_probability_rearranged((1, 1, 6), 1, 1, 3)
 
     def test_no_k_cycle_means_no_destruction(self):
         p = Permutation((1, 2, 0, 4, 5, 3))  # two 3-cycles
