@@ -8,6 +8,8 @@ is exactly uniform.  All three agree; the chi-square checks here are
 informal versions of what the test suite pins down.
 """
 
+from collections import Counter
+
 import numpy as np
 from scipy import stats
 
@@ -15,8 +17,8 @@ from shortcycles import (
     SamplerConfig,
     acceptance_rate,
     count_table,
-    cycle_structure,
     draw,
+    draw_cycle_types,
     permutations_with_bounded_cycles,
     stationarity_matrix,
 )
@@ -65,18 +67,16 @@ print(f"  thinned-chain chi-square p-value:  {stats.chisquare(counts).pvalue:.4f
 print("\n" + "=" * 72)
 print("Sampler agreement on cycle types (n=8, r=4)")
 print("=" * 72)
+# one entry point gives the cycle types of every method
+methods = ("sequential", "rejection", "mcmc")
 tallies = {}
-for method in ("sequential", "rejection"):
-    cfg = SamplerConfig(n=8, r=4, method=method, seed=2025)
-    tally = {}
-    for p in draw(cfg, 30000):
-        key = cycle_structure(p).lengths
-        tally[key] = tally.get(key, 0) + 1
-    tallies[method] = tally
-keys = sorted(set(tallies["sequential"]) | set(tallies["rejection"]))
-print(f"  {'cycle type':24s} {'sequential':>12s} {'rejection':>12s}")
+for method in methods:
+    cfg = SamplerConfig(n=8, r=4, method=method, seed=2025, mcmc_thinning=10)
+    tallies[method] = Counter(draw_cycle_types(cfg, 30000, np.random.default_rng(cfg.seed)))
+keys = sorted(set().union(*tallies.values()))
+print(f"  {'cycle type':24s}" + "".join(f" {m:>12s}" for m in methods))
 for key in keys:
     label = " ".join(map(str, key))
-    print(f"  {label:24s} {tallies['sequential'].get(key, 0):12d} {tallies['rejection'].get(key, 0):12d}")
-table = np.array([[tallies[m].get(k, 0) for k in keys] for m in ("sequential", "rejection")])
-print(f"  two-sample chi-square p-value: {stats.chi2_contingency(table).pvalue:.4f}")
+    print(f"  {label:24s}" + "".join(f" {tallies[m][key]:12d}" for m in methods))
+table = np.array([[tallies[m][k] for k in keys] for m in methods])
+print(f"  three-sample chi-square p-value: {stats.chi2_contingency(table).pvalue:.4f}")

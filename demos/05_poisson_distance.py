@@ -11,6 +11,7 @@ import numpy as np
 from shortcycles import (
     CountsVector,
     PoissonSpec,
+    SamplerConfig,
     draw_cycle_types,
     joint_pmf,
     macroscopic_bound,
@@ -46,7 +47,7 @@ exact = tv_exact(joint_pmf(n, r, d), law_spec)
 rng = np.random.default_rng(123)
 for size in (1000, 10000, 100000):
     # the counts depend on a permutation only through its cycle type
-    types = draw_cycle_types(n, r, size, rng)
+    types = draw_cycle_types(SamplerConfig(n, r), size, rng)
     vectors = [CountsVector.from_cycle_type(lengths, d) for lengths in types]
     est = tv_empirical(vectors, law_spec, rng=np.random.default_rng(5))
     print(

@@ -64,7 +64,6 @@ from .sampling import (
     acceptance_rate,
     draw,
     draw_cycle_types,
-    mcmc_cycle_types,
     mcmc_step,
     sample_cycle_type,
     sample_rejection,

@@ -25,8 +25,8 @@ from .counting import count_table, int_str, joint_pmf, log_fraction, table_mode
 from .dickman import DickmanEvaluator, XiEvaluator, gamma_bound_check, rho_ratio_check
 from .distances import PoissonSpec, macroscopic_bound, refined_bound, tv_cycle_counts, tv_empirical
 from .errors import ResourceLimitError
-from .permutations import CountsVector, cycle_structure
-from .sampling import SamplerConfig, draw, draw_cycle_types, mcmc_cycle_types
+from .permutations import CountsVector
+from .sampling import SamplerConfig, draw, draw_cycle_types
 from .stein import term_estimates_exact, term_estimates_mc, verify_closed_forms
 
 SCHEMA_VERSION = 1
@@ -136,18 +136,11 @@ def _cmd_sample(args) -> int:
         mcmc_thinning=args.thinning,
     )
     rng = np.random.default_rng(args.seed)
-    table = count_table(args.n, args.r, table_mode(args.n)) if args.method != "rejection" else None
     if args.full:
         decimal = [str(i) for i in range(args.n)]
-        lines = [" ".join([decimal[x] for x in p.mapping]) for p in draw(cfg, args.count, table=table, rng=rng)]
+        lines = [" ".join([decimal[x] for x in p.mapping]) for p in draw(cfg, args.count, rng=rng)]
     else:
-        if args.method == "sequential":
-            types = draw_cycle_types(args.n, args.r, args.count, rng, table)
-        elif args.method == "mcmc":
-            types = mcmc_cycle_types(cfg, args.count, rng, table)
-        else:
-            types = [cycle_structure(p).lengths for p in draw(cfg, args.count, rng=rng)]
-        lines = [" ".join(map(str, lengths)) for lengths in types]
+        lines = [" ".join(map(str, lengths)) for lengths in draw_cycle_types(cfg, args.count, rng)]
     rows = list(enumerate(lines))
     header = ["index", "mapping" if args.full else "cycle_type"]
     if args.out:
@@ -256,7 +249,7 @@ def _tv_mc(n: int, r: int, d: int, samples: int, seed: int):
     spec = PoissonSpec.cycle_reference(d)
     if not 1 <= d <= n:
         raise ValueError(f"d must be in 1..{n}, got {d}")
-    types = draw_cycle_types(n, r, samples, np.random.default_rng(seed))
+    types = draw_cycle_types(SamplerConfig(n, r), samples, np.random.default_rng(seed))
     vectors = [CountsVector.from_cycle_type(lengths, d) for lengths in types]
     return tv_empirical(vectors, spec, rng=np.random.default_rng(seed + 1))
 

@@ -34,13 +34,8 @@ class Permutation:
         n = len(mapping)
         if n == 0:
             raise ValueError("permutation must act on at least one element")
-        seen = bytearray(n)
-        for image in mapping:
-            if not 0 <= image < n:
-                raise ValueError(f"image {image} outside 0..{n - 1}")
-            if seen[image]:
-                raise ValueError(f"image {image} appears twice; not a bijection")
-            seen[image] = 1
+        if len(set(mapping)) != n or min(mapping) < 0 or max(mapping) >= n:
+            raise ValueError(f"mapping of length {n} is not a bijection on 0..{n - 1}")
         self.mapping = mapping
 
     @property

@@ -34,7 +34,11 @@ Three routes to the same distribution:
   ones.  One step is also the perturbation the event-probability
   identities in :mod:`shortcycles.stein` describe.
 
-All draws consume a numpy Generator; samplers never share mutable state.
+Two entry points serve all three methods, chosen by ``SamplerConfig.method``:
+:func:`draw_cycle_types` gives cycle types only and :func:`draw` gives
+labelled permutations.  Each builds the double log nu table it reads inside,
+so no caller passes a table.  All draws consume a numpy Generator; samplers
+never share mutable state.
 """
 
 from __future__ import annotations
@@ -48,12 +52,13 @@ from fractions import Fraction
 
 import numpy as np
 
-from .counting import WindowTable, _check_nu_table, count_table, table_mode
+from .counting import WindowTable, _check_nu_table, count_table
 from .errors import ResourceLimitError
 from .permutations import (
     Permutation,
     Transposition,
     apply_transposition,
+    cycle_structure,
     longest_cycle,
     permutations_with_bounded_cycles,
 )
@@ -86,10 +91,6 @@ class SamplerConfig:
             raise ValueError(f"burn-in must be >= 0, got {self.mcmc_burn_in}")
         if self.mcmc_thinning < 1:
             raise ValueError(f"thinning must be >= 1, got {self.mcmc_thinning}")
-
-    @property
-    def u(self) -> float:
-        return self.n / self.r
 
 
 def sample_rejection(cfg: SamplerConfig, rng: np.random.Generator) -> Permutation:
@@ -157,19 +158,6 @@ def sample_cycle_type(n: int, r: int, rng: np.random.Generator, table: WindowTab
     return tuple(sorted(lengths))
 
 
-def draw_cycle_types(
-    n: int, r: int, count: int, rng: np.random.Generator, table: WindowTable | None = None
-) -> list[tuple[int, ...]]:
-    """``count`` independent cycle types of uniform permutations with cycles <= r."""
-    if count < 0:
-        raise ValueError("count must be >= 0")
-    if not 1 <= r <= n:
-        raise ValueError(f"need 1 <= r <= n, got r={r}, n={n}")
-    if table is None:
-        table = count_table(n, r, table_mode(n))
-    return [sample_cycle_type(n, r, rng, table) for _ in range(count)]
-
-
 def _labelled(lengths: tuple[int, ...], rng: np.random.Generator) -> Permutation:
     """A uniform permutation of the cycle type ``lengths``: one uniform
     arrangement of 0..n-1 cut into consecutive cycles of those lengths."""
@@ -234,48 +222,54 @@ def mcmc_step(lengths: tuple[int, ...], r: int, rng: np.random.Generator) -> tup
     return _transposition_move(lengths, a, b + (b >= a), r)
 
 
-def mcmc_cycle_types(
-    cfg: SamplerConfig, count: int, rng: np.random.Generator, table: WindowTable | None = None
-) -> list[tuple[int, ...]]:
-    """``count`` cycle types from the transposition walk.
+def draw_cycle_types(cfg: SamplerConfig, count: int, rng: np.random.Generator) -> list[tuple[int, ...]]:
+    """``count`` cycle types of uniform permutations with cycles <= r, by ``cfg.method``.
 
-    The chain starts from one :func:`sample_cycle_type` draw, which has the
-    exact uniform law, and runs ``cfg.mcmc_burn_in`` steps, then emits
-    every ``cfg.mcmc_thinning``-th state.  Every emitted type therefore has
-    the exact law; successive ones are correlated.
+    rejection gives the type of each accepted permutation, sequential one
+    :func:`sample_cycle_type` draw each.  mcmc starts the transposition walk
+    from one :func:`sample_cycle_type` draw, which has the exact uniform law,
+    runs ``cfg.mcmc_burn_in`` steps, then emits every
+    ``cfg.mcmc_thinning``-th state.  Every emitted type therefore has the
+    exact law; successive mcmc types are correlated.
     """
     if count < 0:
         raise ValueError("count must be >= 0")
-    if table is None:
-        table = count_table(cfg.n, cfg.r, table_mode(cfg.n))
-    state = sample_cycle_type(cfg.n, cfg.r, rng, table)
+    n, r = cfg.n, cfg.r
+    if cfg.method == "rejection":
+        return [cycle_structure(sample_rejection(cfg, rng)).lengths for _ in range(count)]
+    table = count_table(n, r, "double")
+    if cfg.method == "sequential":
+        return [sample_cycle_type(n, r, rng, table) for _ in range(count)]
+    state = sample_cycle_type(n, r, rng, table)
     for _ in range(cfg.mcmc_burn_in):
-        state = mcmc_step(state, cfg.r, rng)
+        state = mcmc_step(state, r, rng)
     out: list[tuple[int, ...]] = []
     for _ in range(count):
         for _ in range(cfg.mcmc_thinning):
-            state = mcmc_step(state, cfg.r, rng)
+            state = mcmc_step(state, r, rng)
         out.append(state)
     return out
 
 
-def draw(cfg: SamplerConfig, count: int, *, table: WindowTable | None = None, rng: np.random.Generator | None = None) -> list[Permutation]:
-    """``count`` draws with the configured method.
+def draw(cfg: SamplerConfig, count: int, *, rng: np.random.Generator | None = None) -> list[Permutation]:
+    """``count`` draws with the configured method, from ``rng`` or a
+    generator seeded with ``cfg.seed``.
 
-    mcmc labels each type of :func:`mcmc_cycle_types` independently and
-    uniformly, after the whole chain has run.
+    rejection returns its accepted permutations and sequential labels each
+    type as it is drawn (:func:`sample_sequential`).  mcmc labels each type
+    of :func:`draw_cycle_types` independently and uniformly, after the whole
+    chain has run.
     """
     if count < 0:
         raise ValueError("count must be >= 0")
     if rng is None:
         rng = np.random.default_rng(cfg.seed)
-    if cfg.method == "sequential" and table is None:
-        table = count_table(cfg.n, cfg.r, table_mode(cfg.n))
     if cfg.method == "rejection":
         return [sample_rejection(cfg, rng) for _ in range(count)]
     if cfg.method == "sequential":
+        table = count_table(cfg.n, cfg.r, "double")
         return [sample_sequential(cfg, rng, table) for _ in range(count)]
-    return [_labelled(lengths, rng) for lengths in mcmc_cycle_types(cfg, count, rng, table)]
+    return [_labelled(lengths, rng) for lengths in draw_cycle_types(cfg, count, rng)]
 
 
 @dataclass(frozen=True)

@@ -76,7 +76,7 @@ from .permutations import (
     cycle_structure,
     cycle_types,
 )
-from .sampling import draw_cycle_types
+from .sampling import SamplerConfig, draw_cycle_types
 
 
 @dataclass(frozen=True)
@@ -420,9 +420,8 @@ def term_estimates_mc(
         raise ValueError(f"need at least 2 samples for a standard error, got {sample_count}")
     if not 1 <= d < r <= n:
         raise ValueError(f"need 1 <= d < r <= n, got d={d}, r={r}, n={n}")
-    terms = np.array(
-        [_type_terms(lengths, r, d) for lengths in draw_cycle_types(n, r, sample_count, rng)], dtype=float
-    )
+    types = draw_cycle_types(SamplerConfig(n, r), sample_count, rng)
+    terms = np.array([_type_terms(lengths, r, d) for lengths in types], dtype=float)
     means = terms.mean(axis=0)
     ses = terms.std(axis=0, ddof=1) / np.sqrt(sample_count)
     return _assemble(n, r, d, "mc", means.tolist(), ses.tolist(), sample_count)

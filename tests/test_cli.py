@@ -7,6 +7,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from oracles import pmf_csv_by_writer, pmf_printed_by_dict
@@ -15,6 +16,7 @@ from shortcycles.cli import main
 from shortcycles.counting import joint_pmf
 from shortcycles.distances import tv_cycle_counts
 from shortcycles.permutations import Permutation, cycle_structure
+from shortcycles.sampling import SamplerConfig, draw, draw_cycle_types
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -302,6 +304,21 @@ class TestSample:
         assert code == 0
         perms = [Permutation(tuple(int(x) for x in line.split()[1:])) for line in out.splitlines()]
         assert [cycle_structure(p).lengths for p in perms] == types
+
+    @pytest.mark.parametrize("full", [False, True], ids=["types", "full"])
+    @pytest.mark.parametrize("method", ["sequential", "rejection", "mcmc"])
+    def test_rows_equal_the_library(self, method, full, capsys):
+        # the CLI builds no table and makes no method choice of its own
+        argv = ["sample", "--n", "30", "--r", "6", "--method", method, "--count", "20", "--seed", "5",
+                "--burn-in", "3", "--thinning", "2"]
+        code, out, err = run([*argv, "--full"] if full else argv, capsys)
+        assert code == 0, err
+        cfg = SamplerConfig(30, 6, method, seed=5, mcmc_burn_in=3, mcmc_thinning=2)
+        if full:
+            rows = [p.mapping for p in draw(cfg, 20, rng=np.random.default_rng(5))]
+        else:
+            rows = draw_cycle_types(cfg, 20, np.random.default_rng(5))
+        assert out.splitlines() == [" ".join(map(str, [i, *row])) for i, row in enumerate(rows)]
 
     def test_zero_thinning_is_a_validation_error(self, tmp_path, capsys):
         path = tmp_path / "never.csv"

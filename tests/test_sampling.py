@@ -34,7 +34,6 @@ from shortcycles.sampling import (
     acceptance_rate,
     draw,
     draw_cycle_types,
-    mcmc_cycle_types,
     mcmc_step,
     sample_cycle_type,
     sample_rejection,
@@ -47,9 +46,6 @@ ROOT = Path(__file__).resolve().parent.parent
 
 
 class TestConfig:
-    def test_u(self):
-        assert SamplerConfig(n=10, r=4).u == 2.5
-
     def test_validation(self):
         with pytest.raises(ValueError):
             SamplerConfig(n=4, r=5)
@@ -123,9 +119,14 @@ class TestSequential:
 
 
 class TestCycleType:
-    # (40, 2): 21 types and about 23 cycles, so a draw refills its block of uniforms
-    @pytest.mark.parametrize("n,r,seed", [(8, 4, 1), (10, 3, 2), (40, 2, 3)])
-    def test_chi_square_against_exact_type_law(self, n, r, seed):
+    # (40, 2): 21 types and about 23 cycles, so a draw refills its block of
+    # uniforms; rejection at (8, 4) accepts with probability nu(8, 4) = 0.365
+    @pytest.mark.parametrize(
+        "n,r,seed,method",
+        [(8, 4, 1, "sequential"), (10, 3, 2, "sequential"), (40, 2, 3, "sequential"), (8, 4, 1, "rejection")],
+        ids=["8-4-1", "10-3-2", "40-2-3", "rejection-8-4-1"],
+    )
+    def test_chi_square_against_exact_type_law(self, n, r, seed, method):
         # P(type) = class_size(type) / (n! nu(n, r))
         nu = count_table(n, r).fraction(n)
         types = list(cycle_types(n, r))
@@ -133,7 +134,7 @@ class TestCycleType:
         assert expected.sum() == pytest.approx(1.0, abs=1e-12)
         draws = 40000
         tally = {t: 0 for t in types}
-        for t in draw_cycle_types(n, r, draws, np.random.default_rng(seed)):
+        for t in draw_cycle_types(SamplerConfig(n, r, method), draws, np.random.default_rng(seed)):
             tally[t] += 1
         observed = np.array([tally[t] for t in types])
         expected *= draws
@@ -154,7 +155,7 @@ class TestCycleType:
         # u = 50: the stage law still sums to 1, and every type is a partition of n
         table = count_table(1000, 20, "double")
         assert first_element_cycle_length_pmf(1000, 20, table).sum() == pytest.approx(1.0, abs=1e-12)
-        for lengths in draw_cycle_types(1000, 20, 5, np.random.default_rng(3), table):
+        for lengths in draw_cycle_types(SamplerConfig(1000, 20), 5, np.random.default_rng(3)):
             assert sum(lengths) == 1000 and max(lengths) <= 20 and list(lengths) == sorted(lengths)
 
     def test_table_must_cover(self):
@@ -208,10 +209,8 @@ for seed in range(20):
     def test_deep_tail_fixed_point_mean(self):
         # u = 50 on the double table: the mean number of fixed points over
         # 4000 draws lies within 4 standard errors of the exact expectation
-        table = count_table(1000, 20, "double")
-        fixed = np.array(
-            [t.count(1) for t in draw_cycle_types(1000, 20, 4000, np.random.default_rng(11), table)]
-        )
+        types = draw_cycle_types(SamplerConfig(1000, 20), 4000, np.random.default_rng(11))
+        fixed = np.array([t.count(1) for t in types])
         stderr = fixed.std(ddof=1) / math.sqrt(len(fixed))
         assert abs(fixed.mean() - float(expected_count(1000, 20, 1))) <= 4 * stderr
 
@@ -312,7 +311,7 @@ class TestMcmc:
         # draw labels the chain's types after the chain has run, so the
         # same seed gives the same types with and without labels
         cfg = SamplerConfig(30, 6, "mcmc", seed=3, mcmc_burn_in=5, mcmc_thinning=3)
-        types = mcmc_cycle_types(cfg, 20, np.random.default_rng(3))
+        types = draw_cycle_types(cfg, 20, np.random.default_rng(3))
         perms = draw(cfg, 20)
         assert [cycle_structure(p).lengths for p in perms] == types
         assert all(max(t) <= 6 and sum(t) == 30 for t in types)

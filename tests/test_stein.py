@@ -16,7 +16,7 @@ from shortcycles.permutations import (
     longest_cycle,
     permutations_with_bounded_cycles,
 )
-from shortcycles.sampling import draw_cycle_types
+from shortcycles.sampling import SamplerConfig, draw_cycle_types
 from shortcycles.stein import (
     _type_terms,
     creation_probability,
@@ -219,7 +219,7 @@ class TestTermEstimates:
         # (50, 5, 4) has r <= 2k-2 for k = 4, where destruction comes from the tally
         samples = 60
         terms = term_estimates_mc(n, r, d, samples, np.random.default_rng(11))
-        types = draw_cycle_types(n, r, samples, np.random.default_rng(11))
+        types = draw_cycle_types(SamplerConfig(n, r), samples, np.random.default_rng(11))
         per_type = np.array([[[float(x) for x in pair] for pair in _type_terms(t, r, d)] for t in types])
         means = per_type.mean(axis=0)
         ses = per_type.std(axis=0, ddof=1) / np.sqrt(samples)
