@@ -2,7 +2,7 @@
 """Per-permutation event probabilities for one step of the restricted walk.
 
 The creation/destruction probabilities of k-cycles (with counts of lengths
-k+1..d frozen) admit closed forms over the cycle structure.  Enumerating
+k+1..d frozen) admit closed forms over the cycle lengths.  Enumerating
 all n(n-1)/2 transpositions gives the same numbers, exhaustively.  One
 finite-size blind spot of the destruction formula is catalogued instead of
 patched: when r <= 2k-2 it counts merges the walk rejects.
@@ -11,10 +11,11 @@ patched: when r <= 2k-2 it counts merges the walk rejects.
 from shortcycles import (
     Permutation,
     creation_probability,
+    cycle_structure,
     cycle_type_counts,
     destruction_probability,
     destruction_probability_rearranged,
-    event_probabilities,
+    event_tally,
     verify_closed_forms,
 )
 
@@ -22,12 +23,13 @@ print("=" * 72)
 print("A worked example: sigma = (0 1 2)(3 4) in S_5 with r = 3, k = d = 2")
 print("=" * 72)
 sigma = Permutation((1, 2, 0, 4, 3))
-tally = event_probabilities(sigma, 2, 2, 3)
-print(f"  all {tally.n_transpositions} transpositions classified:")
-print(f"  P[one more 2-cycle]  = {tally.p_increase}   (3 splits of the 3-cycle)")
-print(f"  P[one fewer 2-cycle] = {tally.p_decrease}   (the swap inside the 2-cycle)")
+lengths = cycle_structure(sigma).lengths
+p_up, p_down = event_tally(lengths, 3, (2,))[(2, 2)]
+print(f"  all {sigma.n * (sigma.n - 1) // 2} transpositions classified:")
+print(f"  P[one more 2-cycle]  = {p_up}   (3 splits of the 3-cycle)")
+print(f"  P[one fewer 2-cycle] = {p_down}   (the swap inside the 2-cycle)")
 print("  the 6 cross pairs would build a 5-cycle > r and are rejected")
-print(f"  closed forms: {creation_probability(sigma, 2, 2)}, {destruction_probability(sigma, 2, 2, 3)}")
+print(f"  closed forms: {creation_probability(lengths, 2, 2)}, {destruction_probability(lengths, 2, 2, 3)}")
 
 print("\n" + "=" * 72)
 print("Exhaustive verification over whole state spaces")
@@ -57,9 +59,10 @@ print("\n" + "=" * 72)
 print("The rearranged variant is not an identity at all")
 print("=" * 72)
 sigma = Permutation((1, 0, 2, 3, 4))  # one 2-cycle, three fixed points
-enum = event_probabilities(sigma, 1, 1, 3).p_decrease
-variant = destruction_probability_rearranged(sigma, 1, 1, 3)
-closed = destruction_probability(sigma, 1, 1, 3)
+lengths = cycle_structure(sigma).lengths
+enum = event_tally(lengths, 3, (1,))[(1, 1)][1]
+variant = destruction_probability_rearranged(lengths, 1, 1, 3)
+closed = destruction_probability(lengths, 1, 1, 3)
 print(f"  sigma = {sigma.mapping}, k = d = 1, r = 3")
 print(f"  enumeration:          {enum}")
 print(f"  closed form:          {closed}")

@@ -51,7 +51,6 @@ from .permutations import (
     Transposition,
     apply_transposition,
     class_size,
-    cycle_counts,
     cycle_structure,
     cycle_type_counts,
     cycle_types,
@@ -73,12 +72,10 @@ from .sampling import (
 from .stein import (
     ClosedFormMismatch,
     ClosedFormReport,
-    EventTally,
     TermEstimates,
     creation_probability,
     destruction_probability,
     destruction_probability_rearranged,
-    event_probabilities,
     event_tally,
     term_estimates_exact,
     term_estimates_mc,

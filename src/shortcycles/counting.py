@@ -38,6 +38,7 @@ import math
 import os
 import warnings
 from array import array
+from collections import Counter
 from collections.abc import Mapping
 from dataclasses import dataclass
 from decimal import Decimal
@@ -525,18 +526,23 @@ def _cycle_lengths_of(mapping: tuple[int, ...]) -> list[int]:
     return lengths
 
 
-def brute_force_count(n: int, r: int) -> int:
-    """|{permutations of n elements with all cycles <= r}| by full enumeration."""
+def _bounded_cycle_lengths(n: int, r: int) -> Iterator[list[int]]:
+    """Cycle lengths of each permutation of n elements whose longest cycle is <= r.
+
+    Enumerates all n!, after checking the cap; n = 0 gives the empty permutation.
+    """
     cap = brute_force_cap()
     if n > cap:
         raise ResourceLimitError(f"brute force capped at n <= {cap}, got n={n}")
+    every = map(_cycle_lengths_of, itertools.permutations(range(n)))
+    return (lengths for lengths in every if max(lengths, default=0) <= r)
+
+
+def brute_force_count(n: int, r: int) -> int:
+    """|{permutations of n elements with all cycles <= r}| by full enumeration."""
     if r < 1:
         raise ValueError("r must be >= 1")
-    total = 0
-    for mapping in itertools.permutations(range(n)):
-        if max(_cycle_lengths_of(mapping)) <= r:
-            total += 1
-    return total
+    return sum(1 for _ in _bounded_cycle_lengths(n, r))
 
 
 def brute_force_pmf(n: int, r: int, d: int) -> SparsePMF:
@@ -544,24 +550,10 @@ def brute_force_pmf(n: int, r: int, d: int) -> SparsePMF:
 
     The independent oracle for :func:`joint_pmf`; exact rationals throughout.
     """
-    cap = brute_force_cap()
-    if n > cap:
-        raise ResourceLimitError(f"brute force capped at n <= {cap}, got n={n}")
     if not 1 <= d <= r:
         raise ValueError(f"need 1 <= d <= r, got d={d}, r={r}")
-    tally: dict[CountsVector, int] = {}
-    kept = 0
-    for mapping in itertools.permutations(range(n)):
-        lengths = _cycle_lengths_of(mapping)
-        if max(lengths) > r:
-            continue
-        kept += 1
-        counts = [0] * d
-        for length in lengths:
-            if length <= d:
-                counts[length - 1] += 1
-        cv = CountsVector(tuple(counts))
-        tally[cv] = tally.get(cv, 0) + 1
+    tally = Counter(CountsVector.from_cycle_type(lengths, d) for lengths in _bounded_cycle_lengths(n, r))
+    kept = sum(tally.values())
     entries = {cv: Fraction(c, kept) for cv, c in tally.items()}
     return SparsePMF(d, entries, "exact")
 

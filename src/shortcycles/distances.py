@@ -240,12 +240,18 @@ class BoundBreakdown:
     h_d: float  # d-th harmonic number, <= log(d) + 1
 
 
+def _check_constant(constant: float) -> None:
+    if not (math.isfinite(constant) and constant > 0):
+        raise ValueError(f"the bound constant C must be finite and > 0, got C={constant}")
+
+
 def refined_bound(n: int, r: int, d: int, constant: float = 1.0) -> BoundBreakdown:
     """Evaluate the sharper of the two bounds, with its parts split out."""
     if not 1 <= r <= n or n < 2:
         raise ValueError(f"need 1 <= r <= n and n >= 2, got r={r}, n={n}")
     if d < 1:
         raise ValueError("d must be >= 1")
+    _check_constant(constant)
     u = n / r
     harmonic_term = 2.0 * d * math.log(d) / (n - 1)
     fixed_term = 10.0 * d / (n - 1)
@@ -262,4 +268,5 @@ def macroscopic_bound(n: int, r: int, d: int, constant: float = 1.0) -> float:
         raise ValueError(f"need 1 <= r <= n, got r={r}, n={n}")
     if d < 0:
         raise ValueError("d must be >= 0")
+    _check_constant(constant)
     return constant * (r / n + d * math.log(n) / r)

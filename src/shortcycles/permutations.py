@@ -90,18 +90,16 @@ class CycleStructure:
     """Disjoint cycles of a permutation, sorted by smallest element.
 
     Each cycle is written starting from its smallest element and following
-    the permutation.  ``cycle_id[x]`` is the index into ``cycles`` of the
-    cycle containing ``x``; ``cycle_length[x]`` caches that cycle's length.
+    the permutation.  ``lengths`` is the cycle type: the cycle lengths in
+    non-decreasing order.
     """
 
     cycles: tuple[tuple[int, ...], ...]
     lengths: tuple[int, ...]
-    cycle_id: tuple[int, ...]
-    cycle_length: tuple[int, ...]
 
     @property
     def n(self) -> int:
-        return len(self.cycle_id)
+        return sum(self.lengths)
 
 
 @dataclass(frozen=True)
@@ -138,8 +136,6 @@ def cycle_structure(p: Permutation) -> CycleStructure:
     mapping = p.mapping
     seen = bytearray(n)
     cycles: list[tuple[int, ...]] = []
-    cycle_id = [0] * n
-    cycle_length = [0] * n
     for start in range(n):
         if seen[start]:
             continue
@@ -150,20 +146,9 @@ def cycle_structure(p: Permutation) -> CycleStructure:
             cycle.append(x)
             seen[x] = 1
             x = mapping[x]
-        cid = len(cycles)
-        for x in cycle:
-            cycle_id[x] = cid
-            cycle_length[x] = len(cycle)
         cycles.append(tuple(cycle))
     lengths = tuple(sorted(len(c) for c in cycles))
-    return CycleStructure(tuple(cycles), lengths, tuple(cycle_id), tuple(cycle_length))
-
-
-def cycle_counts(p: Permutation, d: int) -> CountsVector:
-    """Number of cycles of each length 1..d in ``p``."""
-    if not 1 <= d <= p.n:
-        raise ValueError(f"d must be in 1..{p.n}, got {d}")
-    return CountsVector.from_cycle_type(cycle_structure(p).lengths, d)
+    return CycleStructure(tuple(cycles), lengths)
 
 
 def apply_transposition(p: Permutation, t: Transposition) -> Permutation:

@@ -10,10 +10,12 @@ counts with independent Poissons:
 * destruction: the number of k-cycles drops by exactly one, same freeze.
 
 Both probabilities are exactly computable per sigma in two independent
-ways, and both depend on sigma only through its cycle type.  The
-enumeration route (:func:`event_tally`) classifies the outcome of each of
-the n(n-1)/2 transpositions, grouped by effect.  The closed-form route
-reads them off the cycle structure:
+ways, and both depend on sigma only through its cycle type, so every
+function here takes the cycle lengths (as ``cycle_structure(p).lengths``
+gives them) rather than a permutation.  The enumeration route
+(:func:`event_tally`) classifies the outcome of each of the n(n-1)/2
+transpositions, grouped by effect.  The closed-form route reads them off
+the cycle lengths:
 
   P[create] = 2/(n(n-1)) * sum_a [ 1{L_a > d+k} + 1{d < L_a < 2k} ]
             + 1/(n(n-1)) * sum_{a != b} 1{cycle_a != cycle_b} 1{L_a + L_b = k}
@@ -68,25 +70,8 @@ import numpy as np
 
 from .counting import support_cap
 from .errors import ResourceLimitError
-from .permutations import (
-    CycleStructure,
-    Permutation,
-    capped_type_count,
-    class_size,
-    cycle_structure,
-    cycle_types,
-)
+from .permutations import Permutation, capped_type_count, class_size, cycle_types
 from .sampling import SamplerConfig, draw_cycle_types
-
-
-@dataclass(frozen=True)
-class EventTally:
-    """Exact per-permutation event probabilities from full enumeration."""
-
-    k: int
-    p_increase: Fraction
-    p_decrease: Fraction
-    n_transpositions: int
 
 
 def _transposition_effects(lengths: tuple[int, ...], r: int) -> dict[tuple[tuple[int, ...], tuple[int, ...]], int]:
@@ -126,16 +111,17 @@ def _classify(created: tuple[int, ...], destroyed: tuple[int, ...], k: int, d: i
     return "increase" if delta_k == 1 else "decrease"
 
 
-def event_tally(cycle_type, r: int, ds: Iterable[int]) -> dict[tuple[int, int], tuple[Fraction, Fraction]]:
+def event_tally(
+    lengths: tuple[int, ...], r: int, ds: Iterable[int]
+) -> dict[tuple[int, int], tuple[Fraction, Fraction]]:
     """(P[create], P[destroy]) of a k-cycle for every d in ``ds`` and k <= d.
 
-    Keyed by (d, k).  ``cycle_type`` is a permutation, its CycleStructure
-    or its cycle lengths.  Classifies the outcome of each of the n(n-1)/2
-    transpositions of a permutation with this cycle type (rejected
-    proposals included); the enumeration is grouped by effect, so it costs
-    O(n) rather than O(n^2) per (d, k).
+    Keyed by (d, k).  ``lengths`` are the cycle lengths of a permutation.
+    Classifies the outcome of each of the n(n-1)/2 transpositions of a
+    permutation with this cycle type (rejected proposals included); the
+    enumeration is grouped by effect, so it costs O(n) rather than O(n^2)
+    per (d, k).
     """
-    lengths = _cycle_type(cycle_type)
     n = sum(lengths)
     if n < 2:
         raise ValueError("a transposition needs n >= 2")
@@ -156,13 +142,6 @@ def event_tally(cycle_type, r: int, ds: Iterable[int]) -> dict[tuple[int, int], 
     return out
 
 
-def event_probabilities(p: Permutation, k: int, d: int, r: int) -> EventTally:
-    """Classify all n(n-1)/2 transpositions of ``p``; exact rationals."""
-    _validate_kdr(p.n, k, d, r)
-    p_up, p_down = event_tally(p, r, (d,))[(d, k)]
-    return EventTally(k, p_up, p_down, p.n * (p.n - 1) // 2)
-
-
 def _validate_kdr(n: int, k: int, d: int, r: int) -> None:
     if not 1 <= k <= d < r <= n:
         raise ValueError(f"need 1 <= k <= d < r <= n, got k={k}, d={d}, r={r}, n={n}")
@@ -173,21 +152,8 @@ def _check_longest(lengths: tuple[int, ...], r: int) -> None:
         raise ValueError(f"cycle type has a cycle longer than r={r}")
 
 
-def _cycle_type(obj) -> tuple[int, ...]:
-    """Cycle lengths of a Permutation, of a CycleStructure, or given directly."""
-    if isinstance(obj, Permutation):
-        return cycle_structure(obj).lengths
-    if isinstance(obj, CycleStructure):
-        return obj.lengths
-    return tuple(obj)
-
-
-def creation_probability(cycle_type, k: int, d: int) -> Fraction:
-    """Closed form for the creation event, read off the cycle type.
-
-    ``cycle_type`` is a permutation, its CycleStructure or its cycle lengths.
-    """
-    lengths = _cycle_type(cycle_type)
+def creation_probability(lengths: tuple[int, ...], k: int, d: int) -> Fraction:
+    """Closed form for the creation event, read off the cycle lengths."""
     n = sum(lengths)
     if not 1 <= k <= d:
         raise ValueError(f"need 1 <= k <= d, got k={k}, d={d}")
@@ -205,9 +171,8 @@ def creation_probability(cycle_type, k: int, d: int) -> Fraction:
     return Fraction(2 * split + merge_ordered, n * (n - 1))
 
 
-def destruction_probability(cycle_type, k: int, d: int, r: int) -> Fraction:
-    """Closed form for the destruction event, read off the cycle type."""
-    lengths = _cycle_type(cycle_type)
+def destruction_probability(lengths: tuple[int, ...], k: int, d: int, r: int) -> Fraction:
+    """Closed form for the destruction event, read off the cycle lengths."""
     n = sum(lengths)
     _validate_kdr(n, k, d, r)
     _check_longest(lengths, r)
@@ -220,14 +185,13 @@ def destruction_probability(cycle_type, k: int, d: int, r: int) -> Fraction:
     return Fraction(2 * k_elements * partner_weight + (k - 1) * k_elements, n * (n - 1))
 
 
-def destruction_probability_rearranged(cycle_type, k: int, d: int, r: int) -> Fraction:
-    """Complement-substituted variant with the raw count as leading term.
+def destruction_probability_rearranged(lengths: tuple[int, ...], k: int, d: int, r: int) -> Fraction:
+    """Complement-substituted variant with the raw count as leading term, read off the cycle lengths.
 
     Not an identity: enumeration sweeps catalogue its deviation (the leading
     term matches the event probability only after the n/2k scaling).  Kept
     so reports can show the gap explicitly.
     """
-    lengths = _cycle_type(cycle_type)
     n = sum(lengths)
     _validate_kdr(n, k, d, r)
     _check_longest(lengths, r)

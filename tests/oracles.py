@@ -157,23 +157,23 @@ def pair_effects(struct: CycleStructure, r: int) -> list[tuple[tuple[int, ...], 
     of length L at within-cycle distance j splits it into (j, L-j).
     """
     n = struct.n
+    cycle_of = [()] * n
     pos = [0] * n
     for cycle in struct.cycles:
         for i, x in enumerate(cycle):
+            cycle_of[x] = cycle
             pos[x] = i
     effects = []
     for a in range(n):
         for b in range(a + 1, n):
-            if struct.cycle_id[a] == struct.cycle_id[b]:
-                length = struct.cycle_length[a]
-                j = (pos[b] - pos[a]) % length
-                effects.append(((j, length - j), (length,)))
+            la, lb = len(cycle_of[a]), len(cycle_of[b])
+            if cycle_of[a] == cycle_of[b]:  # disjoint cycles never compare equal
+                j = (pos[b] - pos[a]) % la
+                effects.append(((j, la - j), (la,)))
+            elif la + lb > r:
+                effects.append(((), ()))
             else:
-                la, lb = struct.cycle_length[a], struct.cycle_length[b]
-                if la + lb > r:
-                    effects.append(((), ()))
-                else:
-                    effects.append(((la + lb,), (la, lb)))
+                effects.append(((la + lb,), (la, lb)))
     return effects
 
 

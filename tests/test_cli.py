@@ -2,10 +2,8 @@ import csv
 import io
 import json
 import math
-import os
 import subprocess
 import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,8 +15,6 @@ from shortcycles.counting import joint_pmf
 from shortcycles.distances import tv_cycle_counts
 from shortcycles.permutations import Permutation, cycle_structure
 from shortcycles.sampling import SamplerConfig, draw, draw_cycle_types
-
-ROOT = Path(__file__).resolve().parent.parent
 
 
 def run(argv, capsys):
@@ -219,6 +215,15 @@ class TestBound:
         assert code == 0
         assert "refined" in out and "macroscopic" in out
 
+    @pytest.mark.parametrize("which", ["refined", "macroscopic", "both"])
+    @pytest.mark.parametrize("constant", ["-1", "0", "nan", "inf"])
+    def test_constant_must_be_finite_and_positive(self, capsys, constant, which):
+        argv = ["bound", "--n", "10", "--r", "5", "--d", "1", "--C", constant, "--which", which]
+        code, out, err = run(argv, capsys)
+        assert code == 1
+        assert out == ""
+        assert "C=" in err and constant in err
+
 
 class TestSample:
     def test_deterministic_output(self, tmp_path, capsys):
@@ -270,14 +275,12 @@ class TestSample:
         assert code == 0
         assert len(path.read_text().strip().splitlines()) == 11
 
-    def test_mcmc_single_element(self):
+    def test_mcmc_single_element(self, src_env):
         # no transposition exists, so the walk keeps the fixed point; run in
         # a subprocess with a timeout in case the step loops on its draw
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
         result = subprocess.run(
             [sys.executable, "-m", "shortcycles", "sample", "--method", "mcmc", "--n", "1", "--r", "1", "--count", "2"],
-            env=env, capture_output=True, text=True, timeout=60,
+            env=src_env, capture_output=True, text=True, timeout=60,
         )
         assert result.returncode == 0, result.stderr
         assert result.stdout.splitlines() == ["0 1", "1 1"]
@@ -542,20 +545,19 @@ class TestExitCodes:
         ],
         ids=["pmf", "stein-verify"],
     )
-    def test_resource_cap_exits_without_the_full_count(self, argv):
+    def test_resource_cap_exits_without_the_full_count(self, argv, src_env):
         # the count behind the cap is a lower bound as soon as it passes the cap;
         # counting every part size would take hours here
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
         result = subprocess.run(
-            [sys.executable, "-m", "shortcycles", *argv], env=env, capture_output=True, text=True, timeout=60
+            [sys.executable, "-m", "shortcycles", *argv], env=src_env, capture_output=True, text=True, timeout=60
         )
         assert result.returncode == 2, result.stderr
         assert "at least" in result.stderr
 
-    def test_console_entry_point(self):
+    def test_console_entry_point(self, src_env):
         result = subprocess.run(
             [sys.executable, "-m", "shortcycles.cli", "count", "--n", "4", "--r", "2"],
+            env=src_env,
             capture_output=True,
             text=True,
         )

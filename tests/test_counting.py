@@ -1,9 +1,7 @@
 import math
-import os
 import subprocess
 import sys
 from fractions import Fraction
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -31,8 +29,6 @@ from shortcycles.counting import (
 from shortcycles.errors import ResourceLimitError
 from shortcycles.permutations import CountsVector
 from shortcycles.sampling import sample_cycle_type
-
-ROOT = Path(__file__).resolve().parent.parent
 
 
 class TestCountTable:
@@ -323,7 +319,7 @@ class TestJointLaw:
         assert main(["pmf", "--n", "12", "--r", "5", "--d", "2"]) == 1
         assert "exact joint law failed to normalize" in capsys.readouterr().err
 
-    def test_normalization_check_holds_under_python_O(self):
+    def test_normalization_check_holds_under_python_O(self, src_env):
         script = """
 from shortcycles import counting
 window = counting.restricted_count_table
@@ -333,10 +329,8 @@ try:
 except ArithmeticError as exc:
     print(exc)
 """
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
         result = subprocess.run(
-            [sys.executable, "-O", "-c", script], env=env, capture_output=True, text=True, timeout=120
+            [sys.executable, "-O", "-c", script], env=src_env, capture_output=True, text=True, timeout=120
         )
         assert result.returncode == 0, result.stderr[-2000:]
         assert result.stdout.strip() == "exact joint law failed to normalize"
@@ -405,6 +399,11 @@ class TestBruteForce:
         pmf = brute_force_pmf(1, 1, 1)
         assert pmf.entries == {CountsVector((1,)): Fraction(1)}
 
+    def test_empty_permutation(self):
+        # n = 0 has one permutation, the empty one, as the count table says
+        assert brute_force_count(0, 1) == count_table(0, 1).count(0) == 1
+        assert brute_force_pmf(0, 1, 1).entries == {CountsVector((0,)): Fraction(1)}
+
     def test_cap(self, monkeypatch):
         monkeypatch.setenv("SHORTCYCLES_BRUTE_FORCE_CAP", "5")
         with pytest.raises(ResourceLimitError):
@@ -434,12 +433,10 @@ class TestExpectedCount:
     def test_zero_above_r(self):
         assert expected_count(6, 3, 5) == 0
 
-    def test_large_n_without_table_reads_a_double_table(self):
+    def test_large_n_without_table_reads_a_double_table(self, src_env):
         # an exact table at n = 10^5 would take about an hour
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
         script = "from shortcycles.counting import expected_count; print(repr(expected_count(10**5, 1000, 1)))"
-        result = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=60)
+        result = subprocess.run([sys.executable, "-c", script], env=src_env, capture_output=True, text=True, timeout=60)
         assert result.returncode == 0, result.stderr[-2000:]
         assert float(result.stdout) == expected_count(10**5, 1000, 1, count_table(10**5, 1000, "double"))
 

@@ -6,7 +6,6 @@ next to the other samplers.  Demo 05 takes about 5 s, most of it drawing
 and ``tv_empirical``.
 """
 
-import os
 import subprocess
 import sys
 from pathlib import Path
@@ -27,10 +26,9 @@ ROOT = Path(__file__).resolve().parent.parent
         "06_bound_assembly.py",
     ],
 )
-def test_demo_exits_zero(script):
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+def test_demo_exits_zero(script, src_env):
     result = subprocess.run(
-        [sys.executable, str(ROOT / "demos" / script)], cwd=ROOT, env=env, capture_output=True, text=True, timeout=300
+        [sys.executable, str(ROOT / "demos" / script)],
+        cwd=ROOT, env=src_env, capture_output=True, text=True, timeout=300,
     )
     assert result.returncode == 0, result.stdout[-4000:] + result.stderr[-4000:]

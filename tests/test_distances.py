@@ -237,6 +237,14 @@ class TestBounds:
         for d in (1, 2, 5, 50):
             assert harmonic_number(d) <= math.log(d) + 1
 
+    @pytest.mark.parametrize("constant", [-1.0, 0.0, math.nan, math.inf, -math.inf])
+    def test_constant_must_be_finite_and_positive(self, constant):
+        # a zero, negative or non-finite C would report a silent zero, a negative or a nan bound
+        with pytest.raises(ValueError, match=r"constant C must be finite and > 0, got C="):
+            refined_bound(10, 5, 1, constant)
+        with pytest.raises(ValueError, match=r"constant C must be finite and > 0, got C="):
+            macroscopic_bound(10, 5, 1, constant)
+
     def test_validation(self):
         with pytest.raises(ValueError):
             refined_bound(10, 20, 1)

@@ -1,10 +1,8 @@
 import math
-import os
 import subprocess
 import sys
 from collections import Counter
 from fractions import Fraction
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -41,8 +39,6 @@ from shortcycles.sampling import (
     stationarity_matrix,
 )
 from shortcycles.stein import _transposition_effects
-
-ROOT = Path(__file__).resolve().parent.parent
 
 
 class TestConfig:
@@ -181,7 +177,7 @@ class TestCycleType:
             sample_cycle_type(60, 10, np.random.default_rng(0), WindowTable(1, 10, "double", logs))
 
     @pytest.mark.parametrize("corruption", ["nan", "increasing"])
-    def test_corrupt_table_raises_instead_of_hanging(self, corruption):
+    def test_corrupt_table_raises_instead_of_hanging(self, corruption, src_env):
         # the stage law at m = n is intact; every entry below n - r is corrupt,
         # so the second stage proposes against it and must raise, not loop
         script = f"""
@@ -199,10 +195,8 @@ for seed in range(20):
     else:
         raise SystemExit("a draw from a corrupt table returned")
 """
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
         result = subprocess.run(
-            [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=60
+            [sys.executable, "-c", script], env=src_env, capture_output=True, text=True, timeout=60
         )
         assert result.returncode == 0, result.stderr[-2000:]
 
