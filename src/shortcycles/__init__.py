@@ -25,10 +25,7 @@ from .dickman import (
     DickmanEvaluator,
     GammaBoundReport,
     RhoRatioReport,
-    XiEvaluator,
     gamma_bound_check,
-    log_rho,
-    rho,
     rho_ratio_check,
     xi,
 )

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import itertools
 import json
 import math
 import sys
@@ -22,7 +23,7 @@ import numpy as np
 
 from . import __version__
 from .counting import count_table, int_str, joint_pmf, log_fraction, table_mode
-from .dickman import DickmanEvaluator, XiEvaluator, gamma_bound_check, rho_ratio_check
+from .dickman import DickmanEvaluator, gamma_bound_check, rho_ratio_check, xi
 from .distances import PoissonSpec, macroscopic_bound, refined_bound, tv_cycle_counts, tv_empirical
 from .errors import ResourceLimitError
 from .permutations import CountsVector
@@ -61,7 +62,7 @@ def _write_csv(path, header, rows) -> None:
     ``,`` and each line ended by ``\r\n``.  A field holding ``,``, ``"``,
     ``\r`` or ``\n`` raises ValueError."""
     with open(path, "w", newline="") as fh:
-        for row in (header, *rows):
+        for row in itertools.chain((header,), rows):
             line = ",".join(map(str, row))
             if line.count(",") != len(row) - 1 or '"' in line or "\r" in line or "\n" in line:
                 raise ValueError(f"CSV field would need quoting in row {row!r}")
@@ -102,7 +103,13 @@ def _cmd_count(args) -> int:
         print(f"nu = {_positive_str(nu, log_nu)}")
         print(f"log_nu = {log_nu!r}")
     if args.out:
-        table.to_csv(args.out)
+        if mode == "exact":
+            header = ["m", "nu_exact_num", "nu_exact_den"]
+            rows = ((m, int_str(v.numerator), int_str(v.denominator)) for m, v in enumerate(table.values))
+        else:
+            header = ["m", "nu_double", "log_nu_double"]
+            rows = ((m, math.exp(x), float(x)) for m, x in enumerate(table.log_view()))
+        _write_csv(args.out, header, rows)
         print(f"table written to {args.out}")
     return 0
 
@@ -131,14 +138,13 @@ def _cmd_sample(args) -> int:
         n=args.n,
         r=args.r,
         method=args.method,
-        seed=args.seed,
         mcmc_burn_in=args.burn_in,
         mcmc_thinning=args.thinning,
     )
     rng = np.random.default_rng(args.seed)
     if args.full:
         decimal = [str(i) for i in range(args.n)]
-        lines = [" ".join([decimal[x] for x in p.mapping]) for p in draw(cfg, args.count, rng=rng)]
+        lines = [" ".join([decimal[x] for x in p.mapping]) for p in draw(cfg, args.count, rng)]
     else:
         lines = [" ".join(map(str, lengths)) for lengths in draw_cycle_types(cfg, args.count, rng)]
     rows = list(enumerate(lines))
@@ -174,7 +180,7 @@ def _cmd_dickman(args) -> int:
             value = ev.log_rho(args.t) if args.log else ev.rho(args.t)
             print(repr(value))
     elif args.dickman_command == "xi":
-        print(repr(XiEvaluator().xi(args.t)))
+        print(repr(xi(args.t)))
     elif args.dickman_command == "ratio":
         report = rho_ratio_check(args.t, args.v, ev)
         print(f"ratio = {report.ratio!r}")

@@ -32,7 +32,6 @@ is kept as an independent cross-check of the recurrences.
 
 from __future__ import annotations
 
-import csv
 import itertools
 import math
 import os
@@ -47,7 +46,7 @@ from typing import Iterator, Union
 
 import numpy as np
 
-from .dickman import XiEvaluator
+from .dickman import xi
 from .errors import ResourceLimitError
 from .permutations import CountsVector, capped_type_count, cycle_type_counts
 
@@ -152,24 +151,6 @@ class WindowTable:
             arr.setflags(write=False)
             self._log = arr
         return self._log
-
-    def rows(self) -> Iterator[tuple]:
-        if self.mode == "exact":
-            for m, v in enumerate(self.values):
-                yield (m, int_str(v.numerator), int_str(v.denominator))
-        else:
-            for m, log_value in enumerate(self._log):
-                yield (m, math.exp(log_value), float(log_value))
-
-    def to_csv(self, path) -> None:
-        if self.mode == "exact":
-            header = ["m", "nu_exact_num", "nu_exact_den"]
-        else:
-            header = ["m", "nu_double", "log_nu_double"]
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(header)
-            writer.writerows(self.rows())
 
 
 def window_table(lo: int, hi: int, n_max: int, mode: str = "exact") -> WindowTable:
@@ -602,7 +583,7 @@ def count_ratio_check(n: int, r: int, k: int, table: WindowTable | None = None) 
         logs = table.log_view()
         exact_ratio = math.exp(logs[n - k] - logs[n])
     u = n / r
-    xi_u = 0.0 if u == 1.0 else XiEvaluator().xi(u)
+    xi_u = 0.0 if u == 1.0 else xi(u)
     predicted = math.exp(k / r * xi_u)
     gap = abs(exact_ratio / predicted - 1.0)
     return RatioReport(n, r, k, u, exact_ratio, predicted, gap, in_regime)

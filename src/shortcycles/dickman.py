@@ -42,6 +42,11 @@ xi(t) is the positive solution of e^x = 1 + t*x, which for t > 1 lies in
 the bracket (log t, 2 log t].  It controls ratios of rho at nearby
 arguments: rho(t - v) / rho(t) is approximately exp(v * xi(t)) for moderate
 v, which is also the scale of consecutive checkpoint ratios above.
+
+rho and log rho come only from a :class:`DickmanEvaluator` the caller
+holds, and the checks below take one: each evaluator keeps its own
+panels, and the module keeps no shared one.  xi needs no state and is the
+plain function :func:`xi`.
 """
 
 from __future__ import annotations
@@ -138,92 +143,65 @@ class DickmanEvaluator:
         return math.exp(self.log_rho(t))
 
 
-class XiEvaluator:
-    """Solve e^x = 1 + t*x for the positive root, t > 1 (xi(1) := 0)."""
-
-    def xi(self, t: float) -> float:
-        t = float(t)
-        if not (math.isfinite(t) and t >= 1.0):
-            raise ValueError(f"xi requires a finite t >= 1, got t={t}")
-        if t == 1.0:
-            return 0.0  # limit convention: the positive root degenerates at t = 1
-        if t <= XI_SERIES_MAX_T:
-            return self._xi_series(t - 1.0)
-        # In logs the equation reads g(x) = x - log t - log(x + 1/t) = 0, which
-        # needs neither e^x nor t*x and so holds up to the largest double.
-        # g is increasing and convex on [log t, 2 log t], with g(log t) < 0
-        # <= g(2 log t), so Newton from the upper end is safe; any step
-        # leaving the bracket falls back to bisection.  log(x + 1/t) is taken
-        # as log1p(x - (t-1)/t), which keeps its digits when t is near 1.
-        log_t = math.log(t)
-        shift = (t - 1.0) / t
-        lo, hi = log_t, 2.0 * log_t
-        x = hi
-        for _ in range(XI_MAX_ITERATIONS):
-            excess = x - shift  # x + 1/t - 1 > 0 on the bracket
-            g = x - log_t - math.log1p(excess)
-            step = g * (1.0 + excess) / excess  # g / g'
-            if abs(g) <= XI_RESIDUAL_TOLERANCE * x:
-                return x - step
-            if g > 0:
-                hi = x
-            else:
-                lo = x
-            candidate = x - step
-            if not lo < candidate < hi:
-                candidate = 0.5 * (lo + hi)
-            x = candidate
-        raise ArithmeticError(f"xi failed to converge for t={t}")
-
-    @staticmethod
-    def _xi_series(excess: float) -> float:
-        """Root x > 0 of h(x) = sum_{i>=1} x^i/(i+1)! = excess, i.e. (e^x - 1 - x)/x = t - 1.
-
-        Near t = 1 the log form has a double root (g and g' both vanish), so
-        it keeps only about 1e-16/(t-1) of relative accuracy.  h is a series
-        of positive terms and t - 1 is exact in doubles, so nothing cancels.
-        h(x) >= x/2 puts the root below 2(t-1), and h is increasing and
-        convex, so Newton from there decreases monotonically to it.
-        """
-        x = 2.0 * excess
-        for _ in range(XI_MAX_ITERATIONS):
-            # a_i = x^(i-1)/(i+1)!: h = x sum_i a_i and h' = sum_i i a_i
-            term, total, slope, i = 0.5, 0.0, 0.0, 1
-            while term > 1e-17 * total:
-                total += term
-                slope += i * term
-                i += 1
-                term *= x / (i + 1)
-            step = (x * total - excess) / slope
-            x -= step
-            if step <= XI_RESIDUAL_TOLERANCE * x:
-                return x
-        raise ArithmeticError(f"xi failed to converge for t={1.0 + excess}")
-
-
-_DEFAULT_EVALUATOR: DickmanEvaluator | None = None
-_DEFAULT_LOCK = threading.Lock()
-
-
-def default_evaluator() -> DickmanEvaluator:
-    """Shared evaluator with default settings (panel cache is reused)."""
-    global _DEFAULT_EVALUATOR
-    with _DEFAULT_LOCK:
-        if _DEFAULT_EVALUATOR is None:
-            _DEFAULT_EVALUATOR = DickmanEvaluator()
-        return _DEFAULT_EVALUATOR
-
-
-def rho(t: float) -> float:
-    return default_evaluator().rho(t)
-
-
-def log_rho(t: float) -> float:
-    return default_evaluator().log_rho(t)
-
-
 def xi(t: float) -> float:
-    return XiEvaluator().xi(t)
+    """Positive root of e^x = 1 + t*x for t > 1; xi(1) := 0."""
+    t = float(t)
+    if not (math.isfinite(t) and t >= 1.0):
+        raise ValueError(f"xi requires a finite t >= 1, got t={t}")
+    if t == 1.0:
+        return 0.0  # limit convention: the positive root degenerates at t = 1
+    if t <= XI_SERIES_MAX_T:
+        return _xi_series(t - 1.0)
+    # In logs the equation reads g(x) = x - log t - log(x + 1/t) = 0, which
+    # needs neither e^x nor t*x and so holds up to the largest double.
+    # g is increasing and convex on [log t, 2 log t], with g(log t) < 0
+    # <= g(2 log t), so Newton from the upper end is safe; any step
+    # leaving the bracket falls back to bisection.  log(x + 1/t) is taken
+    # as log1p(x - (t-1)/t), which keeps its digits when t is near 1.
+    log_t = math.log(t)
+    shift = (t - 1.0) / t
+    lo, hi = log_t, 2.0 * log_t
+    x = hi
+    for _ in range(XI_MAX_ITERATIONS):
+        excess = x - shift  # x + 1/t - 1 > 0 on the bracket
+        g = x - log_t - math.log1p(excess)
+        step = g * (1.0 + excess) / excess  # g / g'
+        if abs(g) <= XI_RESIDUAL_TOLERANCE * x:
+            return x - step
+        if g > 0:
+            hi = x
+        else:
+            lo = x
+        candidate = x - step
+        if not lo < candidate < hi:
+            candidate = 0.5 * (lo + hi)
+        x = candidate
+    raise ArithmeticError(f"xi failed to converge for t={t}")
+
+
+def _xi_series(excess: float) -> float:
+    """Root x > 0 of h(x) = sum_{i>=1} x^i/(i+1)! = excess, i.e. (e^x - 1 - x)/x = t - 1.
+
+    Near t = 1 the log form has a double root (g and g' both vanish), so
+    it keeps only about 1e-16/(t-1) of relative accuracy.  h is a series
+    of positive terms and t - 1 is exact in doubles, so nothing cancels.
+    h(x) >= x/2 puts the root below 2(t-1), and h is increasing and
+    convex, so Newton from there decreases monotonically to it.
+    """
+    x = 2.0 * excess
+    for _ in range(XI_MAX_ITERATIONS):
+        # a_i = x^(i-1)/(i+1)!: h = x sum_i a_i and h' = sum_i i a_i
+        term, total, slope, i = 0.5, 0.0, 0.0, 1
+        while term > 1e-17 * total:
+            total += term
+            slope += i * term
+            i += 1
+            term *= x / (i + 1)
+        step = (x * total - excess) / slope
+        x -= step
+        if step <= XI_RESIDUAL_TOLERANCE * x:
+            return x
+    raise ArithmeticError(f"xi failed to converge for t={1.0 + excess}")
 
 
 @dataclass(frozen=True)
@@ -237,7 +215,7 @@ class RhoRatioReport:
     relative_gap: float
 
 
-def rho_ratio_check(t: float, v: float, evaluator: DickmanEvaluator | None = None) -> RhoRatioReport:
+def rho_ratio_check(t: float, v: float, evaluator: DickmanEvaluator) -> RhoRatioReport:
     if not (math.isfinite(t) and math.isfinite(v)):
         raise ValueError(f"ratio check needs finite t and v, got t={t}, v={v}")
     if t < 1:
@@ -246,8 +224,7 @@ def rho_ratio_check(t: float, v: float, evaluator: DickmanEvaluator | None = Non
         raise ValueError("need 0 <= v <= t")
     if v > 3:
         warnings.warn(f"v={v} is large; the exponential prediction assumes v = O(1)", stacklevel=2)
-    ev = evaluator or default_evaluator()
-    ratio = math.exp(ev.log_rho(t - v) - ev.log_rho(t))
+    ratio = math.exp(evaluator.log_rho(t - v) - evaluator.log_rho(t))
     predicted = math.exp(v * xi(t)) if t > 1 else 1.0
     gap = abs(ratio / predicted - 1.0)
     return RhoRatioReport(t, v, ratio, predicted, gap)
@@ -263,11 +240,10 @@ class GammaBoundReport:
     holds: bool
 
 
-def gamma_bound_check(t: float, evaluator: DickmanEvaluator | None = None) -> GammaBoundReport:
+def gamma_bound_check(t: float, evaluator: DickmanEvaluator) -> GammaBoundReport:
     if not (math.isfinite(t) and t >= 0):
         raise ValueError(f"t must be a finite number >= 0, got t={t}")
-    ev = evaluator or default_evaluator()
-    lr = ev.log_rho(t)
+    lr = evaluator.log_rho(t)
     bound = -math.lgamma(t + 1.0)
     slack = GAMMA_BOUND_SLACK * max(1.0, abs(bound))
     return GammaBoundReport(t, lr, bound, lr <= bound + slack)

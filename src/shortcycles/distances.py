@@ -190,7 +190,7 @@ def tv_empirical(
     spec: PoissonSpec,
     *,
     bootstrap: int = 200,
-    rng: np.random.Generator | None = None,
+    rng: np.random.Generator,
 ) -> TvEstimate:
     """Plug-in distance of the empirical measure from the reference.
 
@@ -209,8 +209,6 @@ def tv_empirical(
     for cv in samples:
         if cv.d != spec.d:
             raise ValueError(f"sample has dimension {cv.d}, expected {spec.d}")
-    if rng is None:
-        rng = np.random.default_rng(0)
     n_samples = len(samples)
     support, counts = np.unique(np.array([cv.counts for cv in samples]), axis=0, return_counts=True)
     replicates = rng.multinomial(n_samples, counts / n_samples, size=bootstrap)

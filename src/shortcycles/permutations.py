@@ -176,8 +176,8 @@ def permutations_with_bounded_cycles(n: int, r: int) -> Iterator[Permutation]:
 
     Plain filtered enumeration of all n! arrays; intended for small n.
     """
-    if not 1 <= r:
-        raise ValueError("r must be positive")
+    if n < 1 or r < 1:
+        raise ValueError(f"need n >= 1 and r >= 1, got n={n}, r={r}")
     for mapping in itertools.permutations(range(n)):
         p = Permutation(mapping)
         if longest_cycle(p) <= r:

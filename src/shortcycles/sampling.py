@@ -36,9 +36,10 @@ Three routes to the same distribution:
 
 Two entry points serve all three methods, chosen by ``SamplerConfig.method``:
 :func:`draw_cycle_types` gives cycle types only and :func:`draw` gives
-labelled permutations.  Each builds the double log nu table it reads inside,
-so no caller passes a table.  All draws consume a numpy Generator; samplers
-never share mutable state.
+labelled permutations, both as ``(cfg, count, rng)``.  Each builds the
+double log nu table it reads inside, so no caller passes a table.  All
+draws consume the numpy Generator the caller passes, and no config carries
+a seed; samplers never share mutable state.
 """
 
 from __future__ import annotations
@@ -78,7 +79,6 @@ class SamplerConfig:
     n: int
     r: int
     method: str = "sequential"  # rejection | sequential | mcmc
-    seed: int = 0
     mcmc_burn_in: int = 0
     mcmc_thinning: int = 1
 
@@ -251,9 +251,8 @@ def draw_cycle_types(cfg: SamplerConfig, count: int, rng: np.random.Generator) -
     return out
 
 
-def draw(cfg: SamplerConfig, count: int, *, rng: np.random.Generator | None = None) -> list[Permutation]:
-    """``count`` draws with the configured method, from ``rng`` or a
-    generator seeded with ``cfg.seed``.
+def draw(cfg: SamplerConfig, count: int, rng: np.random.Generator) -> list[Permutation]:
+    """``count`` labelled draws with the configured method, from ``rng``.
 
     rejection returns its accepted permutations and sequential labels each
     type as it is drawn (:func:`sample_sequential`).  mcmc labels each type
@@ -262,8 +261,6 @@ def draw(cfg: SamplerConfig, count: int, *, rng: np.random.Generator | None = No
     """
     if count < 0:
         raise ValueError("count must be >= 0")
-    if rng is None:
-        rng = np.random.default_rng(cfg.seed)
     if cfg.method == "rejection":
         return [sample_rejection(cfg, rng) for _ in range(count)]
     if cfg.method == "sequential":

@@ -316,9 +316,9 @@ class TestSample:
                 "--burn-in", "3", "--thinning", "2"]
         code, out, err = run([*argv, "--full"] if full else argv, capsys)
         assert code == 0, err
-        cfg = SamplerConfig(30, 6, method, seed=5, mcmc_burn_in=3, mcmc_thinning=2)
+        cfg = SamplerConfig(30, 6, method, mcmc_burn_in=3, mcmc_thinning=2)
         if full:
-            rows = [p.mapping for p in draw(cfg, 20, rng=np.random.default_rng(5))]
+            rows = [p.mapping for p in draw(cfg, 20, np.random.default_rng(5))]
         else:
             rows = draw_cycle_types(cfg, 20, np.random.default_rng(5))
         assert out.splitlines() == [" ".join(map(str, [i, *row])) for i, row in enumerate(rows)]
@@ -499,6 +499,8 @@ class TestCsvWriter:
             ["sweep", "--n", "10", "12", "--r", "4", "6", "--d", "1", "2"],
             ["sweep", "--n", "10", "12", "--r", "4", "6", "--d", "1", "2", "--tv-mode", "skip"],
             ["dickman", "rho", "--grid", "1", "5", "9"],
+            ["count", "--n", "12", "--r", "4", "--exact"],
+            ["count", "--n", "300", "--r", "40"],
         ],
     )
     def test_bytes_match_csv_writer(self, argv, tmp_path, capsys, monkeypatch):
@@ -506,7 +508,8 @@ class TestCsvWriter:
         write = cli._write_csv
 
         def recording(path, header, rows):
-            calls.append((header, list(rows)))
+            rows = list(rows)
+            calls.append((header, rows))
             write(path, header, rows)
 
         monkeypatch.setattr(cli, "_write_csv", recording)
@@ -518,6 +521,30 @@ class TestCsvWriter:
         writer.writerow(header)
         writer.writerows(rows)
         assert path.read_bytes() == buffer.getvalue().encode()
+
+    def test_rows_are_written_as_they_come(self, monkeypatch):
+        # row i is made only after the header and rows 0..i-1 are written
+        written = []
+
+        class Recorder:
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def write(self, text):
+                written.append(text)
+
+        monkeypatch.setattr(cli, "open", lambda *args, **kwargs: Recorder(), raising=False)
+
+        def rows():
+            for i in range(3):
+                assert written == ["index,value\r\n"] + [f"{j},{j * j}\r\n" for j in range(i)]
+                yield i, i * i
+
+        cli._write_csv("unused.csv", ["index", "value"], rows())
+        assert len(written) == 4
 
     @pytest.mark.parametrize("field", ["a,b", 'say "x"', "a\rb", "a\nb"])
     def test_field_needing_quotes_is_rejected(self, field, tmp_path):

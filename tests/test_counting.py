@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from oracles import pmf_csv_by_writer
-from shortcycles import counting
+from shortcycles import cli, counting
 from shortcycles.cli import main
 from shortcycles.counting import (
     SparsePMF,
@@ -80,7 +80,7 @@ class TestCountTable:
     def test_csv_roundtrip(self, tmp_path):
         t = count_table(5, 2)
         path = tmp_path / "nu.csv"
-        t.to_csv(path)
+        assert main(["count", "--n", "5", "--r", "2", "--out", str(path)]) == 0
         lines = path.read_text().strip().splitlines()
         assert lines[0] == "m,nu_exact_num,nu_exact_den"
         assert len(lines) == 7
@@ -201,9 +201,11 @@ class TestWindowTable:
         assert t.n_max == 10**6
         assert t.fraction(10**6) == pytest.approx(2.7706291833e-11, rel=1e-8)
 
-    def test_csv_double_has_log_column(self, tmp_path):
+    def test_csv_double_has_log_column(self, tmp_path, monkeypatch):
+        # count picks exact rationals up to n = 200; force the double table at n = 5
+        monkeypatch.setattr(cli, "table_mode", lambda n: "double")
         path = tmp_path / "nu.csv"
-        count_table(5, 2, "double").to_csv(path)
+        assert main(["count", "--n", "5", "--r", "2", "--out", str(path)]) == 0
         lines = path.read_text().strip().splitlines()
         assert lines[0] == "m,nu_double,log_nu_double"
         m, nu, log_nu = lines[-1].split(",")

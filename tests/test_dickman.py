@@ -6,7 +6,6 @@ import pytest
 from oracles import dickman_fixed_step, dickman_fixed_step_at, dickman_log_rho_series, xi_oracle
 from shortcycles.dickman import (
     DickmanEvaluator,
-    XiEvaluator,
     gamma_bound_check,
     rho_ratio_check,
     xi,
@@ -103,18 +102,16 @@ class TestRho:
 
 class TestXi:
     def test_frozen_values(self):
-        solver = XiEvaluator()
-        assert solver.xi(math.e) == pytest.approx(XI_E, rel=1e-12)
-        assert solver.xi(2.0) == pytest.approx(XI_2, rel=1e-12)
+        assert xi(math.e) == pytest.approx(XI_E, rel=1e-12)
+        assert xi(2.0) == pytest.approx(XI_2, rel=1e-12)
 
     def test_residual_and_bracket_random(self):
         import numpy as np
 
-        solver = XiEvaluator()
         rng = np.random.default_rng(1234)
         ts = np.exp(rng.uniform(np.log(1.000001), np.log(1e6), size=2000))
         for t in ts:
-            x = solver.xi(float(t))
+            x = xi(float(t))
             assert abs(math.exp(x) - 1 - t * x) <= 1e-12 * (1 + t * x)
             assert math.log(t) < x <= 2 * math.log(t)
 

@@ -165,7 +165,7 @@ class TestTvEmpirical:
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
-            tv_empirical([], PoissonSpec.cycle_reference(1))
+            tv_empirical([], PoissonSpec.cycle_reference(1), rng=np.random.default_rng(0))
 
     @pytest.mark.parametrize("seed", [1, 7, 20])
     def test_value_is_tv_exact_of_empirical_law(self, seed):
@@ -182,7 +182,7 @@ class TestTvEmpirical:
     def test_dimension_mismatch_rejected(self):
         samples = [CountsVector((1, 0)), CountsVector((0, 1, 0))]
         with pytest.raises(ValueError, match="dimension 3, expected 2"):
-            tv_empirical(samples, PoissonSpec.cycle_reference(2))
+            tv_empirical(samples, PoissonSpec.cycle_reference(2), rng=np.random.default_rng(0))
 
     @pytest.mark.parametrize("bootstrap", [0, 1])
     def test_too_few_bootstrap_replicates_rejected(self, bootstrap):
@@ -191,12 +191,12 @@ class TestTvEmpirical:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match=f"bootstrap={bootstrap}"):
-                tv_empirical(samples, PoissonSpec.cycle_reference(1), bootstrap=bootstrap)
+                tv_empirical(samples, PoissonSpec.cycle_reference(1), bootstrap=bootstrap, rng=np.random.default_rng(0))
 
     def test_single_sample_rejected(self):
         # one sample has no spread: its bootstrap standard error would read 0.0
         with pytest.raises(ValueError, match="at least 2 samples for a standard error, got 1"):
-            tv_empirical([CountsVector((1,))], PoissonSpec.cycle_reference(1))
+            tv_empirical([CountsVector((1,))], PoissonSpec.cycle_reference(1), rng=np.random.default_rng(0))
 
 
 class TestBounds:

@@ -175,6 +175,12 @@ class TestBoundedEnumeration:
         for p in permutations_with_bounded_cycles(5, 2):
             assert longest_cycle(p) <= 2
 
+    @pytest.mark.parametrize("n, r", [(0, 3), (0, 0), (4, 0)])
+    def test_validation_names_n_and_r(self, n, r):
+        # checked before the first permutation is built, in cycle_types' words
+        with pytest.raises(ValueError, match=rf"need n >= 1 and r >= 1, got n={n}, r={r}"):
+            next(permutations_with_bounded_cycles(n, r))
+
 
 class TestCycleTypes:
     def test_n4(self):

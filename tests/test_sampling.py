@@ -55,7 +55,7 @@ class TestConfig:
 
 class TestRejection:
     def test_unrestricted_accepts_first_draw(self):
-        cfg = SamplerConfig(n=8, r=8, method="rejection", seed=5)
+        cfg = SamplerConfig(n=8, r=8, method="rejection")
         first = np.random.default_rng(123).permutation(8)
         got = sample_rejection(cfg, np.random.default_rng(123))
         assert got.mapping == tuple(int(x) for x in first)
@@ -92,26 +92,26 @@ class TestSequential:
         assert probs.sum() == pytest.approx(1.0, abs=1e-12)
 
     def test_support_constraint_n4_r2(self):
-        cfg = SamplerConfig(n=4, r=2, method="sequential", seed=3)
+        cfg = SamplerConfig(n=4, r=2, method="sequential")
         lengths = set()
-        for p in draw(cfg, 400):
+        for p in draw(cfg, 400, np.random.default_rng(3)):
             lengths.add(cycle_structure(p).lengths)
         assert lengths <= {(1, 1, 1, 1), (1, 1, 2), (2, 2)}
         assert lengths == {(1, 1, 1, 1), (1, 1, 2), (2, 2)}
 
     def test_every_draw_in_bounds(self):
-        cfg = SamplerConfig(n=30, r=7, method="sequential", seed=9)
-        for p in draw(cfg, 50):
+        cfg = SamplerConfig(n=30, r=7, method="sequential")
+        for p in draw(cfg, 50, np.random.default_rng(9)):
             assert longest_cycle(p) <= 7
 
     def test_large_n_double_mode(self):
-        cfg = SamplerConfig(n=500, r=100, method="sequential", seed=11)
-        p = draw(cfg, 1)[0]
+        cfg = SamplerConfig(n=500, r=100, method="sequential")
+        p = draw(cfg, 1, np.random.default_rng(11))[0]
         assert longest_cycle(p) <= 100
 
     def test_reproducible(self):
-        cfg = SamplerConfig(n=12, r=5, method="sequential", seed=77)
-        assert draw(cfg, 10) == draw(cfg, 10)
+        cfg = SamplerConfig(n=12, r=5, method="sequential")
+        assert draw(cfg, 10, np.random.default_rng(77)) == draw(cfg, 10, np.random.default_rng(77))
 
 
 class TestCycleType:
@@ -298,15 +298,15 @@ class TestMcmc:
     def test_chain_starts_uniform(self):
         # the first output, one step from a stationary start, is uniform
         states = list(permutations_with_bounded_cycles(5, 3))
-        samples = [draw(SamplerConfig(5, 3, "mcmc", seed=seed), 1)[0] for seed in range(5000)]
+        samples = [draw(SamplerConfig(5, 3, "mcmc"), 1, np.random.default_rng(seed))[0] for seed in range(5000)]
         assert chi_square_uniform_pvalue(samples, states) >= 1e-3
 
     def test_chain_types_match_labelled_draws(self):
         # draw labels the chain's types after the chain has run, so the
         # same seed gives the same types with and without labels
-        cfg = SamplerConfig(30, 6, "mcmc", seed=3, mcmc_burn_in=5, mcmc_thinning=3)
+        cfg = SamplerConfig(30, 6, "mcmc", mcmc_burn_in=5, mcmc_thinning=3)
         types = draw_cycle_types(cfg, 20, np.random.default_rng(3))
-        perms = draw(cfg, 20)
+        perms = draw(cfg, 20, np.random.default_rng(3))
         assert [cycle_structure(p).lengths for p in perms] == types
         assert all(max(t) <= 6 and sum(t) == 30 for t in types)
 
@@ -340,18 +340,18 @@ def chi_square_uniform_pvalue(samples, states):
 class TestUniformity:
     def test_sequential_chi_square_s5_r3(self):
         states = list(permutations_with_bounded_cycles(5, 3))
-        cfg = SamplerConfig(n=5, r=3, method="sequential", seed=101)
-        samples = draw(cfg, 20000)
+        cfg = SamplerConfig(n=5, r=3, method="sequential")
+        samples = draw(cfg, 20000, np.random.default_rng(101))
         assert chi_square_uniform_pvalue(samples, states) >= 1e-3
 
     def test_rejection_chi_square_s5_r3(self):
         states = list(permutations_with_bounded_cycles(5, 3))
-        cfg = SamplerConfig(n=5, r=3, method="rejection", seed=202)
-        samples = draw(cfg, 20000)
+        cfg = SamplerConfig(n=5, r=3, method="rejection")
+        samples = draw(cfg, 20000, np.random.default_rng(202))
         assert chi_square_uniform_pvalue(samples, states) >= 1e-3
 
     def test_mcmc_chi_square_s5_r3(self):
         states = list(permutations_with_bounded_cycles(5, 3))
-        cfg = SamplerConfig(n=5, r=3, method="mcmc", seed=303, mcmc_burn_in=500, mcmc_thinning=20)
-        samples = draw(cfg, 20000)
+        cfg = SamplerConfig(n=5, r=3, method="mcmc", mcmc_burn_in=500, mcmc_thinning=20)
+        samples = draw(cfg, 20000, np.random.default_rng(303))
         assert chi_square_uniform_pvalue(samples, states) >= 1e-3
