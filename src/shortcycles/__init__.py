@@ -14,8 +14,10 @@ from .counting import (
     count_ratio_check,
     count_table,
     expected_count,
+    factorial_moment,
     first_element_cycle_length_pmf,
     joint_pmf,
+    nu_ratios,
     restricted_count_table,
     support_size,
     table_mode,

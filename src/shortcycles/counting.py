@@ -15,11 +15,11 @@ log f and sums only positive terms at one scale per block of m: one cumsum
 per block for nu, one scalar pass of chunk prefix and suffix sums for mu.  It
 tracks the exact rationals to ~1e-12 relative at u = n/r in the hundreds.
 
-From the same classification follow, exactly and not just asymptotically:
+From the same classification follow exactly, with R(m) = nu(n - m, r) / nu(n, r):
 
-* the law of the cycle length of a fixed element:
-  P[length = k] = nu(n - k, r) / (n * nu(n, r));
-* the expected number of k-cycles: nu(n - k, r) / (k * nu(n, r));
+* the law of the cycle length of a fixed element: P[length = k] = R(k) / n;
+* the factorial moments of the counts c_j of j-cycles (the conditioning
+  relation): E[prod_j (c_j)_{a_j}] = prod_j j^{-a_j} * R(sum_j j*a_j), so E[c_k] = R(k) / k;
 * the joint law of the counts of 1-, 2-, ..., d-cycles,
   P[counts = c] = (prod_j (1/j)^{c_j} / c_j!) * mu(n - s) / nu(n, r)
   with s = sum_j j*c_j and mu(m) the fraction of permutations of m elements
@@ -38,7 +38,7 @@ import os
 import warnings
 from array import array
 from collections import Counter
-from collections.abc import Mapping
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
@@ -72,6 +72,7 @@ def table_mode(n: int) -> str:
 
 
 LN2 = math.log(2.0)
+LOG_DOUBLE_MAX = math.log(np.finfo(np.float64).max)
 
 
 def int_str(value: int) -> str:
@@ -274,26 +275,35 @@ def restricted_count_table(d: int, r: int, n_max: int, mode: str = "exact") -> W
     return window_table(d + 1, r, n_max, mode)
 
 
-def _check_nu_table(table: WindowTable, n: int, r: int) -> None:
-    """Raise ValueError unless ``table`` holds nu(m, r) for every m <= n."""
+def nu_ratios(n: int, r: int, top: int, table: WindowTable) -> list[Fraction] | np.ndarray:
+    """R(m) = nu(n - m, r) / nu(n, r) for m = 0..top; ``table`` must hold nu(m, r) for m <= n.
+
+    Fractions from an exact table.  From a double table a float64 array, the
+    reversed view of one exp, or a ValueError if R(top) leaves the double range.
+    """
     if table.lo != 1 or table.r != r or table.n_max < n:
         raise ValueError(f"table ({table.lo}..{table.hi}, m <= {table.n_max}) does not cover nu(m, {r}), m <= {n}")
+    if not 0 <= top <= n:
+        raise ValueError(f"top must be in 0..{n}, got top={top}")
+    if table.mode == "exact":
+        return [table.values[n - m] / table.values[n] for m in range(top + 1)]
+    logs = table.log_view()
+    log_ratios = logs[n - top : n + 1] - logs[n]  # R(top) first: nu is non-increasing, so it is the largest
+    if log_ratios[0] > LOG_DOUBLE_MAX:
+        raise ValueError(f"nu({n - top}, {r})/nu({n}, {r}) = exp({log_ratios[0]:.6g}) lies beyond the double range")
+    return np.exp(log_ratios)[::-1]
 
 
 def first_element_cycle_length_pmf(n: int, r: int, table: WindowTable):
     """Exact law of the cycle length of a fixed element, k = 1..r.
 
-    Entry k-1 is nu(n-k, r) / (n * nu(n, r)).  For r = n this is uniform:
+    Entry k-1 is R(k) / n (:func:`nu_ratios`).  For r = n this is uniform:
     every length 1..n has probability exactly 1/n.
     """
     if not 1 <= r <= n:
         raise ValueError(f"need 1 <= r <= n, got r={r}, n={n}")
-    _check_nu_table(table, n, r)
-    if table.mode == "exact":
-        denom = n * table.fraction(n)
-        return [table.fraction(n - k) / denom for k in range(1, r + 1)]
-    logs = table.log_view()
-    return np.exp(logs[n - r : n][::-1] - (logs[n] + math.log(n)))
+    ratios = nu_ratios(n, r, r, table)[1:]
+    return ratios / n if table.mode == "double" else [x / n for x in ratios]
 
 
 class _Entries(Mapping):
@@ -464,29 +474,32 @@ def joint_pmf(n: int, r: int, d: int, *, mode: str = "exact") -> SparsePMF:
     return pmf
 
 
+def factorial_moment(n: int, r: int, a: Sequence[int], table: WindowTable) -> Probability:
+    """E[prod_j (c_j)_{a_j}], c_j the number of j-cycles (j <= len(a)) of a uniform permutation with cycles <= r.
+
+    prod_j j^{-a_j} * R(s), s = sum_j j*a_j (:func:`nu_ratios`), or 0 when s > n or
+    some a_j > 0 has j > r: a Fraction from an exact table, a float from a double one.
+    """
+    if not 1 <= r <= n or min(a, default=0) < 0:
+        raise ValueError(f"need 1 <= r <= n and every a_j >= 0, got r={r}, n={n}, a={tuple(a)}")
+    s = sum(j * aj for j, aj in enumerate(a, 1))
+    possible = s <= n and not any(a[r:])
+    ratio = nu_ratios(n, r, s if possible else 0, table)[-1]  # checks the table for a zero too
+    value = Fraction(ratio) / math.prod(j**aj for j, aj in enumerate(a, 1)) if possible else Fraction(0)
+    return value if table.mode == "exact" else float(value)
+
+
 def expected_count(n: int, r: int, k: int, table: WindowTable | None = None) -> Probability:
     """E[number of k-cycles] for a uniform permutation with cycles <= r.
 
-    Equals nu(n-k, r) / (k * nu(n, r)); in particular exactly 1/k when r = n.
-    Returns 0 for r < k <= n (no such cycle can exist).  The value is a
-    Fraction from an exact table and a float from a double table; without
-    ``table`` one is built in :func:`table_mode`, so n > 200 gives a float.
+    :func:`factorial_moment` at a = e_k, R(k) / k: exactly 1/k when r = n, 0 for
+    r < k <= n.  Without ``table`` one is built in :func:`table_mode`, so n > 200 gives a float.
     """
-    if not 1 <= r <= n:
-        raise ValueError(f"need 1 <= r <= n, got r={r}, n={n}")
     if not 1 <= k <= n:
         raise ValueError(f"k must be in 1..{n}, got k={k}")
-    if table is not None:
-        _check_nu_table(table, n, r)
-    mode = table_mode(n) if table is None else table.mode
-    if k > r:
-        return Fraction(0) if mode == "exact" else 0.0
     if table is None:
-        table = count_table(n, r, mode)
-    if table.mode == "exact":
-        return table.fraction(n - k) / (k * table.fraction(n))
-    logs = table.log_view()
-    return math.exp(logs[n - k] - logs[n]) / k
+        table = count_table(n, r, table_mode(n))
+    return factorial_moment(n, r, (0,) * (k - 1) + (1,), table)
 
 
 def _cycle_lengths_of(mapping: tuple[int, ...]) -> list[int]:
@@ -569,21 +582,17 @@ def count_ratio_check(n: int, r: int, k: int, table: WindowTable | None = None) 
         raise ValueError(f"k must be in 0..{n}")
     if table is None:
         table = count_table(n, r, table_mode(n))
-    _check_nu_table(table, n, r)
+    ratio = nu_ratios(n, r, k, table)[k]
     in_regime = r * r >= n * math.log(max(n, 2))
     if not in_regime:
-        warnings.warn(
-            f"(n={n}, r={r}) lies outside r >= sqrt(n log n); the prediction "
-            "is not expected to be accurate",
-            stacklevel=2,
-        )
-    if table.mode == "exact":
-        exact_ratio = float(table.fraction(n - k) / table.fraction(n))
-    else:
-        logs = table.log_view()
-        exact_ratio = math.exp(logs[n - k] - logs[n])
+        message = f"(n={n}, r={r}) lies outside r >= sqrt(n log n); the prediction is not expected to be accurate"
+        warnings.warn(message, stacklevel=2)
     u = n / r
-    xi_u = 0.0 if u == 1.0 else xi(u)
-    predicted = math.exp(k / r * xi_u)
+    log_predicted = k / r * (0.0 if u == 1.0 else xi(u))
+    try:
+        exact_ratio, predicted = float(ratio), math.exp(log_predicted)
+    except OverflowError:  # an exact R(k) or the prediction; nu_ratios raises for a double R(k)
+        either = f"exp({log_fraction(Fraction(ratio)):.6g}) or its prediction exp({log_predicted:.6g})"
+        raise ValueError(f"nu({n - k}, {r})/nu({n}, {r}) = {either} lies beyond the double range") from None
     gap = abs(exact_ratio / predicted - 1.0)
     return RatioReport(n, r, k, u, exact_ratio, predicted, gap, in_regime)

@@ -53,7 +53,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .counting import WindowTable, _check_nu_table, count_table
+from .counting import WindowTable, count_table, nu_ratios
 from .errors import ResourceLimitError
 from .permutations import (
     Permutation,
@@ -111,28 +111,22 @@ def acceptance_rate(n: int, r: int, trials: int, rng: np.random.Generator) -> fl
     This is the empirical acceptance rate of the rejection sampler's
     proposal loop and estimates nu(n, r).
     """
-    hits = 0
-    for _ in range(trials):
-        if longest_cycle(Permutation(rng.permutation(n))) <= r:
-            hits += 1
-    return hits / trials
+    return sum(longest_cycle(Permutation(rng.permutation(n))) <= r for _ in range(trials)) / trials
 
 
 def sample_cycle_type(n: int, r: int, rng: np.random.Generator, table: WindowTable) -> tuple[int, ...]:
     """Cycle lengths of one uniform draw with all cycles <= r, ascending.
 
-    One stage per cycle, drawn by rejection against two entries of the
-    log nu table ``table``, which must cover n; a stage law at m = n that
-    does not sum to 1, or a proposal ratio above 1, raises ValueError.
+    One stage per cycle, drawn by rejection against two entries of the log
+    nu table ``table``, which must cover n.  A stage law at m = n (sum_k R(k)/n,
+    :func:`nu_ratios`) that does not sum to 1, or a proposal ratio above 1, raises ValueError.
     Uniforms come from ``rng`` in blocks of ``_UNIFORM_BLOCK``, two per
     proposal; the unused rest of the last block is dropped.
     The result is what ``cycle_structure(p).lengths`` gives for the
     permutation drawn.
     """
-    _check_nu_table(table, n, r)
+    total = np.add.reduce(nu_ratios(n, r, min(n, r), table)[1:]) / n
     logs = table.log_view()
-    top = min(n, r)
-    total = np.exp(logs[n - top : n] - (logs[n] + math.log(n))).sum()
     if not abs(total - 1.0) <= 1e-9:
         raise ValueError(f"stage law sums to {total}, table looks inconsistent")
     lengths = []
@@ -287,19 +281,14 @@ class TransitionMatrix:
         return self.rows[i].get(j, Fraction(0))
 
     def is_symmetric(self) -> bool:
-        for i, row in enumerate(self.rows):
-            for j, value in row.items():
-                if self.rows[j].get(i, Fraction(0)) != value:
-                    return False
-        return True
+        return all(self.probability(j, i) == value for i, row in enumerate(self.rows) for j, value in row.items())
 
     def row_sums(self) -> list[Fraction]:
         return [sum(row.values()) for row in self.rows]
 
     def uniform_is_stationary(self) -> bool:
         """uniform * P = uniform, checked in exact rationals (column sums 1)."""
-        size = len(self.states)
-        column_sums = [Fraction(0)] * size
+        column_sums = [Fraction(0)] * len(self.states)
         for row in self.rows:
             for j, value in row.items():
                 column_sums[j] += value

@@ -1,5 +1,7 @@
+import ast
 import dataclasses
 import inspect
+from pathlib import Path
 
 import pytest
 
@@ -48,3 +50,17 @@ def test_one_door_to_rho_and_xi():
     for name in ("XiEvaluator", "default_evaluator", "rho", "log_rho"):
         assert not hasattr(shortcycles, name), name
         assert not hasattr(shortcycles.dickman, name), name
+
+
+def test_private_names_stay_in_their_module():
+    # a module that needs another module's helper imports a public name
+    package = Path(shortcycles.__file__).parent
+    borrowed = [
+        f"{path.stem} imports {alias.name}"
+        for path in sorted(package.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.ImportFrom) and (node.level or (node.module or "").startswith("shortcycles"))
+        for alias in node.names
+        if alias.name.startswith("_") and not alias.name.startswith("__")
+    ]
+    assert borrowed == []

@@ -1,3 +1,4 @@
+import itertools
 import math
 import subprocess
 import sys
@@ -10,6 +11,7 @@ from oracles import pmf_csv_by_writer
 from shortcycles import cli, counting
 from shortcycles.cli import main
 from shortcycles.counting import (
+    LOG_DOUBLE_MAX,
     SparsePMF,
     WindowTable,
     brute_force_count,
@@ -17,10 +19,12 @@ from shortcycles.counting import (
     count_ratio_check,
     count_table,
     expected_count,
+    factorial_moment,
     first_element_cycle_length_pmf,
     int_str,
     joint_pmf,
     log_fraction,
+    nu_ratios,
     restricted_count_table,
     support_size,
     table_mode,
@@ -270,6 +274,9 @@ class TestNuTableCheck:
         "expected_count": lambda t: expected_count(30, 12, 1, t),
         "expected_count_above_r": lambda t: expected_count(30, 12, 13, t),
         "ratio_check": lambda t: count_ratio_check(30, 12, 1, t),
+        "nu_ratios": lambda t: nu_ratios(30, 12, 12, t),
+        "factorial_moment": lambda t: factorial_moment(30, 12, (1, 2), t),
+        "factorial_moment_zero": lambda t: factorial_moment(30, 12, (0,) * 12 + (1,), t),
         "sample": lambda t: sample_cycle_type(30, 12, np.random.default_rng(0), t),
     }
 
@@ -414,6 +421,45 @@ class TestBruteForce:
             brute_force_count(6, 3)
 
 
+class TestFactorialMoment:
+    """E[prod_j (c_j)_{a_j}] = prod_j j^{-a_j} * nu(n - s, r)/nu(n, r), s = sum_j j*a_j."""
+
+    @pytest.mark.parametrize("n,r,d", [(8, 4, 3), (9, 5, 3), (7, 7, 3), (9, 3, 3), (6, 2, 2), (3, 3, 3)])
+    def test_equals_brute_force_moments(self, n, r, d):
+        law = brute_force_pmf(n, r, d)
+        table = count_table(n, r)
+        for a in itertools.product(range(3), repeat=d):
+            want = sum(
+                p * math.prod(math.perm(c, aj) for c, aj in zip(counts, a))
+                for counts, p in zip(law.counts.tolist(), law.masses)
+            )
+            got = factorial_moment(n, r, a, table)
+            assert type(got) is Fraction and got == want, (n, r, a)
+
+    def test_zero_for_a_cycle_longer_than_r(self):
+        assert factorial_moment(6, 2, (0, 0, 1), count_table(6, 2)) == Fraction(0)
+        assert repr(factorial_moment(6, 2, (0, 0, 1), count_table(6, 2, "double"))) == "0.0"
+
+    def test_deep_tail_double_matches_exact(self):
+        # u = 150: nu(1500, 10) is about e^-817, below the smallest double
+        n, r = 1500, 10
+        exact, double = count_table(n, r), count_table(n, r, "double")
+        assert double.log_view()[n] < math.log(sys.float_info.min)
+        want = np.array([float(x) for x in nu_ratios(n, r, r, exact)])
+        np.testing.assert_allclose(nu_ratios(n, r, r, double), want, rtol=1e-12, atol=0)
+        for a in [(1,), (2,), (0, 1), (1, 1, 1), (0,) * 9 + (3,), (2, 0, 0, 0, 0, 0, 0, 0, 0, 2)]:
+            got = factorial_moment(n, r, a, double)
+            assert type(got) is float
+            assert got == pytest.approx(float(factorial_moment(n, r, a, exact)), rel=1e-12, abs=0), a
+        assert factorial_moment(n, r, (0,) * r + (1,), double) == 0.0
+
+    def test_validation(self):
+        with pytest.raises(ValueError, match="a_j >= 0"):
+            factorial_moment(6, 3, (1, -1), count_table(6, 3))
+        with pytest.raises(ValueError, match="top must be in 0..6"):
+            nu_ratios(6, 3, 7, count_table(6, 3))
+
+
 class TestExpectedCount:
     def test_unrestricted_is_reciprocal(self):
         t = count_table(12, 12)
@@ -507,6 +553,23 @@ class TestRatioCheck:
         report = count_ratio_check(n, r, k, count_table(n, r, "double"))
         u = n / r
         assert report.relative_gap <= 5 * u * math.log(u + 1) / r
+
+    @pytest.mark.filterwarnings("ignore:.*lies outside r >= sqrt")
+    def test_ratio_beyond_double_range_raises(self):
+        # R(200) = 200! at r = 1; nu(20000, 100) is about e^-1213
+        with pytest.raises(ValueError, match=r"nu\(0, 1\)/nu\(200, 1\) = exp\(863\.2"):
+            count_ratio_check(200, 1, 200)
+        n, r = 20000, 100
+        table = count_table(n, r, "double")
+        with pytest.raises(ValueError, match=r"nu\(0, 100\)/nu\(20000, 100\) = exp\(1213\.2"):
+            count_ratio_check(n, r, n, table)
+        with pytest.raises(ValueError, match="beyond the double range"):
+            nu_ratios(n, r, n, table)
+        logs = table.log_view()
+        top = max(m for m in range(n + 1) if logs[n - m] - logs[n] <= LOG_DOUBLE_MAX)
+        assert np.isfinite(nu_ratios(n, r, top, table)).all()
+        with pytest.raises(ValueError, match="beyond the double range"):
+            nu_ratios(n, r, top + 1, table)
 
     def test_warns_outside_regime(self):
         with pytest.warns(UserWarning):
