@@ -57,16 +57,25 @@ def _emit_json(payload: dict, out) -> None:
 
 
 def _write_csv(path, header, rows) -> None:
-    """Write ``header`` and ``rows`` one line at a time, in the bytes
-    ``csv.writer`` gives for fields that need no quoting: fields joined by
-    ``,`` and each line ended by ``\r\n``.  A field holding ``,``, ``"``,
-    ``\r`` or ``\n`` raises ValueError."""
+    """Write ``header`` and ``rows`` of strings and ints one line at a time,
+    in the bytes ``csv.writer`` gives for fields that need no quoting: fields
+    joined by ``,`` and each line ended by ``\r\n``.  A field holding ``,``,
+    ``"``, ``\r`` or ``\n`` raises ValueError.  Number columns go through
+    :func:`_write_numbers` instead."""
     with open(path, "w", newline="") as fh:
         for row in itertools.chain((header,), rows):
             line = ",".join(map(str, row))
             if line.count(",") != len(row) - 1 or '"' in line or "\r" in line or "\n" in line:
                 raise ValueError(f"CSV field would need quoting in row {row!r}")
             fh.write(line + "\r\n")
+
+
+def _write_numbers(path, header, columns) -> None:
+    """Write int and float columns through :func:`numtext.write_csv`, imported
+    here: only the commands that write number files load the writer."""
+    from .numtext import write_csv
+
+    write_csv(path, header, columns)
 
 
 def _fraction_str(x) -> str:
@@ -104,12 +113,13 @@ def _cmd_count(args) -> int:
         print(f"log_nu = {log_nu!r}")
     if args.out:
         if mode == "exact":
-            header = ["m", "nu_exact_num", "nu_exact_den"]
             rows = ((m, int_str(v.numerator), int_str(v.denominator)) for m, v in enumerate(table.values))
+            _write_csv(args.out, ["m", "nu_exact_num", "nu_exact_den"], rows)
         else:
-            header = ["m", "nu_double", "log_nu_double"]
-            rows = ((m, math.exp(x), float(x)) for m, x in enumerate(table.log_view()))
-        _write_csv(args.out, header, rows)
+            logs = table.log_view()
+            # math.exp, not np.exp: the two differ in the last bit on about one entry in twenty
+            nu = np.fromiter(map(math.exp, logs), dtype=np.float64, count=len(logs))
+            _write_numbers(args.out, ["m", "nu_double", "log_nu_double"], [range(len(logs)), nu, logs])
         print(f"table written to {args.out}")
     return 0
 
@@ -117,7 +127,9 @@ def _cmd_count(args) -> int:
 def _cmd_pmf(args) -> int:
     pmf = joint_pmf(args.n, args.r, args.d, mode=args.mode)
     if args.out:
-        pmf.to_csv(args.out)
+        masses = pmf.masses if args.mode == "double" else np.fromiter(map(float, pmf.masses), np.float64, len(pmf))
+        header = [f"c_{j}" for j in range(1, args.d + 1)] + ["probability"]
+        _write_numbers(args.out, header, [*pmf.counts.T, masses])
         print(f"pmf written to {args.out} ({len(pmf)} support points)")
     else:
         for row, p in zip(pmf.counts.tolist(), pmf.mass_list()):
@@ -169,12 +181,13 @@ def _cmd_dickman(args) -> int:
             if not (num.is_integer() and num >= 1):
                 raise ValueError(f"--grid NUM must be a positive integer, got {num}")
             ts = np.linspace(start, stop, int(num))
-            rows = [(float(t), ev.rho(float(t)), ev.log_rho(float(t))) for t in ts]
+            log_rho = [ev.log_rho(t) for t in ts.tolist()]
+            rho = list(map(math.exp, log_rho))  # ev.rho(t), without evaluating log rho twice
             if args.out:
-                _write_csv(args.out, ["t", "rho", "log_rho"], rows)
+                _write_numbers(args.out, ["t", "rho", "log_rho"], [ts, np.array(rho), np.array(log_rho)])
                 print(f"grid written to {args.out}")
             else:
-                for row in rows:
+                for row in zip(ts.tolist(), rho, log_rho):
                     print(*row)
         else:
             value = ev.log_rho(args.t) if args.log else ev.rho(args.t)

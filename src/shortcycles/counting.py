@@ -281,14 +281,19 @@ def nu_ratios(n: int, r: int, top: int, table: WindowTable) -> list[Fraction] | 
     Fractions from an exact table.  From a double table a float64 array, the
     reversed view of one exp, or a ValueError if R(top) leaves the double range.
     """
+    return _ratios(n, r, 0, top, table)
+
+
+def _ratios(n: int, r: int, low: int, top: int, table: WindowTable) -> list[Fraction] | np.ndarray:
+    """R(m) for m = low..top, as :func:`nu_ratios` gives them; this is the one table-coverage check."""
     if table.lo != 1 or table.r != r or table.n_max < n:
         raise ValueError(f"table ({table.lo}..{table.hi}, m <= {table.n_max}) does not cover nu(m, {r}), m <= {n}")
     if not 0 <= top <= n:
         raise ValueError(f"top must be in 0..{n}, got top={top}")
     if table.mode == "exact":
-        return [table.values[n - m] / table.values[n] for m in range(top + 1)]
+        return [table.values[n - m] / table.values[n] for m in range(low, top + 1)]
     logs = table.log_view()
-    log_ratios = logs[n - top : n + 1] - logs[n]  # R(top) first: nu is non-increasing, so it is the largest
+    log_ratios = logs[n - top : n - low + 1] - logs[n]  # R(top) first: nu is non-increasing, so it is the largest
     if log_ratios[0] > LOG_DOUBLE_MAX:
         raise ValueError(f"nu({n - top}, {r})/nu({n}, {r}) = exp({log_ratios[0]:.6g}) lies beyond the double range")
     return np.exp(log_ratios)[::-1]
@@ -392,17 +397,6 @@ class SparsePMF:
             raise ValueError(f"k must be in 1..{self.d}")
         return sum(c * p for c, p in zip(self.counts[:, k - 1].tolist(), self.mass_list()))
 
-    def to_csv(self, path) -> None:
-        """Header and one row ``c_1, ..., c_d, float(mass)`` per count vector,
-        in the bytes ``csv.writer`` gives for those rows."""
-        numbers = [str(c) for c in range(int(self.counts.max(initial=0)) + 1)]
-        columns = [map(numbers.__getitem__, column) for column in self.counts.T.tolist()]
-        masses = self.mass_list() if self.mode == "double" else map(float, self.masses)
-        lines = [",".join([f"c_{j}" for j in range(1, self.d + 1)] + ["probability"])]
-        lines.extend(map(",".join, zip(*columns, map(repr, masses))))
-        with open(path, "w", newline="") as fh:
-            fh.write("\r\n".join(lines) + "\r\n")
-
 
 def support_size(n: int, d: int) -> int:
     """Number of count vectors (c_1, ..., c_d) with sum_j j*c_j <= n."""
@@ -480,12 +474,17 @@ def factorial_moment(n: int, r: int, a: Sequence[int], table: WindowTable) -> Pr
     prod_j j^{-a_j} * R(s), s = sum_j j*a_j (:func:`nu_ratios`), or 0 when s > n or
     some a_j > 0 has j > r: a Fraction from an exact table, a float from a double one.
     """
-    if not 1 <= r <= n or min(a, default=0) < 0:
-        raise ValueError(f"need 1 <= r <= n and every a_j >= 0, got r={r}, n={n}, a={tuple(a)}")
-    s = sum(j * aj for j, aj in enumerate(a, 1))
-    possible = s <= n and not any(a[r:])
-    ratio = nu_ratios(n, r, s if possible else 0, table)[-1]  # checks the table for a zero too
-    value = Fraction(ratio) / math.prod(j**aj for j, aj in enumerate(a, 1)) if possible else Fraction(0)
+    if not 1 <= r <= n:
+        raise ValueError(f"need 1 <= r <= n, got r={r}, n={n}")
+    s, weight, longest = 0, 1, 0
+    for j, aj in itertools.compress(enumerate(a, 1), a):  # the nonzero a_j only
+        if aj < 0:
+            raise ValueError(f"need every a_j >= 0, got a={tuple(a)}")
+        s, weight, longest = s + j * aj, weight * j**aj, j
+    possible = s <= n and longest <= r
+    m = s if possible else 0  # R(0) = 1 checks the table for a zero too
+    ratio = _ratios(n, r, m, m, table)[0]
+    value = Fraction(ratio) / weight if possible else Fraction(0)
     return value if table.mode == "exact" else float(value)
 
 

@@ -13,6 +13,8 @@ from fractions import Fraction
 import mpmath
 import numpy as np
 
+from shortcycles.counting import count_table
+from shortcycles.dickman import DickmanEvaluator
 from shortcycles.permutations import (
     CycleStructure,
     Permutation,
@@ -24,14 +26,30 @@ from shortcycles.permutations import (
 from shortcycles.stein import TermEstimates, TermRow, event_tally
 
 
-def pmf_csv_by_writer(d: int, entries: dict) -> bytes:
-    """The CSV bytes of a joint law as ``csv.writer`` writes its sorted dict entries."""
+def csv_by_writer(header: list[str], rows) -> bytes:
+    """The bytes ``csv.writer`` writes for ``header`` and ``rows``."""
     buffer = io.StringIO(newline="")
     writer = csv.writer(buffer)
-    writer.writerow([f"c_{j}" for j in range(1, d + 1)] + ["probability"])
-    for cv, p in sorted(entries.items(), key=lambda item: item[0].counts):
-        writer.writerow([*cv.counts, float(p)])
+    writer.writerow(header)
+    writer.writerows(rows)
     return buffer.getvalue().encode()
+
+
+def pmf_csv_by_writer(d: int, entries: dict) -> bytes:
+    """The CSV bytes of a joint law as ``csv.writer`` writes its sorted dict entries."""
+    rows = ([*cv.counts, float(p)] for cv, p in sorted(entries.items(), key=lambda item: item[0].counts))
+    return csv_by_writer([f"c_{j}" for j in range(1, d + 1)] + ["probability"], rows)
+
+
+def nu_table_rows(n: int, r: int) -> list[tuple]:
+    """``count --out`` rows of a double table, one entry at a time: m, exp(log nu) by ``math.exp``, log nu."""
+    return [(m, math.exp(x), float(x)) for m, x in enumerate(count_table(n, r, "double").log_view())]
+
+
+def rho_grid_rows(start: float, stop: float, num: int) -> list[tuple]:
+    """``dickman rho --grid`` rows, one point at a time: t, rho(t), log rho(t)."""
+    ev = DickmanEvaluator()
+    return [(float(t), ev.rho(float(t)), ev.log_rho(float(t))) for t in np.linspace(start, stop, num)]
 
 
 def pmf_printed_by_dict(entries: dict) -> str:

@@ -1,5 +1,4 @@
 import csv
-import io
 import json
 import math
 import subprocess
@@ -8,8 +7,8 @@ import sys
 import numpy as np
 import pytest
 
-from oracles import pmf_csv_by_writer, pmf_printed_by_dict
-from shortcycles import cli
+from oracles import csv_by_writer, nu_table_rows, pmf_csv_by_writer, pmf_printed_by_dict, rho_grid_rows
+from shortcycles import cli, numtext
 from shortcycles.cli import main
 from shortcycles.counting import joint_pmf
 from shortcycles.distances import tv_cycle_counts
@@ -69,6 +68,16 @@ class TestCount:
         code, _, _ = run(["count", "--n", "6", "--r", "3", "--out", str(path)], capsys)
         assert code == 0
         assert path.read_text().startswith("m,nu_exact_num,nu_exact_den")
+
+    def test_nu_column_is_math_exp_of_each_log(self, tmp_path, capsys):
+        # numpy's exp differs from math.exp in the last bit on 11 of these 301 entries
+        path = tmp_path / "table.csv"
+        assert run(["count", "--n", "300", "--r", "40", "--out", str(path)], capsys)[0] == 0
+        with open(path, newline="") as fh:
+            rows = list(csv.reader(fh))[1:]
+        logs = np.array([float(log_nu) for _, _, log_nu in rows])
+        assert [float(nu) for _, nu, _ in rows] == list(map(math.exp, logs))
+        assert not np.array_equal(np.exp(logs), list(map(math.exp, logs)))
 
 
 class TestPmf:
@@ -504,23 +513,41 @@ class TestCsvWriter:
         ],
     )
     def test_bytes_match_csv_writer(self, argv, tmp_path, capsys, monkeypatch):
+        # string rows go through _write_csv, number columns through numtext.write_csv
         calls = []
-        write = cli._write_csv
+        write_rows, write_columns = cli._write_csv, numtext.write_csv
 
-        def recording(path, header, rows):
+        def recording_rows(path, header, rows):
             rows = list(rows)
             calls.append((header, rows))
-            write(path, header, rows)
+            write_rows(path, header, rows)
 
-        monkeypatch.setattr(cli, "_write_csv", recording)
+        def recording_columns(path, header, columns):
+            calls.append((header, list(zip(*(np.asarray(column).tolist() for column in columns)))))
+            write_columns(path, header, columns)
+
+        monkeypatch.setattr(cli, "_write_csv", recording_rows)
+        monkeypatch.setattr(numtext, "write_csv", recording_columns)
         path = tmp_path / "out.csv"
         assert run(argv + ["--out", str(path)], capsys)[0] == 0
         [(header, rows)] = calls
-        buffer = io.StringIO(newline="")
-        writer = csv.writer(buffer)
-        writer.writerow(header)
-        writer.writerows(rows)
-        assert path.read_bytes() == buffer.getvalue().encode()
+        assert path.read_bytes() == csv_by_writer(header, rows)
+
+    @pytest.mark.parametrize(
+        "argv,header,rows",
+        [
+            (["count", "--n", "300", "--r", "40"], ["m", "nu_double", "log_nu_double"], lambda: nu_table_rows(300, 40)),
+            # nu(m, 100) is subnormal for 544 m and 0.0 from m = 13340 on
+            (["count", "--n", "100000", "--r", "100"], ["m", "nu_double", "log_nu_double"], lambda: nu_table_rows(10**5, 100)),
+            (["dickman", "rho", "--grid", "0", "5", "9"], ["t", "rho", "log_rho"], lambda: rho_grid_rows(0, 5, 9)),
+            (["dickman", "rho", "--grid", "1", "120", "596"], ["t", "rho", "log_rho"], lambda: rho_grid_rows(1, 120, 596)),
+        ],
+        ids=["count-300", "count-1e5-underflow", "rho-grid-9", "rho-grid-596"],
+    )
+    def test_number_columns_match_rows_built_one_at_a_time(self, argv, header, rows, tmp_path, capsys):
+        path = tmp_path / "out.csv"
+        assert run(argv + ["--out", str(path)], capsys)[0] == 0
+        assert path.read_bytes() == csv_by_writer(header, rows())
 
     def test_rows_are_written_as_they_come(self, monkeypatch):
         # row i is made only after the header and rows 0..i-1 are written

@@ -496,27 +496,26 @@ class TestExpectedCount:
 
 
 class TestSparsePMF:
+    # the law's CSV file is written by ``pmf --out``
     def test_csv(self, tmp_path):
         pmf = joint_pmf(4, 2, 2)
         path = tmp_path / "pmf.csv"
-        pmf.to_csv(path)
+        assert main(["pmf", "--n", "4", "--r", "2", "--d", "2", "--out", str(path)]) == 0
         lines = path.read_text().strip().splitlines()
         assert lines[0] == "c_1,c_2,probability"
         assert len(lines) == len(pmf.entries) + 1
 
     @pytest.mark.parametrize("n,r,d,mode", [(80, 20, 4, "double"), (12, 5, 3, "exact")])
     def test_csv_bytes_match_csv_writer(self, n, r, d, mode, tmp_path):
-        pmf = joint_pmf(n, r, d, mode=mode)
         path = tmp_path / "pmf.csv"
-        pmf.to_csv(path)
-        assert path.read_bytes() == pmf_csv_by_writer(d, pmf.entries)
+        assert main(["pmf", "--n", str(n), "--r", str(r), "--d", str(d), "--mode", mode, "--out", str(path)]) == 0
+        assert path.read_bytes() == pmf_csv_by_writer(d, joint_pmf(n, r, d, mode=mode).entries)
 
     def test_csv_bytes_of_dict_built_law(self, tmp_path):
         # brute force tallies in enumeration order, not lexicographic order
-        law = brute_force_pmf(7, 4, 3)
         path = tmp_path / "pmf.csv"
-        law.to_csv(path)
-        assert path.read_bytes() == pmf_csv_by_writer(3, law.entries)
+        assert main(["pmf", "--n", "7", "--r", "4", "--d", "3", "--out", str(path)]) == 0
+        assert path.read_bytes() == pmf_csv_by_writer(3, brute_force_pmf(7, 4, 3).entries)
 
     def test_dict_built_law_matches_joint_law(self):
         law = joint_pmf(7, 4, 3)
