@@ -1,9 +1,10 @@
 """Cycle statistics of uniform random permutations with bounded cycle length.
 
-Exact counting and joint laws of small-cycle counts, three exact-uniform
-samplers, Dickman-function numerics, per-permutation event probabilities
-for the restricted transposition walk, and total-variation distances to
-the product-Poisson reference together with the two closed-form bounds.
+Exact counting and joint laws of small-cycle counts, two exact-uniform
+samplers on cycle types (sequential and the restricted transposition walk),
+Dickman-function numerics, event probabilities of one walk step per cycle
+type, and total-variation distances to the product-Poisson reference
+together with the two closed-form bounds.
 """
 
 from .counting import (
@@ -47,8 +48,6 @@ from .permutations import (
     CountsVector,
     CycleStructure,
     Permutation,
-    Transposition,
-    apply_transposition,
     class_size,
     cycle_structure,
     cycle_type_counts,
@@ -58,15 +57,11 @@ from .permutations import (
 )
 from .sampling import (
     SamplerConfig,
-    TransitionMatrix,
-    acceptance_rate,
     draw,
     draw_cycle_types,
     mcmc_step,
     sample_cycle_type,
-    sample_rejection,
     sample_sequential,
-    stationarity_matrix,
 )
 from .stein import (
     ClosedFormMismatch,

@@ -178,6 +178,8 @@ def _cmd_dickman(args) -> int:
             return 1
         if args.grid:
             start, stop, num = args.grid
+            if not (math.isfinite(start) and math.isfinite(stop)):
+                raise ValueError(f"--grid START and STOP must be finite, got {start} and {stop}")
             if not (num.is_integer() and num >= 1):
                 raise ValueError(f"--grid NUM must be a positive integer, got {num}")
             ts = np.linspace(start, stop, int(num))
@@ -323,6 +325,9 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_check(args) -> int:
     path = str(args.file)
+    # a --full row holds all n images, so a field can pass the csv module's
+    # 128 kB default; lift the process-wide limit only while this file is read
+    limit = csv.field_size_limit(2**31 - 1)
     try:
         if path.endswith(".json"):
             with open(path) as fh:
@@ -341,9 +346,11 @@ def _cmd_check(args) -> int:
                     if len(row) != len(header):
                         print("ragged csv row", file=sys.stderr)
                         return 1
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, json.JSONDecodeError, csv.Error) as exc:
         print(f"unreadable: {exc}", file=sys.stderr)
         return 1
+    finally:
+        csv.field_size_limit(limit)
     print("ok")
     return 0
 
@@ -374,7 +381,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sample", help="draw permutations with bounded cycles")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--r", type=int, required=True)
-    p.add_argument("--method", choices=["rejection", "sequential", "mcmc"], default="sequential")
+    p.add_argument("--method", choices=["sequential", "mcmc"], default="sequential")
     p.add_argument("--count", type=int, required=True)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--burn-in", type=int, default=0)

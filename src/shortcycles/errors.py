@@ -2,4 +2,4 @@
 
 
 class ResourceLimitError(RuntimeError):
-    """A configured resource cap (support size, retry budget, state space) was hit."""
+    """A configured resource cap (support size, brute-force size, Dickman panels) was hit."""

@@ -2,8 +2,7 @@
 
 A permutation of {0, ..., n-1} is stored as the tuple of images: ``mapping[i]``
 is where ``i`` goes.  Cycle structure is always derived from this array, never
-stored as an independent source of truth, which keeps composition with a
-transposition O(n) and validation trivial.
+stored as an independent source of truth, which keeps validation trivial.
 
 The downstream statistic of interest is the vector of small-cycle counts:
 entry ``k`` of a :class:`CountsVector` is the number of cycles of length
@@ -70,22 +69,6 @@ class Permutation:
 
 
 @dataclass(frozen=True)
-class Transposition:
-    """An unordered pair swap; (a, b) and (b, a) are the same object."""
-
-    a: int
-    b: int
-
-    def __init__(self, a: int, b: int):
-        if a == b:
-            raise ValueError("transposition needs two distinct indices")
-        if a < 0 or b < 0:
-            raise ValueError("indices must be non-negative")
-        object.__setattr__(self, "a", min(a, b))
-        object.__setattr__(self, "b", max(a, b))
-
-
-@dataclass(frozen=True)
 class CycleStructure:
     """Disjoint cycles of a permutation, sorted by smallest element.
 
@@ -149,21 +132,6 @@ def cycle_structure(p: Permutation) -> CycleStructure:
         cycles.append(tuple(cycle))
     lengths = tuple(sorted(len(c) for c in cycles))
     return CycleStructure(tuple(cycles), lengths)
-
-
-def apply_transposition(p: Permutation, t: Transposition) -> Permutation:
-    """Compose: first ``p``, then swap the images ``t.a`` and ``t.b``.
-
-    Self-inverse for fixed ``t``.  If ``t.a`` and ``t.b`` lie in the same
-    cycle of ``p`` the cycle splits in two; otherwise their cycles merge.
-    """
-    if t.b >= p.n:
-        raise ValueError(f"transposition index {t.b} outside 0..{p.n - 1}")
-    new = list(p.mapping)
-    ia = new.index(t.a)
-    ib = new.index(t.b)
-    new[ia], new[ib] = new[ib], new[ia]
-    return Permutation(new)
 
 
 def longest_cycle(p: Permutation) -> int:

@@ -1,10 +1,7 @@
 """Uniform samplers for permutations with all cycle lengths at most r.
 
-Three routes to the same distribution:
+Two routes to the same distribution, both on cycle types:
 
-* rejection: draw uniform permutations (Fisher-Yates) until the longest
-  cycle is <= r.  Exact, with acceptance probability nu(n, r), so only
-  practical when that fraction is not tiny.
 * sequential: draw the cycle type, then the labels.  With m elements
   left, the cycle through any fixed one of them has length k with
   probability nu(m-k, r) / (m * nu(m, r)); drawing one such length per
@@ -28,13 +25,14 @@ Three routes to the same distribution:
   longer than r is rejected (the chain stays put).  The proposal is
   symmetric and rejection keeps the chain reversible, so the uniform law is
   stationary, and the law of the next cycle type depends on sigma only
-  through its type.  The chain starts from one exact sequential draw of the
+  through its type: on types the walk is reversible with respect to the
+  class sizes, class_size(l) P(l -> m) = class_size(m) P(m -> l).  The chain starts from one exact sequential draw of the
   type, so every state it emits is exactly uniform; burn-in only delays
   the first output and thinning weakens the correlation between successive
   ones.  One step is also the perturbation the event-probability
   identities in :mod:`shortcycles.stein` describe.
 
-Two entry points serve all three methods, chosen by ``SamplerConfig.method``:
+Two entry points serve both methods, chosen by ``SamplerConfig.method``:
 :func:`draw_cycle_types` gives cycle types only and :func:`draw` gives
 labelled permutations, both as ``(cfg, count, rng)``.  Each builds the
 double log nu table it reads inside, so no caller passes a table.  All
@@ -46,72 +44,34 @@ from __future__ import annotations
 
 import itertools
 import math
-import os
 from bisect import bisect_right, insort
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
 from .counting import WindowTable, count_table, nu_ratios
-from .errors import ResourceLimitError
-from .permutations import (
-    Permutation,
-    Transposition,
-    apply_transposition,
-    cycle_structure,
-    longest_cycle,
-    permutations_with_bounded_cycles,
-)
+from .permutations import Permutation
 
-DEFAULT_RETRY_CAP = 10**7
-STATIONARITY_MAX_N = 7  # an exact oracle, not a resource cap: 7! = 5040 states
 _UNIFORM_BLOCK = 64  # uniforms drawn per numpy call in sample_cycle_type; even, two per proposal
-
-
-def retry_cap() -> int:
-    """Rejection-sampler draw budget; override with SHORTCYCLES_RETRY_CAP."""
-    return int(os.environ.get("SHORTCYCLES_RETRY_CAP", DEFAULT_RETRY_CAP))
 
 
 @dataclass(frozen=True)
 class SamplerConfig:
     n: int
     r: int
-    method: str = "sequential"  # rejection | sequential | mcmc
+    method: str = "sequential"  # sequential | mcmc
     mcmc_burn_in: int = 0
     mcmc_thinning: int = 1
 
     def __post_init__(self):
         if not 1 <= self.r <= self.n:
             raise ValueError(f"need 1 <= r <= n, got r={self.r}, n={self.n}")
-        if self.method not in ("rejection", "sequential", "mcmc"):
+        if self.method not in ("sequential", "mcmc"):
             raise ValueError(f"unknown method {self.method!r}")
         if self.mcmc_burn_in < 0:
             raise ValueError(f"burn-in must be >= 0, got {self.mcmc_burn_in}")
         if self.mcmc_thinning < 1:
             raise ValueError(f"thinning must be >= 1, got {self.mcmc_thinning}")
-
-
-def sample_rejection(cfg: SamplerConfig, rng: np.random.Generator) -> Permutation:
-    """One exact uniform draw by rejection on the longest cycle, at most SHORTCYCLES_RETRY_CAP tries."""
-    cap = retry_cap()
-    for _ in range(cap):
-        p = Permutation(rng.permutation(cfg.n))
-        if longest_cycle(p) <= cfg.r:
-            return p
-    raise ResourceLimitError(
-        f"rejection sampler used {cap} draws without an acceptance (n={cfg.n}, r={cfg.r})"
-    )
-
-
-def acceptance_rate(n: int, r: int, trials: int, rng: np.random.Generator) -> float:
-    """Fraction of uniform permutations whose longest cycle is <= r.
-
-    This is the empirical acceptance rate of the rejection sampler's
-    proposal loop and estimates nu(n, r).
-    """
-    return sum(longest_cycle(Permutation(rng.permutation(n))) <= r for _ in range(trials)) / trials
 
 
 def sample_cycle_type(n: int, r: int, rng: np.random.Generator, table: WindowTable) -> tuple[int, ...]:
@@ -219,8 +179,7 @@ def mcmc_step(lengths: tuple[int, ...], r: int, rng: np.random.Generator) -> tup
 def draw_cycle_types(cfg: SamplerConfig, count: int, rng: np.random.Generator) -> list[tuple[int, ...]]:
     """``count`` cycle types of uniform permutations with cycles <= r, by ``cfg.method``.
 
-    rejection gives the type of each accepted permutation, sequential one
-    :func:`sample_cycle_type` draw each.  mcmc starts the transposition walk
+    sequential gives one :func:`sample_cycle_type` draw each.  mcmc starts the transposition walk
     from one :func:`sample_cycle_type` draw, which has the exact uniform law,
     runs ``cfg.mcmc_burn_in`` steps, then emits every
     ``cfg.mcmc_thinning``-th state.  Every emitted type therefore has the
@@ -229,8 +188,6 @@ def draw_cycle_types(cfg: SamplerConfig, count: int, rng: np.random.Generator) -
     if count < 0:
         raise ValueError("count must be >= 0")
     n, r = cfg.n, cfg.r
-    if cfg.method == "rejection":
-        return [cycle_structure(sample_rejection(cfg, rng)).lengths for _ in range(count)]
     table = count_table(n, r, "double")
     if cfg.method == "sequential":
         return [sample_cycle_type(n, r, rng, table) for _ in range(count)]
@@ -248,71 +205,14 @@ def draw_cycle_types(cfg: SamplerConfig, count: int, rng: np.random.Generator) -
 def draw(cfg: SamplerConfig, count: int, rng: np.random.Generator) -> list[Permutation]:
     """``count`` labelled draws with the configured method, from ``rng``.
 
-    rejection returns its accepted permutations and sequential labels each
-    type as it is drawn (:func:`sample_sequential`).  mcmc labels each type
+    sequential labels each type as it is drawn (:func:`sample_sequential`).
+    mcmc labels each type
     of :func:`draw_cycle_types` independently and uniformly, after the whole
     chain has run.
     """
     if count < 0:
         raise ValueError("count must be >= 0")
-    if cfg.method == "rejection":
-        return [sample_rejection(cfg, rng) for _ in range(count)]
     if cfg.method == "sequential":
         table = count_table(cfg.n, cfg.r, "double")
         return [sample_sequential(cfg, rng, table) for _ in range(count)]
     return [_labelled(lengths, rng) for lengths in draw_cycle_types(cfg, count, rng)]
-
-
-@dataclass(frozen=True)
-class TransitionMatrix:
-    """Exact one-step law of the restricted transposition walk.
-
-    ``states`` enumerates the bounded-cycle permutations; ``rows[i]`` maps
-    column index -> rational probability (diagonal included when proposals
-    get rejected).
-    """
-
-    n: int
-    r: int
-    states: tuple[Permutation, ...]
-    rows: tuple[dict[int, Fraction], ...]
-
-    def probability(self, i: int, j: int) -> Fraction:
-        return self.rows[i].get(j, Fraction(0))
-
-    def is_symmetric(self) -> bool:
-        return all(self.probability(j, i) == value for i, row in enumerate(self.rows) for j, value in row.items())
-
-    def row_sums(self) -> list[Fraction]:
-        return [sum(row.values()) for row in self.rows]
-
-    def uniform_is_stationary(self) -> bool:
-        """uniform * P = uniform, checked in exact rationals (column sums 1)."""
-        column_sums = [Fraction(0)] * len(self.states)
-        for row in self.rows:
-            for j, value in row.items():
-                column_sums[j] += value
-        return all(s == 1 for s in column_sums)
-
-
-def stationarity_matrix(n: int, r: int) -> TransitionMatrix:
-    """Build the exact transition matrix over the bounded-cycle state space, n <= 7."""
-    if n > STATIONARITY_MAX_N:
-        raise ResourceLimitError(f"state space enumeration capped at n <= {STATIONARITY_MAX_N}")
-    if not 1 <= r <= n:
-        raise ValueError(f"need 1 <= r <= n, got r={r}, n={n}")
-    states = tuple(permutations_with_bounded_cycles(n, r))
-    index = {p: i for i, p in enumerate(states)}
-    pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
-    total = len(pairs)
-    rows = []
-    for p in states:
-        row: dict[int, Fraction] = {}
-        for a, b in pairs:
-            q = apply_transposition(p, Transposition(a, b))
-            j = index.get(q)
-            if j is None:  # proposal left the state space: stay put
-                j = index[p]
-            row[j] = row.get(j, Fraction(0)) + Fraction(1, total)
-        rows.append(row)
-    return TransitionMatrix(n, r, states, tuple(rows))

@@ -8,10 +8,12 @@ from __future__ import annotations
 import csv
 import io
 import math
+from collections import Counter
 from fractions import Fraction
 
 import mpmath
 import numpy as np
+from scipy import stats
 
 from shortcycles.counting import count_table
 from shortcycles.dickman import DickmanEvaluator
@@ -23,6 +25,7 @@ from shortcycles.permutations import (
     cycle_types,
     permutations_with_bounded_cycles,
 )
+from shortcycles.sampling import mcmc_step
 from shortcycles.stein import TermEstimates, TermRow, event_tally
 
 
@@ -165,6 +168,82 @@ def xi_oracle(t: float, digits: int = 50) -> float:
         t = mpmath.mpf(t)
         start = 2 * (t - 1) if t < 2 else 2 * mpmath.log(t)
         return float(mpmath.findroot(lambda x: mpmath.expm1(x) - t * x, start))
+
+
+def apply_transposition(p: Permutation, a: int, b: int) -> Permutation:
+    """``p`` followed by the swap of ``a != b``: the images a and b trade places.
+
+    Two elements of one cycle of ``p`` split it in two; elements of two
+    cycles merge them.
+    """
+    mapping = list(p.mapping)
+    ia, ib = mapping.index(a), mapping.index(b)
+    mapping[ia], mapping[ib] = b, a
+    return Permutation(mapping)
+
+
+class _PairIndex:
+    """Stands in for the generator of ``mcmc_step``: its one draw is ``index``."""
+
+    def __init__(self, index: int):
+        self.index = index
+
+    def integers(self, high: int) -> int:
+        return self.index
+
+
+def type_walk_law(n: int, r: int) -> dict[tuple[int, ...], Counter]:
+    """P(lambda -> mu) of one ``mcmc_step``, in Fractions, for every cycle type lambda of n with parts <= r.
+
+    Not an independent oracle: the step runs once for each of its n(n-1)
+    ordered-pair draws, so the law is exactly the one the sampler samples.
+    """
+    draws = max(n * (n - 1), 1)  # with one element the step draws nothing
+    law = {}
+    for lengths in cycle_types(n, r):
+        row = Counter()
+        for index in range(draws):
+            row[mcmc_step(lengths, r, _PairIndex(index))] += Fraction(1, draws)
+        law[lengths] = row
+    return law
+
+
+def detailed_balance_failures(n: int, r: int) -> list[tuple]:
+    """Where the walk on cycle types breaks exchangeability, at (n, r).
+
+    (type sigma, type sigma') after one step is exchangeable when sigma is
+    uniform on the bounded set, that is when every row of
+    :func:`type_walk_law` sums to 1 over the types of n with parts <= r and
+    class_size(l) P(l -> m) = class_size(m) P(m -> l).  Returns the rows
+    and pairs that fail; empty when both hold.
+    """
+    law = type_walk_law(n, r)
+    failures = [("row", l) for l, row in law.items() if sum(p for m, p in row.items() if m in law) != 1]
+    failures += [
+        ("balance", l, m)
+        for l, row in law.items()
+        for m, p in row.items()
+        if m not in law or class_size(l) * p != class_size(m) * law[m][l]
+    ]
+    return failures
+
+
+def type_law_pvalue(draws, n: int, r: int) -> float:
+    """Chi-square p-value of cycle types ``draws`` against the exact type law
+    class_size(type) / (n! nu(n, r)); cells expected below 5 are pooled into one."""
+    nu = count_table(n, r).fraction(n)
+    types = list(cycle_types(n, r))
+    expected = np.array([float(Fraction(class_size(t), math.factorial(n)) / nu) for t in types])
+    assert abs(expected.sum() - 1) <= 1e-12
+    tally = Counter(draws)
+    assert set(tally) <= set(types), set(tally) - set(types)
+    observed = np.array([tally[t] for t in types])
+    expected *= len(draws)
+    rare = expected < 5  # pooled into one cell, where the chi-square approximation holds
+    if rare.any():
+        observed = np.append(observed[~rare], observed[rare].sum())
+        expected = np.append(expected[~rare], expected[rare].sum())
+    return stats.chisquare(observed, expected).pvalue
 
 
 def pair_effects(struct: CycleStructure, r: int) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:

@@ -1,6 +1,7 @@
 import ast
 import dataclasses
 import inspect
+import re
 from pathlib import Path
 
 import pytest
@@ -50,6 +51,36 @@ def test_one_door_to_rho_and_xi():
     for name in ("XiEvaluator", "default_evaluator", "rho", "log_rho"):
         assert not hasattr(shortcycles, name), name
         assert not hasattr(shortcycles.dickman, name), name
+
+
+def test_one_cycle_type_sampler():
+    # sampling runs on cycle types only: no rejection route, and no labelled
+    # walk matrix next to the walk the sampler runs
+    gone = (
+        "sample_rejection", "acceptance_rate", "retry_cap", "DEFAULT_RETRY_CAP",
+        "TransitionMatrix", "stationarity_matrix", "STATIONARITY_MAX_N",
+        "Transposition", "apply_transposition",
+    )
+    for name in gone:
+        assert not hasattr(shortcycles, name), name
+        assert not hasattr(shortcycles.sampling, name), name
+        assert not hasattr(shortcycles.permutations, name), name
+
+
+def test_readme_lists_every_cap_the_code_reads():
+    # the SHORTCYCLES_* variables read from os.environ are the caps contract of the README
+    package = Path(shortcycles.__file__).parent
+    read = {
+        node.args[0].value
+        for path in package.glob("*.py")
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Call)
+        and ast.unparse(node.func) in ("os.environ.get", "os.getenv")
+        and isinstance(node.args[0], ast.Constant)
+    }
+    readme = (package.parent.parent / "README.md").read_text()
+    contract = re.search(r"^- resource caps are set only through .*?(?=^- )", readme, re.M | re.S).group(0)
+    assert read == set(re.findall(r"`(SHORTCYCLES_\w+)`", contract))
 
 
 def test_private_names_stay_in_their_module():

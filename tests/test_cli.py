@@ -154,6 +154,7 @@ class TestDickman:
         [
             (["rho", "--grid", "1", "5", "inf"], "got inf"),
             (["rho", "--grid", "1", "5", "nan"], "got nan"),
+            (["rho", "--grid", "0", "inf", "3"], "got 0.0 and inf"),
             (["rho", "--t", "nan"], "t=nan"),
             (["rho", "--t", "inf"], "t=inf"),
             (["gamma-check", "--t", "nan"], "t=nan"),
@@ -163,11 +164,12 @@ class TestDickman:
             (["ratio", "--t", "inf", "--v", "1"], "t=inf"),
         ],
     )
+    @pytest.mark.filterwarnings("error")  # a numpy warning on the way is a failure
     def test_non_finite_values_are_validation_errors(self, argv, message, capsys):
         code, out, err = run(["dickman", *argv], capsys)
         assert code == 1
         assert out == ""
-        assert message in err
+        assert message in err and len(err.splitlines()) == 1
 
     @pytest.mark.parametrize("num", ["2.7", "0", "-3", "nan"])
     def test_grid_count_must_be_a_positive_integer(self, num, tmp_path, capsys):
@@ -284,6 +286,13 @@ class TestSample:
         assert code == 0
         assert len(path.read_text().strip().splitlines()) == 11
 
+    def test_rejection_method_is_gone(self, capsys):
+        code, out, err = run(["sample", "--n", "6", "--r", "3", "--method", "rejection", "--count", "2"], capsys)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("usage: shortcycles sample")
+        assert "invalid choice: 'rejection'" in err
+
     def test_mcmc_single_element(self, src_env):
         # no transposition exists, so the walk keeps the fixed point; run in
         # a subprocess with a timeout in case the step loops on its draw
@@ -318,7 +327,7 @@ class TestSample:
         assert [cycle_structure(p).lengths for p in perms] == types
 
     @pytest.mark.parametrize("full", [False, True], ids=["types", "full"])
-    @pytest.mark.parametrize("method", ["sequential", "rejection", "mcmc"])
+    @pytest.mark.parametrize("method", ["sequential", "mcmc"])
     def test_rows_equal_the_library(self, method, full, capsys):
         # the CLI builds no table and makes no method choice of its own
         argv = ["sample", "--n", "30", "--r", "6", "--method", method, "--count", "20", "--seed", "5",
@@ -497,6 +506,30 @@ class TestSweepAndCheck:
 
     def test_check_missing_file(self, capsys):
         assert run(["check", "/nonexistent/file.json"], capsys)[0] == 1
+
+    def test_check_reads_a_full_row_past_the_csv_field_limit(self, tmp_path, capsys):
+        # one --full row at n = 30000 is a field of about 169 kB; the csv
+        # module's default limit is 128 kB, and check restores it afterwards
+        path = tmp_path / "f.csv"
+        argv = ["sample", "--n", "30000", "--r", "30000", "--count", "1", "--full", "--out", str(path)]
+        assert run(argv, capsys)[0] == 0
+        assert path.stat().st_size > csv.field_size_limit()
+        limit = csv.field_size_limit()
+        code, out, err = run(["check", str(path)], capsys)
+        assert (code, out, err) == (0, "ok\n", "")
+        assert csv.field_size_limit() == limit
+
+    def test_check_reports_a_csv_error(self, tmp_path, capsys, monkeypatch):
+        path = tmp_path / "x.csv"
+        path.write_text("a,b\r\n1,2\r\n")
+
+        def broken_reader(fh):
+            raise csv.Error("field larger than field limit (4)")
+
+        monkeypatch.setattr(csv, "reader", broken_reader)
+        code, out, err = run(["check", str(path)], capsys)
+        assert (code, out) == (1, "")
+        assert err == "unreadable: field larger than field limit (4)\n"
 
 
 class TestCsvWriter:

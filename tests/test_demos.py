@@ -1,9 +1,9 @@
 """The demos run to completion against the current library API.
 
-Demo 03 takes about 15 s: it draws 30000 states of the transposition walk
-next to the other samplers.  Demo 05 takes about 5 s, most of it drawing
-111000 cycle types for the plug-in estimate; it drives both ``tv_exact``
-and ``tv_empirical``.
+Demo 03 takes about 8 s: it draws 20000 states of the transposition walk,
+40 steps apart, next to the sequential sampler.  Demo 05 takes about 5 s,
+most of it drawing 111000 cycle types for the plug-in estimate; it drives
+both ``tv_exact`` and ``tv_empirical``.
 """
 
 import subprocess

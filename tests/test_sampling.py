@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from oracles import apply_transposition, detailed_balance_failures, type_law_pvalue, type_walk_law
 from shortcycles.counting import (
     WindowTable,
     count_table,
@@ -15,11 +16,8 @@ from shortcycles.counting import (
     first_element_cycle_length_pmf,
     restricted_count_table,
 )
-from shortcycles.errors import ResourceLimitError
 from shortcycles.permutations import (
     Permutation,
-    Transposition,
-    apply_transposition,
     class_size,
     cycle_structure,
     cycle_types,
@@ -29,14 +27,11 @@ from shortcycles.permutations import (
 from shortcycles.sampling import (
     SamplerConfig,
     _transposition_move,
-    acceptance_rate,
     draw,
     draw_cycle_types,
     mcmc_step,
     sample_cycle_type,
-    sample_rejection,
     sample_sequential,
-    stationarity_matrix,
 )
 from shortcycles.stein import _transposition_effects
 
@@ -45,37 +40,13 @@ class TestConfig:
     def test_validation(self):
         with pytest.raises(ValueError):
             SamplerConfig(n=4, r=5)
-        with pytest.raises(ValueError):
-            SamplerConfig(n=4, r=2, method="magic")
+        for method in ("magic", "rejection"):
+            with pytest.raises(ValueError, match="unknown method"):
+                SamplerConfig(n=4, r=2, method=method)
         with pytest.raises(ValueError, match="thinning must be >= 1"):
             SamplerConfig(n=4, r=2, method="mcmc", mcmc_thinning=0)
         with pytest.raises(ValueError, match="burn-in must be >= 0"):
             SamplerConfig(n=4, r=2, method="mcmc", mcmc_burn_in=-1)
-
-
-class TestRejection:
-    def test_unrestricted_accepts_first_draw(self):
-        cfg = SamplerConfig(n=8, r=8, method="rejection")
-        first = np.random.default_rng(123).permutation(8)
-        got = sample_rejection(cfg, np.random.default_rng(123))
-        assert got.mapping == tuple(int(x) for x in first)
-
-    def test_r1_returns_identity(self):
-        cfg = SamplerConfig(n=4, r=1, method="rejection")
-        p = sample_rejection(cfg, np.random.default_rng(0))
-        assert p == Permutation.identity(4)
-
-    def test_retry_cap_env_override(self, monkeypatch):
-        monkeypatch.setenv("SHORTCYCLES_RETRY_CAP", "5")
-        cfg = SamplerConfig(n=9, r=1, method="rejection")
-        with pytest.raises(ResourceLimitError):
-            sample_rejection(cfg, np.random.default_rng(0))
-
-    def test_acceptance_rate_matches_nu(self):
-        rate = acceptance_rate(6, 3, 10**5, np.random.default_rng(2024))
-        p = float(count_table(6, 3).fraction(6))
-        se = (p * (1 - p) / 10**5) ** 0.5
-        assert abs(rate - p) <= 3 * se
 
 
 class TestSequential:
@@ -109,36 +80,24 @@ class TestSequential:
         p = draw(cfg, 1, np.random.default_rng(11))[0]
         assert longest_cycle(p) <= 100
 
+    @pytest.mark.parametrize("method", ["sequential", "mcmc"])
+    def test_r1_returns_identity(self, method):
+        cfg = SamplerConfig(n=4, r=1, method=method)
+        assert draw(cfg, 3, np.random.default_rng(0)) == [Permutation.identity(4)] * 3
+        assert draw_cycle_types(cfg, 3, np.random.default_rng(0)) == [(1, 1, 1, 1)] * 3
+
     def test_reproducible(self):
         cfg = SamplerConfig(n=12, r=5, method="sequential")
         assert draw(cfg, 10, np.random.default_rng(77)) == draw(cfg, 10, np.random.default_rng(77))
 
 
 class TestCycleType:
-    # (40, 2): 21 types and about 23 cycles, so a draw refills its block of
-    # uniforms; rejection at (8, 4) accepts with probability nu(8, 4) = 0.365
-    @pytest.mark.parametrize(
-        "n,r,seed,method",
-        [(8, 4, 1, "sequential"), (10, 3, 2, "sequential"), (40, 2, 3, "sequential"), (8, 4, 1, "rejection")],
-        ids=["8-4-1", "10-3-2", "40-2-3", "rejection-8-4-1"],
-    )
-    def test_chi_square_against_exact_type_law(self, n, r, seed, method):
+    # (40, 2): 21 types and about 23 cycles, so a draw refills its block of uniforms
+    @pytest.mark.parametrize("n,r,seed", [(8, 4, 1), (10, 3, 2), (40, 2, 3)], ids=["8-4-1", "10-3-2", "40-2-3"])
+    def test_chi_square_against_exact_type_law(self, n, r, seed):
         # P(type) = class_size(type) / (n! nu(n, r))
-        nu = count_table(n, r).fraction(n)
-        types = list(cycle_types(n, r))
-        expected = np.array([float(Fraction(class_size(t), math.factorial(n)) / nu) for t in types])
-        assert expected.sum() == pytest.approx(1.0, abs=1e-12)
-        draws = 40000
-        tally = {t: 0 for t in types}
-        for t in draw_cycle_types(SamplerConfig(n, r, method), draws, np.random.default_rng(seed)):
-            tally[t] += 1
-        observed = np.array([tally[t] for t in types])
-        expected *= draws
-        rare = expected < 5  # pooled into one cell, where the chi-square approximation holds
-        if rare.any():
-            observed = np.append(observed[~rare], observed[rare].sum())
-            expected = np.append(expected[~rare], expected[rare].sum())
-        assert stats.chisquare(observed, expected).pvalue >= 1e-3
+        draws = draw_cycle_types(SamplerConfig(n, r), 40000, np.random.default_rng(seed))
+        assert type_law_pvalue(draws, n, r) >= 1e-3
 
     def test_sequential_draw_relabels_the_sampled_type(self):
         table = count_table(40, 6)
@@ -222,16 +181,13 @@ class TestMcmc:
         pairs = [(a, b) for a in range(3) for b in range(a + 1, 3)]
         # from the identity every proposal is accepted (results are 2-cycles)
         accepted_from_id = [
-            longest_cycle(apply_transposition(Permutation.identity(3), Transposition(a, b))) <= 2
-            for a, b in pairs
+            longest_cycle(apply_transposition(Permutation.identity(3), a, b)) <= 2 for a, b in pairs
         ]
         assert accepted_from_id == [True, True, True]
         # from a 2-cycle only the inverse proposal is accepted; the other
         # two proposals would build a 3-cycle and get rejected
         p = Permutation((1, 0, 2))
-        accepted = [
-            longest_cycle(apply_transposition(p, Transposition(a, b))) <= 2 for a, b in pairs
-        ]
+        accepted = [longest_cycle(apply_transposition(p, a, b)) <= 2 for a, b in pairs]
         assert sum(accepted) == 1
         # on types: from (1, 2) the walk splits the 2-cycle or stays put
         rng = np.random.default_rng(12)
@@ -274,7 +230,7 @@ class TestMcmc:
                         moved = _transposition_move(lengths, a, b, r)
                         if moved is lengths:
                             continue
-                        assert moved == cycle_structure(apply_transposition(representative, Transposition(a, b))).lengths
+                        assert moved == cycle_structure(apply_transposition(representative, a, b)).lengths
                         counts[(tuple(sorted((Counter(moved) - Counter(lengths)).elements())),
                                 tuple(sorted((Counter(lengths) - Counter(moved)).elements())))] += 1
                 expected = {key: 2 * pairs for key, pairs in _transposition_effects(lengths, r).items()}
@@ -282,18 +238,9 @@ class TestMcmc:
 
     @pytest.mark.parametrize("n", range(1, 8))
     def test_class_size_law_is_stationary(self, n):
-        # pi(mu) = sum_lambda pi(lambda) P(lambda -> mu) in exact rationals,
-        # with pi(lambda) proportional to the class size
+        # detailed balance with the class sizes, which makes them stationary
         for r in range(1, n + 1):
-            types = list(cycle_types(n, r))
-            pi = {t: Fraction(class_size(t)) for t in types}
-            pairs = max(n * (n - 1), 1)
-            after = {t: Fraction(0) for t in types}
-            for lengths in types:
-                moves = [_transposition_move(lengths, a, b, r) for a in range(n) for b in range(n) if a != b]
-                for moved in moves or [lengths]:
-                    after[moved] += pi[lengths] / pairs
-            assert after == pi, (n, r)
+            assert detailed_balance_failures(n, r) == [], (n, r)
 
     def test_chain_starts_uniform(self):
         # the first output, one step from a stationary start, is uniform
@@ -312,21 +259,28 @@ class TestMcmc:
 
 
 class TestStationarityMatrix:
+    # the exact one-step law of the walk on cycle types, P(lambda -> mu)
     def test_n4_r2(self):
-        m = stationarity_matrix(4, 2)
-        assert len(m.states) == 10
-        assert m.is_symmetric()
-        assert all(s == 1 for s in m.row_sums())
-        assert m.uniform_is_stationary()
+        # 12 ordered pairs; class sizes 1, 6 and 3 for (1,1,1,1), (1,1,2), (2,2)
+        law = type_walk_law(4, 2)
+        assert law == {
+            (1, 1, 1, 1): {(1, 1, 2): 1},
+            (1, 1, 2): {(1, 1, 1, 1): Fraction(2, 12), (2, 2): Fraction(2, 12), (1, 1, 2): Fraction(8, 12)},
+            (2, 2): {(1, 1, 2): Fraction(4, 12), (2, 2): Fraction(8, 12)},
+        }
+        after = Counter()
+        for lengths, row in law.items():
+            for moved, p in row.items():
+                after[moved] += class_size(lengths) * p
+        assert after == {lengths: class_size(lengths) for lengths in law}
 
     def test_diagonal_only_when_rejections_exist(self):
-        m = stationarity_matrix(4, 4)
-        for i in range(len(m.states)):
-            assert m.probability(i, i) == 0
-
-    def test_cap(self):
-        with pytest.raises(ResourceLimitError):
-            stationarity_matrix(8, 3)
+        # a transposition changes the number of cycles by one, so the type
+        # stays put only when a merge is rejected, which needs r < n
+        for n in range(2, 8):
+            for r in range(1, n + 1):
+                stays = [lengths for lengths, row in type_walk_law(n, r).items() if row[lengths]]
+                assert (stays != []) == (r < n), (n, r, stays)
 
 
 def chi_square_uniform_pvalue(samples, states):
@@ -342,12 +296,6 @@ class TestUniformity:
         states = list(permutations_with_bounded_cycles(5, 3))
         cfg = SamplerConfig(n=5, r=3, method="sequential")
         samples = draw(cfg, 20000, np.random.default_rng(101))
-        assert chi_square_uniform_pvalue(samples, states) >= 1e-3
-
-    def test_rejection_chi_square_s5_r3(self):
-        states = list(permutations_with_bounded_cycles(5, 3))
-        cfg = SamplerConfig(n=5, r=3, method="rejection")
-        samples = draw(cfg, 20000, np.random.default_rng(202))
         assert chi_square_uniform_pvalue(samples, states) >= 1e-3
 
     def test_mcmc_chi_square_s5_r3(self):
