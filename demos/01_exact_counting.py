@@ -37,13 +37,13 @@ print("\n" + "=" * 72)
 print("Cycle length of a fixed element")
 print("=" * 72)
 n, r = 8, 4
-pmf = first_element_cycle_length_pmf(n, r, count_table(n, r))
+pmf = first_element_cycle_length_pmf(n, count_table(n, r))
 print(f"\nn={n}, r={r}:  P[length = k] = nu(n-k, r) / (n nu(n, r))")
 for k, p in enumerate(pmf, start=1):
     print(f"  k={k}: {p} = {float(p):.6f}")
 print(f"  total: {sum(pmf)}")
 print("With r = n the law is exactly uniform:")
-print("  ", first_element_cycle_length_pmf(5, 5, count_table(5, 5)))
+print("  ", first_element_cycle_length_pmf(5, count_table(5, 5)))
 
 print("\n" + "=" * 72)
 print("Joint law of (counts of 1-cycles, ..., d-cycles)")
@@ -62,13 +62,14 @@ print("Expected number of k-cycles: nu(n-k, r) / (k nu(n, r))")
 print("=" * 72)
 n = 12
 print(f"\nUnrestricted (r = n = {n}) recovers exactly 1/k:")
+table = count_table(n, n)
 for k in (1, 2, 3, 4):
-    print(f"  k={k}: {expected_count(n, n, k)}")
+    print(f"  k={k}: {expected_count(n, k, table)}")
 n, r = 10, 4
 table = count_table(n, r)
 law = joint_pmf(n, r, 4)
 print(f"\nRestricted n={n}, r={r}: closed form vs expectation under the joint law")
 for k in (1, 2, 3, 4):
-    closed = expected_count(n, r, k, table)
+    closed = expected_count(n, k, table)
     from_law = law.expectation(k)
     print(f"  k={k}: {closed} = {float(closed):.6f}   joint-law route: {from_law}  equal: {closed == from_law}")

@@ -70,7 +70,7 @@ worst_k = 0.0
 for u_target in (1.25, 1.5, 2.0, 2.5, 3.0, 4.0, 5.0):
     r = round(n / u_target)
     u = n / r
-    nu = float(count_table(n, r, "double").fraction(n))
+    nu = math.exp(count_table(n, r, "double").log_view()[n])
     rho_u = ev.rho(u)
     gap = abs(nu / rho_u - 1.0)
     scale = u * math.log(u + 1.0) / r

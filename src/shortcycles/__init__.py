@@ -19,10 +19,7 @@ from .counting import (
     first_element_cycle_length_pmf,
     joint_pmf,
     nu_ratios,
-    restricted_count_table,
-    support_size,
     table_mode,
-    window_table,
 )
 from .dickman import (
     DickmanEvaluator,

@@ -16,6 +16,7 @@ import csv
 import itertools
 import json
 import math
+import re
 import sys
 from fractions import Fraction
 
@@ -34,6 +35,12 @@ SCHEMA_VERSION = 1
 
 
 class _Parser(argparse.ArgumentParser):
+    # argparse reads -1e3 or -inf as an unknown option (only -2 and -.5 look like numbers to it);
+    # no option here looks like a number, so every negative float literal is passed on as a value
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-(?:(?:\d+\.?\d*|\.\d+)(?:e[-+]?\d+)?|inf|infinity|nan)$", re.I)
+
     # argparse exits with code 2 on usage errors; the contract reserves 2
     # for resource caps, so remap to 1
     def error(self, message):
@@ -103,13 +110,13 @@ def _positive_str(value: float, log_value: float) -> str:
 def _cmd_count(args) -> int:
     mode = "exact" if args.exact else table_mode(args.n)
     table = count_table(args.n, args.r, mode)
-    nu = table.fraction(args.n)
     if mode == "exact":
+        nu = table.fraction(args.n)
         print(f"|restricted set| = {int_str(table.count(args.n))}")
         print(f"nu = {_fraction_str(nu)} = {_positive_str(float(nu), log_fraction(nu))}")
     else:
         log_nu = float(table.log_view()[args.n])
-        print(f"nu = {_positive_str(nu, log_nu)}")
+        print(f"nu = {_positive_str(math.exp(log_nu), log_nu)}")
         print(f"log_nu = {log_nu!r}")
     if args.out:
         if mode == "exact":

@@ -6,14 +6,15 @@ of the cycle containing a fixed element gives the recurrence
 
     m * nu(m, r) = sum_{k=1}^{min(m, r)} nu(m - k, r),      nu(0, r) = 1,
 
-evaluated for all m <= n in O(n) by :func:`window_table`, which also
+evaluated for all m <= n in O(n) by :func:`count_table`, which also
 tabulates mu(m), the same fraction for cycle lengths confined to a window
-(d, r].  The fraction itself does not keep a float path safe: nu(n, r)
-decays like the Dickman function rho(n/r) and leaves the double range
-(below 1e-308) in the paper's regime.  The float variant therefore stores
-log f and sums only positive terms at one scale per block of m: one cumsum
-per block for nu, one scalar pass of chunk prefix and suffix sums for mu.  It
-tracks the exact rationals to ~1e-12 relative at u = n/r in the hundreds.
+(d, r]; the table holds d and r, and each reader of nu takes r from it.
+The fraction itself does not keep a float path safe: nu(n, r) decays like
+the Dickman function rho(n/r) and leaves the double range (below 1e-308)
+in the paper's regime.  The float variant therefore stores log f and sums
+only positive terms at one scale per block of m: one cumsum per block for
+nu, one scalar pass of chunk prefix and suffix sums for mu.  It tracks the
+exact rationals to ~1e-12 relative at u = n/r in the hundreds.
 
 From the same classification follow exactly, with R(m) = nu(n - m, r) / nu(n, r):
 
@@ -48,22 +49,16 @@ import numpy as np
 
 from .dickman import xi
 from .errors import ResourceLimitError
-from .permutations import CountsVector, capped_type_count, cycle_type_counts
+from .permutations import CountsVector, brute_force_cap, capped_type_count
 
 Probability = Union[Fraction, float]
 
 DEFAULT_SUPPORT_CAP = 10**7
-DEFAULT_BRUTE_FORCE_CAP = 10
 
 
 def support_cap() -> int:
     """Joint-law support cap; override with SHORTCYCLES_SUPPORT_CAP."""
     return int(os.environ.get("SHORTCYCLES_SUPPORT_CAP", DEFAULT_SUPPORT_CAP))
-
-
-def brute_force_cap() -> int:
-    """Largest n brute-force enumeration accepts; override with SHORTCYCLES_BRUTE_FORCE_CAP."""
-    return int(os.environ.get("SHORTCYCLES_BRUTE_FORCE_CAP", DEFAULT_BRUTE_FORCE_CAP))
 
 
 def table_mode(n: int) -> str:
@@ -95,51 +90,39 @@ def log_fraction(x: Fraction) -> float:
 
 class WindowTable:
     """f(m) for m = 0..n_max: the fraction of the m! permutations of m
-    elements whose cycle lengths all lie in [lo, hi].
+    elements whose cycle lengths all lie in the window (d, r].
 
-    nu(m, r) is the table with lo = 1, hi = r; mu(m) for the window (d, r]
-    has lo = d+1.  Exact mode holds Fractions; double mode holds only
-    log f(m) (-inf where f(m) = 0), because deep in the tail f(m) lies
-    below the smallest double.
+    d = 0 gives nu(m, r), 1 <= d <= r gives mu(m).  Exact mode holds
+    Fractions; double mode holds only log f(m) (-inf where f(m) = 0),
+    because deep in the tail f(m) lies below the smallest double, and is
+    read through :meth:`log_view`.
     """
 
-    def __init__(self, lo: int, hi: int, mode: str, values):
-        self.lo = lo
-        self.hi = hi
+    def __init__(self, d: int, r: int, mode: str, values):
+        self.d = d
+        self.r = r
         self.mode = mode
         if mode == "exact":
             self.values = tuple(values)
             self._log = None
-        elif mode == "double":
+        else:
             self._log = np.asarray(values, dtype=np.float64)
             self._log.setflags(write=False)
-        else:
-            raise ValueError(f"unknown mode {mode!r}")
-
-    @property
-    def r(self) -> int:
-        return self.hi
-
-    @property
-    def d(self) -> int:
-        return self.lo - 1
 
     @property
     def n_max(self) -> int:
         return len(self.values if self.mode == "exact" else self._log) - 1
 
-    def fraction(self, m: int) -> Probability:
-        """f(m); in double mode a float, which underflows to 0.0 deep in the tail."""
+    def fraction(self, m: int) -> Fraction:
+        """f(m) (exact mode only: a double f(m) underflows deep in the tail)."""
+        if self.mode != "exact":
+            raise ValueError("fractions require exact mode; read a double table through log_view()")
         if not 0 <= m <= self.n_max:
             raise ValueError(f"m={m} outside tabulated range 0..{self.n_max}")
-        if self.mode == "exact":
-            return self.values[m]
-        return math.exp(self._log[m])
+        return self.values[m]
 
     def count(self, m: int) -> int:
         """m! f(m), the number of such permutations (exact mode only)."""
-        if self.mode != "exact":
-            raise ValueError("integer counts require exact mode")
         value = self.fraction(m) * math.factorial(m)
         if value.denominator != 1:
             raise ArithmeticError(f"table entry {m} is not a count over {m}!")
@@ -154,12 +137,13 @@ class WindowTable:
         return self._log
 
 
-def window_table(lo: int, hi: int, n_max: int, mode: str = "exact") -> WindowTable:
-    """Tabulate f(m), m = 0..n_max, for cycle lengths confined to [lo, hi].
+def count_table(n_max: int, r: int, mode: str = "exact", *, d: int = 0) -> WindowTable:
+    """Tabulate f(m), m = 0..n_max, for cycle lengths confined to (d, r].
 
-    f(0) = 1 and m f(m) = sum_{k=lo}^{min(m, hi)} f(m - k): classify by the
-    length k of the cycle through a fixed element.  An empty window
-    (hi = lo - 1) leaves f(m) = 0 for every m > 0.
+    d = 0 gives nu(m, r), 1 <= d <= r gives mu(m), and d = r is the empty
+    window, where f(m) = 0 for every m > 0.  f(0) = 1 and
+    m f(m) = sum_{k=d+1}^{min(m, r)} f(m - k): classify by the length k of
+    the cycle through a fixed element.
 
     Exact mode runs the recurrence in Fractions.  Double mode works in
     blocks of m, adds positive terms only (no sliding-window subtraction,
@@ -167,42 +151,44 @@ def window_table(lo: int, hi: int, n_max: int, mode: str = "exact") -> WindowTab
     per block, so log f stays accurate to ~1e-12 relative far below the
     smallest double:
 
-    * lo = 1 (nu), blocks of length hi.  m f(m) = A(m) + B(m), with A(m)
+    * d = 0 (nu), blocks of length r.  m f(m) = A(m) + B(m), with A(m)
       the part of the window below the block (a suffix sum of the previous
       block) and B(m) the part inside it.  b(m) = B(m)/m starts at 0 and
       obeys b(m+1) = b(m) + A(m)/(m(m+1)), so a block costs one cumsum.
-    * lo >= 2, one scalar pass over m.  With j cut into chunks of width
-      hi-lo+1 at multiples of it, the window [m-hi, m-lo] is one whole chunk
+    * d >= 1, one scalar pass over m.  With j cut into chunks of width
+      r-d at multiples of it, the window [m-r, m-d-1] is one whole chunk
       or a suffix of one plus a prefix of the next (van Herk; Gil and
       Werman).  A step extends its chunk's prefix sum by one add, and a
       complete chunk fills its suffix sums backwards.
     """
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
-    if lo < 1 or hi < lo - 1:
-        raise ValueError(f"need 1 <= lo <= hi + 1, got lo={lo}, hi={hi}")
+    if r < 1:
+        raise ValueError("r must be >= 1")
+    if not 0 <= d <= r:
+        raise ValueError(f"need 0 <= d <= r, got d={d}, r={r}")
+    if mode not in ("exact", "double"):
+        raise ValueError(f"unknown mode {mode!r}")
     if mode == "exact":
         values = [Fraction(1)]
-        window = Fraction(0)  # sum of f(m-k) over lo <= k <= min(m, hi)
+        window = Fraction(0)  # sum of f(m-k) over d < k <= min(m, r)
         for m in range(1, n_max + 1):
-            if m - lo >= 0:
-                window += values[m - lo]
-            if m - hi - 1 >= 0:
-                window -= values[m - hi - 1]
+            if m - d - 1 >= 0:
+                window += values[m - d - 1]
+            if m - r - 1 >= 0:
+                window -= values[m - r - 1]
             values.append(window / m)
-        return WindowTable(lo, hi, "exact", values)
-    if mode != "double":
-        raise ValueError(f"unknown mode {mode!r}")
-    top = min(hi, n_max)  # no cycle of m <= n_max elements is longer
-    if top < lo:
+        return WindowTable(d, r, "exact", values)
+    top = min(r, n_max)  # no cycle of m <= n_max elements is longer
+    if top <= d:
         logs = np.full(n_max + 1, -np.inf)
         logs[0] = 0.0
-    elif lo == 1:
+    elif d == 0:
         logs = _nu_logs(top, n_max)
     else:
         with np.errstate(divide="ignore"):  # log 0 = -inf marks f(m) = 0
-            logs = _windowed_logs(lo, top, n_max)
-    return WindowTable(lo, hi, "double", logs)
+            logs = _windowed_logs(d + 1, top, n_max)
+    return WindowTable(d, r, "double", logs)
 
 
 def _nu_logs(r: int, n_max: int) -> np.ndarray:
@@ -257,37 +243,20 @@ def _windowed_logs(lo: int, hi: int, n_max: int) -> np.ndarray:
     return np.log(np.frombuffer(val)) + scale * LN2
 
 
-def count_table(n_max: int, r: int, mode: str = "exact") -> WindowTable:
-    """Tabulate nu(m, r) for m = 0..n_max: the window table with lo = 1, hi = r."""
-    if r < 1:
-        raise ValueError("r must be >= 1")
-    return window_table(1, r, n_max, mode)
-
-
-def restricted_count_table(d: int, r: int, n_max: int, mode: str = "exact") -> WindowTable:
-    """Tabulate mu(m) for cycle lengths confined to (d, r].
-
-    The window table with lo = d+1, hi = r; d = 0 gives nu(m, r) and d = r
-    the empty window, where mu(m) = 0 for all m > 0.
-    """
-    if not 0 <= d <= r:
-        raise ValueError(f"need 0 <= d <= r, got d={d}, r={r}")
-    return window_table(d + 1, r, n_max, mode)
-
-
-def nu_ratios(n: int, r: int, top: int, table: WindowTable) -> list[Fraction] | np.ndarray:
-    """R(m) = nu(n - m, r) / nu(n, r) for m = 0..top; ``table`` must hold nu(m, r) for m <= n.
+def nu_ratios(n: int, top: int, table: WindowTable) -> list[Fraction] | np.ndarray:
+    """R(m) = nu(n - m, r) / nu(n, r) for m = 0..top, r = ``table.r``; ``table`` must hold nu(m, r) for m <= n.
 
     Fractions from an exact table.  From a double table a float64 array, the
     reversed view of one exp, or a ValueError if R(top) leaves the double range.
     """
-    return _ratios(n, r, 0, top, table)
+    return _ratios(n, 0, top, table)
 
 
-def _ratios(n: int, r: int, low: int, top: int, table: WindowTable) -> list[Fraction] | np.ndarray:
+def _ratios(n: int, low: int, top: int, table: WindowTable) -> list[Fraction] | np.ndarray:
     """R(m) for m = low..top, as :func:`nu_ratios` gives them; this is the one table-coverage check."""
-    if table.lo != 1 or table.r != r or table.n_max < n:
-        raise ValueError(f"table ({table.lo}..{table.hi}, m <= {table.n_max}) does not cover nu(m, {r}), m <= {n}")
+    r = table.r
+    if table.d != 0 or table.n_max < n:
+        raise ValueError(f"table (({table.d}, {r}], m <= {table.n_max}) does not cover nu(m, {r}), m <= {n}")
     if not 0 <= top <= n:
         raise ValueError(f"top must be in 0..{n}, got top={top}")
     if table.mode == "exact":
@@ -299,15 +268,16 @@ def _ratios(n: int, r: int, low: int, top: int, table: WindowTable) -> list[Frac
     return np.exp(log_ratios)[::-1]
 
 
-def first_element_cycle_length_pmf(n: int, r: int, table: WindowTable):
-    """Exact law of the cycle length of a fixed element, k = 1..r.
+def first_element_cycle_length_pmf(n: int, table: WindowTable):
+    """Exact law of the cycle length of a fixed element, k = 1..r, r = ``table.r``.
 
     Entry k-1 is R(k) / n (:func:`nu_ratios`).  For r = n this is uniform:
     every length 1..n has probability exactly 1/n.
     """
+    r = table.r
     if not 1 <= r <= n:
         raise ValueError(f"need 1 <= r <= n, got r={r}, n={n}")
-    ratios = nu_ratios(n, r, r, table)[1:]
+    ratios = nu_ratios(n, r, table)[1:]
     return ratios / n if table.mode == "double" else [x / n for x in ratios]
 
 
@@ -398,11 +368,6 @@ class SparsePMF:
         return sum(c * p for c, p in zip(self.counts[:, k - 1].tolist(), self.mass_list()))
 
 
-def support_size(n: int, d: int) -> int:
-    """Number of count vectors (c_1, ..., c_d) with sum_j j*c_j <= n."""
-    return sum(cycle_type_counts(n, d))
-
-
 def _count_vector_array(n: int, d: int) -> tuple[np.ndarray, np.ndarray]:
     """All (c_1, ..., c_d) with sum_j j*c_j <= n as rows, in lexicographic order, and their sums."""
     rows = np.zeros((1, 0), dtype=np.int64)
@@ -435,7 +400,7 @@ def joint_pmf(n: int, r: int, d: int, *, mode: str = "exact") -> SparsePMF:
         bound = "" if exact else "at least "
         raise ResourceLimitError(f"joint law support has {bound}{size} vectors, exceeding the cap of {cap}")
     nu = count_table(n, r, mode)
-    mu = restricted_count_table(d, r, n, mode)
+    mu = count_table(n, r, mode, d=d)
     counts, used = _count_vector_array(n, d)
     if mode == "exact":
         norm = nu.fraction(n)
@@ -468,12 +433,13 @@ def joint_pmf(n: int, r: int, d: int, *, mode: str = "exact") -> SparsePMF:
     return pmf
 
 
-def factorial_moment(n: int, r: int, a: Sequence[int], table: WindowTable) -> Probability:
+def factorial_moment(n: int, a: Sequence[int], table: WindowTable) -> Probability:
     """E[prod_j (c_j)_{a_j}], c_j the number of j-cycles (j <= len(a)) of a uniform permutation with cycles <= r.
 
     prod_j j^{-a_j} * R(s), s = sum_j j*a_j (:func:`nu_ratios`), or 0 when s > n or
-    some a_j > 0 has j > r: a Fraction from an exact table, a float from a double one.
+    some a_j > 0 has j > r = ``table.r``: a Fraction from an exact table, a float from a double one.
     """
+    r = table.r
     if not 1 <= r <= n:
         raise ValueError(f"need 1 <= r <= n, got r={r}, n={n}")
     s, weight, longest = 0, 1, 0
@@ -483,22 +449,20 @@ def factorial_moment(n: int, r: int, a: Sequence[int], table: WindowTable) -> Pr
         s, weight, longest = s + j * aj, weight * j**aj, j
     possible = s <= n and longest <= r
     m = s if possible else 0  # R(0) = 1 checks the table for a zero too
-    ratio = _ratios(n, r, m, m, table)[0]
+    ratio = _ratios(n, m, m, table)[0]
     value = Fraction(ratio) / weight if possible else Fraction(0)
     return value if table.mode == "exact" else float(value)
 
 
-def expected_count(n: int, r: int, k: int, table: WindowTable | None = None) -> Probability:
-    """E[number of k-cycles] for a uniform permutation with cycles <= r.
+def expected_count(n: int, k: int, table: WindowTable) -> Probability:
+    """E[number of k-cycles] for a uniform permutation with cycles <= r = ``table.r``.
 
     :func:`factorial_moment` at a = e_k, R(k) / k: exactly 1/k when r = n, 0 for
-    r < k <= n.  Without ``table`` one is built in :func:`table_mode`, so n > 200 gives a float.
+    r < k <= n.
     """
     if not 1 <= k <= n:
         raise ValueError(f"k must be in 1..{n}, got k={k}")
-    if table is None:
-        table = count_table(n, r, table_mode(n))
-    return factorial_moment(n, r, (0,) * (k - 1) + (1,), table)
+    return factorial_moment(n, (0,) * (k - 1) + (1,), table)
 
 
 def _cycle_lengths_of(mapping: tuple[int, ...]) -> list[int]:
@@ -569,19 +533,18 @@ class RatioReport:
     in_regime: bool
 
 
-def count_ratio_check(n: int, r: int, k: int, table: WindowTable | None = None) -> RatioReport:
-    """Compare nu(n-k, r)/nu(n, r) with exp((k/r) * xi(n/r)).
+def count_ratio_check(n: int, k: int, table: WindowTable) -> RatioReport:
+    """Compare nu(n-k, r)/nu(n, r) with exp((k/r) * xi(n/r)), r = ``table.r``.
 
     xi(t) is the positive root of e^x = 1 + t*x (with xi(1) = 0 by the limit
     convention), so for r = n both sides are exactly 1.
     """
+    r = table.r
     if not 1 <= r <= n:
         raise ValueError(f"need 1 <= r <= n, got r={r}, n={n}")
     if not 0 <= k <= n:
         raise ValueError(f"k must be in 0..{n}")
-    if table is None:
-        table = count_table(n, r, table_mode(n))
-    ratio = nu_ratios(n, r, k, table)[k]
+    ratio = nu_ratios(n, k, table)[k]
     in_regime = r * r >= n * math.log(max(n, 2))
     if not in_regime:
         message = f"(n={n}, r={r}) lies outside r >= sqrt(n log n); the prediction is not expected to be accurate"

@@ -46,7 +46,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .counting import SparsePMF, count_table, restricted_count_table
+from .counting import SparsePMF, count_table
 from .permutations import CountsVector
 
 
@@ -57,8 +57,8 @@ class PoissonSpec:
     means: tuple[float, ...]
 
     def __post_init__(self):
-        if not self.means or any(m <= 0 for m in self.means):
-            raise ValueError("means must be positive and non-empty")
+        if not self.means or not all(0 < m < math.inf for m in self.means):
+            raise ValueError(f"means must be finite, positive and non-empty, got {self.means}")
 
     @property
     def d(self) -> int:
@@ -129,7 +129,7 @@ def tv_cycle_counts(n: int, r: int, d: int) -> float:
     if not 1 <= d <= r <= n:
         raise ValueError(f"need 1 <= d <= r <= n, got d={d}, r={r}, n={n}")
     nu_d = count_table(n, d, "exact").values
-    mu = restricted_count_table(d, r, n, "exact").values
+    mu = count_table(n, r, "exact", d=d).values
     norm = count_table(n, r, "exact").fraction(n)
     ratios = [mu[n - s] / norm for s in range(n + 1)]
     covered = sum(nu_d)

@@ -14,9 +14,19 @@ from __future__ import annotations
 
 import itertools
 import math
+import os
 from collections import Counter
 from dataclasses import dataclass
 from typing import Callable, Iterator, Sequence
+
+from .errors import ResourceLimitError
+
+DEFAULT_BRUTE_FORCE_CAP = 10
+
+
+def brute_force_cap() -> int:
+    """Largest n brute-force enumeration accepts; override with SHORTCYCLES_BRUTE_FORCE_CAP."""
+    return int(os.environ.get("SHORTCYCLES_BRUTE_FORCE_CAP", DEFAULT_BRUTE_FORCE_CAP))
 
 
 class Permutation:
@@ -142,10 +152,13 @@ def longest_cycle(p: Permutation) -> int:
 def permutations_with_bounded_cycles(n: int, r: int) -> Iterator[Permutation]:
     """All permutations of n elements whose every cycle has length <= r.
 
-    Plain filtered enumeration of all n! arrays; intended for small n.
+    Plain filtered enumeration of all n! arrays, capped by :func:`brute_force_cap`.
     """
     if n < 1 or r < 1:
         raise ValueError(f"need n >= 1 and r >= 1, got n={n}, r={r}")
+    cap = brute_force_cap()
+    if n > cap:
+        raise ResourceLimitError(f"brute force capped at n <= {cap}, got n={n}")
     for mapping in itertools.permutations(range(n)):
         p = Permutation(mapping)
         if longest_cycle(p) <= r:

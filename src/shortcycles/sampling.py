@@ -74,8 +74,8 @@ class SamplerConfig:
             raise ValueError(f"thinning must be >= 1, got {self.mcmc_thinning}")
 
 
-def sample_cycle_type(n: int, r: int, rng: np.random.Generator, table: WindowTable) -> tuple[int, ...]:
-    """Cycle lengths of one uniform draw with all cycles <= r, ascending.
+def sample_cycle_type(n: int, rng: np.random.Generator, table: WindowTable) -> tuple[int, ...]:
+    """Cycle lengths of one uniform draw with all cycles <= r = ``table.r``, ascending.
 
     One stage per cycle, drawn by rejection against two entries of the log
     nu table ``table``, which must cover n.  A stage law at m = n (sum_k R(k)/n,
@@ -85,7 +85,8 @@ def sample_cycle_type(n: int, r: int, rng: np.random.Generator, table: WindowTab
     The result is what ``cycle_structure(p).lengths`` gives for the
     permutation drawn.
     """
-    total = np.add.reduce(nu_ratios(n, r, min(n, r), table)[1:]) / n
+    r = table.r
+    total = np.add.reduce(nu_ratios(n, min(n, r), table)[1:]) / n
     logs = table.log_view()
     if not abs(total - 1.0) <= 1e-9:
         raise ValueError(f"stage law sums to {total}, table looks inconsistent")
@@ -126,9 +127,9 @@ def _labelled(lengths: tuple[int, ...], rng: np.random.Generator) -> Permutation
     return Permutation(mapping.tolist())
 
 
-def sample_sequential(cfg: SamplerConfig, rng: np.random.Generator, table: WindowTable) -> Permutation:
-    """One exact uniform draw: a cycle type, then a uniform labelling."""
-    return _labelled(sample_cycle_type(cfg.n, cfg.r, rng, table), rng)
+def sample_sequential(n: int, rng: np.random.Generator, table: WindowTable) -> Permutation:
+    """One exact uniform draw of n elements with cycles <= ``table.r``: a cycle type, then a uniform labelling."""
+    return _labelled(sample_cycle_type(n, rng, table), rng)
 
 
 def _transposition_move(lengths: tuple[int, ...], a: int, b: int, r: int) -> tuple[int, ...]:
@@ -190,8 +191,8 @@ def draw_cycle_types(cfg: SamplerConfig, count: int, rng: np.random.Generator) -
     n, r = cfg.n, cfg.r
     table = count_table(n, r, "double")
     if cfg.method == "sequential":
-        return [sample_cycle_type(n, r, rng, table) for _ in range(count)]
-    state = sample_cycle_type(n, r, rng, table)
+        return [sample_cycle_type(n, rng, table) for _ in range(count)]
+    state = sample_cycle_type(n, rng, table)
     for _ in range(cfg.mcmc_burn_in):
         state = mcmc_step(state, r, rng)
     out: list[tuple[int, ...]] = []
@@ -214,5 +215,5 @@ def draw(cfg: SamplerConfig, count: int, rng: np.random.Generator) -> list[Permu
         raise ValueError("count must be >= 0")
     if cfg.method == "sequential":
         table = count_table(cfg.n, cfg.r, "double")
-        return [sample_sequential(cfg, rng, table) for _ in range(count)]
+        return [sample_sequential(cfg.n, rng, table) for _ in range(count)]
     return [_labelled(lengths, rng) for lengths in draw_cycle_types(cfg, count, rng)]

@@ -32,12 +32,12 @@ def test_caps_are_environment_only_and_tv_exact_takes_a_poisson_spec():
 
 
 def test_generators_and_evaluators_are_always_passed():
-    # no hidden seed or shared evaluator stands in for one the caller did not pass
+    # no hidden seed, shared evaluator or freshly built table stands in for one the caller did not pass
     defaulted = [
         f"{name}({param.name})"
         for name, fn in public_callables()
         for param in inspect.signature(fn).parameters.values()
-        if param.name in ("rng", "evaluator") and param.default is not inspect.Parameter.empty
+        if param.name in ("rng", "evaluator", "table") and param.default is not inspect.Parameter.empty
     ]
     assert defaulted == []
 
@@ -51,6 +51,19 @@ def test_one_door_to_rho_and_xi():
     for name in ("XiEvaluator", "default_evaluator", "rho", "log_rho"):
         assert not hasattr(shortcycles, name), name
         assert not hasattr(shortcycles.dickman, name), name
+
+
+def test_one_table_door():
+    # count_table builds every window (d, r]; the table holds d and r, and a
+    # reader takes r from the table it reads, never beside it
+    for name in ("window_table", "restricted_count_table", "support_size"):
+        assert not hasattr(shortcycles, name), name
+        assert not hasattr(shortcycles.counting, name), name
+    table = shortcycles.count_table(5, 2, "double", d=1)
+    assert (table.d, table.r) == (1, 2)
+    assert not hasattr(table, "lo") and not hasattr(table, "hi")
+    both = [name for name, fn in public_callables() if {"table", "r"} <= set(inspect.signature(fn).parameters)]
+    assert both == []
 
 
 def test_one_cycle_type_sampler():

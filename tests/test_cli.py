@@ -162,6 +162,12 @@ class TestDickman:
             (["ratio", "--t", "5", "--v", "nan"], "v=nan"),
             (["ratio", "--t", "inf", "--v", "1"], "t=inf"),
             (["rho", "--grid", "0", "inf", "3"], "got 0.0 and inf"),
+            # negative values in scientific or inf notation reach the domain checks
+            (["rho", "--t", "-1e3"], "t=-1000.0"),
+            (["rho", "--grid", "-1e3", "5", "3"], "t=-1000.0"),
+            (["rho", "--grid", "-inf", "5", "3"], "got -inf and 5.0"),
+            (["rho", "--t", "-inf"], "t=-inf"),
+            (["ratio", "--t", "5", "--v", "-1e-3"], "need 0 <= v <= t"),
         ],
     )
     @pytest.mark.filterwarnings("error")  # a numpy warning on the way is a failure

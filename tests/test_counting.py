@@ -25,13 +25,10 @@ from shortcycles.counting import (
     joint_pmf,
     log_fraction,
     nu_ratios,
-    restricted_count_table,
-    support_size,
     table_mode,
-    window_table,
 )
 from shortcycles.errors import ResourceLimitError
-from shortcycles.permutations import CountsVector
+from shortcycles.permutations import CountsVector, cycle_type_counts
 from shortcycles.sampling import sample_cycle_type
 
 
@@ -61,7 +58,7 @@ class TestCountTable:
             assert value.denominator == 1
 
     def test_count_of_a_non_count_raises(self):
-        t = WindowTable(1, 2, "exact", [Fraction(1), Fraction(1), Fraction(1, 3)])
+        t = WindowTable(0, 2, "exact", [Fraction(1), Fraction(1), Fraction(1, 3)])
         assert t.count(1) == 1
         with pytest.raises(ArithmeticError, match="table entry 2 is not a count"):
             t.count(2)
@@ -70,7 +67,16 @@ class TestCountTable:
         exact = count_table(200, 17, "exact")
         double = count_table(200, 17, "double")
         for m in range(0, 201, 10):
-            assert double.fraction(m) == pytest.approx(float(exact.fraction(m)), rel=1e-12)
+            assert math.exp(double.log_view()[m]) == pytest.approx(float(exact.fraction(m)), rel=1e-12)
+
+    def test_double_fraction_names_log_view(self):
+        # nu(10^5, 1) = 1/10^5! lies far below the smallest double
+        t = count_table(10**5, 1, "double")
+        with pytest.raises(ValueError, match=r"log_view\(\)"):
+            t.fraction(10**5)
+        with pytest.raises(ValueError, match=r"log_view\(\)"):
+            t.count(3)
+        assert t.log_view()[10**5] == pytest.approx(-1051299.2218991218, rel=1e-12)
 
     def test_monotone_in_m_and_r(self):
         tables = {r: count_table(12, r) for r in range(1, 13)}
@@ -102,28 +108,28 @@ class TestCountTable:
 
 class TestRestrictedTable:
     def test_d_zero_reproduces_full_table(self):
-        mu = restricted_count_table(0, 3, 8)
+        mu = count_table(8, 3, d=0)
         nu = count_table(8, 3)
         assert all(mu.fraction(m) == nu.fraction(m) for m in range(9))
 
     def test_zero_below_window(self):
-        mu = restricted_count_table(2, 5, 8)
+        mu = count_table(8, 5, d=2)
         assert mu.fraction(0) == 1
         assert mu.fraction(1) == 0 and mu.fraction(2) == 0
 
     def test_three_cycles_only(self):
         # window (2, 3]: exactly the two 3-cycles of S_3
-        mu = restricted_count_table(2, 3, 4)
+        mu = count_table(4, 3, d=2)
         assert mu.fraction(3) == Fraction(2, 6)
 
     def test_empty_window(self):
-        mu = restricted_count_table(3, 3, 5)
+        mu = count_table(5, 3, d=3)
         assert mu.fraction(0) == 1
         assert all(mu.fraction(m) == 0 for m in range(1, 6))
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            restricted_count_table(4, 3, 5)
+            count_table(5, 3, d=4)
 
 
 def assert_logs_close(double, exact, rel=1e-10):
@@ -158,20 +164,20 @@ class TestWindowTable:
     # window, where mu is non-zero only at multiples of 30
     @pytest.mark.parametrize("d,r,n", [(2, 5, 60), (4, 30, 3000), (1, 30, 3000), (29, 30, 3000)])
     def test_mu_deep_tail(self, d, r, n):
-        double = restricted_count_table(d, r, n, "double")
-        assert_logs_close(double, restricted_count_table(d, r, n, "exact"))
-        assert double.fraction(n) > 0
+        double = count_table(n, r, "double", d=d)
+        assert_logs_close(double, count_table(n, r, "exact", d=d))
+        assert double.log_view()[n] > -math.inf
 
     def test_mu_below_double_range(self):
         # the window [2, 3]: mu(3000) = e^-6910, far below the smallest double (e^-744)
-        double = restricted_count_table(1, 3, 3000, "double")
+        double = count_table(3000, 3, "double", d=1)
         assert double.log_view()[3000] < -6900
-        assert_logs_close(double, restricted_count_table(1, 3, 3000, "exact"))
+        assert_logs_close(double, count_table(3000, 3, "exact", d=1))
 
     def test_every_small_window(self):
-        for lo in range(1, 7):
-            for hi in range(lo - 1, 9):
-                assert_logs_close(window_table(lo, hi, 40, "double"), window_table(lo, hi, 40, "exact"), 1e-12)
+        for r in range(1, 9):
+            for d in range(min(r, 6) + 1):
+                assert_logs_close(count_table(40, r, "double", d=d), count_table(40, r, "exact", d=d), 1e-12)
 
     def test_mu_pass_agrees_with_nu_table(self):
         # the mean number of fixed points from the mu pass (through the joint law)
@@ -179,31 +185,30 @@ class TestWindowTable:
         n, r = 10**5, 1000
         pmf = joint_pmf(n, r, 1, mode="double")
         assert pmf.total_mass == pytest.approx(1.0, abs=1e-9)
-        want = expected_count(n, r, 1, count_table(n, r, "double"))
+        want = expected_count(n, 1, count_table(n, r, "double"))
         assert pmf.expectation(1) == pytest.approx(want, rel=5e-13)
 
     def test_wrappers_are_windows(self):
-        assert count_table(20, 4).values == window_table(1, 4, 20).values
-        assert restricted_count_table(2, 4, 20).values == window_table(3, 4, 20).values
-        t = restricted_count_table(2, 4, 20, "double")
-        assert (t.lo, t.hi, t.d, t.r, t.n_max) == (3, 4, 2, 4, 20)
+        # the window (3, 4]: all 8 elements in 4-cycles, 8!/(4^2 2!) of the 8! permutations
+        assert count_table(20, 4, d=3).values[8] == Fraction(1, 32)
+        t = count_table(20, 4, "double", d=2)
+        assert (t.d, t.r, t.n_max) == (2, 4, 20)
 
     def test_nu_exact_below_r(self):
         t = count_table(500, 300, "double")
         assert np.all(t.log_view()[:301] == 0.0)
-        assert t.fraction(300) == 1.0
 
     def test_window_wider_than_table(self):
         # cycles longer than n_max never occur, so a huge r costs nothing
         t = count_table(5, 10**9, "double")
         assert t.r == 10**9 and np.all(t.log_view() == 0.0)
-        assert_logs_close(restricted_count_table(2, 10**9, 40, "double"), restricted_count_table(2, 40, 40, "exact"))
+        assert_logs_close(count_table(40, 10**9, "double", d=2), count_table(40, 40, "exact", d=2))
 
     def test_large_table_matches_dickman_scale(self):
         # nu(10^6, 10^5) ~ rho(10) = 2.77e-11; a block costs one cumsum
         t = count_table(10**6, 10**5, "double")
         assert t.n_max == 10**6
-        assert t.fraction(10**6) == pytest.approx(2.7706291833e-11, rel=1e-8)
+        assert math.exp(t.log_view()[10**6]) == pytest.approx(2.7706291833e-11, rel=1e-8)
 
     def test_csv_double_has_log_column(self, tmp_path, monkeypatch):
         # count picks exact rationals up to n = 200; force the double table at n = 5
@@ -218,13 +223,13 @@ class TestWindowTable:
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            window_table(0, 3, 5)
+            count_table(5, 3, d=-1)
         with pytest.raises(ValueError):
-            window_table(5, 3, 5)
+            count_table(5, 3, d=4)
         with pytest.raises(ValueError):
-            window_table(1, 3, -1)
-        with pytest.raises(ValueError):
-            window_table(1, 3, 5, "single")
+            count_table(-1, 3)
+        with pytest.raises(ValueError, match="unknown mode"):
+            count_table(5, 3, "single")
 
     def test_log_fraction_below_double_range(self):
         assert log_fraction(Fraction(0)) == -math.inf
@@ -239,27 +244,27 @@ class TestWindowTable:
 class TestFirstElementLaw:
     def test_uniform_when_unrestricted(self):
         n = 9
-        pmf = first_element_cycle_length_pmf(n, n, count_table(n, n))
+        pmf = first_element_cycle_length_pmf(n, count_table(n, n))
         assert all(p == Fraction(1, n) for p in pmf)
 
     def test_n4_r2(self):
         t = count_table(4, 2)
-        pmf = first_element_cycle_length_pmf(4, 2, t)
+        pmf = first_element_cycle_length_pmf(4, t)
         assert pmf[0] == Fraction(2, 5)
         assert pmf[1] == Fraction(3, 5)
         assert sum(pmf) == 1
 
     @pytest.mark.parametrize("n,r", [(6, 3), (7, 2), (8, 8), (9, 4)])
     def test_sums_to_one_and_positive(self, n, r):
-        pmf = first_element_cycle_length_pmf(n, r, count_table(n, r))
+        pmf = first_element_cycle_length_pmf(n, count_table(n, r))
         assert sum(pmf) == 1
         assert all(p > 0 for p in pmf)
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            first_element_cycle_length_pmf(4, 5, count_table(5, 5))
+            first_element_cycle_length_pmf(4, count_table(5, 5))
         with pytest.raises(ValueError):
-            first_element_cycle_length_pmf(9, 3, count_table(5, 3))
+            first_element_cycle_length_pmf(9, count_table(5, 3))
 
 
 class TestNuTableCheck:
@@ -270,21 +275,21 @@ class TestNuTableCheck:
     """
 
     READERS = {  # (30, 12) lies in the regime r >= sqrt(n log n)
-        "first_element": lambda t: first_element_cycle_length_pmf(30, 12, t),
-        "expected_count": lambda t: expected_count(30, 12, 1, t),
-        "expected_count_above_r": lambda t: expected_count(30, 12, 13, t),
-        "ratio_check": lambda t: count_ratio_check(30, 12, 1, t),
-        "nu_ratios": lambda t: nu_ratios(30, 12, 12, t),
-        "factorial_moment": lambda t: factorial_moment(30, 12, (1, 2), t),
-        "factorial_moment_zero": lambda t: factorial_moment(30, 12, (0,) * 12 + (1,), t),
-        "sample": lambda t: sample_cycle_type(30, 12, np.random.default_rng(0), t),
+        "first_element": lambda t: first_element_cycle_length_pmf(30, t),
+        "expected_count": lambda t: expected_count(30, 1, t),
+        "expected_count_above_r": lambda t: expected_count(30, 13, t),
+        "ratio_check": lambda t: count_ratio_check(30, 1, t),
+        "nu_ratios": lambda t: nu_ratios(30, 12, t),
+        "factorial_moment": lambda t: factorial_moment(30, (1, 2), t),
+        "factorial_moment_zero": lambda t: factorial_moment(30, (0,) * 12 + (1,), t),
+        "sample": lambda t: sample_cycle_type(30, np.random.default_rng(0), t),
     }
 
     @pytest.mark.parametrize("mode", ["exact", "double"])
     @pytest.mark.parametrize("reader", sorted(READERS))
     def test_rejects_tables_that_do_not_cover(self, reader, mode):
         read = self.READERS[reader]
-        for table in (restricted_count_table(2, 12, 30, mode), count_table(30, 15, mode), count_table(29, 12, mode)):
+        for table in (count_table(30, 12, mode, d=2), count_table(29, 12, mode)):
             with pytest.raises(ValueError, match="does not cover"):
                 read(table)
         read(count_table(30, 12, mode))
@@ -319,9 +324,9 @@ class TestJointLaw:
 
     def test_normalization_failure_raises(self, monkeypatch, capsys):
         # the (d+1, r] table in place of mu: the law loses mass
-        window = counting.restricted_count_table
+        window = counting.count_table
         monkeypatch.setattr(
-            counting, "restricted_count_table", lambda d, r, n_max, mode="exact": window(d + 1, r, n_max, mode)
+            counting, "count_table", lambda n_max, r, mode="exact", *, d=0: window(n_max, r, mode, d=d + 1 if d else 0)
         )
         with pytest.raises(ArithmeticError, match="exact joint law failed to normalize"):
             joint_pmf(12, 5, 2)
@@ -331,8 +336,8 @@ class TestJointLaw:
     def test_normalization_check_holds_under_python_O(self, src_env):
         script = """
 from shortcycles import counting
-window = counting.restricted_count_table
-counting.restricted_count_table = lambda d, r, n_max, mode="exact": window(d + 1, r, n_max, mode)
+window = counting.count_table
+counting.count_table = lambda n_max, r, mode="exact", *, d=0: window(n_max, r, mode, d=d + 1 if d else 0)
 try:
     counting.joint_pmf(12, 5, 2)
 except ArithmeticError as exc:
@@ -355,14 +360,14 @@ except ArithmeticError as exc:
         with pytest.raises(ResourceLimitError, match="has at least 31 vectors, exceeding the cap of 10"):
             joint_pmf(30, 30, 5)
         # passed only by the last part size: the count is exact
-        monkeypatch.setenv("SHORTCYCLES_SUPPORT_CAP", str(support_size(30, 5) - 1))
-        with pytest.raises(ResourceLimitError, match=f"has {support_size(30, 5)} vectors"):
+        monkeypatch.setenv("SHORTCYCLES_SUPPORT_CAP", str(sum(cycle_type_counts(30, 5)) - 1))
+        with pytest.raises(ResourceLimitError, match=f"has {sum(cycle_type_counts(30, 5))} vectors"):
             joint_pmf(30, 30, 5)
 
     def test_support_size_matches_enumeration(self):
         pmf = joint_pmf(6, 6, 2)
         grid = {(c1, c2) for c1 in range(7) for c2 in range(4) if c1 + 2 * c2 <= 6}
-        assert support_size(6, 2) == len(grid)
+        assert sum(cycle_type_counts(6, 2)) == len(grid)
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -433,41 +438,41 @@ class TestFactorialMoment:
                 p * math.prod(math.perm(c, aj) for c, aj in zip(counts, a))
                 for counts, p in zip(law.counts.tolist(), law.masses)
             )
-            got = factorial_moment(n, r, a, table)
+            got = factorial_moment(n, a, table)
             assert type(got) is Fraction and got == want, (n, r, a)
 
     def test_zero_for_a_cycle_longer_than_r(self):
-        assert factorial_moment(6, 2, (0, 0, 1), count_table(6, 2)) == Fraction(0)
-        assert repr(factorial_moment(6, 2, (0, 0, 1), count_table(6, 2, "double"))) == "0.0"
+        assert factorial_moment(6, (0, 0, 1), count_table(6, 2)) == Fraction(0)
+        assert repr(factorial_moment(6, (0, 0, 1), count_table(6, 2, "double"))) == "0.0"
 
     def test_deep_tail_double_matches_exact(self):
         # u = 150: nu(1500, 10) is about e^-817, below the smallest double
         n, r = 1500, 10
         exact, double = count_table(n, r), count_table(n, r, "double")
         assert double.log_view()[n] < math.log(sys.float_info.min)
-        want = np.array([float(x) for x in nu_ratios(n, r, r, exact)])
-        np.testing.assert_allclose(nu_ratios(n, r, r, double), want, rtol=1e-12, atol=0)
+        want = np.array([float(x) for x in nu_ratios(n, r, exact)])
+        np.testing.assert_allclose(nu_ratios(n, r, double), want, rtol=1e-12, atol=0)
         for a in [(1,), (2,), (0, 1), (1, 1, 1), (0,) * 9 + (3,), (2, 0, 0, 0, 0, 0, 0, 0, 0, 2)]:
-            got = factorial_moment(n, r, a, double)
+            got = factorial_moment(n, a, double)
             assert type(got) is float
-            assert got == pytest.approx(float(factorial_moment(n, r, a, exact)), rel=1e-12, abs=0), a
-        assert factorial_moment(n, r, (0,) * r + (1,), double) == 0.0
+            assert got == pytest.approx(float(factorial_moment(n, a, exact)), rel=1e-12, abs=0), a
+        assert factorial_moment(n, (0,) * r + (1,), double) == 0.0
 
     def test_validation(self):
         with pytest.raises(ValueError, match="a_j >= 0"):
-            factorial_moment(6, 3, (1, -1), count_table(6, 3))
+            factorial_moment(6, (1, -1), count_table(6, 3))
         with pytest.raises(ValueError, match="top must be in 0..6"):
-            nu_ratios(6, 3, 7, count_table(6, 3))
+            nu_ratios(6, 7, count_table(6, 3))
 
 
 class TestExpectedCount:
     def test_unrestricted_is_reciprocal(self):
         t = count_table(12, 12)
         for k in range(1, 13):
-            assert expected_count(12, 12, k, t) == Fraction(1, k)
+            assert expected_count(12, k, t) == Fraction(1, k)
 
     def test_n4_r2(self):
-        assert expected_count(4, 2, 1) == Fraction(8, 5)
+        assert expected_count(4, 1, count_table(4, 2)) == Fraction(8, 5)
         pmf = joint_pmf(4, 2, 1)
         assert pmf.expectation(1) == Fraction(8, 5)
 
@@ -476,23 +481,18 @@ class TestExpectedCount:
         t = count_table(n, r)
         pmf = joint_pmf(n, r, d)
         for k in range(1, d + 1):
-            assert expected_count(n, r, k, t) == pmf.expectation(k)
+            assert expected_count(n, k, t) == pmf.expectation(k)
 
     def test_zero_above_r(self):
-        assert expected_count(6, 3, 5) == 0
-
-    def test_large_n_without_table_reads_a_double_table(self, src_env):
-        # an exact table at n = 10^5 would take about an hour
-        script = "from shortcycles.counting import expected_count; print(repr(expected_count(10**5, 1000, 1)))"
-        result = subprocess.run([sys.executable, "-c", script], env=src_env, capture_output=True, text=True, timeout=60)
-        assert result.returncode == 0, result.stderr[-2000:]
-        assert float(result.stdout) == expected_count(10**5, 1000, 1, count_table(10**5, 1000, "double"))
+        assert expected_count(6, 5, count_table(6, 3)) == 0
 
     def test_errors(self):
         with pytest.raises(ValueError):
-            expected_count(5, 3, 6)
+            expected_count(5, 6, count_table(5, 3))
         with pytest.raises(ValueError):
-            expected_count(5, 6, 1)
+            expected_count(5, 1, count_table(5, 6))
+        with pytest.raises(TypeError):
+            expected_count(30, 1)
 
 
 class TestSparsePMF:
@@ -539,17 +539,17 @@ class TestSparsePMF:
 
 class TestRatioCheck:
     def test_unrestricted_gap_is_zero(self):
-        report = count_ratio_check(50, 50, 3)
+        report = count_ratio_check(50, 3, count_table(50, 50))
         assert report.exact_ratio == 1.0
         assert report.predicted == 1.0
         assert report.relative_gap == 0.0
 
     def test_k_zero(self):
-        assert count_ratio_check(100, 80, 0).exact_ratio == 1.0
+        assert count_ratio_check(100, 0, count_table(100, 80)).exact_ratio == 1.0
 
     def test_moderate_case_small_gap(self):
         n, r, k = 10000, 5000, 3
-        report = count_ratio_check(n, r, k, count_table(n, r, "double"))
+        report = count_ratio_check(n, k, count_table(n, r, "double"))
         u = n / r
         assert report.relative_gap <= 5 * u * math.log(u + 1) / r
 
@@ -557,19 +557,19 @@ class TestRatioCheck:
     def test_ratio_beyond_double_range_raises(self):
         # R(200) = 200! at r = 1; nu(20000, 100) is about e^-1213
         with pytest.raises(ValueError, match=r"nu\(0, 1\)/nu\(200, 1\) = exp\(863\.2"):
-            count_ratio_check(200, 1, 200)
+            count_ratio_check(200, 200, count_table(200, 1))
         n, r = 20000, 100
         table = count_table(n, r, "double")
         with pytest.raises(ValueError, match=r"nu\(0, 100\)/nu\(20000, 100\) = exp\(1213\.2"):
-            count_ratio_check(n, r, n, table)
+            count_ratio_check(n, n, table)
         with pytest.raises(ValueError, match="beyond the double range"):
-            nu_ratios(n, r, n, table)
+            nu_ratios(n, n, table)
         logs = table.log_view()
         top = max(m for m in range(n + 1) if logs[n - m] - logs[n] <= LOG_DOUBLE_MAX)
-        assert np.isfinite(nu_ratios(n, r, top, table)).all()
+        assert np.isfinite(nu_ratios(n, top, table)).all()
         with pytest.raises(ValueError, match="beyond the double range"):
-            nu_ratios(n, r, top + 1, table)
+            nu_ratios(n, top + 1, table)
 
     def test_warns_outside_regime(self):
         with pytest.warns(UserWarning):
-            count_ratio_check(100, 5, 1, count_table(100, 5, "double"))
+            count_ratio_check(100, 1, count_table(100, 5, "double"))

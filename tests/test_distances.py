@@ -48,6 +48,12 @@ class TestPoissonSpec:
         with pytest.raises(ValueError):
             PoissonSpec(())
 
+    @pytest.mark.parametrize("mean", [math.nan, math.inf, -math.inf, 0.0])
+    def test_means_must_be_finite_and_positive(self, mean):
+        # a NaN mean used to pass the check and turn every distance into NaN
+        with pytest.raises(ValueError, match="finite, positive"):
+            PoissonSpec((mean, 0.5))
+
 
 class TestTvExact:
     def test_self_distance_zero(self):

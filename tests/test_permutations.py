@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import apply_transposition
+from shortcycles.errors import ResourceLimitError
 from shortcycles.permutations import (
     CountsVector,
     Permutation,
@@ -170,6 +171,13 @@ class TestBoundedEnumeration:
         # checked before the first permutation is built, in cycle_types' words
         with pytest.raises(ValueError, match=rf"need n >= 1 and r >= 1, got n={n}, r={r}"):
             next(permutations_with_bounded_cycles(n, r))
+
+    def test_cap(self, monkeypatch):
+        # the brute-force cap stops the enumeration before the first of the 6! arrays
+        monkeypatch.setenv("SHORTCYCLES_BRUTE_FORCE_CAP", "5")
+        with pytest.raises(ResourceLimitError, match="capped at n <= 5, got n=6"):
+            next(permutations_with_bounded_cycles(6, 3))
+        assert len(list(permutations_with_bounded_cycles(5, 3))) == 120 - 30 - 24  # no 4- or 5-cycle
 
 
 class TestCycleTypes:
