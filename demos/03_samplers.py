@@ -17,6 +17,7 @@ import numpy as np
 from scipy import stats
 
 from shortcycles import (
+    Permutation,
     SamplerConfig,
     class_size,
     count_table,
@@ -55,8 +56,8 @@ print("=" * 72)
 states = list(permutations_with_bounded_cycles(6, 3))
 index = {p: i for i, p in enumerate(states)}
 counts = np.zeros(len(states))
-for p in draw(SamplerConfig(n=6, r=3), 50000, np.random.default_rng(42)):
-    counts[index[p]] += 1
+for row in draw(SamplerConfig(n=6, r=3), 50000, np.random.default_rng(42)).tolist():
+    counts[index[Permutation(row)]] += 1
 print(f"  {len(states)} states, 50000 draws, expected {50000 / len(states):.1f} per state")
 print(f"  min count {counts.min():.0f}, max count {counts.max():.0f}")
 print(f"  chi-square p-value: {stats.chisquare(counts).pvalue:.4f}")
@@ -101,6 +102,6 @@ cfg = SamplerConfig(n=5, r=3, method="mcmc", mcmc_thinning=15)
 chain_states = list(permutations_with_bounded_cycles(5, 3))
 chain_index = {p: i for i, p in enumerate(chain_states)}
 counts = np.zeros(len(chain_states))
-for p in draw(cfg, 30000, np.random.default_rng(9)):
-    counts[chain_index[p]] += 1
+for row in draw(cfg, 30000, np.random.default_rng(9)).tolist():
+    counts[chain_index[Permutation(row)]] += 1
 print(f"  labelled thinned-chain chi-square p-value on S_5^3: {stats.chisquare(counts).pvalue:.4f}")

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import itertools
 import json
 import math
@@ -161,19 +162,17 @@ def _cmd_sample(args) -> int:
         mcmc_thinning=args.thinning,
     )
     rng = np.random.default_rng(args.seed)
+    rows = draw(cfg, args.count, rng) if args.full else draw_cycle_types(cfg, args.count, rng)
+    if not args.out:
+        for i, row in enumerate(rows.tolist() if args.full else rows):
+            print(i, *row)
+        return 0
     if args.full:
-        decimal = [str(i) for i in range(args.n)]
-        lines = [" ".join([decimal[x] for x in p.mapping]) for p in draw(cfg, args.count, rng)]
+        _write_numbers(args.out, ["index", "mapping"], [range(len(rows)), rows])
     else:
-        lines = [" ".join(map(str, lengths)) for lengths in draw_cycle_types(cfg, args.count, rng)]
-    rows = list(enumerate(lines))
-    header = ["index", "mapping" if args.full else "cycle_type"]
-    if args.out:
-        _write_csv(args.out, header, rows)
-        print(f"{len(rows)} samples written to {args.out}")
-    else:
-        for row in rows:
-            print(*row)
+        lines = ((i, " ".join(map(str, lengths))) for i, lengths in enumerate(rows))
+        _write_csv(args.out, ["index", "cycle_type"], lines)
+    print(f"{len(rows)} samples written to {args.out}")
     return 0
 
 
@@ -365,7 +364,10 @@ def _cmd_check(args) -> int:
 # -- parser ------------------------------------------------------------------
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: parsing leaves no
+    state in it, each call of ``parse_args`` filling a fresh namespace."""
     parser = _Parser(prog="shortcycles", description=__doc__)
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)

@@ -219,9 +219,9 @@ def rho_ratio_check(t: float, v: float, evaluator: DickmanEvaluator) -> RhoRatio
     if not (math.isfinite(t) and math.isfinite(v)):
         raise ValueError(f"ratio check needs finite t and v, got t={t}, v={v}")
     if t < 1:
-        raise ValueError("ratio check requires t >= 1")
+        raise ValueError(f"ratio check requires t >= 1, got t={t}")
     if not 0 <= v <= t:
-        raise ValueError("need 0 <= v <= t")
+        raise ValueError(f"need 0 <= v <= t, got t={t}, v={v}")
     if v > 3:
         warnings.warn(f"v={v} is large; the exponential prediction assumes v = O(1)", stacklevel=2)
     ratio = math.exp(evaluator.log_rho(t - v) - evaluator.log_rho(t))

@@ -2,6 +2,8 @@
 
 A row is written exactly as ``csv.writer`` writes ``str`` of its ints and
 ``repr`` of its floats: fields joined by ``,``, each line ended by ``\\r\\n``.
+A 2-D int column gives one field per row, its entries joined by single
+spaces as ``" ".join(map(str, row))`` joins them.
 No Python code runs per number, except ``repr`` for zeros, subnormals and
 non-finite floats.
 
@@ -23,7 +25,8 @@ A float goes through four array steps:
 The rows of a block are laid side by side in one byte matrix, and one
 ``compress`` by the masks gives the block's lines.
 
-The tables are built on first use, so importing this module costs nothing.
+The tables are built on first use, so importing this module costs nothing,
+and a file of ints builds only the 4-digit table.
 """
 
 from __future__ import annotations
@@ -34,6 +37,7 @@ from collections.abc import Sequence
 import numpy as np
 
 BLOCK_ROWS = 1 << 12  # rows formatted at once: small enough that a block's arrays stay in cache and get reused
+BLOCK_ENTRIES = 1 << 14  # entries of 2-D columns formatted at once, about the fields of a BLOCK_ROWS block
 
 _U = np.uint64
 _M32 = _U(0xFFFFFFFF)
@@ -48,6 +52,15 @@ _EXP = _DIGIT0 + 34
 _FLOAT_WIDTH = _EXP + 6
 _LAYOUTS = 22  # positional with exponent -4..15, scientific with 2 or 3 exponent digits
 _LITERAL = 2 * _LAYOUTS * 18  # mask codes from here on keep the first (code - _LITERAL) cells
+
+
+@functools.cache
+def _ascii4() -> np.ndarray:
+    """"dddd" of each of 0..9999 as one uint32 word: all an int column needs,
+    so writing ints builds none of the float tables."""
+    d = np.arange(10000, dtype=np.uint16)
+    digits = np.stack([d // 1000, d // 100 % 10, d // 10 % 10, d % 10], axis=1) + ord("0")
+    return digits.astype(np.uint8).view(np.uint32).ravel()
 
 
 @functools.cache
@@ -69,9 +82,8 @@ def _tables() -> dict:
         g0.append(g & ((1 << 63) - 1))
         log2.append(r)
     d = np.arange(10000, dtype=np.uint16)
-    ascii4 = (np.stack([d // 1000, d // 100 % 10, d // 10 % 10, d % 10], axis=1) + ord("0")).astype(np.uint8)
     dotted4 = np.full((10000, 8), ord("."), dtype=np.uint8)
-    dotted4[:, ::2] = ascii4
+    dotted4[:, ::2] = _ascii4().view(np.uint8).reshape(10000, 4)
     masks = np.zeros((_LITERAL + _FLOAT_WIDTH + 1, _FLOAT_WIDTH), dtype=bool)
     for neg in (0, 1):
         for layout in range(_LAYOUTS):
@@ -83,7 +95,7 @@ def _tables() -> dict:
         "g1": np.array(g1, dtype=_U),
         "g0": np.array(g0, dtype=_U),
         "log2": np.array(log2, dtype=np.int64),
-        "ascii4": ascii4.view(np.uint32).ravel(),  # "dddd" as one word
+        "ascii4": _ascii4(),
         "dotted4": dotted4.view(np.uint64).ravel(),  # "d.d.d.d." as one word
         "zeros4": sum(d % 10**i == 0 for i in range(1, 5)).astype(np.uint8),  # trailing zeros of "dddd"
         "template": np.frombuffer(b"-0.000" + b"0." * 17 + b"e+0000", dtype=np.uint8),
@@ -217,46 +229,61 @@ def _int_width(v: np.ndarray) -> int:
 
 
 def _int_field(v: np.ndarray, cells: np.ndarray, keep: np.ndarray) -> None:
-    """Fill ``cells`` with ``str`` of each int of ``v``, right-aligned, and ``keep`` with its digits."""
+    """Fill ``cells`` with ``str`` of each int of ``v``, right-aligned, and ``keep`` with its digits;
+    ``cells`` has the shape of ``v`` and one more axis of cells."""
     value = v.astype(_U)
-    width = cells.shape[1]
+    width = cells.shape[-1]
     n = 1 + sum(value >= _POW10[i] for i in range(1, width))
     words = cells.view(np.uint32)
-    for i in range(words.shape[1] - 1, 0, -1):
+    for i in range(words.shape[-1] - 1, 0, -1):
         value, rest = _divmod(value, _U(10000))
-        words[:, i] = np.take(_tables()["ascii4"], rest)
-    words[:, 0] = np.take(_tables()["ascii4"], value)
+        words[..., i] = np.take(_ascii4(), rest)
+    words[..., 0] = np.take(_ascii4(), value)
     # keep the last n cells: a row of `width` flags per digit count, taken as words
     flags = np.arange(width) >= width - np.arange(width + 1)[:, None]
     keep.view(np.uint32)[:] = np.take(flags.view(np.uint32), n, axis=0)
 
 
 def _block(columns: Sequence[np.ndarray]) -> bytes:
-    """The CSV lines of equal-length columns, one line per index."""
+    """The CSV lines of equal-length columns, one line per index; the entries
+    of a row of a 2-D int column make one field, joined by spaces."""
     if any(column.dtype.kind not in "iuf" for column in columns):
         raise ValueError("columns must hold ints or floats")
+    if any(column.ndim == 2 and (column.dtype.kind == "f" or column.shape[1] == 0) for column in columns):
+        raise ValueError("a 2-D column must hold ints, at least one per row")
     widths = [_FLOAT_WIDTH if column.dtype.kind == "f" else _int_width(column) for column in columns]
-    cells = np.empty((len(columns[0]), sum(widths) + len(columns) + 1), dtype=np.uint8)
+    entries = [column.shape[1] if column.ndim == 2 else 1 for column in columns]
+    cells = np.empty((len(columns[0]), sum(k * (w + 1) for w, k in zip(widths, entries)) + 1), dtype=np.uint8)
     keep = np.ones(cells.shape, dtype=bool)
     at = 0
-    for column, width in zip(columns, widths):
-        field = _float_field if column.dtype.kind == "f" else _int_field
-        field(column, cells[:, at : at + width], keep[:, at : at + width])
-        cells[:, at + width] = ord(",")
-        at += width + 1
+    for column, width, k in zip(columns, widths, entries):
+        stop = at + k * (width + 1)
+        if column.dtype.kind == "f":
+            _float_field(column, cells[:, at : stop - 1], keep[:, at : stop - 1])
+        else:  # k entries side by side, each in width cells and closed by a space
+            shape = (len(column), k, width + 1)
+            entry_cells = cells[:, at:stop].reshape(shape)[..., :width]
+            _int_field(column.reshape(shape[:2]), entry_cells, keep[:, at:stop].reshape(shape)[..., :width])
+            cells[:, at + width : stop : width + 1] = ord(" ")
+        cells[:, stop - 1] = ord(",")
+        at = stop
     cells[:, at - 1 :] = np.frombuffer(b"\r\n", dtype=np.uint8)
     return np.compress(keep.ravel(), cells.ravel()).tobytes()
 
 
 def write_csv(path, header: Sequence[str], columns: Sequence) -> None:
     """Write ``header`` and one row per index of the equal-length ``columns``
-    (1-D int or float arrays, or ranges): ints, which must be non-negative,
-    as ``str``, floats as ``repr``, in the bytes ``csv.writer`` gives.
-    BLOCK_ROWS rows are formatted at a time."""
+    (1-D int or float arrays, ranges, or 2-D int arrays with at least one
+    entry per row): ints, which must be non-negative, as ``str``, floats as
+    ``repr``, the entries of a 2-D row joined by spaces into one field, in the
+    bytes ``csv.writer`` gives.  BLOCK_ROWS rows are formatted at a time, or
+    with 2-D columns as many rows as hold about BLOCK_ENTRIES of their entries."""
     length = len(columns[0])
     if any(len(column) != length for column in columns):
         raise ValueError("columns must be of equal length")
+    entries = sum(column.shape[1] for column in columns if isinstance(column, np.ndarray) and column.ndim == 2)
+    rows = max(1, BLOCK_ENTRIES // entries) if entries else BLOCK_ROWS
     with open(path, "wb") as fh:
         fh.write((",".join(header) + "\r\n").encode())
-        for start in range(0, length, BLOCK_ROWS):
-            fh.write(_block([np.asarray(column[start : start + BLOCK_ROWS]) for column in columns]))
+        for start in range(0, length, rows):
+            fh.write(_block([np.asarray(column[start : start + rows]) for column in columns]))

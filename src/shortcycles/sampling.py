@@ -33,11 +33,15 @@ Two routes to the same distribution, both on cycle types:
   identities in :mod:`shortcycles.stein` describe.
 
 Two entry points serve both methods, chosen by ``SamplerConfig.method``:
-:func:`draw_cycle_types` gives cycle types only and :func:`draw` gives
-labelled permutations, both as ``(cfg, count, rng)``.  Each builds the
-double log nu table it reads inside, so no caller passes a table.  All
-draws consume the numpy Generator the caller passes, and no config carries
-a seed; samplers never share mutable state.
+:func:`draw_cycle_types` gives a list of cycle types and :func:`draw`
+gives labelled permutations as one ``(count, n)`` int64 array, row i the
+one-line notation of draw i; both take ``(cfg, count, rng)``.  Each builds
+the double log nu table it reads inside, so no caller passes a table, and
+checks its stage law once per batch, not once per draw; :func:`draw` checks
+that every row is a bijection in one array pass.  Wrap a row in
+:class:`~shortcycles.permutations.Permutation` where its cycles are
+needed.  All draws consume the numpy Generator the caller passes, and no
+config carries a seed; samplers never share mutable state.
 """
 
 from __future__ import annotations
@@ -50,9 +54,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .counting import WindowTable, count_table, nu_ratios
-from .permutations import Permutation
 
-_UNIFORM_BLOCK = 64  # uniforms drawn per numpy call in sample_cycle_type; even, two per proposal
+_UNIFORM_BLOCK = 64  # uniforms drawn per numpy call in _cycle_type; even, two per proposal
 
 
 @dataclass(frozen=True)
@@ -74,22 +77,19 @@ class SamplerConfig:
             raise ValueError(f"thinning must be >= 1, got {self.mcmc_thinning}")
 
 
-def sample_cycle_type(n: int, rng: np.random.Generator, table: WindowTable) -> tuple[int, ...]:
-    """Cycle lengths of one uniform draw with all cycles <= r = ``table.r``, ascending.
-
-    One stage per cycle, drawn by rejection against two entries of the log
-    nu table ``table``, which must cover n.  A stage law at m = n (sum_k R(k)/n,
-    :func:`nu_ratios`) that does not sum to 1, or a proposal ratio above 1, raises ValueError.
-    Uniforms come from ``rng`` in blocks of ``_UNIFORM_BLOCK``, two per
-    proposal; the unused rest of the last block is dropped.
-    The result is what ``cycle_structure(p).lengths`` gives for the
-    permutation drawn.
-    """
-    r = table.r
-    total = np.add.reduce(nu_ratios(n, min(n, r), table)[1:]) / n
+def _stage_logs(n: int, table: WindowTable) -> np.ndarray:
+    """The log nu entries the stages of a draw of n read, once the stage law
+    at m = n (sum_k R(k)/n, :func:`nu_ratios`) is found to sum to 1; ``table``
+    must be a nu table covering n.  A batch of draws runs this once."""
+    total = np.add.reduce(nu_ratios(n, min(n, table.r), table)[1:]) / n
     logs = table.log_view()
     if not abs(total - 1.0) <= 1e-9:
         raise ValueError(f"stage law sums to {total}, table looks inconsistent")
+    return logs
+
+
+def _cycle_type(n: int, r: int, logs: np.ndarray, rng: np.random.Generator) -> tuple[int, ...]:
+    """One draw of :func:`sample_cycle_type` from the checked entries ``logs``."""
     lengths = []
     uniforms: list[float] = []
     at = _UNIFORM_BLOCK  # empty: the first proposal fills the block
@@ -113,9 +113,24 @@ def sample_cycle_type(n: int, rng: np.random.Generator, table: WindowTable) -> t
     return tuple(sorted(lengths))
 
 
-def _labelled(lengths: tuple[int, ...], rng: np.random.Generator) -> Permutation:
-    """A uniform permutation of the cycle type ``lengths``: one uniform
-    arrangement of 0..n-1 cut into consecutive cycles of those lengths."""
+def sample_cycle_type(n: int, rng: np.random.Generator, table: WindowTable) -> tuple[int, ...]:
+    """Cycle lengths of one uniform draw with all cycles <= r = ``table.r``, ascending.
+
+    One stage per cycle, drawn by rejection against two entries of the log
+    nu table ``table``, which must cover n.  A stage law at m = n (sum_k R(k)/n,
+    :func:`nu_ratios`) that does not sum to 1, or a proposal ratio above 1, raises ValueError.
+    Uniforms come from ``rng`` in blocks of ``_UNIFORM_BLOCK``, two per
+    proposal; the unused rest of the last block is dropped.
+    The result is what ``cycle_structure(p).lengths`` gives for the
+    permutation drawn.
+    """
+    return _cycle_type(n, table.r, _stage_logs(n, table), rng)
+
+
+def _labelled(lengths: tuple[int, ...], rng: np.random.Generator) -> np.ndarray:
+    """The int64 one-line row of a uniform permutation of the cycle type
+    ``lengths``: one uniform arrangement of 0..n-1 cut into consecutive
+    cycles of those lengths."""
     lengths = np.array(lengths)
     n = int(lengths.sum())
     order = rng.permutation(n)
@@ -124,11 +139,12 @@ def _labelled(lengths: tuple[int, ...], rng: np.random.Generator) -> Permutation
     successor[ends - 1] = ends - lengths  # each cycle closes on its first position
     mapping = np.empty(n, dtype=np.int64)
     mapping[order] = order[successor]
-    return Permutation(mapping.tolist())
+    return mapping
 
 
-def sample_sequential(n: int, rng: np.random.Generator, table: WindowTable) -> Permutation:
-    """One exact uniform draw of n elements with cycles <= ``table.r``: a cycle type, then a uniform labelling."""
+def sample_sequential(n: int, rng: np.random.Generator, table: WindowTable) -> np.ndarray:
+    """One exact uniform draw of n elements with cycles <= ``table.r`` as an
+    int64 one-line row: a cycle type, then a uniform labelling."""
     return _labelled(sample_cycle_type(n, rng, table), rng)
 
 
@@ -184,15 +200,16 @@ def draw_cycle_types(cfg: SamplerConfig, count: int, rng: np.random.Generator) -
     from one :func:`sample_cycle_type` draw, which has the exact uniform law,
     runs ``cfg.mcmc_burn_in`` steps, then emits every
     ``cfg.mcmc_thinning``-th state.  Every emitted type therefore has the
-    exact law; successive mcmc types are correlated.
+    exact law; successive mcmc types are correlated.  The stage law is
+    checked once, before the first uniform is drawn.
     """
     if count < 0:
         raise ValueError("count must be >= 0")
     n, r = cfg.n, cfg.r
-    table = count_table(n, r, "double")
+    logs = _stage_logs(n, count_table(n, r, "double"))
     if cfg.method == "sequential":
-        return [sample_cycle_type(n, rng, table) for _ in range(count)]
-    state = sample_cycle_type(n, rng, table)
+        return [_cycle_type(n, r, logs, rng) for _ in range(count)]
+    state = _cycle_type(n, r, logs, rng)
     for _ in range(cfg.mcmc_burn_in):
         state = mcmc_step(state, r, rng)
     out: list[tuple[int, ...]] = []
@@ -203,17 +220,32 @@ def draw_cycle_types(cfg: SamplerConfig, count: int, rng: np.random.Generator) -
     return out
 
 
-def draw(cfg: SamplerConfig, count: int, rng: np.random.Generator) -> list[Permutation]:
-    """``count`` labelled draws with the configured method, from ``rng``.
+def draw(cfg: SamplerConfig, count: int, rng: np.random.Generator) -> np.ndarray:
+    """``count`` labelled draws with the configured method, from ``rng``, as a
+    ``(count, n)`` int64 array: row i is the one-line notation of draw i.
 
-    sequential labels each type as it is drawn (:func:`sample_sequential`).
-    mcmc labels each type
-    of :func:`draw_cycle_types` independently and uniformly, after the whole
-    chain has run.
+    sequential labels each type as it is drawn, as :func:`sample_sequential`
+    does.  mcmc labels each type of :func:`draw_cycle_types` independently
+    and uniformly, after the whole chain has run.  The stage law is checked
+    once, and every row is checked to be a bijection in one pass at the end.
     """
     if count < 0:
         raise ValueError("count must be >= 0")
+    n, r = cfg.n, cfg.r
     if cfg.method == "sequential":
-        table = count_table(cfg.n, cfg.r, "double")
-        return [sample_sequential(cfg.n, rng, table) for _ in range(count)]
-    return [_labelled(lengths, rng) for lengths in draw_cycle_types(cfg, count, rng)]
+        logs = _stage_logs(n, count_table(n, r, "double"))
+        # lazy: each type is drawn just before its labels, as in sample_sequential
+        types = (_cycle_type(n, r, logs, rng) for _ in range(count))
+    else:
+        types = draw_cycle_types(cfg, count, rng)
+    rows = np.empty((count, n), dtype=np.int64)
+    for row, lengths in zip(rows, types):
+        row[:] = _labelled(lengths, rng)
+    # a row of n entries in 0..n-1 that hits every one of them is a bijection;
+    # entry j of row i hits cell i * n + rows[i, j]
+    hit = np.zeros(rows.size, dtype=bool)
+    if rows.size and 0 <= rows.min() and rows.max() < n:
+        hit[(rows + np.arange(0, rows.size, n)[:, None]).ravel()] = True
+    if not hit.all():
+        raise ValueError("a labelled draw is not a bijection on 0..n-1")
+    return rows

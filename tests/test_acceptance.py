@@ -24,7 +24,7 @@ from shortcycles.counting import (
 )
 from shortcycles.dickman import gamma_bound_check, xi
 from shortcycles.distances import PoissonSpec, macroscopic_bound, refined_bound, tv_exact
-from shortcycles.permutations import longest_cycle, permutations_with_bounded_cycles
+from shortcycles.permutations import Permutation, longest_cycle, permutations_with_bounded_cycles
 from shortcycles.sampling import SamplerConfig, draw, draw_cycle_types
 from shortcycles.stein import term_estimates_exact, verify_closed_forms
 
@@ -147,7 +147,8 @@ def test_criterion_07_sampler_uniformity():
         states = list(permutations_with_bounded_cycles(6, 3))
         index = {p: i for i, p in enumerate(states)}
         counts = np.zeros(len(states))
-        for p in draw(SamplerConfig(n=6, r=3), 10**5, np.random.default_rng(11)):
+        for row in draw(SamplerConfig(n=6, r=3), 10**5, np.random.default_rng(11)).tolist():
+            p = Permutation(row)
             assert longest_cycle(p) <= 3
             counts[index[p]] += 1
         pvalue = stats.chisquare(counts).pvalue

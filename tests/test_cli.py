@@ -168,6 +168,7 @@ class TestDickman:
             (["rho", "--grid", "-inf", "5", "3"], "got -inf and 5.0"),
             (["rho", "--t", "-inf"], "t=-inf"),
             (["ratio", "--t", "5", "--v", "-1e-3"], "need 0 <= v <= t"),
+            (["ratio", "--t", "5", "--v", "-1e-3"], "need 0 <= v <= t, got t=5.0, v=-0.001"),
         ],
     )
     @pytest.mark.filterwarnings("error")  # a numpy warning on the way is a failure
@@ -342,10 +343,29 @@ class TestSample:
         assert code == 0, err
         cfg = SamplerConfig(30, 6, method, mcmc_burn_in=3, mcmc_thinning=2)
         if full:
-            rows = [p.mapping for p in draw(cfg, 20, np.random.default_rng(5))]
+            rows = draw(cfg, 20, np.random.default_rng(5)).tolist()
         else:
             rows = draw_cycle_types(cfg, 20, np.random.default_rng(5))
         assert out.splitlines() == [" ".join(map(str, [i, *row])) for i, row in enumerate(rows)]
+
+    @pytest.mark.parametrize(
+        "n,r,count",
+        [(1, 1, 3), (6, 3, 0), (10001, 100, 2), (50, 10, 12000)],
+        # a 5-digit entry crosses a 4-cell word; the index passes 9999 over several blocks
+        ids=["n1", "count0", "n10001", "n50-count12000"],
+    )
+    @pytest.mark.parametrize("method", ["sequential", "mcmc"])
+    def test_full_bytes_equal_rows_built_one_draw_at_a_time(self, method, n, r, count, tmp_path, capsys):
+        argv = ["sample", "--n", str(n), "--r", str(r), "--method", method, "--count", str(count), "--seed", "7",
+                "--burn-in", "2", "--thinning", "3", "--full"]
+        cfg = SamplerConfig(n, r, method, mcmc_burn_in=2, mcmc_thinning=3)
+        rows = [(i, " ".join(str(x) for x in row)) for i, row in enumerate(draw(cfg, count, np.random.default_rng(7)))]
+        path = tmp_path / "full.csv"
+        assert run([*argv, "--out", str(path)], capsys) == (0, f"{count} samples written to {path}\n", "")
+        assert path.read_bytes() == csv_by_writer(["index", "mapping"], rows)
+        code, out, _ = run(argv, capsys)
+        assert code == 0
+        assert out == "".join(f"{i} {line}\n" for i, line in rows)
 
     def test_zero_thinning_is_a_validation_error(self, tmp_path, capsys):
         path = tmp_path / "never.csv"
@@ -562,7 +582,12 @@ class TestCsvWriter:
             write_rows(path, header, rows)
 
         def recording_columns(path, header, columns):
-            calls.append((header, list(zip(*(np.asarray(column).tolist() for column in columns)))))
+            # a 2-D column is one field per row: its entries joined by spaces
+            fields = [
+                [" ".join(map(str, row)) for row in column.tolist()] if np.ndim(column) == 2 else np.asarray(column).tolist()
+                for column in columns
+            ]
+            calls.append((header, list(zip(*fields))))
             write_columns(path, header, columns)
 
         monkeypatch.setattr(cli, "_write_csv", recording_rows)
@@ -616,6 +641,22 @@ class TestCsvWriter:
     def test_field_needing_quotes_is_rejected(self, field, tmp_path):
         with pytest.raises(ValueError, match="would need quoting"):
             cli._write_csv(tmp_path / "x.csv", ["index", "value"], [(0, "1"), (1, field)])
+
+
+class TestParser:
+    def test_built_once_per_process(self):
+        assert cli.build_parser() is cli.build_parser()
+
+    def test_leaves_no_state_between_calls(self, capsys, src_env):
+        # options of an earlier call in the same process do not leak into a later one's defaults
+        plain = ["sample", "--n", "30", "--r", "6", "--count", "6", "--seed", "4"]
+        assert run(["sample", "--n", "30", "--r", "6", "--method", "mcmc", "--burn-in", "5", "--thinning", "3",
+                    "--count", "6", "--seed", "9", "--full"], capsys)[0] == 0
+        code, out, _ = run(plain, capsys)
+        fresh = subprocess.run([sys.executable, "-m", "shortcycles", *plain], env=src_env, capture_output=True,
+                               text=True, timeout=60)
+        assert code == fresh.returncode == 0
+        assert out == fresh.stdout
 
 
 class TestExitCodes:

@@ -162,10 +162,13 @@ class TestRhoRatio:
             rho_ratio_check(10.0, 4.0, dickman)
 
     def test_domain(self, dickman):
-        with pytest.raises(ValueError):
+        # each error names the values it got
+        with pytest.raises(ValueError, match=r"^ratio check requires t >= 1, got t=0\.5$"):
             rho_ratio_check(0.5, 0.1, dickman)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^need 0 <= v <= t, got t=3\.0, v=4\.0$"):
             rho_ratio_check(3.0, 4.0, dickman)
+        with pytest.raises(ValueError, match=r"^need 0 <= v <= t, got t=5\.0, v=-0\.001$"):
+            rho_ratio_check(5.0, -1e-3, dickman)
         for t, v in ((math.nan, 1.0), (5.0, math.nan), (math.inf, 1.0)):
             with pytest.raises(ValueError, match="finite"):
                 rho_ratio_check(t, v, dickman)

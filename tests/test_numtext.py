@@ -75,6 +75,43 @@ def test_ints_are_written_as_str(path):
     assert written(path, ints, floats, range(len(ints))) == by_repr(ints, floats, range(len(ints)))
 
 
+def by_rows(index, matrix) -> bytes:
+    """The bytes csv.writer gives for an index column and a matrix written as one field of space-joined entries."""
+    rows = zip(index, (" ".join(map(str, row)) for row in matrix.tolist()))
+    return "".join(f"{i},{field}\r\n" for i, field in [("x0", "x1"), *rows]).encode()
+
+
+@pytest.mark.parametrize("entries", [1, 3, 4, 5, 9])
+def test_matrix_entries_are_joined_by_spaces(path, entries):
+    # widths 1 to 9 digits in one matrix: entries of 4, 5 and 8 digits fill and cross 4-cell words
+    values = np.random.default_rng(entries).integers(0, 10**9, size=(40, entries))
+    values //= 10 ** np.random.default_rng(0).integers(0, 9, size=values.shape)
+    assert written(path, range(40), values) == by_rows(range(40), values)
+
+
+def test_matrix_blocks_join_without_seams(path, monkeypatch):
+    values = np.random.default_rng(4).integers(0, 12000, size=(1000, 7))
+    whole = written(path, range(1000), values)
+    monkeypatch.setattr(numtext, "BLOCK_ENTRIES", 20)  # 2 rows a block
+    assert written(path, range(1000), values) == whole == by_rows(range(1000), values)
+    monkeypatch.setattr(numtext, "BLOCK_ENTRIES", 3)  # fewer entries than a row: one row a block
+    assert written(path, range(1000), values) == whole
+
+
+@pytest.mark.parametrize(
+    "matrix,message",
+    [
+        (np.zeros((3, 2)), "2-D column must hold ints"),
+        (np.zeros((3, 0), dtype=np.int64), "at least one per row"),
+        (np.array([[1, -1]]), "non-negative"),
+    ],
+    ids=["floats", "no-entries", "negative"],
+)
+def test_invalid_matrices_are_rejected(path, matrix, message):
+    with pytest.raises(ValueError, match=message):
+        written(path, range(len(matrix)), matrix)
+
+
 def test_negative_ints_are_rejected(path):
     with pytest.raises(ValueError, match="non-negative"):
         written(path, np.array([3, -1]))
@@ -110,3 +147,18 @@ def test_loaded_and_built_on_first_use(src_env):
     result = subprocess.run([sys.executable, "-c", script], env=src_env, capture_output=True, text=True, timeout=60)
     assert result.returncode == 0, result.stderr
     assert result.stdout.split() == ["False", "0"]
+
+
+def test_int_files_build_no_float_table(src_env, tmp_path):
+    # the Schubfach tables serve floats only; a file of ints needs just the 4-digit table
+    script = (
+        "import sys, numpy as np, shortcycles.numtext as t; "
+        "t.write_csv(sys.argv[1], ['index', 'mapping'], [range(2), np.array([[1, 0], [0, 1]])]); "
+        "print(t._tables.cache_info().currsize, t._ascii4.cache_info().currsize)"
+    )
+    out = tmp_path / "ints.csv"
+    result = subprocess.run([sys.executable, "-c", script, str(out)], env=src_env, capture_output=True, text=True,
+                            timeout=60)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.split() == ["0", "1"]
+    assert out.read_bytes() == b"index,mapping\r\n0,1 0\r\n1,0 1\r\n"

@@ -9,11 +9,13 @@ import pytest
 from scipy import stats
 
 from oracles import apply_transposition, detailed_balance_failures, type_law_pvalue, type_walk_law
+from shortcycles import sampling
 from shortcycles.counting import (
     WindowTable,
     count_table,
     expected_count,
     first_element_cycle_length_pmf,
+    nu_ratios,
 )
 from shortcycles.permutations import (
     Permutation,
@@ -64,30 +66,52 @@ class TestSequential:
     def test_support_constraint_n4_r2(self):
         cfg = SamplerConfig(n=4, r=2, method="sequential")
         lengths = set()
-        for p in draw(cfg, 400, np.random.default_rng(3)):
-            lengths.add(cycle_structure(p).lengths)
+        for row in draw(cfg, 400, np.random.default_rng(3)).tolist():
+            lengths.add(cycle_structure(Permutation(row)).lengths)
         assert lengths <= {(1, 1, 1, 1), (1, 1, 2), (2, 2)}
         assert lengths == {(1, 1, 1, 1), (1, 1, 2), (2, 2)}
 
     def test_every_draw_in_bounds(self):
         cfg = SamplerConfig(n=30, r=7, method="sequential")
-        for p in draw(cfg, 50, np.random.default_rng(9)):
-            assert longest_cycle(p) <= 7
+        for row in draw(cfg, 50, np.random.default_rng(9)).tolist():
+            assert longest_cycle(Permutation(row)) <= 7
 
     def test_large_n_double_mode(self):
         cfg = SamplerConfig(n=500, r=100, method="sequential")
-        p = draw(cfg, 1, np.random.default_rng(11))[0]
-        assert longest_cycle(p) <= 100
+        row = draw(cfg, 1, np.random.default_rng(11))[0]
+        assert longest_cycle(Permutation(row.tolist())) <= 100
 
     @pytest.mark.parametrize("method", ["sequential", "mcmc"])
     def test_r1_returns_identity(self, method):
         cfg = SamplerConfig(n=4, r=1, method=method)
-        assert draw(cfg, 3, np.random.default_rng(0)) == [Permutation.identity(4)] * 3
+        assert draw(cfg, 3, np.random.default_rng(0)).tolist() == [list(range(4))] * 3
         assert draw_cycle_types(cfg, 3, np.random.default_rng(0)) == [(1, 1, 1, 1)] * 3
 
     def test_reproducible(self):
         cfg = SamplerConfig(n=12, r=5, method="sequential")
-        assert draw(cfg, 10, np.random.default_rng(77)) == draw(cfg, 10, np.random.default_rng(77))
+        assert np.array_equal(draw(cfg, 10, np.random.default_rng(77)), draw(cfg, 10, np.random.default_rng(77)))
+
+
+class TestLabelledRows:
+    @pytest.mark.parametrize("method", ["sequential", "mcmc"])
+    def test_one_int64_row_per_draw(self, method):
+        cfg = SamplerConfig(12, 4, method)
+        rows = draw(cfg, 7, np.random.default_rng(2))
+        assert rows.dtype == np.int64 and rows.shape == (7, 12)
+        assert draw(cfg, 0, np.random.default_rng(2)).shape == (0, 12)
+
+    def test_rows_equal_sequential_draws_one_at_a_time(self):
+        # a batch calls the generator as successive sample_sequential calls do
+        table = count_table(40, 6, "double")
+        rng = np.random.default_rng(8)
+        one_at_a_time = [sample_sequential(40, rng, table) for _ in range(6)]
+        assert np.array_equal(draw(SamplerConfig(40, 6), 6, np.random.default_rng(8)), one_at_a_time)
+
+    @pytest.mark.parametrize("row", [[0, 0, 2], [0, 1, 3], [0, -1, 2]], ids=["repeat", "too-large", "negative"])
+    def test_a_row_that_is_no_bijection_is_rejected(self, row, monkeypatch):
+        monkeypatch.setattr(sampling, "_labelled", lambda lengths, rng: np.array(row))
+        with pytest.raises(ValueError, match="not a bijection"):
+            draw(SamplerConfig(3, 3), 2, np.random.default_rng(0))
 
 
 class TestCycleType:
@@ -101,7 +125,9 @@ class TestCycleType:
     def test_sequential_draw_relabels_the_sampled_type(self):
         table = count_table(40, 6)
         for seed in range(5):
-            p = sample_sequential(40, np.random.default_rng(seed), table)
+            row = sample_sequential(40, np.random.default_rng(seed), table)
+            assert row.dtype == np.int64 and row.shape == (40,)
+            p = Permutation(row.tolist())
             assert cycle_structure(p).lengths == sample_cycle_type(40, np.random.default_rng(seed), table)
 
     def test_deep_tail_double_table(self):
@@ -130,6 +156,33 @@ class TestCycleType:
         logs[50:60] -= 1.0
         with pytest.raises(ValueError, match="stage law sums to .* table looks inconsistent"):
             sample_cycle_type(60, np.random.default_rng(0), WindowTable(0, 10, "double", logs))
+
+    @pytest.mark.parametrize("labelled", [False, True], ids=["types", "labelled"])
+    @pytest.mark.parametrize("method", ["sequential", "mcmc"])
+    def test_inconsistent_table_is_rejected_before_any_draw(self, method, labelled, monkeypatch):
+        # the once-per-batch check guards every route, before the first uniform is drawn
+        logs = np.array(count_table(60, 10, "double").log_view())
+        logs[50:60] -= 1.0
+        monkeypatch.setattr(sampling, "count_table", lambda n_max, r, mode: WindowTable(0, r, mode, logs))
+        rng = np.random.default_rng(0)
+        state = rng.bit_generator.state
+        with pytest.raises(ValueError, match="stage law sums to .* table looks inconsistent"):
+            (draw if labelled else draw_cycle_types)(SamplerConfig(60, 10, method), 5, rng)
+        assert rng.bit_generator.state == state
+
+    def test_stage_law_is_checked_once_per_batch(self, monkeypatch):
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return nu_ratios(*args)
+
+        monkeypatch.setattr(sampling, "nu_ratios", counted)
+        for method in ("sequential", "mcmc"):
+            for run in (draw, draw_cycle_types):
+                calls.clear()
+                run(SamplerConfig(30, 6, method), 25, np.random.default_rng(1))
+                assert len(calls) == 1, (method, run.__name__)
 
     @pytest.mark.parametrize("corruption", ["nan", "increasing"])
     def test_corrupt_table_raises_instead_of_hanging(self, corruption, src_env):
@@ -241,7 +294,10 @@ class TestMcmc:
     def test_chain_starts_uniform(self):
         # the first output, one step from a stationary start, is uniform
         states = list(permutations_with_bounded_cycles(5, 3))
-        samples = [draw(SamplerConfig(5, 3, "mcmc"), 1, np.random.default_rng(seed))[0] for seed in range(5000)]
+        samples = [
+            Permutation(draw(SamplerConfig(5, 3, "mcmc"), 1, np.random.default_rng(seed))[0].tolist())
+            for seed in range(5000)
+        ]
         assert chi_square_uniform_pvalue(samples, states) >= 1e-3
 
     def test_chain_types_match_labelled_draws(self):
@@ -249,8 +305,8 @@ class TestMcmc:
         # same seed gives the same types with and without labels
         cfg = SamplerConfig(30, 6, "mcmc", mcmc_burn_in=5, mcmc_thinning=3)
         types = draw_cycle_types(cfg, 20, np.random.default_rng(3))
-        perms = draw(cfg, 20, np.random.default_rng(3))
-        assert [cycle_structure(p).lengths for p in perms] == types
+        rows = draw(cfg, 20, np.random.default_rng(3))
+        assert [cycle_structure(Permutation(row)).lengths for row in rows.tolist()] == types
         assert all(max(t) <= 6 and sum(t) == 30 for t in types)
 
 
@@ -291,11 +347,11 @@ class TestUniformity:
     def test_sequential_chi_square_s5_r3(self):
         states = list(permutations_with_bounded_cycles(5, 3))
         cfg = SamplerConfig(n=5, r=3, method="sequential")
-        samples = draw(cfg, 20000, np.random.default_rng(101))
+        samples = [Permutation(row) for row in draw(cfg, 20000, np.random.default_rng(101)).tolist()]
         assert chi_square_uniform_pvalue(samples, states) >= 1e-3
 
     def test_mcmc_chi_square_s5_r3(self):
         states = list(permutations_with_bounded_cycles(5, 3))
         cfg = SamplerConfig(n=5, r=3, method="mcmc", mcmc_burn_in=500, mcmc_thinning=20)
-        samples = draw(cfg, 20000, np.random.default_rng(303))
+        samples = [Permutation(row) for row in draw(cfg, 20000, np.random.default_rng(303)).tolist()]
         assert chi_square_uniform_pvalue(samples, states) >= 1e-3
