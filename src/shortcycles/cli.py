@@ -121,7 +121,8 @@ def _cmd_count(args) -> int:
         print(f"log_nu = {log_nu!r}")
     if args.out:
         if mode == "exact":
-            rows = ((m, int_str(v.numerator), int_str(v.denominator)) for m, v in enumerate(table.values))
+            fractions = map(table.fraction, range(table.n_max + 1))
+            rows = ((m, int_str(v.numerator), int_str(v.denominator)) for m, v in enumerate(fractions))
             _write_csv(args.out, ["m", "nu_exact_num", "nu_exact_den"], rows)
         else:
             logs = table.log_view()

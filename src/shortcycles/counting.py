@@ -26,8 +26,10 @@ From the same classification follow exactly, with R(m) = nu(n - m, r) / nu(n, r)
   with s = sum_j j*c_j and mu(m) the fraction of permutations of m elements
   whose cycle lengths all lie in the window (d, r].
 
-Everything supports an exact-rational mode (the oracle) and a log-scaled
-float mode for large n.  A brute-force enumerator over all n! permutations
+Everything supports an exact mode (the oracle) and a log-scaled float
+mode for large n.  An exact table holds the integers n_max! * f(m), so
+its recurrence needs no gcd; a Fraction is built only when an entry is
+read as one.  A brute-force enumerator over all n! permutations
 is kept as an independent cross-check of the recurrences.
 """
 
@@ -92,18 +94,22 @@ class WindowTable:
     """f(m) for m = 0..n_max: the fraction of the m! permutations of m
     elements whose cycle lengths all lie in the window (d, r].
 
-    d = 0 gives nu(m, r), 1 <= d <= r gives mu(m).  Exact mode holds
-    Fractions; double mode holds only log f(m) (-inf where f(m) = 0),
-    because deep in the tail f(m) lies below the smallest double, and is
-    read through :meth:`log_view`.
+    d = 0 gives nu(m, r), 1 <= d <= r gives mu(m).  Exact mode holds the
+    integers ``scaled[m]`` = scale * f(m) and their common ``scale``
+    (n_max! from :func:`count_table`), read as f(m) through
+    :meth:`fraction` and as m! f(m) through :meth:`count`.  Double mode
+    holds only log f(m) (-inf where f(m) = 0), because deep in the tail
+    f(m) lies below the smallest double, and is read through
+    :meth:`log_view`.
     """
 
-    def __init__(self, d: int, r: int, mode: str, values):
+    def __init__(self, d: int, r: int, mode: str, values, scale: int = 1):
         self.d = d
         self.r = r
         self.mode = mode
         if mode == "exact":
-            self.values = tuple(values)
+            self.scaled = tuple(values)
+            self.scale = scale
             self._log = None
         else:
             self._log = np.asarray(values, dtype=np.float64)
@@ -111,27 +117,29 @@ class WindowTable:
 
     @property
     def n_max(self) -> int:
-        return len(self.values if self.mode == "exact" else self._log) - 1
+        return len(self.scaled if self.mode == "exact" else self._log) - 1
 
     def fraction(self, m: int) -> Fraction:
-        """f(m) (exact mode only: a double f(m) underflows deep in the tail)."""
+        """f(m), reduced (exact mode only: a double f(m) underflows deep in the tail)."""
         if self.mode != "exact":
             raise ValueError("fractions require exact mode; read a double table through log_view()")
         if not 0 <= m <= self.n_max:
             raise ValueError(f"m={m} outside tabulated range 0..{self.n_max}")
-        return self.values[m]
+        return Fraction(self.scaled[m], self.scale)
 
     def count(self, m: int) -> int:
         """m! f(m), the number of such permutations (exact mode only)."""
-        value = self.fraction(m) * math.factorial(m)
-        if value.denominator != 1:
+        f = self.fraction(m)
+        value, rest = divmod(f.numerator * math.factorial(m), f.denominator)
+        if rest:
             raise ArithmeticError(f"table entry {m} is not a count over {m}!")
-        return value.numerator
+        return value
 
     def log_view(self) -> np.ndarray:
         """Read-only float64 array of log f(m), -inf where f(m) = 0 (cached in exact mode)."""
         if self._log is None:
-            arr = np.array([log_fraction(v) for v in self.values], dtype=np.float64)
+            # from the reduced fraction: log_fraction of an unreduced p/q can differ in the last bit
+            arr = np.array([log_fraction(self.fraction(m)) for m in range(self.n_max + 1)], dtype=np.float64)
             arr.setflags(write=False)
             self._log = arr
         return self._log
@@ -145,7 +153,11 @@ def count_table(n_max: int, r: int, mode: str = "exact", *, d: int = 0) -> Windo
     m f(m) = sum_{k=d+1}^{min(m, r)} f(m - k): classify by the length k of
     the cycle through a fixed element.
 
-    Exact mode runs the recurrence in Fractions.  Double mode works in
+    Exact mode runs the recurrence in integers: with scale = n_max!,
+    g(m) = scale * f(m) is an integer because m! divides n_max!, and
+    g(m) = window // m, where the window sum gains g(m-d-1) and loses
+    g(m-r-1) at each step.  Every division is checked: a remainder raises
+    ArithmeticError naming m, d and r.  Double mode works in
     blocks of m, adds positive terms only (no sliding-window subtraction,
     whose absolute error floor once swamped the tail) and keeps one scale
     per block, so log f stays accurate to ~1e-12 relative far below the
@@ -170,15 +182,19 @@ def count_table(n_max: int, r: int, mode: str = "exact", *, d: int = 0) -> Windo
     if mode not in ("exact", "double"):
         raise ValueError(f"unknown mode {mode!r}")
     if mode == "exact":
-        values = [Fraction(1)]
-        window = Fraction(0)  # sum of f(m-k) over d < k <= min(m, r)
+        scale = math.factorial(n_max)  # scale * f(m) is an integer: m! divides n_max!
+        scaled = [scale]
+        window = 0  # sum of scaled[m-k] over d < k <= min(m, r)
         for m in range(1, n_max + 1):
             if m - d - 1 >= 0:
-                window += values[m - d - 1]
+                window += scaled[m - d - 1]
             if m - r - 1 >= 0:
-                window -= values[m - r - 1]
-            values.append(window / m)
-        return WindowTable(d, r, "exact", values)
+                window -= scaled[m - r - 1]
+            value, rest = divmod(window, m)
+            if rest:
+                raise ArithmeticError(f"window sum at m={m} is not a multiple of m (d={d}, r={r})")
+            scaled.append(value)
+        return WindowTable(d, r, "exact", scaled, scale)
     top = min(r, n_max)  # no cycle of m <= n_max elements is longer
     if top <= d:
         logs = np.full(n_max + 1, -np.inf)
@@ -260,7 +276,8 @@ def _ratios(n: int, low: int, top: int, table: WindowTable) -> list[Fraction] | 
     if not 0 <= top <= n:
         raise ValueError(f"top must be in 0..{n}, got top={top}")
     if table.mode == "exact":
-        return [table.values[n - m] / table.values[n] for m in range(low, top + 1)]
+        scaled = table.scaled
+        return [Fraction(scaled[n - m], scaled[n]) for m in range(low, top + 1)]
     logs = table.log_view()
     log_ratios = logs[n - top : n - low + 1] - logs[n]  # R(top) first: nu is non-increasing, so it is the largest
     if log_ratios[0] > LOG_DOUBLE_MAX:
@@ -403,20 +420,20 @@ def joint_pmf(n: int, r: int, d: int, *, mode: str = "exact") -> SparsePMF:
     mu = count_table(n, r, mode, d=d)
     counts, used = _count_vector_array(n, d)
     if mode == "exact":
-        norm = nu.fraction(n)
-        ratios = np.array([mu.fraction(n - s) / norm for s in range(n + 1)], dtype=object)
-        keep = (ratios != 0)[used]
-        counts = counts[keep]
+        # both tables have scale n!, so entry s is n! mu(n - s) = perm(n, s) * mu.count(n - s)
+        placed = np.array(mu.scaled[::-1], dtype=object)
+        keep = (placed != 0)[used]
+        counts, used = counts[keep], used[keep]
         denominator = np.ones(len(counts), dtype=object)
         for j in range(1, d + 1):
             # j^c c! for c = 0..n//j
             column = np.array([j**c * math.factorial(c) for c in range(n // j + 1)], dtype=object)
             denominator *= column[counts[:, j - 1]]
-        masses = (ratios[used[keep]] / denominator).tolist()
+        norm = nu.scaled[n]  # n! nu(n, r) = nu.count(n)
+        masses = list(map(Fraction, placed[used], denominator * norm))
         # the masses sum to 1 iff the permutations they count add up to nu.count(n):
         # perm(n, s) / denominator (an integer) small-cycle placements times mu.count(n - s)
-        placed = np.array([math.perm(n, s) * mu.count(n - s) for s in range(n + 1)], dtype=object)
-        if (placed[used[keep]] // denominator).sum() != nu.count(n):
+        if (placed[used] // denominator).sum() != norm:
             raise ArithmeticError("exact joint law failed to normalize")
     else:
         log_prob = mu.log_view()[n - used] - nu.log_view()[n]

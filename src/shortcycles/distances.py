@@ -123,16 +123,19 @@ def tv_cycle_counts(n: int, r: int, d: int) -> float:
     The law is that of a uniform permutation of n elements with all cycles
     <= r, the reference is independent Poisson(1/k), k = 1..d; the value is
     the one :func:`tv_exact` gives on the full joint law, evaluated by the
-    conditioning identity in O(n) terms.  Tables are exact rationals and
-    each term is rounded to a float once, then summed with ``math.fsum``.
+    conditioning identity in O(n) terms.  The three exact tables hold
+    g(m) = n! f(m) as integers, and e^{-H_d} is a decimal P/Q, so each
+    term nu(s, d) |mu(n-s)/nu(n, r) - P/Q| is one int/int true division,
+    g_d(s) |g_mu(n-s) Q - P g_nu(n)| / (n! g_nu(n) Q), correctly rounded as
+    float(Fraction) is; the terms are summed with ``math.fsum``.
     """
     if not 1 <= d <= r <= n:
         raise ValueError(f"need 1 <= d <= r <= n, got d={d}, r={r}, n={n}")
-    nu_d = count_table(n, d, "exact").values
-    mu = count_table(n, r, "exact", d=d).values
-    norm = count_table(n, r, "exact").fraction(n)
-    ratios = [mu[n - s] / norm for s in range(n + 1)]
-    covered = sum(nu_d)
+    nu_d = count_table(n, d, "exact")
+    mu = count_table(n, r, "exact", d=d).scaled
+    norm = count_table(n, r, "exact").scaled[n]
+    scale = nu_d.scale  # n!, the scale of all three tables
+    covered = sum(nu_d.scaled)
     harmonic = sum(Fraction(1, k) for k in range(1, d + 1))
     # An error of 10^(1-digits) in e^{-H_d} moves the result by at most that
     # much, because e^{-H_d} * sum nu(s, d) <= 1.  40 digits leave a double
@@ -141,9 +144,10 @@ def tv_cycle_counts(n: int, r: int, d: int) -> float:
     for digits in (40, 25 + int(math.lgamma(n + 2) / math.log(10))):
         with localcontext() as ctx:
             ctx.prec = digits
-            q0 = Fraction((-(Decimal(harmonic.numerator) / harmonic.denominator)).exp())
-        terms = [float(nu_d[s] * abs(ratios[s] - q0)) for s in range(n + 1)]
-        tv = 0.5 * (math.fsum(terms) + max(0.0, float(1 - q0 * covered)))
+            p, q = (-(Decimal(harmonic.numerator) / harmonic.denominator)).exp().as_integer_ratio()
+        target, denominator = p * norm, scale * norm * q
+        terms = [g * abs(m * q - target) / denominator for g, m in zip(nu_d.scaled, reversed(mu))]
+        tv = 0.5 * (math.fsum(terms) + max(0.0, (q * scale - p * covered) / (q * scale)))
         if tv >= 10.0 ** (18 - digits):
             break
     return tv

@@ -44,6 +44,14 @@ def pmf_csv_by_writer(d: int, entries: dict) -> bytes:
     return csv_by_writer([f"c_{j}" for j in range(1, d + 1)] + ["probability"], rows)
 
 
+def window_fractions(n_max: int, d: int, r: int) -> list[Fraction]:
+    """f(m), m = 0..n_max, for cycle lengths in (d, r], from m f(m) = sum_{d < k <= min(m, r)} f(m - k) in Fractions."""
+    values = [Fraction(1)]
+    for m in range(1, n_max + 1):
+        values.append(sum(values[max(m - r, 0) : max(m - d, 0)], Fraction(0)) / m)
+    return values
+
+
 def nu_table_rows(n: int, r: int) -> list[tuple]:
     """``count --out`` rows of a double table, one entry at a time: m, exp(log nu) by ``math.exp``, log nu."""
     return [(m, math.exp(x), float(x)) for m, x in enumerate(count_table(n, r, "double").log_view())]

@@ -7,7 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from oracles import pmf_csv_by_writer
+from oracles import pmf_csv_by_writer, window_fractions
 from shortcycles import cli, counting
 from shortcycles.cli import main
 from shortcycles.counting import (
@@ -58,7 +58,7 @@ class TestCountTable:
             assert value.denominator == 1
 
     def test_count_of_a_non_count_raises(self):
-        t = WindowTable(0, 2, "exact", [Fraction(1), Fraction(1), Fraction(1, 3)])
+        t = WindowTable(0, 2, "exact", [3, 3, 1], scale=3)  # f = 1, 1, 1/3
         assert t.count(1) == 1
         with pytest.raises(ArithmeticError, match="table entry 2 is not a count"):
             t.count(2)
@@ -132,6 +132,29 @@ class TestRestrictedTable:
             count_table(5, 3, d=4)
 
 
+class TestExactTableOracle:
+    """The scaled-integer exact tables read exactly as the Fraction recurrence."""
+
+    @pytest.mark.parametrize("r", range(1, 9))
+    def test_every_window_matches_fractions(self, r):
+        for d in range(r + 1):
+            for n_max in range(31):
+                table, want = count_table(n_max, r, d=d), window_fractions(n_max, d, r)
+                assert table.scale == math.factorial(n_max)
+                assert list(map(table.fraction, range(n_max + 1))) == want
+                assert [table.count(m) for m in range(n_max + 1)] == [f * math.factorial(m) for m, f in enumerate(want)]
+                # logs of the reduced fractions: log_fraction of an unreduced p/q can move the last bit
+                assert table.log_view().tobytes() == np.array(list(map(log_fraction, want))).tobytes()
+                if d == 0:
+                    assert nu_ratios(n_max, n_max, table) == [want[n_max - m] / want[n_max] for m in range(n_max + 1)]
+
+    def test_inexact_division_raises(self, monkeypatch):
+        # with scale 1 in place of 5!, the window sum at m = 3 is 2, not a multiple of 3
+        monkeypatch.setattr(counting.math, "factorial", lambda n: 1)
+        with pytest.raises(ArithmeticError, match=r"m=3 .*\(d=0, r=2\)"):
+            count_table(5, 2)
+
+
 def assert_logs_close(double, exact, rel=1e-10):
     """log f agrees to ``rel`` relative (0 exactly where log f = 0), and f to ``rel`` relative."""
     got, want = double.log_view(), exact.log_view()[: double.n_max + 1]
@@ -190,7 +213,7 @@ class TestWindowTable:
 
     def test_wrappers_are_windows(self):
         # the window (3, 4]: all 8 elements in 4-cycles, 8!/(4^2 2!) of the 8! permutations
-        assert count_table(20, 4, d=3).values[8] == Fraction(1, 32)
+        assert count_table(20, 4, d=3).fraction(8) == Fraction(1, 32)
         t = count_table(20, 4, "double", d=2)
         assert (t.d, t.r, t.n_max) == (2, 4, 20)
 

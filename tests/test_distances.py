@@ -124,6 +124,27 @@ class TestTvCycleCounts:
     def test_frozen_regression_value(self):
         assert tv_cycle_counts(4, 2, 1) == pytest.approx(TV_N4_R2_D1, rel=1e-15)
 
+    # each term rounded once from exact rationals, pinned to the last bit; (80, 80, 1) takes the second, longer e^{-H_d}
+    @pytest.mark.parametrize(
+        "n,r,d,value",
+        [
+            (60, 20, 4, 0.1378232273483274),
+            (1000, 100, 6, 0.06903217563323093),
+            (2000, 200, 3, 0.01780023110571659),
+            (40, 10, 2, 0.1762178685684491),
+            (40, 10, 3, 0.25626626324415225),
+            (40, 20, 2, 0.05261676927501653),
+            (40, 20, 3, 0.07567726289522),
+            (60, 10, 2, 0.2187523039530221),
+            (60, 10, 3, 0.316154955758057),
+            (60, 20, 2, 0.0722912335991824),
+            (60, 20, 3, 0.10492826427121052),
+            (80, 80, 1, 2.0357221800854256e-97),
+        ],
+    )
+    def test_pinned_values(self, n, r, d, value):
+        assert tv_cycle_counts(n, r, d) == value
+
     def test_beyond_joint_law_support_cap(self, monkeypatch):
         monkeypatch.setenv("SHORTCYCLES_SUPPORT_CAP", "3")
         assert 0 < tv_cycle_counts(400, 100, 6) < 1
