@@ -50,6 +50,7 @@ from .permutations import (
     cycle_type_counts,
     cycle_types,
     longest_cycle,
+    mappings_with_bounded_cycles,
     permutations_with_bounded_cycles,
 )
 from .sampling import (

@@ -6,7 +6,8 @@ file the tool wrote).  All randomized subcommands are deterministic given
 --seed, and identical argv produce byte-identical output files: JSON is
 written with sorted keys and no timestamps.
 
-Exit codes: 0 success, 1 validation error, 2 resource-cap error.
+Exit codes: 0 success, 1 validation error or unwritable output path,
+2 resource-cap error.
 """
 
 from __future__ import annotations
@@ -472,7 +473,7 @@ def main(argv=None) -> int:
     except ResourceLimitError as exc:
         print(f"resource cap: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, ArithmeticError) as exc:
+    except (ValueError, ArithmeticError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

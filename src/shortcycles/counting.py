@@ -29,8 +29,9 @@ From the same classification follow exactly, with R(m) = nu(n - m, r) / nu(n, r)
 Everything supports an exact mode (the oracle) and a log-scaled float
 mode for large n.  An exact table holds the integers n_max! * f(m), so
 its recurrence needs no gcd; a Fraction is built only when an entry is
-read as one.  A brute-force enumerator over all n! permutations
-is kept as an independent cross-check of the recurrences.
+read as one.  The brute-force oracles of the recurrences count and tally
+the n! permutations that :func:`~shortcycles.permutations.mappings_with_bounded_cycles`
+enumerates.
 """
 
 from __future__ import annotations
@@ -51,7 +52,7 @@ import numpy as np
 
 from .dickman import xi
 from .errors import ResourceLimitError
-from .permutations import CountsVector, brute_force_cap, capped_type_count
+from .permutations import CountsVector, capped_type_count, mappings_with_bounded_cycles
 
 Probability = Union[Fraction, float]
 
@@ -303,9 +304,9 @@ class _Entries(Mapping):
     :class:`CountsVector`.  ``len`` reads the arrays; the dict behind the
     lookups is built on first use and kept."""
 
-    def __init__(self, pmf: "SparsePMF", built: dict | None = None):
+    def __init__(self, pmf: "SparsePMF"):
         self._pmf = pmf
-        self._dict = built
+        self._dict = None
 
     def _built(self) -> dict:
         if self._dict is None:
@@ -332,23 +333,7 @@ class SparsePMF:
     :class:`CountsVector`.
     """
 
-    def __init__(self, d: int, entries: dict, mode: str):
-        """The law with masses ``entries``, a dict keyed by :class:`CountsVector`, in any order."""
-        support = sorted(entries, key=lambda cv: cv.counts)
-        counts = np.array([cv.counts for cv in support], dtype=np.int64).reshape(len(support), d)
-        masses = [entries[cv] for cv in support]
-        self._set(d, counts, masses if mode == "exact" else np.array(masses, dtype=np.float64), mode)
-        self.entries = _Entries(self, dict(entries))
-
-    @classmethod
-    def from_arrays(cls, d: int, counts: np.ndarray, masses, mode: str) -> "SparsePMF":
-        """The law with rows ``counts`` (lexicographically sorted) and masses ``masses``."""
-        pmf = cls.__new__(cls)
-        pmf._set(d, counts, masses, mode)
-        pmf.entries = _Entries(pmf)
-        return pmf
-
-    def _set(self, d: int, counts: np.ndarray, masses, mode: str) -> None:
+    def __init__(self, d: int, counts: np.ndarray, masses, mode: str):
         if len(masses) != len(counts):
             raise ValueError(f"{len(masses)} masses for {len(counts)} count vectors")
         self.d = d
@@ -356,6 +341,7 @@ class SparsePMF:
         self.masses = masses
         self.mode = mode
         self._total = None
+        self.entries = _Entries(self)
 
     def __len__(self) -> int:
         return len(self.counts)
@@ -444,7 +430,7 @@ def joint_pmf(n: int, r: int, d: int, *, mode: str = "exact") -> SparsePMF:
         keep = np.isfinite(log_prob)
         counts = counts[keep]
         masses = np.exp(log_prob[keep])
-    pmf = SparsePMF.from_arrays(d, counts, masses, mode)
+    pmf = SparsePMF(d, counts, masses, mode)
     if mode == "exact":
         pmf._total = Fraction(1)
     return pmf
@@ -482,54 +468,25 @@ def expected_count(n: int, k: int, table: WindowTable) -> Probability:
     return factorial_moment(n, (0,) * (k - 1) + (1,), table)
 
 
-def _cycle_lengths_of(mapping: tuple[int, ...]) -> list[int]:
-    # local tracing loop: brute force stays independent of the main library path
-    n = len(mapping)
-    seen = bytearray(n)
-    lengths = []
-    for start in range(n):
-        if seen[start]:
-            continue
-        length = 0
-        x = start
-        while not seen[x]:
-            seen[x] = 1
-            length += 1
-            x = mapping[x]
-        lengths.append(length)
-    return lengths
-
-
-def _bounded_cycle_lengths(n: int, r: int) -> Iterator[list[int]]:
-    """Cycle lengths of each permutation of n elements whose longest cycle is <= r.
-
-    Enumerates all n!, after checking the cap; n = 0 gives the empty permutation.
-    """
-    cap = brute_force_cap()
-    if n > cap:
-        raise ResourceLimitError(f"brute force capped at n <= {cap}, got n={n}")
-    every = map(_cycle_lengths_of, itertools.permutations(range(n)))
-    return (lengths for lengths in every if max(lengths, default=0) <= r)
-
-
 def brute_force_count(n: int, r: int) -> int:
     """|{permutations of n elements with all cycles <= r}| by full enumeration."""
-    if r < 1:
-        raise ValueError("r must be >= 1")
-    return sum(1 for _ in _bounded_cycle_lengths(n, r))
+    return sum(1 for _ in mappings_with_bounded_cycles(n, r))
 
 
 def brute_force_pmf(n: int, r: int, d: int) -> SparsePMF:
     """Joint law of small-cycle counts by enumerating all n! permutations.
 
-    The independent oracle for :func:`joint_pmf`; exact rationals throughout.
+    The oracle for :func:`joint_pmf`; exact rationals throughout.
     """
     if not 1 <= d <= r:
         raise ValueError(f"need 1 <= d <= r, got d={d}, r={r}")
-    tally = Counter(CountsVector.from_cycle_type(lengths, d) for lengths in _bounded_cycle_lengths(n, r))
-    kept = sum(tally.values())
-    entries = {cv: Fraction(c, kept) for cv, c in tally.items()}
-    return SparsePMF(d, entries, "exact")
+    types = Counter(lengths for _, lengths in mappings_with_bounded_cycles(n, r))
+    tally = Counter()
+    for lengths, ways in types.items():
+        tally[CountsVector.from_cycle_type(lengths, d).counts] += ways
+    rows = sorted(tally)
+    kept = types.total()
+    return SparsePMF(d, np.array(rows, dtype=np.int64), [Fraction(tally[row], kept) for row in rows], "exact")
 
 
 @dataclass(frozen=True)

@@ -39,6 +39,7 @@ two.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from decimal import Decimal, localcontext
 from fractions import Fraction
@@ -127,7 +128,9 @@ def tv_cycle_counts(n: int, r: int, d: int) -> float:
     g(m) = n! f(m) as integers, and e^{-H_d} is a decimal P/Q, so each
     term nu(s, d) |mu(n-s)/nu(n, r) - P/Q| is one int/int true division,
     g_d(s) |g_mu(n-s) Q - P g_nu(n)| / (n! g_nu(n) Q), correctly rounded as
-    float(Fraction) is; the terms are summed with ``math.fsum``.
+    float(Fraction) is; the terms are summed with ``math.fsum``.  A distance
+    below the smallest normal double raises ValueError naming its decimal
+    exponent, rather than returning a subnormal with lost digits or 0.0.
     """
     if not 1 <= d <= r <= n:
         raise ValueError(f"need 1 <= d <= r <= n, got d={d}, r={r}, n={n}")
@@ -146,10 +149,16 @@ def tv_cycle_counts(n: int, r: int, d: int) -> float:
             ctx.prec = digits
             p, q = (-(Decimal(harmonic.numerator) / harmonic.denominator)).exp().as_integer_ratio()
         target, denominator = p * norm, scale * norm * q
-        terms = [g * abs(m * q - target) / denominator for g, m in zip(nu_d.scaled, reversed(mu))]
-        tv = 0.5 * (math.fsum(terms) + max(0.0, (q * scale - p * covered) / (q * scale)))
+        gaps = [g * abs(m * q - target) for g, m in zip(nu_d.scaled, reversed(mu))]
+        tail = max(0, q * scale - p * covered)
+        tv = 0.5 * (math.fsum(gap / denominator for gap in gaps) + tail / (q * scale))
         if tv >= 10.0 ** (18 - digits):
             break
+    if tv < sys.float_info.min:
+        exact = (Fraction(sum(gaps), denominator) + Fraction(tail, q * scale)) / 2
+        shown = Decimal(exact.numerator) / exact.denominator
+        below = f"below the smallest normal double {sys.float_info.min!r}"
+        raise ValueError(f"tv at n={n}, r={r}, d={d} is {shown:.4e}, {below}")
     return tv
 
 

@@ -125,11 +125,15 @@ def cycle_structure(p: Permutation) -> CycleStructure:
     Cycles are reported sorted by their smallest element, each starting at
     that element, so the output is deterministic.
     """
-    n = p.n
-    mapping = p.mapping
-    seen = bytearray(n)
-    cycles: list[tuple[int, ...]] = []
-    for start in range(n):
+    cycles = _cycles(p.mapping)
+    return CycleStructure(tuple(map(tuple, cycles)), tuple(sorted(map(len, cycles))))
+
+
+def _cycles(mapping: Sequence[int]) -> list[list[int]]:
+    """The cycle walk: the cycles of ``mapping``, each from its smallest element, in order of it."""
+    seen = bytearray(len(mapping))
+    cycles = []
+    for start in range(len(mapping)):
         if seen[start]:
             continue
         cycle = [start]
@@ -139,9 +143,8 @@ def cycle_structure(p: Permutation) -> CycleStructure:
             cycle.append(x)
             seen[x] = 1
             x = mapping[x]
-        cycles.append(tuple(cycle))
-    lengths = tuple(sorted(len(c) for c in cycles))
-    return CycleStructure(tuple(cycles), lengths)
+        cycles.append(cycle)
+    return cycles
 
 
 def longest_cycle(p: Permutation) -> int:
@@ -149,20 +152,34 @@ def longest_cycle(p: Permutation) -> int:
     return max(cycle_structure(p).lengths)
 
 
-def permutations_with_bounded_cycles(n: int, r: int) -> Iterator[Permutation]:
-    """All permutations of n elements whose every cycle has length <= r.
+def mappings_with_bounded_cycles(n: int, r: int) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """Every permutation of n elements whose cycles all have length <= r, as
+    its one-line mapping and its cycle type (``cycle_structure(p).lengths``).
 
-    Plain filtered enumeration of all n! arrays, capped by :func:`brute_force_cap`.
+    The brute-force enumerator: it filters all n! arrays, after checking n
+    against :func:`brute_force_cap`.  n = 0 gives the empty permutation,
+    the mapping () with cycle type ().
+    """
+    if n < 0 or r < 1:
+        raise ValueError(f"need n >= 0 and r >= 1, got n={n}, r={r}")
+    limit = brute_force_cap()
+    if n > limit:
+        raise ResourceLimitError(f"brute force capped at n <= {limit}, got n={n}")
+    for mapping in itertools.permutations(range(n)):
+        lengths = tuple(sorted(map(len, _cycles(mapping))))
+        if not lengths or lengths[-1] <= r:
+            yield mapping, lengths
+
+
+def permutations_with_bounded_cycles(n: int, r: int) -> Iterator[Permutation]:
+    """All permutations of n >= 1 elements whose every cycle has length <= r.
+
+    The permutations :func:`mappings_with_bounded_cycles` yields, capped by :func:`brute_force_cap`.
     """
     if n < 1 or r < 1:
         raise ValueError(f"need n >= 1 and r >= 1, got n={n}, r={r}")
-    cap = brute_force_cap()
-    if n > cap:
-        raise ResourceLimitError(f"brute force capped at n <= {cap}, got n={n}")
-    for mapping in itertools.permutations(range(n)):
-        p = Permutation(mapping)
-        if longest_cycle(p) <= r:
-            yield p
+    for mapping, _ in mappings_with_bounded_cycles(n, r):
+        yield Permutation(mapping)
 
 
 def cycle_types(n: int, r: int) -> Iterator[tuple[int, ...]]:

@@ -15,7 +15,7 @@ import mpmath
 import numpy as np
 from scipy import stats
 
-from shortcycles.counting import count_table
+from shortcycles.counting import SparsePMF, count_table
 from shortcycles.dickman import DickmanEvaluator
 from shortcycles.permutations import (
     CycleStructure,
@@ -42,6 +42,14 @@ def pmf_csv_by_writer(d: int, entries: dict) -> bytes:
     """The CSV bytes of a joint law as ``csv.writer`` writes its sorted dict entries."""
     rows = ([*cv.counts, float(p)] for cv, p in sorted(entries.items(), key=lambda item: item[0].counts))
     return csv_by_writer([f"c_{j}" for j in range(1, d + 1)] + ["probability"], rows)
+
+
+def law_from_dict(d: int, entries: dict, mode: str) -> SparsePMF:
+    """The law with masses ``entries``, a dict keyed by CountsVector in any order, rows sorted, as a ``SparsePMF``."""
+    support = sorted(entries, key=lambda cv: cv.counts)
+    counts = np.array([cv.counts for cv in support], dtype=np.int64).reshape(len(support), d)
+    masses = [entries[cv] for cv in support]
+    return SparsePMF(d, counts, masses if mode == "exact" else np.array(masses, dtype=np.float64), mode)
 
 
 def window_fractions(n_max: int, d: int, r: int) -> list[Fraction]:

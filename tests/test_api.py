@@ -108,3 +108,22 @@ def test_private_names_stay_in_their_module():
         if alias.name.startswith("_") and not alias.name.startswith("__")
     ]
     assert borrowed == []
+
+
+def test_one_enumerator_and_one_law_constructor():
+    # the n! enumeration lives in permutations alone, and a law is built only by SparsePMF(d, counts, masses, mode)
+    package = Path(shortcycles.__file__).parent
+    enumerating = sorted(
+        path.stem
+        for path in package.glob("*.py")
+        for node in ast.walk(ast.parse(path.read_text()))
+        if (isinstance(node, ast.Attribute) and ast.unparse(node) == "itertools.permutations")
+        or (
+            isinstance(node, ast.ImportFrom)
+            and node.module == "itertools"
+            and any(alias.name == "permutations" for alias in node.names)
+        )
+    )
+    assert enumerating == ["permutations"]
+    for name in ("from_arrays", "_set"):
+        assert not hasattr(shortcycles.SparsePMF, name), name

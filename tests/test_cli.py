@@ -423,6 +423,20 @@ class TestTv:
         payload = json.loads(out)
         assert "stderr" in payload
 
+    def test_exact_below_double_range_is_an_error(self, tmp_path, capsys):
+        # the distance at (300, 300, 1) is 2.2e-527; it used to be printed and written as 0.0
+        path = tmp_path / "sweep.csv"
+        for argv in (
+            ["tv", "--n", "300", "--r", "300", "--d", "1"],
+            ["sweep", "--n", "300", "--r", "300", "--d", "1", "--out", str(path)],
+        ):
+            code, out, err = run(argv, capsys)
+            assert code == 1
+            assert out == ""
+            below = "below the smallest normal double 2.2250738585072014e-308"
+            assert err == f"error: tv at n=300, r=300, d=1 is 2.1967e-527, {below}\n"
+        assert not path.exists()
+
     def test_mc_needs_two_samples(self, tmp_path, capsys):
         path = tmp_path / "sweep.csv"
         for argv in (
@@ -687,6 +701,32 @@ class TestExitCodes:
         )
         assert result.returncode == 2, result.stderr
         assert "at least" in result.stderr
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["count", "--n", "10", "--r", "3"],
+            ["pmf", "--n", "6", "--r", "3", "--d", "2"],
+            ["sample", "--n", "10", "--r", "3", "--count", "2"],
+            ["sample", "--n", "10", "--r", "3", "--count", "2", "--full"],
+            ["dickman", "rho", "--grid", "1", "3", "5"],
+            ["stein-verify", "--n", "6", "--r", "4", "--d", "2", "--exhaustive"],
+            ["tv", "--n", "10", "--r", "3", "--d", "1"],
+            ["sweep", "--n", "10", "--r", "3", "--d", "1"],
+        ],
+        ids=["count", "pmf", "sample", "sample-full", "dickman-grid", "stein-verify", "tv", "sweep"],
+    )
+    @pytest.mark.parametrize("target", ["missing-directory", "directory"])
+    def test_unwritable_out_is_one(self, argv, target, tmp_path, src_env):
+        out = tmp_path / "missing" / "out" if target == "missing-directory" else tmp_path
+        result = subprocess.run(
+            [sys.executable, "-m", "shortcycles", *argv, "--out", str(out)],
+            env=src_env, capture_output=True, text=True, timeout=60,
+        )
+        assert result.returncode == 1, result.stderr
+        assert "Traceback" not in result.stderr
+        errors = [line for line in result.stderr.splitlines() if line.startswith("error: ")]
+        assert len(errors) == 1 and str(out) in errors[0], result.stderr
 
     def test_console_entry_point(self, src_env):
         result = subprocess.run(

@@ -7,7 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from oracles import pmf_csv_by_writer, window_fractions
+from oracles import law_from_dict, pmf_csv_by_writer, window_fractions
 from shortcycles import cli, counting
 from shortcycles.cli import main
 from shortcycles.counting import (
@@ -417,9 +417,18 @@ except ArithmeticError as exc:
         assert np.abs(np.log(double.masses[normal]) - exact_logs[normal]).max() <= 1e-11
         assert np.array_equal(~normal, exact_logs < math.log(sys.float_info.min))
 
-    @pytest.mark.parametrize("mode", ["exact", "double"])
-    def test_rows_are_lexicographic_arrays(self, mode):
-        pmf = joint_pmf(20, 6, 3, mode=mode)
+    @pytest.mark.parametrize(
+        "law,mode",
+        [
+            (lambda: joint_pmf(20, 6, 3, mode="exact"), "exact"),
+            (lambda: joint_pmf(20, 6, 3, mode="double"), "double"),
+            (lambda: brute_force_pmf(7, 4, 3), "exact"),
+        ],
+        ids=["exact", "double", "brute_force"],
+    )
+    def test_rows_are_lexicographic_arrays(self, law, mode):
+        pmf = law()
+        assert pmf.mode == mode
         assert pmf.counts.dtype == np.int64
         assert pmf.counts.shape == (len(pmf), 3)
         assert [tuple(c) for c in pmf.counts.tolist()] == sorted(cv.counts for cv in pmf.entries)
@@ -535,14 +544,14 @@ class TestSparsePMF:
         assert path.read_bytes() == pmf_csv_by_writer(d, joint_pmf(n, r, d, mode=mode).entries)
 
     def test_csv_bytes_of_dict_built_law(self, tmp_path):
-        # brute force tallies in enumeration order, not lexicographic order
+        # brute force builds its law from its own tally of the n! permutations
         path = tmp_path / "pmf.csv"
         assert main(["pmf", "--n", "7", "--r", "4", "--d", "3", "--out", str(path)]) == 0
         assert path.read_bytes() == pmf_csv_by_writer(3, brute_force_pmf(7, 4, 3).entries)
 
     def test_dict_built_law_matches_joint_law(self):
         law = joint_pmf(7, 4, 3)
-        rebuilt = SparsePMF(3, dict(reversed(list(brute_force_pmf(7, 4, 3).entries.items()))), "exact")
+        rebuilt = law_from_dict(3, dict(reversed(list(brute_force_pmf(7, 4, 3).entries.items()))), "exact")
         assert np.array_equal(rebuilt.counts, law.counts)
         assert rebuilt.masses == law.masses
         assert rebuilt.total_mass == 1
@@ -555,9 +564,9 @@ class TestSparsePMF:
         assert CountsVector((0, 3)) in pmf.entries
         assert pmf.probability((1, 0)) == 0  # 5 elements left, all in 3-cycles: impossible
 
-    def test_from_arrays_rejects_misaligned_masses(self):
+    def test_constructor_rejects_misaligned_masses(self):
         with pytest.raises(ValueError, match="2 masses for 1 count vectors"):
-            SparsePMF.from_arrays(1, np.zeros((1, 1), dtype=np.int64), [0.5, 0.5], "double")
+            SparsePMF(1, np.zeros((1, 1), dtype=np.int64), [0.5, 0.5], "double")
 
 
 class TestRatioCheck:

@@ -5,7 +5,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from shortcycles.counting import SparsePMF, brute_force_pmf, joint_pmf
+from oracles import law_from_dict
+from shortcycles.counting import brute_force_pmf, joint_pmf
 from shortcycles.distances import (
     PoissonSpec,
     _tv_to_poisson,
@@ -37,7 +38,7 @@ def poisson_truncated(d, tops):
             rec(prefix + [c])
 
     rec([])
-    return SparsePMF(d, entries, "double")
+    return law_from_dict(d, entries, "double")
 
 
 class TestPoissonSpec:
@@ -61,7 +62,7 @@ class TestTvExact:
         assert tv_exact(truncated, PoissonSpec.cycle_reference(1)) <= 1e-14
 
     def test_point_mass(self):
-        point = SparsePMF(1, {CountsVector((0,)): Fraction(1)}, "exact")
+        point = law_from_dict(1, {CountsVector((0,)): Fraction(1)}, "exact")
         assert tv_exact(point, PoissonSpec.cycle_reference(1)) == pytest.approx(
             1 - math.exp(-1), rel=1e-14
         )
@@ -84,7 +85,7 @@ class TestTvExact:
         rows = np.array([cv.counts for cv in support])
         masses = np.array([float(law.entries[cv]) for cv in support])
         assert tv_exact(law, spec) == float(_tv_to_poisson(rows, masses, spec)[0])
-        rebuilt = SparsePMF(3, dict(reversed(list(law.entries.items()))), mode)
+        rebuilt = law_from_dict(3, dict(reversed(list(law.entries.items()))), mode)
         assert tv_exact(rebuilt, spec, precision=30) == tv_exact(law, spec, precision=30)
 
     def test_in_unit_interval(self):
@@ -97,7 +98,7 @@ class TestTvExact:
             tv_exact(joint_pmf(4, 2, 1), PoissonSpec.cycle_reference(2))
 
     def test_unnormalized_rejected(self):
-        bad = SparsePMF(1, {CountsVector((0,)): Fraction(1, 2)}, "exact")
+        bad = law_from_dict(1, {CountsVector((0,)): Fraction(1, 2)}, "exact")
         with pytest.raises(ValueError):
             tv_exact(bad, PoissonSpec.cycle_reference(1))
 
@@ -144,6 +145,21 @@ class TestTvCycleCounts:
     )
     def test_pinned_values(self, n, r, d, value):
         assert tv_cycle_counts(n, r, d) == value
+
+    def test_smallest_normal_distance_is_kept(self):
+        # the last n with a normal double at r = n, d = 1; 400-digit mpmath on the joint law agrees
+        value = 9.78561062828629e-308
+        assert tv_cycle_counts(195, 195, 1) == value
+        assert tv_exact(joint_pmf(195, 195, 1), PoissonSpec.cycle_reference(1), precision=400) == value
+
+    @pytest.mark.parametrize(
+        "n,shown", [(196, "9.9351e-310"), (197, "1.0036e-311"), (203, "9.6009e-324"), (300, "2.1967e-527")]
+    )
+    def test_distance_below_the_double_range_raises(self, n, shown):
+        # as a double it was a subnormal with lost digits from n = 196 on, and 0.0 from 203 on
+        message = rf"tv at n={n}, r={n}, d=1 is {shown}, below the smallest normal double 2\.2250738585072014e-308"
+        with pytest.raises(ValueError, match=message):
+            tv_cycle_counts(n, n, 1)
 
     def test_beyond_joint_law_support_cap(self, monkeypatch):
         monkeypatch.setenv("SHORTCYCLES_SUPPORT_CAP", "3")
@@ -202,7 +218,7 @@ class TestTvEmpirical:
         tally = {}
         for cv in samples:
             tally[cv] = tally.get(cv, 0) + 1
-        empirical = SparsePMF(3, {cv: Fraction(c, len(samples)) for cv, c in tally.items()}, "exact")
+        empirical = law_from_dict(3, {cv: Fraction(c, len(samples)) for cv, c in tally.items()}, "exact")
         spec = PoissonSpec.cycle_reference(3)
         assert tv_empirical(samples, spec, rng=rng).value == tv_exact(empirical, spec)
 
