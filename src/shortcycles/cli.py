@@ -31,7 +31,7 @@ from .distances import PoissonSpec, macroscopic_bound, refined_bound, tv_cycle_c
 from .errors import ResourceLimitError
 from .permutations import CountsVector
 from .sampling import SamplerConfig, draw, draw_cycle_types
-from .stein import term_estimates_exact, term_estimates_mc, verify_closed_forms
+from .stein import tally_destruction_lengths, term_estimates_exact, term_estimates_mc, verify_closed_forms
 
 SCHEMA_VERSION = 1
 
@@ -269,6 +269,13 @@ def _cmd_stein_verify(args) -> int:
         ]
         payload["total_bound"] = terms.total
     _emit_json(payload, args.out)
+    tallied = tally_destruction_lengths(args.r, args.d) if terms is not None else ()
+    if tallied:
+        print(
+            f"note: destruction terms for k = {', '.join(map(str, tallied))} come from the event tally, "
+            f"since r = {args.r} <= 2k-2",
+            file=sys.stderr,
+        )
     return 0
 
 

@@ -371,17 +371,32 @@ class SparsePMF:
         return sum(c * p for c, p in zip(self.counts[:, k - 1].tolist(), self.mass_list()))
 
 
-def _count_vector_array(n: int, d: int) -> tuple[np.ndarray, np.ndarray]:
-    """All (c_1, ..., c_d) with sum_j j*c_j <= n as rows, in lexicographic order, and their sums."""
-    rows = np.zeros((1, 0), dtype=np.int64)
+def _count_vector_tree(n: int, d: int) -> tuple[list[np.ndarray], list[np.ndarray], np.ndarray]:
+    """All (c_1, ..., c_d) with sum_j j*c_j <= n, one level per j, in lexicographic order.
+
+    Level j holds, for each vector (c_1, ..., c_j), the index of its prefix
+    at level j - 1 and its last entry c_j.  Returns the per-level parent
+    indices, the per-level entries, and the sums sum_j j*c_j at level d.
+    """
+    parents, entries = [], []
     used = np.zeros(1, dtype=np.int64)
     for j in range(1, d + 1):
         reps = (n - used) // j + 1
         parent = np.repeat(np.arange(len(used)), reps)
-        c = np.arange(parent.size) - np.repeat(np.cumsum(reps) - reps, reps)
-        rows = np.column_stack([rows[parent], c])
-        used = used[parent] + j * c
-    return rows, used
+        parents.append(parent)
+        entries.append(np.arange(parent.size) - np.repeat(np.cumsum(reps) - reps, reps))
+        used = used[parent] + j * entries[-1]
+    return parents, entries, used
+
+
+def _count_vector_rows(parents: list[np.ndarray], entries: list[np.ndarray], select: np.ndarray) -> np.ndarray:
+    """The level-d vectors at indices ``select`` as rows, one gather per column along the parent links."""
+    rows = np.empty((len(select), len(entries)), dtype=np.int64)
+    at = select
+    for j in reversed(range(len(entries))):
+        rows[:, j] = entries[j][at]
+        at = parents[j][at]
+    return rows
 
 
 def joint_pmf(n: int, r: int, d: int, *, mode: str = "exact") -> SparsePMF:
@@ -404,12 +419,12 @@ def joint_pmf(n: int, r: int, d: int, *, mode: str = "exact") -> SparsePMF:
         raise ResourceLimitError(f"joint law support has {bound}{size} vectors, exceeding the cap of {cap}")
     nu = count_table(n, r, mode)
     mu = count_table(n, r, mode, d=d)
-    counts, used = _count_vector_array(n, d)
+    parents, entries, used = _count_vector_tree(n, d)
     if mode == "exact":
         # both tables have scale n!, so entry s is n! mu(n - s) = perm(n, s) * mu.count(n - s)
         placed = np.array(mu.scaled[::-1], dtype=object)
-        keep = (placed != 0)[used]
-        counts, used = counts[keep], used[keep]
+        keep = np.flatnonzero((placed != 0)[used])
+        counts, used = _count_vector_rows(parents, entries, keep), used[keep]
         denominator = np.ones(len(counts), dtype=object)
         for j in range(1, d + 1):
             # j^c c! for c = 0..n//j
@@ -422,14 +437,16 @@ def joint_pmf(n: int, r: int, d: int, *, mode: str = "exact") -> SparsePMF:
         if (placed[used] // denominator).sum() != norm:
             raise ArithmeticError("exact joint law failed to normalize")
     else:
-        log_prob = mu.log_view()[n - used] - nu.log_view()[n]
+        # the log denominators are finite, so a vector is kept where log mu(n - s) is
+        log_mu = mu.log_view()[n - used]
+        keep = np.flatnonzero(np.isfinite(log_mu))
+        counts = _count_vector_rows(parents, entries, keep)
+        log_prob = log_mu[keep] - nu.log_view()[n]
         for j in range(1, d + 1):
             # log(j^c c!) for c = 0..n//j
             log_denominator = np.array([c * math.log(j) + math.lgamma(c + 1) for c in range(n // j + 1)])
             log_prob -= log_denominator[counts[:, j - 1]]
-        keep = np.isfinite(log_prob)
-        counts = counts[keep]
-        masses = np.exp(log_prob[keep])
+        masses = np.exp(log_prob)
     pmf = SparsePMF(d, counts, masses, mode)
     if mode == "exact":
         pmf._total = Fraction(1)

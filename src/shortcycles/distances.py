@@ -198,6 +198,20 @@ class TvEstimate:
     sample_count: int
 
 
+def _distinct_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct rows of a 2-D int array in lexicographic order, and how often each occurs.
+
+    What ``np.unique(rows, axis=0, return_counts=True)`` returns, from one
+    lexsort over the columns and a mask of the sorted rows that differ from
+    their predecessor, instead of a sort of the rows as void records.
+    """
+    ordered = rows[np.lexsort(rows.T[::-1])]
+    first = np.ones(len(ordered), dtype=bool)
+    first[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
+    starts = np.flatnonzero(first)
+    return ordered[starts], np.diff(starts, append=len(ordered))
+
+
 def tv_empirical(
     samples: Iterable[CountsVector],
     spec: PoissonSpec,
@@ -223,7 +237,7 @@ def tv_empirical(
         if cv.d != spec.d:
             raise ValueError(f"sample has dimension {cv.d}, expected {spec.d}")
     n_samples = len(samples)
-    support, counts = np.unique(np.array([cv.counts for cv in samples]), axis=0, return_counts=True)
+    support, counts = _distinct_rows(np.array([cv.counts for cv in samples]))
     replicates = rng.multinomial(n_samples, counts / n_samples, size=bootstrap)
     value, *spread = _tv_to_poisson(support, np.vstack([counts, replicates]) / n_samples, spec)
     return TvEstimate(float(value), float(np.std(spread, ddof=1)), n_samples)

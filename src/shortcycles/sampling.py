@@ -56,6 +56,7 @@ import numpy as np
 from .counting import WindowTable, count_table, nu_ratios
 
 _UNIFORM_BLOCK = 64  # uniforms drawn per numpy call in _cycle_type; even, two per proposal
+_PAIR_BLOCK = 4096  # ordered pairs drawn per numpy call by the walk
 
 
 @dataclass(frozen=True)
@@ -175,6 +176,14 @@ def _transposition_move(lengths: tuple[int, ...], a: int, b: int, r: int) -> tup
     return tuple(parts)
 
 
+def _pair_move(lengths: tuple[int, ...], n: int, pair: int, r: int) -> tuple[int, ...]:
+    """The step of the walk on ``lengths`` (n elements) for the ordered pair
+    numbered ``pair`` in 0..n(n-1)-1: a = pair // (n-1), and b the
+    (pair mod (n-1))-th element other than a."""
+    a, b = divmod(pair, n - 1)
+    return _transposition_move(lengths, a, b + (b >= a), r)
+
+
 def mcmc_step(lengths: tuple[int, ...], r: int, rng: np.random.Generator) -> tuple[int, ...]:
     """One step of the restricted random-transposition walk on cycle types.
 
@@ -188,9 +197,18 @@ def mcmc_step(lengths: tuple[int, ...], r: int, rng: np.random.Generator) -> tup
     n = sum(lengths)
     if n == 1:
         return lengths
-    pair = int(rng.integers(n * (n - 1)))
-    a, b = divmod(pair, n - 1)
-    return _transposition_move(lengths, a, b + (b >= a), r)
+    return _pair_move(lengths, n, int(rng.integers(n * (n - 1))), r)
+
+
+def _ordered_pairs(n: int, steps: int, rng: np.random.Generator):
+    """The pair numbers of ``steps`` calls of :func:`mcmc_step` on n elements,
+    drawn in blocks of ``_PAIR_BLOCK``: one vector draw gives the same numbers
+    as that many scalar ones and leaves ``rng`` in the same state.  With
+    n = 1 nothing is drawn."""
+    if n == 1:
+        return
+    for start in range(0, steps, _PAIR_BLOCK):
+        yield from rng.integers(n * (n - 1), size=min(_PAIR_BLOCK, steps - start)).tolist()
 
 
 def draw_cycle_types(cfg: SamplerConfig, count: int, rng: np.random.Generator) -> list[tuple[int, ...]]:
@@ -200,8 +218,9 @@ def draw_cycle_types(cfg: SamplerConfig, count: int, rng: np.random.Generator) -
     from one :func:`sample_cycle_type` draw, which has the exact uniform law,
     runs ``cfg.mcmc_burn_in`` steps, then emits every
     ``cfg.mcmc_thinning``-th state.  Every emitted type therefore has the
-    exact law; successive mcmc types are correlated.  The stage law is
-    checked once, before the first uniform is drawn.
+    exact law; successive mcmc types are correlated.  The chain is the one a
+    loop of :func:`mcmc_step` on ``rng`` runs, with its pairs drawn in
+    blocks.  The stage law is checked once, before the first uniform is drawn.
     """
     if count < 0:
         raise ValueError("count must be >= 0")
@@ -210,12 +229,13 @@ def draw_cycle_types(cfg: SamplerConfig, count: int, rng: np.random.Generator) -
     if cfg.method == "sequential":
         return [_cycle_type(n, r, logs, rng) for _ in range(count)]
     state = _cycle_type(n, r, logs, rng)
-    for _ in range(cfg.mcmc_burn_in):
-        state = mcmc_step(state, r, rng)
+    pairs = _ordered_pairs(n, cfg.mcmc_burn_in + count * cfg.mcmc_thinning, rng)
+    for pair in itertools.islice(pairs, cfg.mcmc_burn_in):
+        state = _pair_move(state, n, pair, r)
     out: list[tuple[int, ...]] = []
     for _ in range(count):
-        for _ in range(cfg.mcmc_thinning):
-            state = mcmc_step(state, r, rng)
+        for pair in itertools.islice(pairs, cfg.mcmc_thinning):
+            state = _pair_move(state, n, pair, r)
         out.append(state)
     return out
 

@@ -57,10 +57,22 @@ and 1.4^2 * k >= 1 for every k >= 1, so the code drops it.  Both
 expectations are over the cycle type, so one routine evaluates the exact
 terms of a single type; the exact estimate weights it by class size over
 every type, the Monte Carlo estimate averages it over sampled types.
+
+Every per-type quantity is an integer numerator over a denominator known in
+advance, so no gcd runs inside the module.  The event probabilities are
+numerators over n(n-1), read off the type's element counts (for the tally,
+twice its pair count out of the n(n-1)/2 transpositions).  The bound terms
+are numerators over 2k(n-1): creation |2(n-1) - U| and destruction
+|2k(n-1) W_k - D| for probabilities U/(n(n-1)) and D/(n(n-1)).  Fractions
+are built only where values leave the module: the public probabilities
+(reduced, as before), the exact terms (one per term, after summing
+weight times numerator in ints), and mismatch records; the Monte Carlo
+terms divide int by int, which is correctly rounded as float(Fraction) is.
 """
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -101,14 +113,29 @@ def _transposition_effects(lengths: tuple[int, ...], r: int) -> dict[tuple[tuple
     return effects
 
 
-def _classify(created: tuple[int, ...], destroyed: tuple[int, ...], k: int, d: int) -> str | None:
-    delta_k = created.count(k) - destroyed.count(k)
-    if delta_k not in (1, -1):
-        return None
-    for j in range(k + 1, d + 1):
-        if created.count(j) != destroyed.count(j):
-            return None
-    return "increase" if delta_k == 1 else "decrease"
+def _pair_counts(lengths: tuple[int, ...], r: int, ds: Iterable[int]) -> dict[tuple[int, int], tuple[int, int]]:
+    """(transpositions that create a k-cycle, transpositions that destroy one) for every d in ``ds`` and k <= d.
+
+    The integer tally behind :func:`event_tally`, keyed by (d, k); both
+    counts are out of the n(n-1)/2 transpositions.  An effect counts for
+    (d, k) when it changes the number of k-cycles by exactly +-1 and leaves
+    the numbers of (k+1)- to d-cycles alone, that is when d lies below the
+    next length above k whose number it changes.
+    """
+    ds = list(dict.fromkeys(ds))
+    out = {(d, k): [0, 0] for d in ds for k in range(1, d + 1)}
+    for (created, destroyed), pairs in _transposition_effects(lengths, r).items():
+        net = Counter(created)
+        net.subtract(destroyed)
+        changed = sorted(j for j, delta in net.items() if delta)
+        for i, k in enumerate(changed):
+            if net[k] in (1, -1):
+                side = 0 if net[k] == 1 else 1
+                above = changed[i + 1] if i + 1 < len(changed) else math.inf
+                for d in ds:
+                    if k <= d < above:
+                        out[(d, k)][side] += pairs
+    return {key: (up, down) for key, (up, down) in out.items()}
 
 
 def event_tally(
@@ -127,19 +154,8 @@ def event_tally(
         raise ValueError("a transposition needs n >= 2")
     _check_longest(lengths, r)
     total = n * (n - 1) // 2
-    effects = _transposition_effects(lengths, r)
-    out = {}
-    for d in ds:
-        for k in range(1, d + 1):
-            up = down = 0
-            for (created, destroyed), pairs in effects.items():
-                outcome = _classify(created, destroyed, k, d)
-                if outcome == "increase":
-                    up += pairs
-                elif outcome == "decrease":
-                    down += pairs
-            out[(d, k)] = (Fraction(up, total), Fraction(down, total))
-    return out
+    counts = _pair_counts(lengths, r, ds)
+    return {key: (Fraction(up, total), Fraction(down, total)) for key, (up, down) in counts.items()}
 
 
 def _validate_kdr(n: int, k: int, d: int, r: int) -> None:
@@ -152,23 +168,59 @@ def _check_longest(lengths: tuple[int, ...], r: int) -> None:
         raise ValueError(f"cycle type has a cycle longer than r={r}")
 
 
+# The closed forms as integer numerators over n(n-1), read off the cycle
+# type's element counts {length: elements in cycles of that length}.
+
+
+def _elements(lengths: tuple[int, ...]) -> dict[int, int]:
+    return {length: length * count for length, count in Counter(lengths).items()}
+
+
+def _creation_numerator(elements: dict[int, int], k: int, d: int) -> int:
+    """n(n-1) P[create_k]: twice the splitting elements plus the ordered merge pairs."""
+    split = sum(e for length, e in elements.items() if length > d + k or d < length < 2 * k)
+    merge_ordered = 0
+    for j in range(1, k):
+        ej = elements.get(j, 0)
+        if ej:
+            # two j-cycles when 2j = k: ordered pairs of elements in different cycles
+            merge_ordered += ej * (elements.get(k - j, 0) - (j if 2 * j == k else 0))
+    return 2 * split + merge_ordered
+
+
+def _destruction_numerator(elements: dict[int, int], k: int, d: int, r: int) -> int:
+    """n(n-1) P[destroy_k] by the closed-form display."""
+    k_elements = elements.get(k, 0)
+    if not k_elements:
+        return 0
+    partner_weight = sum(e for length, e in elements.items() if (d < length <= r - k) or (d - k < length < k))
+    return 2 * k_elements * partner_weight + (k - 1) * k_elements
+
+
+def _rearranged_numerator(elements: dict[int, int], n: int, k: int, d: int, r: int) -> int:
+    """n(n-1) times the complement-substituted variant."""
+    k_elements = elements.get(k, 0)
+
+    def g(length: int) -> int:
+        value = 0
+        if length <= d:
+            value -= 1
+        if length > r - k:
+            value -= 1
+        if d - k < length < k:
+            value += 1
+        return value
+
+    inner = sum(e * g(length) for length, e in elements.items()) - g(k)  # the summation excludes b = a
+    return k_elements // k * n * (n - 1) - 2 * k_elements * inner + (k - 1) * k_elements
+
+
 def creation_probability(lengths: tuple[int, ...], k: int, d: int) -> Fraction:
     """Closed form for the creation event, read off the cycle lengths."""
     n = sum(lengths)
     if not 1 <= k <= d:
         raise ValueError(f"need 1 <= k <= d, got k={k}, d={d}")
-    hist = Counter(lengths)
-    elements = {length: length * count for length, count in hist.items()}
-    split = sum(e for length, e in elements.items() if length > d + k or d < length < 2 * k)
-    merge_ordered = 0
-    for j in range(1, k):
-        ej = elements.get(j, 0)
-        other = k - j
-        if other == j:
-            merge_ordered += ej * (ej - 1) - hist.get(j, 0) * j * (j - 1)
-        else:
-            merge_ordered += ej * elements.get(other, 0)
-    return Fraction(2 * split + merge_ordered, n * (n - 1))
+    return Fraction(_creation_numerator(_elements(lengths), k, d), n * (n - 1))
 
 
 def destruction_probability(lengths: tuple[int, ...], k: int, d: int, r: int) -> Fraction:
@@ -176,13 +228,7 @@ def destruction_probability(lengths: tuple[int, ...], k: int, d: int, r: int) ->
     n = sum(lengths)
     _validate_kdr(n, k, d, r)
     _check_longest(lengths, r)
-    hist = Counter(lengths)
-    k_elements = k * hist.get(k, 0)
-    partner_weight = 0
-    for length, count in hist.items():
-        if (d < length <= r - k) or (d - k < length < k):
-            partner_weight += length * count
-    return Fraction(2 * k_elements * partner_weight + (k - 1) * k_elements, n * (n - 1))
+    return Fraction(_destruction_numerator(_elements(lengths), k, d, r), n * (n - 1))
 
 
 def destruction_probability_rearranged(lengths: tuple[int, ...], k: int, d: int, r: int) -> Fraction:
@@ -195,27 +241,7 @@ def destruction_probability_rearranged(lengths: tuple[int, ...], k: int, d: int,
     n = sum(lengths)
     _validate_kdr(n, k, d, r)
     _check_longest(lengths, r)
-    hist = Counter(lengths)
-    w_k = hist.get(k, 0)
-    k_elements = k * w_k
-
-    def g(length: int) -> int:
-        value = 0
-        if length <= d:
-            value -= 1
-        if length > r - k:
-            value -= 1
-        if d - k < length < k:
-            value += 1
-        return value
-
-    total_g = sum(length * count * g(length) for length, count in hist.items())
-    inner = total_g - g(k)  # the summation excludes b = a
-    return (
-        Fraction(w_k)
-        - Fraction(2 * k_elements * inner, n * (n - 1))
-        + Fraction((k - 1) * k_elements, n * (n - 1))
-    )
+    return Fraction(_rearranged_numerator(_elements(lengths), n, k, d, r), n * (n - 1))
 
 
 @dataclass(frozen=True)
@@ -268,28 +294,37 @@ def verify_closed_forms(n: int, r: int, d_max: int) -> ClosedFormReport:
     ds = range(1, min(d_max, r - 1) + 1)
     for lengths, size in _weighted_cycle_types(n, r):
         report.checked += size * sum(ds)
-        witness = Permutation.from_cycle_type(lengths).mapping
-        report.mismatches.extend(
-            ClosedFormMismatch(n, r, d, k, which, witness, enumerated, formula, size)
-            for d, k, which, enumerated, formula in _closed_form_gaps(lengths, r, ds)
-        )
+        gaps = _closed_form_gaps(lengths, r, ds)
+        if gaps:
+            witness = Permutation.from_cycle_type(lengths).mapping
+            report.mismatches.extend(
+                ClosedFormMismatch(n, r, d, k, which, witness, enumerated, formula, size)
+                for d, k, which, enumerated, formula in gaps
+            )
     return report
 
 
 def _closed_form_gaps(lengths: tuple[int, ...], r: int, ds: range):
-    """(d, k, which, enumerated, formula) for every closed form that misses the tally."""
+    """(d, k, which, enumerated, formula) for every closed form that misses the tally.
+
+    Both sides are compared as numerators over n(n-1); only a mismatch
+    becomes a pair of Fractions.
+    """
+    if not ds:
+        return []
+    n = sum(lengths)
+    scale = n * (n - 1)
+    elements = _elements(lengths)
     gaps = []
-    tally = event_tally(lengths, r, ds) if ds else {}
-    for (d, k), (enum_up, enum_down) in tally.items():
-        formula_up = creation_probability(lengths, k, d)
-        if formula_up != enum_up:
-            gaps.append((d, k, "creation", enum_up, formula_up))
-        formula_down = destruction_probability(lengths, k, d, r)
-        if formula_down != enum_down:
-            gaps.append((d, k, "destruction", enum_down, formula_down))
-        variant = destruction_probability_rearranged(lengths, k, d, r)
-        if variant != enum_down:
-            gaps.append((d, k, "destruction_rearranged", enum_down, variant))
+    for (d, k), (up, down) in _pair_counts(lengths, r, ds).items():
+        enum_up, enum_down = 2 * up, 2 * down  # pairs out of n(n-1)/2
+        for which, enumerated, formula in (
+            ("creation", enum_up, _creation_numerator(elements, k, d)),
+            ("destruction", enum_down, _destruction_numerator(elements, k, d, r)),
+            ("destruction_rearranged", enum_down, _rearranged_numerator(elements, n, k, d, r)),
+        ):
+            if formula != enumerated:
+                gaps.append((d, k, which, Fraction(enumerated, scale), Fraction(formula, scale)))
     return gaps
 
 
@@ -315,25 +350,31 @@ class TermEstimates:
     sample_count: int | None = None
 
 
-def _type_terms(lengths: tuple[int, ...], r: int, d: int) -> list[tuple[Fraction, Fraction]]:
-    """(|1/k - c_k P[create_k]|, |W_k - c_k P[destroy_k]|) for k = 1..d, exact, c_k = n/(2k).
+def tally_destruction_lengths(r: int, d: int) -> tuple[int, ...]:
+    """The k <= d whose destruction term comes from the enumeration tally: those with r <= 2k-2,
+    where the closed-form display over-counts merges the walk rejects."""
+    return tuple(k for k in range(1, d + 1) if r <= 2 * k - 2)
 
-    P[create] is the closed form.  P[destroy] is the closed form where it is
-    an identity (r >= 2k-1) and the enumeration tally elsewhere, because the
+
+def _type_terms(lengths: tuple[int, ...], r: int, d: int) -> list[tuple[int, int]]:
+    """Numerators over 2k(n-1) of (|1/k - c_k P[create_k]|, |W_k - c_k P[destroy_k]|) for k = 1..d, c_k = n/(2k).
+
+    With P[create_k] = U/(n(n-1)) and P[destroy_k] = D/(n(n-1)) they are
+    |2(n-1) - U| and |2k(n-1) W_k - D|.  U is the closed form.  D is the
+    closed form where it is an identity (r >= 2k-1) and twice the tally's
+    pair count elsewhere (:func:`tally_destruction_lengths`), because the
     display over-counts merges the walk rejects when r <= 2k-2.
     """
     n = sum(lengths)
-    tally = None
+    elements = _elements(lengths)
+    tallied = tally_destruction_lengths(r, d)
+    tally = _pair_counts(lengths, r, (d,)) if tallied else {}
     terms = []
     for k in range(1, d + 1):
-        c_k = Fraction(n, 2 * k)
-        p_up = creation_probability(lengths, k, d)
-        if r >= 2 * k - 1:
-            p_down = destruction_probability(lengths, k, d, r)
-        else:
-            tally = tally or event_tally(lengths, r, (d,))
-            p_down = tally[(d, k)][1]
-        terms.append((abs(Fraction(1, k) - c_k * p_up), abs(lengths.count(k) - c_k * p_down)))
+        scale = 2 * k * (n - 1)
+        down = 2 * tally[(d, k)][1] if k in tallied else _destruction_numerator(elements, k, d, r)
+        w_k = elements.get(k, 0) // k
+        terms.append((abs(2 * (n - 1) - _creation_numerator(elements, k, d)), abs(scale * w_k - down)))
     return terms
 
 
@@ -359,14 +400,16 @@ def term_estimates_exact(n: int, r: int, d: int) -> TermEstimates:
     """
     if not 1 <= d < r <= n:
         raise ValueError(f"need 1 <= d < r <= n, got d={d}, r={r}, n={n}")
-    sums = [[Fraction(0), Fraction(0)] for _ in range(d)]
+    sums = [[0, 0] for _ in range(d)]
     count = 0
     for lengths, weight in _weighted_cycle_types(n, r):
         for acc, (up, down) in zip(sums, _type_terms(lengths, r, d)):
             acc[0] += weight * up
             acc[1] += weight * down
         count += weight
-    return _assemble(n, r, d, "exact", [(up / count, down / count) for up, down in sums])
+    scales = [2 * k * (n - 1) * count for k in range(1, d + 1)]
+    means = [(Fraction(up, scale), Fraction(down, scale)) for scale, (up, down) in zip(scales, sums)]
+    return _assemble(n, r, d, "exact", means)
 
 
 def term_estimates_mc(
@@ -391,7 +434,12 @@ def term_estimates_mc(
     if not 1 <= d < r <= n:
         raise ValueError(f"need 1 <= d < r <= n, got d={d}, r={r}, n={n}")
     types = draw_cycle_types(SamplerConfig(n, r), sample_count, rng)
-    terms = np.array([_type_terms(lengths, r, d) for lengths in types], dtype=float)
+    # int / int is correctly rounded, as float(Fraction) is
+    scales = [2 * k * (n - 1) for k in range(1, d + 1)]
+    terms = np.array(
+        [[(up / scale, down / scale) for scale, (up, down) in zip(scales, _type_terms(lengths, r, d))]
+         for lengths in types]
+    )
     means = terms.mean(axis=0)
     ses = terms.std(axis=0, ddof=1) / np.sqrt(sample_count)
     return _assemble(n, r, d, "mc", means.tolist(), ses.tolist(), sample_count)

@@ -450,6 +450,50 @@ class TestTv:
         assert not path.exists()
 
 
+PINNED_STEIN_MC = """\
+{
+  "d": 4,
+  "mode": "mc",
+  "n": 2000,
+  "r": 400,
+  "samples": 50,
+  "schema_version": 1,
+  "seed": 7,
+  "terms": [
+    {
+      "creation_se": 0.00023396675200046188,
+      "creation_term": 0.002021010505252627,
+      "destruction_se": 0.005694817405898963,
+      "destruction_term": 0.009684842421210607,
+      "k": 1
+    },
+    {
+      "creation_se": 0.00011140182425584146,
+      "creation_term": 0.0010505252626313159,
+      "destruction_se": 0.014546802279339265,
+      "destruction_term": 0.021030515257628814,
+      "k": 2
+    },
+    {
+      "creation_se": 6.469789350535999e-05,
+      "creation_term": 0.0004902451225612805,
+      "destruction_se": 0.006825824359694846,
+      "destruction_term": 0.012526263131565782,
+      "k": 3
+    },
+    {
+      "creation_se": 4.7269193723014895e-05,
+      "creation_term": 0.0003251625812906452,
+      "destruction_se": 0.0040153215365205846,
+      "destruction_term": 0.0041070535267633814,
+      "k": 4
+    }
+  ],
+  "total_bound": 0.025617808904452227
+}
+"""
+
+
 class TestSteinVerify:
     def test_exhaustive_report(self, tmp_path, capsys):
         path = tmp_path / "report.json"
@@ -494,6 +538,36 @@ class TestSteinVerify:
         assert code == 0
         payload = json.loads(out)
         assert len(payload["terms"]) == 2
+
+    def test_mc_report_bytes_are_pinned(self, capsys):
+        # the report of stein-verify --n 2000 --r 400 --d 4 --samples 50 --seed 7, byte for byte
+        code, out, err = run(
+            ["stein-verify", "--n", "2000", "--r", "400", "--d", "4", "--samples", "50", "--seed", "7"], capsys
+        )
+        assert code == 0
+        assert err == ""
+        assert out == PINNED_STEIN_MC
+
+    @pytest.mark.parametrize(
+        "argv,note",
+        [
+            (["--n", "7", "--r", "5", "--d", "4", "--exhaustive"], "k = 4 come from the event tally, since r = 5"),
+            (["--n", "12", "--r", "3", "--d", "2", "--samples", "5"], None),
+            (["--n", "12", "--r", "3", "--d", "4", "--exhaustive"], None),  # d >= r: no terms
+            (["--n", "40", "--r", "4", "--d", "3", "--samples", "5"], "k = 3 come from the event tally, since r = 4"),
+            (["--n", "12", "--r", "6", "--d", "5", "--exhaustive"], "k = 4, 5 come from the event tally, since r = 6"),
+        ],
+    )
+    def test_tally_fallback_is_reported_on_stderr(self, argv, note, tmp_path, capsys):
+        path = tmp_path / "report.json"
+        code, _, err = run(["stein-verify", *argv], capsys)
+        assert code == 0
+        assert run(["stein-verify", *argv, "--out", str(path)], capsys)[2] == err
+        if note is None:
+            assert err == ""
+        else:
+            assert err.count("\n") == 1 and note in err, err
+        assert "note" not in path.read_text()
 
     def test_mc_needs_two_samples(self, capsys):
         code, out, err = run(["stein-verify", "--n", "30", "--r", "15", "--d", "2", "--samples", "1"], capsys)

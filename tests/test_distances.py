@@ -9,6 +9,7 @@ from oracles import law_from_dict
 from shortcycles.counting import brute_force_pmf, joint_pmf
 from shortcycles.distances import (
     PoissonSpec,
+    _distinct_rows,
     _tv_to_poisson,
     harmonic_number,
     macroscopic_bound,
@@ -240,6 +241,19 @@ class TestTvEmpirical:
         # one sample has no spread: its bootstrap standard error would read 0.0
         with pytest.raises(ValueError, match="at least 2 samples for a standard error, got 1"):
             tv_empirical([CountsVector((1,))], PoissonSpec.cycle_reference(1), rng=np.random.default_rng(0))
+
+    @pytest.mark.parametrize("d", [1, 3, 10])
+    def test_distinct_rows_match_unique(self, d):
+        # duplicate rows, unsorted input, a column that decides only on ties
+        rng = np.random.default_rng(d)
+        rows = rng.poisson(0.7, size=(500, d)).astype(np.int64)
+        rows = np.vstack([rows, rows[:50], rows[-1:]])
+        support, counts = _distinct_rows(rows)
+        want_support, want_counts = np.unique(rows, axis=0, return_counts=True)
+        assert len(support) < len(rows)
+        assert support.dtype == want_support.dtype and counts.dtype == want_counts.dtype
+        np.testing.assert_array_equal(support, want_support)
+        np.testing.assert_array_equal(counts, want_counts)
 
 
 class TestBounds:

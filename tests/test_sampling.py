@@ -310,6 +310,39 @@ class TestMcmc:
         assert all(max(t) <= 6 and sum(t) == 30 for t in types)
 
 
+    @pytest.mark.parametrize(
+        "block,n,r,burn_in,thinning,count",
+        [(None, 40, 8, 4000, 7, 30), (5, 12, 4, 3, 4, 6), (5, 12, 4, 0, 1, 11), (3, 2, 2, 2, 2, 3)],
+    )
+    def test_chain_equals_a_loop_of_steps(self, block, n, r, burn_in, thinning, count, monkeypatch):
+        # pairs drawn in blocks across a block boundary: same chain, same generator state after it
+        if block is not None:
+            monkeypatch.setattr(sampling, "_PAIR_BLOCK", block)
+        assert burn_in + count * thinning > sampling._PAIR_BLOCK
+        cfg = SamplerConfig(n, r, "mcmc", mcmc_burn_in=burn_in, mcmc_thinning=thinning)
+        rng = np.random.default_rng(17)
+        types = draw_cycle_types(cfg, count, rng)
+        loop_rng = np.random.default_rng(17)
+        state = sample_cycle_type(n, loop_rng, count_table(n, r, "double"))
+        for _ in range(burn_in):
+            state = mcmc_step(state, r, loop_rng)
+        want = []
+        for _ in range(count):
+            for _ in range(thinning):
+                state = mcmc_step(state, r, loop_rng)
+            want.append(state)
+        assert types == want
+        assert rng.random() == loop_rng.random()
+
+    def test_chain_on_one_element_draws_no_pairs(self):
+        cfg = SamplerConfig(1, 1, "mcmc", mcmc_burn_in=5, mcmc_thinning=2)
+        rng = np.random.default_rng(4)
+        assert draw_cycle_types(cfg, 3, rng) == [(1,)] * 3
+        start_only = np.random.default_rng(4)
+        sample_cycle_type(1, start_only, count_table(1, 1, "double"))
+        assert rng.random() == start_only.random()
+
+
 class TestStationarityMatrix:
     # the exact one-step law of the walk on cycle types, P(lambda -> mu)
     def test_n4_r2(self):

@@ -1,4 +1,5 @@
 import itertools
+import math
 from collections import Counter
 from fractions import Fraction
 
@@ -13,6 +14,7 @@ from shortcycles.errors import ResourceLimitError
 from shortcycles.permutations import (
     Permutation,
     cycle_structure,
+    cycle_types,
     longest_cycle,
     permutations_with_bounded_cycles,
 )
@@ -23,6 +25,7 @@ from shortcycles.stein import (
     destruction_probability,
     destruction_probability_rearranged,
     event_tally,
+    tally_destruction_lengths,
     term_estimates_exact,
     term_estimates_mc,
     verify_closed_forms,
@@ -211,7 +214,10 @@ class TestTermEstimates:
         samples = 60
         terms = term_estimates_mc(n, r, d, samples, np.random.default_rng(11))
         types = draw_cycle_types(SamplerConfig(n, r), samples, np.random.default_rng(11))
-        per_type = np.array([[[float(x) for x in pair] for pair in _type_terms(t, r, d)] for t in types])
+        per_type = np.array(
+            [[(up / (2 * k * (n - 1)), down / (2 * k * (n - 1))) for k, (up, down) in enumerate(_type_terms(t, r, d), 1)]
+             for t in types]
+        )
         means = per_type.mean(axis=0)
         ses = per_type.std(axis=0, ddof=1) / np.sqrt(samples)
         assert terms.sample_count == samples
@@ -262,3 +268,35 @@ class TestCycleTypeCore:
         terms = term_estimates_exact(n, r, d)
         assert all(isinstance(row.creation_term, Fraction) for row in terms.rows)
         assert float(terms.total) >= tv_cycle_counts(n, r, d)
+
+
+class TestIntegerTerms:
+    @pytest.mark.parametrize("n", range(2, 11))
+    def test_type_terms_match_tally_fractions(self, n):
+        # every cycle type and every d < r, the tally fallback (r <= 2k-2) included:
+        # numerator / 2k(n-1) against the Fraction terms built from event_tally alone
+        for r in range(2, n + 1):
+            for lengths in cycle_types(n, r):
+                tally = event_tally(lengths, r, range(1, r))
+                for d in range(1, r):
+                    for k, (up, down) in enumerate(_type_terms(lengths, r, d), 1):
+                        assert isinstance(up, int) and isinstance(down, int)
+                        p_up, p_down = tally[(d, k)]
+                        c_k = Fraction(n, 2 * k)
+                        assert Fraction(up, 2 * k * (n - 1)) == abs(Fraction(1, k) - c_k * p_up), (lengths, r, d, k)
+                        assert Fraction(down, 2 * k * (n - 1)) == abs(lengths.count(k) - c_k * p_down), (lengths, r, d, k)
+
+    def test_tally_destruction_lengths(self):
+        assert tally_destruction_lengths(5, 4) == (4,)
+        assert tally_destruction_lengths(3, 2) == ()
+        assert tally_destruction_lengths(2, 5) == (2, 3, 4, 5)
+        assert tally_destruction_lengths(400, 4) == ()
+
+    def test_wrappers_return_reduced_fractions(self):
+        lengths = (1, 1, 2, 3, 3)
+        p_up, p_down = event_tally(lengths, 5, (3,))[(3, 3)]
+        assert creation_probability(lengths, 3, 3) == p_up
+        assert destruction_probability(lengths, 3, 3, 5) == p_down
+        for value in (p_up, p_down, destruction_probability_rearranged(lengths, 3, 3, 5)):
+            assert isinstance(value, Fraction)
+            assert math.gcd(value.numerator, value.denominator) == 1
