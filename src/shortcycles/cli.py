@@ -31,7 +31,7 @@ from .distances import PoissonSpec, macroscopic_bound, refined_bound, tv_cycle_c
 from .errors import ResourceLimitError
 from .permutations import CountsVector
 from .sampling import SamplerConfig, draw, draw_cycle_types
-from .stein import tally_destruction_lengths, term_estimates_exact, term_estimates_mc, verify_closed_forms
+from .stein import CLOSED_FORMS, tally_destruction_lengths, term_estimates_exact, term_estimates_mc, verify_closed_forms
 
 SCHEMA_VERSION = 1
 
@@ -91,6 +91,17 @@ def _fraction_str(x) -> str:
     if isinstance(x, Fraction):
         return f"{int_str(x.numerator)}/{int_str(x.denominator)}"
     return repr(x)
+
+
+def _record_json(record, **renames: str) -> dict:
+    """The fields of a result record as JSON values, each under its name or
+    its new name in ``renames``: a Fraction as ``"p/q"``, a None field left
+    out, and any other value as it is."""
+    return {
+        renames.get(name, name): _fraction_str(value) if isinstance(value, Fraction) else value
+        for name, value in vars(record).items()
+        if value is not None
+    }
 
 
 def _positive_str(value: float, log_value: float) -> str:
@@ -225,49 +236,17 @@ def _cmd_stein_verify(args) -> int:
         payload["mode"] = "exhaustive"
         payload["combinations_checked"] = report.checked
         payload["mismatches"] = [
-            {
-                "which": m.which,
-                "n": m.n,
-                "r": m.r,
-                "d": m.d,
-                "k": m.k,
-                "witness_permutation": list(m.mapping),
-                "class_size": m.class_size,
-                "enumerated": _fraction_str(m.enumerated),
-                "closed_form": _fraction_str(m.formula),
-            }
-            for m in report.mismatches
+            _record_json(m, mapping="witness_permutation", formula="closed_form") for m in report.mismatches
         ]
-        payload["mismatch_counts"] = {
-            which: report.mismatch_count(which)
-            for which in ("creation", "destruction", "destruction_rearranged")
-        }
-        if terms is not None:
-            payload["terms"] = [
-                {
-                    "k": row.k,
-                    "creation_term": _fraction_str(row.creation_term),
-                    "destruction_term": _fraction_str(row.destruction_term),
-                }
-                for row in terms.rows
-            ]
-            payload["total_bound"] = float(terms.total)
+        payload["mismatch_counts"] = {which: report.mismatch_count(which) for which in CLOSED_FORMS}
     else:
         rng = np.random.default_rng(args.seed)
         terms = term_estimates_mc(args.n, args.r, args.d, args.samples, rng)
         payload["mode"] = "mc"
         payload["samples"] = args.samples
-        payload["terms"] = [
-            {
-                "k": row.k,
-                "creation_term": row.creation_term,
-                "creation_se": row.creation_se,
-                "destruction_term": row.destruction_term,
-                "destruction_se": row.destruction_se,
-            }
-            for row in terms.rows
-        ]
-        payload["total_bound"] = terms.total
+    if terms is not None:
+        payload["terms"] = [_record_json(row) for row in terms.rows]
+        payload["total_bound"] = float(terms.total)
     _emit_json(payload, args.out)
     tallied = tally_destruction_lengths(args.r, args.d) if terms is not None else ()
     if tallied:

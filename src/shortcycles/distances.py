@@ -90,7 +90,8 @@ def tv_exact(pmf: SparsePMF, spec: PoissonSpec, precision: int | None = None) ->
     """Total-variation distance between a finite law and a product-Poisson law.
 
     The complement identity handles the Poisson tail off the support of
-    ``pmf``.  ``precision`` switches to mpmath with that many decimal digits.
+    ``pmf``.  ``precision`` switches to mpmath with that many decimal digits,
+    at least 17: fewer than a double carries round the value away.
     """
     if not isinstance(spec, PoissonSpec):
         raise TypeError(f"tv_exact compares a law with a PoissonSpec, got {type(spec).__name__}")
@@ -98,6 +99,8 @@ def tv_exact(pmf: SparsePMF, spec: PoissonSpec, precision: int | None = None) ->
         raise ValueError(f"pmf dimension {pmf.d} != spec dimension {spec.d}")
     _require_normalized(pmf)
     if precision is not None:
+        if precision < 17:
+            raise ValueError(f"precision must be at least 17 digits, got {precision}")
         return _tv_exact_mpmath(pmf, spec, precision)
     masses = np.asarray(pmf.masses, dtype=np.float64)
     return float(_tv_to_poisson(pmf.counts, masses, spec)[0])

@@ -108,6 +108,8 @@ class CountsVector:
     @classmethod
     def from_cycle_type(cls, lengths: Sequence[int], d: int) -> "CountsVector":
         """Number of cycles of each length 1..d among the cycle lengths ``lengths``."""
+        if d < 0:
+            raise ValueError(f"need d >= 0, got d={d}")
         counts = [0] * d
         for length in lengths:
             if length <= d:
@@ -224,6 +226,8 @@ def cycle_type_counts(n: int, r: int) -> list[int]:
 
 def _admit_parts(n: int, r: int) -> Iterator[list[int]]:
     """cycle_type_counts(n, p) for p = 0, 1, ..., min(n, r): one list, updated in place."""
+    if n < 0:
+        raise ValueError(f"need n >= 0, got n={n}")
     ways = [1] + [0] * n
     yield ways
     for part in range(1, min(n, r) + 1):

@@ -35,13 +35,14 @@ Two routes to the same distribution, both on cycle types:
 Two entry points serve both methods, chosen by ``SamplerConfig.method``:
 :func:`draw_cycle_types` gives a list of cycle types and :func:`draw`
 gives labelled permutations as one ``(count, n)`` int64 array, row i the
-one-line notation of draw i; both take ``(cfg, count, rng)``.  Each builds
-the double log nu table it reads inside, so no caller passes a table, and
-checks its stage law once per batch, not once per draw; :func:`draw` checks
-that every row is a bijection in one array pass.  Wrap a row in
-:class:`~shortcycles.permutations.Permutation` where its cycles are
-needed.  All draws consume the numpy Generator the caller passes, and no
-config carries a seed; samplers never share mutable state.
+one-line notation of draw i; both take ``(cfg, count, rng)``.  Both read
+one checked stream of types: it builds the double log nu table, so no
+caller passes a table, and checks the count and the stage law once per
+batch.  :func:`draw` labels the types and checks that every row is a
+bijection in one array pass.  Wrap a row in a
+:class:`~shortcycles.permutations.Permutation` for its cycles.  All draws
+consume the numpy Generator the caller passes, and no config carries a
+seed; samplers never share mutable state.
 """
 
 from __future__ import annotations
@@ -83,10 +84,9 @@ def _stage_logs(n: int, table: WindowTable) -> np.ndarray:
     at m = n (sum_k R(k)/n, :func:`nu_ratios`) is found to sum to 1; ``table``
     must be a nu table covering n.  A batch of draws runs this once."""
     total = np.add.reduce(nu_ratios(n, min(n, table.r), table)[1:]) / n
-    logs = table.log_view()
     if not abs(total - 1.0) <= 1e-9:
         raise ValueError(f"stage law sums to {total}, table looks inconsistent")
-    return logs
+    return table.log_view()
 
 
 def _cycle_type(n: int, r: int, logs: np.ndarray, rng: np.random.Generator) -> tuple[int, ...]:
@@ -125,6 +125,8 @@ def sample_cycle_type(n: int, rng: np.random.Generator, table: WindowTable) -> t
     The result is what ``cycle_structure(p).lengths`` gives for the
     permutation drawn.
     """
+    if n < 1:
+        raise ValueError(f"need n >= 1, got n={n}")
     return _cycle_type(n, table.r, _stage_logs(n, table), rng)
 
 
@@ -192,8 +194,8 @@ def mcmc_step(lengths: tuple[int, ...], r: int, rng: np.random.Generator) -> tup
     their transposition; a rejected merge returns ``lengths`` itself.  With
     one element there is no transposition and the fixed point stays.
     """
-    if max(lengths) > r:
-        raise ValueError(f"chain state {lengths} has a cycle longer than r={r}")
+    if not lengths or max(lengths) > r:
+        raise ValueError(f"chain state {lengths} is empty or has a cycle longer than r={r}")
     n = sum(lengths)
     if n == 1:
         return lengths
@@ -211,23 +213,14 @@ def _ordered_pairs(n: int, steps: int, rng: np.random.Generator):
         yield from rng.integers(n * (n - 1), size=min(_PAIR_BLOCK, steps - start)).tolist()
 
 
-def draw_cycle_types(cfg: SamplerConfig, count: int, rng: np.random.Generator) -> list[tuple[int, ...]]:
-    """``count`` cycle types of uniform permutations with cycles <= r, by ``cfg.method``.
-
-    sequential gives one :func:`sample_cycle_type` draw each.  mcmc starts the transposition walk
-    from one :func:`sample_cycle_type` draw, which has the exact uniform law,
-    runs ``cfg.mcmc_burn_in`` steps, then emits every
-    ``cfg.mcmc_thinning``-th state.  Every emitted type therefore has the
-    exact law; successive mcmc types are correlated.  The chain is the one a
-    loop of :func:`mcmc_step` on ``rng`` runs, with its pairs drawn in
-    blocks.  The stage law is checked once, before the first uniform is drawn.
-    """
+def _types(cfg: SamplerConfig, count: int, rng: np.random.Generator):
+    """The types of :func:`draw_cycle_types`, lazy for sequential; a plain function, so its checks run on the call."""
     if count < 0:
         raise ValueError("count must be >= 0")
     n, r = cfg.n, cfg.r
     logs = _stage_logs(n, count_table(n, r, "double"))
     if cfg.method == "sequential":
-        return [_cycle_type(n, r, logs, rng) for _ in range(count)]
+        return (_cycle_type(n, r, logs, rng) for _ in range(count))
     state = _cycle_type(n, r, logs, rng)
     pairs = _ordered_pairs(n, cfg.mcmc_burn_in + count * cfg.mcmc_thinning, rng)
     for pair in itertools.islice(pairs, cfg.mcmc_burn_in):
@@ -240,6 +233,19 @@ def draw_cycle_types(cfg: SamplerConfig, count: int, rng: np.random.Generator) -
     return out
 
 
+def draw_cycle_types(cfg: SamplerConfig, count: int, rng: np.random.Generator) -> list[tuple[int, ...]]:
+    """``count`` cycle types of uniform permutations with cycles <= r, by ``cfg.method``.
+
+    sequential gives independent :func:`sample_cycle_type` draws.  mcmc runs
+    ``cfg.mcmc_burn_in`` steps of the transposition walk from one such draw,
+    then emits every ``cfg.mcmc_thinning``-th state: the chain a loop of
+    :func:`mcmc_step` on ``rng`` runs, with its pairs drawn in blocks.  Every
+    type has the exact law; successive mcmc types are correlated.  The count
+    and the stage law are checked once, before the first uniform is drawn.
+    """
+    return list(_types(cfg, count, rng))
+
+
 def draw(cfg: SamplerConfig, count: int, rng: np.random.Generator) -> np.ndarray:
     """``count`` labelled draws with the configured method, from ``rng``, as a
     ``(count, n)`` int64 array: row i is the one-line notation of draw i.
@@ -249,15 +255,8 @@ def draw(cfg: SamplerConfig, count: int, rng: np.random.Generator) -> np.ndarray
     and uniformly, after the whole chain has run.  The stage law is checked
     once, and every row is checked to be a bijection in one pass at the end.
     """
-    if count < 0:
-        raise ValueError("count must be >= 0")
-    n, r = cfg.n, cfg.r
-    if cfg.method == "sequential":
-        logs = _stage_logs(n, count_table(n, r, "double"))
-        # lazy: each type is drawn just before its labels, as in sample_sequential
-        types = (_cycle_type(n, r, logs, rng) for _ in range(count))
-    else:
-        types = draw_cycle_types(cfg, count, rng)
+    types = _types(cfg, count, rng)
+    n = cfg.n
     rows = np.empty((count, n), dtype=np.int64)
     for row, lengths in zip(rows, types):
         row[:] = _labelled(lengths, rng)

@@ -149,13 +149,22 @@ def event_tally(
     enumeration is grouped by effect, so it costs O(n) rather than O(n^2)
     per (d, k).
     """
-    n = sum(lengths)
-    if n < 2:
-        raise ValueError("a transposition needs n >= 2")
+    n = _type_size(lengths)
     _check_longest(lengths, r)
     total = n * (n - 1) // 2
     counts = _pair_counts(lengths, r, ds)
     return {key: (Fraction(up, total), Fraction(down, total)) for key, (up, down) in counts.items()}
+
+
+def _type_size(lengths: tuple[int, ...]) -> int:
+    """n of the cycle type ``lengths``, whose parts must be positive and add
+    up to at least the two elements a transposition needs."""
+    if any(length < 1 for length in lengths):
+        raise ValueError(f"cycle type {lengths} has a part that is not positive")
+    n = sum(lengths)
+    if n < 2:
+        raise ValueError(f"a transposition needs n >= 2, got the cycle type {lengths}")
+    return n
 
 
 def _validate_kdr(n: int, k: int, d: int, r: int) -> None:
@@ -217,7 +226,7 @@ def _rearranged_numerator(elements: dict[int, int], n: int, k: int, d: int, r: i
 
 def creation_probability(lengths: tuple[int, ...], k: int, d: int) -> Fraction:
     """Closed form for the creation event, read off the cycle lengths."""
-    n = sum(lengths)
+    n = _type_size(lengths)
     if not 1 <= k <= d:
         raise ValueError(f"need 1 <= k <= d, got k={k}, d={d}")
     return Fraction(_creation_numerator(_elements(lengths), k, d), n * (n - 1))
@@ -225,7 +234,7 @@ def creation_probability(lengths: tuple[int, ...], k: int, d: int) -> Fraction:
 
 def destruction_probability(lengths: tuple[int, ...], k: int, d: int, r: int) -> Fraction:
     """Closed form for the destruction event, read off the cycle lengths."""
-    n = sum(lengths)
+    n = _type_size(lengths)
     _validate_kdr(n, k, d, r)
     _check_longest(lengths, r)
     return Fraction(_destruction_numerator(_elements(lengths), k, d, r), n * (n - 1))
@@ -238,10 +247,13 @@ def destruction_probability_rearranged(lengths: tuple[int, ...], k: int, d: int,
     term matches the event probability only after the n/2k scaling).  Kept
     so reports can show the gap explicitly.
     """
-    n = sum(lengths)
+    n = _type_size(lengths)
     _validate_kdr(n, k, d, r)
     _check_longest(lengths, r)
     return Fraction(_rearranged_numerator(_elements(lengths), n, k, d, r), n * (n - 1))
+
+
+CLOSED_FORMS = ("creation", "destruction", "destruction_rearranged")  # the closed forms checked against the tally
 
 
 @dataclass(frozen=True)
@@ -250,7 +262,7 @@ class ClosedFormMismatch:
     r: int
     d: int
     k: int
-    which: str  # "creation" | "destruction" | "destruction_rearranged"
+    which: str  # one of CLOSED_FORMS
     mapping: tuple[int, ...]  # witness: Permutation.from_cycle_type of the cycle type
     enumerated: Fraction
     formula: Fraction
@@ -317,12 +329,13 @@ def _closed_form_gaps(lengths: tuple[int, ...], r: int, ds: range):
     elements = _elements(lengths)
     gaps = []
     for (d, k), (up, down) in _pair_counts(lengths, r, ds).items():
-        enum_up, enum_down = 2 * up, 2 * down  # pairs out of n(n-1)/2
-        for which, enumerated, formula in (
-            ("creation", enum_up, _creation_numerator(elements, k, d)),
-            ("destruction", enum_down, _destruction_numerator(elements, k, d, r)),
-            ("destruction_rearranged", enum_down, _rearranged_numerator(elements, n, k, d, r)),
-        ):
+        formulas = (
+            _creation_numerator(elements, k, d),
+            _destruction_numerator(elements, k, d, r),
+            _rearranged_numerator(elements, n, k, d, r),
+        )
+        # the tally counts pairs out of n(n-1)/2
+        for which, enumerated, formula in zip(CLOSED_FORMS, (2 * up, 2 * down, 2 * down), formulas):
             if formula != enumerated:
                 gaps.append((d, k, which, Fraction(enumerated, scale), Fraction(formula, scale)))
     return gaps

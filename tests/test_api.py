@@ -4,10 +4,16 @@ import inspect
 import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import shortcycles
 from shortcycles import SamplerConfig, joint_pmf, tv_exact
+from shortcycles.counting import count_table
+from shortcycles.distances import PoissonSpec
+from shortcycles.permutations import CountsVector, cycle_type_counts
+from shortcycles.sampling import mcmc_step, sample_cycle_type, sample_sequential
+from shortcycles.stein import creation_probability
 
 
 def public_callables():
@@ -127,3 +133,50 @@ def test_one_enumerator_and_one_law_constructor():
     assert enumerating == ["permutations"]
     for name in ("from_arrays", "_set"):
         assert not hasattr(shortcycles.SparsePMF, name), name
+
+
+def test_one_checked_type_stream_and_one_list_of_closed_forms():
+    # both sampler doors read one stream that builds and checks the table, and
+    # the stein-verify JSON takes the names of the closed forms from stein
+    package = Path(shortcycles.__file__).parent
+    builds = [
+        node
+        for node in ast.walk(ast.parse((package / "sampling.py").read_text()))
+        if isinstance(node, ast.Call) and ast.unparse(node.func) == "count_table"
+    ]
+    assert len(builds) == 1
+    names = ("creation", "destruction", "destruction_rearranged")
+    spelled = [
+        node.value
+        for node in ast.walk(ast.parse((package / "cli.py").read_text()))
+        if isinstance(node, ast.Constant) and node.value in names
+    ]
+    assert spelled == []
+    assert shortcycles.stein.CLOSED_FORMS == names
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "call,bad",
+    [
+        (lambda: creation_probability((1,), 1, 1), "(1,)"),
+        (lambda: creation_probability((), 1, 1), "()"),
+        (lambda: creation_probability((0, 3), 1, 1), "(0, 3)"),
+        (lambda: creation_probability((-1, 4), 1, 1), "(-1, 4)"),
+        (lambda: tv_exact(joint_pmf(4, 2, 1), PoissonSpec.cycle_reference(1), precision=1), "got 1"),
+        (lambda: tv_exact(joint_pmf(4, 2, 1), PoissonSpec.cycle_reference(1), precision=16), "got 16"),
+        (lambda: mcmc_step((), 2, np.random.default_rng(0)), "state ()"),
+        (lambda: sample_cycle_type(0, np.random.default_rng(0), count_table(5, 2, "double")), "n=0"),
+        (lambda: sample_sequential(0, np.random.default_rng(0), count_table(5, 2, "double")), "n=0"),
+        (lambda: cycle_type_counts(-1, 2), "n=-1"),
+        (lambda: CountsVector.from_cycle_type((1, 2), -1), "d=-1"),
+    ],
+    ids=[
+        "creation-one-element", "creation-empty", "creation-zero-part", "creation-negative-part",
+        "tv-precision-1", "tv-precision-16", "mcmc-step-empty", "sample-cycle-type-n0",
+        "sample-sequential-n0", "cycle-type-counts-negative", "counts-vector-negative-d",
+    ],
+)
+def test_edge_inputs_raise_value_error_naming_the_value(call, bad):
+    with pytest.raises(ValueError, match=re.escape(bad)):
+        call()
