@@ -48,6 +48,7 @@ from .permutations import (
     class_size,
     cycle_structure,
     cycle_type_counts,
+    cycle_type_size,
     cycle_types,
     longest_cycle,
     mappings_with_bounded_cycles,

@@ -261,12 +261,11 @@ def _cmd_stein_verify(args) -> int:
 def _tv_mc(n: int, r: int, d: int, samples: int, seed: int):
     """Empirical TV to the Poisson reference of ``samples`` cycle types drawn with ``seed``;
     the bootstrap uses ``seed + 1``."""
-    spec = PoissonSpec.cycle_reference(d)
-    if not 1 <= d <= n:
-        raise ValueError(f"d must be in 1..{n}, got {d}")
+    if not 1 <= d <= r <= n:
+        raise ValueError(f"need 1 <= d <= r <= n, got d={d}, r={r}, n={n}")
     types = draw_cycle_types(SamplerConfig(n, r), samples, np.random.default_rng(seed))
     vectors = [CountsVector.from_cycle_type(lengths, d) for lengths in types]
-    return tv_empirical(vectors, spec, rng=np.random.default_rng(seed + 1))
+    return tv_empirical(vectors, PoissonSpec.cycle_reference(d), rng=np.random.default_rng(seed + 1))
 
 
 def _cmd_tv(args) -> int:
@@ -296,6 +295,9 @@ def _cmd_bound(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
+    for name, values in (("n", args.n), ("r", args.r), ("d", args.d)):
+        if min(values) < 1:
+            raise ValueError(f"need every --{name} >= 1, got {min(values)}")
     rows = []
     for n in args.n:
         for r in args.r:

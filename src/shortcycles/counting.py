@@ -38,7 +38,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import os
 import warnings
 from array import array
 from collections import Counter
@@ -52,17 +51,9 @@ import numpy as np
 
 from .dickman import xi
 from .errors import ResourceLimitError
-from .permutations import CountsVector, capped_type_count, mappings_with_bounded_cycles
+from .permutations import CountsVector, capped_type_count, mappings_with_bounded_cycles, support_cap
 
 Probability = Union[Fraction, float]
-
-DEFAULT_SUPPORT_CAP = 10**7
-
-
-def support_cap() -> int:
-    """Joint-law support cap; override with SHORTCYCLES_SUPPORT_CAP."""
-    return int(os.environ.get("SHORTCYCLES_SUPPORT_CAP", DEFAULT_SUPPORT_CAP))
-
 
 def table_mode(n: int) -> str:
     """Default table arithmetic for size n: exact rationals up to 200, doubles beyond."""
@@ -358,8 +349,9 @@ class SparsePMF:
 
     def probability(self, counts) -> Probability:
         key = counts if isinstance(counts, CountsVector) else CountsVector(tuple(counts))
-        zero = Fraction(0) if self.mode == "exact" else 0.0
-        return self.entries.get(key, zero)
+        if key.d != self.d:
+            raise ValueError(f"count vector of dimension {key.d} for a law of dimension d={self.d}")
+        return self.entries.get(key, Fraction(0) if self.mode == "exact" else 0.0)
 
     def support(self) -> list[CountsVector]:
         return list(map(CountsVector, map(tuple, self.counts.tolist())))

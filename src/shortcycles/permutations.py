@@ -1,13 +1,12 @@
-"""Permutations in one-line notation and their cycle statistics.
+"""Permutations in one-line notation, cycle types and their enumeration.
 
 A permutation of {0, ..., n-1} is stored as the tuple of images: ``mapping[i]``
-is where ``i`` goes.  Cycle structure is always derived from this array, never
-stored as an independent source of truth, which keeps validation trivial.
-
-The downstream statistic of interest is the vector of small-cycle counts:
-entry ``k`` of a :class:`CountsVector` is the number of cycles of length
-exactly ``k``.  Everything here is immutable and safe to share between
-threads.
+is where ``i`` goes; its cycle structure is derived from that array.  A cycle
+type is a tuple of positive cycle lengths, and :func:`cycle_type_size` is the
+one check of that rule, and of a bound r on the parts, for every function of
+the package that takes cycle lengths.  :func:`cycle_types` enumerates the
+types of n with parts <= r, at most :func:`support_cap` of them.  Entry ``k``
+of a :class:`CountsVector`, never negative, is the number of k-cycles.
 """
 
 from __future__ import annotations
@@ -22,11 +21,27 @@ from typing import Callable, Iterator, Sequence
 from .errors import ResourceLimitError
 
 DEFAULT_BRUTE_FORCE_CAP = 10
+DEFAULT_SUPPORT_CAP = 10**7
 
 
 def brute_force_cap() -> int:
     """Largest n brute-force enumeration accepts; override with SHORTCYCLES_BRUTE_FORCE_CAP."""
     return int(os.environ.get("SHORTCYCLES_BRUTE_FORCE_CAP", DEFAULT_BRUTE_FORCE_CAP))
+
+
+def support_cap() -> int:
+    """Most cycle types, or joint-law support vectors, one call visits; override with SHORTCYCLES_SUPPORT_CAP."""
+    return int(os.environ.get("SHORTCYCLES_SUPPORT_CAP", DEFAULT_SUPPORT_CAP))
+
+
+def cycle_type_size(lengths: Sequence[int], r: int | None = None) -> int:
+    """n of the cycle type ``lengths``, after checking that every part is
+    positive and, when ``r`` is given, at most ``r``.  () is the type of n = 0."""
+    if lengths and min(lengths) < 1:
+        raise ValueError(f"cycle type {tuple(lengths)} has a part that is not positive")
+    if lengths and r is not None and max(lengths) > r:
+        raise ValueError(f"cycle type {tuple(lengths)} has a cycle longer than r={r}")
+    return sum(lengths)
 
 
 class Permutation:
@@ -62,10 +77,9 @@ class Permutation:
         >>> Permutation.from_cycle_type((1, 2)).mapping
         (0, 2, 1)
         """
-        mapping = []
-        for length in lengths:
-            start = len(mapping)
-            mapping.extend(start + (i + 1) % length for i in range(length))
+        mapping = list(range(1, cycle_type_size(lengths) + 1))
+        for end, length in zip(itertools.accumulate(lengths), lengths):
+            mapping[end - 1] = end - length  # each cycle closes on its first element
         return cls(mapping)
 
     def __eq__(self, other) -> bool:
@@ -101,6 +115,10 @@ class CountsVector:
 
     counts: tuple[int, ...]
 
+    def __post_init__(self):
+        if self.counts and min(self.counts) < 0:
+            raise ValueError(f"count vector {self.counts} has a negative entry")
+
     @property
     def d(self) -> int:
         return len(self.counts)
@@ -110,6 +128,7 @@ class CountsVector:
         """Number of cycles of each length 1..d among the cycle lengths ``lengths``."""
         if d < 0:
             raise ValueError(f"need d >= 0, got d={d}")
+        cycle_type_size(lengths)
         counts = [0] * d
         for length in lengths:
             if length <= d:
@@ -190,10 +209,16 @@ def cycle_types(n: int, r: int) -> Iterator[tuple[int, ...]]:
     A cycle type is a partition of n, written as non-decreasing cycle
     lengths like :attr:`CycleStructure.lengths`.  Partitions are visited in
     reverse lexicographic order of their parts read largest first, so the
-    first one is (r, ..., r, n mod r) and parts never exceed r.
+    first one is (r, ..., r, n mod r) and parts never exceed r.  At most
+    :func:`support_cap` types: their number is checked before the first.
     """
     if n < 1 or r < 1:
         raise ValueError(f"need n >= 1 and r >= 1, got n={n}, r={r}")
+    cap = support_cap()
+    types, exact = capped_type_count(n, r, lambda ways: ways[n], cap)
+    if types > cap:
+        bound = "" if exact else "at least "
+        raise ResourceLimitError(f"{bound}{types} cycle types of n={n} with parts <= {r} exceed the cap of {cap}")
     parts = [r] * (n // r) + ([n % r] if n % r else [])  # non-increasing
     while True:
         yield tuple(reversed(parts))
@@ -251,7 +276,7 @@ def capped_type_count(n: int, r: int, measure: Callable[[list[int]], int], cap: 
 
 def class_size(lengths: Sequence[int]) -> int:
     """Number of permutations with the given cycle type: n! / prod_j j^{c_j} c_j!."""
-    size = math.factorial(sum(lengths))
+    size = math.factorial(cycle_type_size(lengths))
     for length, count in Counter(lengths).items():
         size //= length**count * math.factorial(count)
     return size

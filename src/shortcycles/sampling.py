@@ -55,6 +55,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .counting import WindowTable, count_table, nu_ratios
+from .permutations import cycle_type_size
 
 _UNIFORM_BLOCK = 64  # uniforms drawn per numpy call in _cycle_type; even, two per proposal
 _PAIR_BLOCK = 4096  # ordered pairs drawn per numpy call by the walk
@@ -194,9 +195,9 @@ def mcmc_step(lengths: tuple[int, ...], r: int, rng: np.random.Generator) -> tup
     their transposition; a rejected merge returns ``lengths`` itself.  With
     one element there is no transposition and the fixed point stays.
     """
-    if not lengths or max(lengths) > r:
-        raise ValueError(f"chain state {lengths} is empty or has a cycle longer than r={r}")
-    n = sum(lengths)
+    n = cycle_type_size(lengths, r)
+    if not n or list(lengths) != sorted(lengths):
+        raise ValueError(f"chain state {lengths} is empty or not sorted ascending")
     if n == 1:
         return lengths
     return _pair_move(lengths, n, int(rng.integers(n * (n - 1))), r)

@@ -11,8 +11,8 @@ counts with independent Poissons:
 
 Both probabilities are exactly computable per sigma in two independent
 ways, and both depend on sigma only through its cycle type, so every
-function here takes the cycle lengths (as ``cycle_structure(p).lengths``
-gives them) rather than a permutation.  The enumeration route
+public function here takes the cycle lengths (as ``cycle_structure(p).lengths``
+gives them), checked by ``cycle_type_size``.  The enumeration route
 (:func:`event_tally`) classifies the outcome of each of the n(n-1)/2
 transpositions, grouped by effect.  The closed-form route reads them off
 the cycle lengths:
@@ -56,7 +56,7 @@ The damping factor is identically 1 here: 1.4/sqrt(lambda_k) = 1.4 sqrt(k)
 and 1.4^2 * k >= 1 for every k >= 1, so the code drops it.  Both
 expectations are over the cycle type, so one routine evaluates the exact
 terms of a single type; the exact estimate weights it by class size over
-every type, the Monte Carlo estimate averages it over sampled types.
+each type of ``cycle_types``, the Monte Carlo one averages sampled types.
 
 Every per-type quantity is an integer numerator over a denominator known in
 advance, so no gcd runs inside the module.  The event probabilities are
@@ -65,9 +65,9 @@ twice its pair count out of the n(n-1)/2 transpositions).  The bound terms
 are numerators over 2k(n-1): creation |2(n-1) - U| and destruction
 |2k(n-1) W_k - D| for probabilities U/(n(n-1)) and D/(n(n-1)).  Fractions
 are built only where values leave the module: the public probabilities
-(reduced, as before), the exact terms (one per term, after summing
-weight times numerator in ints), and mismatch records; the Monte Carlo
-terms divide int by int, which is correctly rounded as float(Fraction) is.
+(reduced), the exact terms (one per term, after summing weight times
+numerator in ints), and mismatch records; the Monte Carlo terms divide int
+by int, which is correctly rounded as float(Fraction) is.
 """
 
 from __future__ import annotations
@@ -80,9 +80,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .counting import support_cap
-from .errors import ResourceLimitError
-from .permutations import Permutation, capped_type_count, class_size, cycle_types
+from .permutations import Permutation, class_size, cycle_type_size, cycle_types
 from .sampling import SamplerConfig, draw_cycle_types
 
 
@@ -149,19 +147,15 @@ def event_tally(
     enumeration is grouped by effect, so it costs O(n) rather than O(n^2)
     per (d, k).
     """
-    n = _type_size(lengths)
-    _check_longest(lengths, r)
+    n = _type_size(lengths, r)
     total = n * (n - 1) // 2
     counts = _pair_counts(lengths, r, ds)
     return {key: (Fraction(up, total), Fraction(down, total)) for key, (up, down) in counts.items()}
 
 
-def _type_size(lengths: tuple[int, ...]) -> int:
-    """n of the cycle type ``lengths``, whose parts must be positive and add
-    up to at least the two elements a transposition needs."""
-    if any(length < 1 for length in lengths):
-        raise ValueError(f"cycle type {lengths} has a part that is not positive")
-    n = sum(lengths)
+def _type_size(lengths: tuple[int, ...], r: int | None = None) -> int:
+    """``cycle_type_size(lengths, r)``, which must be at least the two elements a transposition needs."""
+    n = cycle_type_size(lengths, r)
     if n < 2:
         raise ValueError(f"a transposition needs n >= 2, got the cycle type {lengths}")
     return n
@@ -170,11 +164,6 @@ def _type_size(lengths: tuple[int, ...]) -> int:
 def _validate_kdr(n: int, k: int, d: int, r: int) -> None:
     if not 1 <= k <= d < r <= n:
         raise ValueError(f"need 1 <= k <= d < r <= n, got k={k}, d={d}, r={r}, n={n}")
-
-
-def _check_longest(lengths: tuple[int, ...], r: int) -> None:
-    if max(lengths) > r:
-        raise ValueError(f"cycle type has a cycle longer than r={r}")
 
 
 # The closed forms as integer numerators over n(n-1), read off the cycle
@@ -234,9 +223,8 @@ def creation_probability(lengths: tuple[int, ...], k: int, d: int) -> Fraction:
 
 def destruction_probability(lengths: tuple[int, ...], k: int, d: int, r: int) -> Fraction:
     """Closed form for the destruction event, read off the cycle lengths."""
-    n = _type_size(lengths)
+    n = _type_size(lengths, r)
     _validate_kdr(n, k, d, r)
-    _check_longest(lengths, r)
     return Fraction(_destruction_numerator(_elements(lengths), k, d, r), n * (n - 1))
 
 
@@ -247,9 +235,8 @@ def destruction_probability_rearranged(lengths: tuple[int, ...], k: int, d: int,
     term matches the event probability only after the n/2k scaling).  Kept
     so reports can show the gap explicitly.
     """
-    n = _type_size(lengths)
+    n = _type_size(lengths, r)
     _validate_kdr(n, k, d, r)
-    _check_longest(lengths, r)
     return Fraction(_rearranged_numerator(_elements(lengths), n, k, d, r), n * (n - 1))
 
 
@@ -283,16 +270,6 @@ class ClosedFormReport:
         return sum(m.class_size for m in self.mismatches if m.which == which)
 
 
-def _weighted_cycle_types(n: int, r: int):
-    """(lengths, class size) of every cycle type of n with parts <= r, at most SHORTCYCLES_SUPPORT_CAP."""
-    cap = support_cap()
-    types, exact = capped_type_count(n, r, lambda ways: ways[n], cap)
-    if types > cap:
-        bound = "" if exact else "at least "
-        raise ResourceLimitError(f"{bound}{types} cycle types of n={n} with parts <= {r} exceed the cap of {cap}")
-    return ((lengths, class_size(lengths)) for lengths in cycle_types(n, r))
-
-
 def verify_closed_forms(n: int, r: int, d_max: int) -> ClosedFormReport:
     """Compare the closed forms against enumeration over the bounded-cycle set.
 
@@ -304,7 +281,8 @@ def verify_closed_forms(n: int, r: int, d_max: int) -> ClosedFormReport:
         raise ValueError(f"need 1 <= r <= n, got r={r}, n={n}")
     report = ClosedFormReport(n, r, d_max)
     ds = range(1, min(d_max, r - 1) + 1)
-    for lengths, size in _weighted_cycle_types(n, r):
+    for lengths in cycle_types(n, r):
+        size = class_size(lengths)
         report.checked += size * sum(ds)
         gaps = _closed_form_gaps(lengths, r, ds)
         if gaps:
@@ -415,7 +393,8 @@ def term_estimates_exact(n: int, r: int, d: int) -> TermEstimates:
         raise ValueError(f"need 1 <= d < r <= n, got d={d}, r={r}, n={n}")
     sums = [[0, 0] for _ in range(d)]
     count = 0
-    for lengths, weight in _weighted_cycle_types(n, r):
+    for lengths in cycle_types(n, r):
+        weight = class_size(lengths)
         for acc, (up, down) in zip(sums, _type_terms(lengths, r, d)):
             acc[0] += weight * up
             acc[1] += weight * down

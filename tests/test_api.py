@@ -11,7 +11,7 @@ import shortcycles
 from shortcycles import SamplerConfig, joint_pmf, tv_exact
 from shortcycles.counting import count_table
 from shortcycles.distances import PoissonSpec
-from shortcycles.permutations import CountsVector, cycle_type_counts
+from shortcycles.permutations import CountsVector, Permutation, class_size, cycle_type_counts
 from shortcycles.sampling import mcmc_step, sample_cycle_type, sample_sequential
 from shortcycles.stein import creation_probability
 
@@ -170,13 +170,55 @@ def test_one_checked_type_stream_and_one_list_of_closed_forms():
         (lambda: sample_sequential(0, np.random.default_rng(0), count_table(5, 2, "double")), "n=0"),
         (lambda: cycle_type_counts(-1, 2), "n=-1"),
         (lambda: CountsVector.from_cycle_type((1, 2), -1), "d=-1"),
+        (lambda: Permutation.from_cycle_type((0, 2)), "(0, 2)"),
+        (lambda: CountsVector.from_cycle_type((0, 2), 3), "(0, 2)"),
+        (lambda: CountsVector.from_cycle_type((-5, 2), 3), "(-5, 2)"),
+        (lambda: CountsVector((-1,)), "(-1,)"),
+        (lambda: class_size((0,)), "(0,)"),
+        (lambda: class_size((-1, 3)), "(-1, 3)"),
+        (lambda: mcmc_step((0, 3), 3, np.random.default_rng(0)), "(0, 3)"),
+        (lambda: mcmc_step((3, 1, 2), 6, np.random.default_rng(0)), "(3, 1, 2)"),
+        (lambda: joint_pmf(5, 3, 2).probability((0,)), "dimension 1 for a law of dimension d=2"),
     ],
     ids=[
         "creation-one-element", "creation-empty", "creation-zero-part", "creation-negative-part",
         "tv-precision-1", "tv-precision-16", "mcmc-step-empty", "sample-cycle-type-n0",
         "sample-sequential-n0", "cycle-type-counts-negative", "counts-vector-negative-d",
+        "permutation-zero-part", "counts-vector-zero-part", "counts-vector-negative-part",
+        "counts-vector-negative-entry", "class-size-zero-part", "class-size-negative-part",
+        "mcmc-step-zero-part", "mcmc-step-unsorted", "probability-wrong-dimension",
     ],
 )
 def test_edge_inputs_raise_value_error_naming_the_value(call, bad):
     with pytest.raises(ValueError, match=re.escape(bad)):
         call()
+
+
+def test_permutations_owns_the_cycle_type_check_and_the_type_cap():
+    # which tuples are cycle types is decided by permutations.cycle_type_size
+    # alone, and the cap on the number of cycle types by the enumerator
+    package = Path(shortcycles.__file__).parent
+    functions = {}
+    for module in ("permutations", "sampling", "stein"):
+        tree = ast.parse((package / f"{module}.py").read_text())
+        if module == "stein":
+            imported = [node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) and node.level]
+            assert "counting" not in imported
+        for node in tree.body:
+            if isinstance(node, ast.ClassDef):
+                functions.update({f"{node.name}.{f.name}": f for f in node.body if isinstance(f, ast.FunctionDef)})
+            elif isinstance(node, ast.FunctionDef):
+                functions[node.name] = node
+
+    def calls(name):
+        return {ast.unparse(node.func) for node in ast.walk(functions[name]) if isinstance(node, ast.Call)}
+
+    assert "_check_longest" not in functions and "_weighted_cycle_types" not in functions
+    assert "cycle_type_size" in calls("_type_size")
+    doors = (
+        "Permutation.from_cycle_type", "CountsVector.from_cycle_type", "class_size", "mcmc_step",
+        "creation_probability", "destruction_probability", "destruction_probability_rearranged", "event_tally",
+    )
+    unchecked = [door for door in doors if not {"cycle_type_size", "_type_size"} & calls(door)]
+    assert unchecked == []
+    assert "capped_type_count" in calls("cycle_types")

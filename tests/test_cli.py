@@ -437,6 +437,14 @@ class TestTv:
             assert err == f"error: tv at n=300, r=300, d=1 is 2.1967e-527, {below}\n"
         assert not path.exists()
 
+    @pytest.mark.parametrize("n,r,d", [(10, 3, 5), (10, 3, 0), (10, 12, 2), (5, 0, 1)])
+    def test_mc_and_exact_share_one_domain(self, n, r, d, capsys):
+        # mc answers only where exact does, with the same message
+        argv = ["tv", "--n", str(n), "--r", str(r), "--d", str(d)]
+        expected = (1, "", f"error: need 1 <= d <= r <= n, got d={d}, r={r}, n={n}\n")
+        assert run(argv, capsys) == expected
+        assert run(argv + ["--mode", "mc", "--samples", "10"], capsys) == expected
+
     def test_mc_needs_two_samples(self, tmp_path, capsys):
         path = tmp_path / "sweep.csv"
         for argv in (
@@ -586,6 +594,26 @@ class TestSweepAndCheck:
         header = path.read_text().splitlines()[0]
         assert header == "n,r,d,u,tv,refined_C1,macroscopic_C1"
         assert run(["check", str(path)], capsys)[0] == 0
+
+    @pytest.mark.parametrize(
+        "grid,bad",
+        [
+            (["--n", "5", "--r", "0", "--d", "1"], "--r >= 1, got 0"),
+            (["--n", "5", "0", "--r", "2", "--d", "1"], "--n >= 1, got 0"),
+            (["--n", "5", "--r", "2", "--d", "1", "-3"], "--d >= 1, got -3"),
+        ],
+    )
+    def test_sweep_rejects_grid_values_below_one(self, grid, bad, tmp_path, capsys):
+        # a value below 1 is named, not dropped from the grid
+        path = tmp_path / "sweep.csv"
+        code, out, err = run(["sweep", *grid, "--out", str(path)], capsys)
+        assert (code, out, err) == (1, "", f"error: need every {bad}\n")
+        assert not path.exists()
+
+    def test_sweep_still_skips_r_above_n_and_d_above_r(self, tmp_path, capsys):
+        path = tmp_path / "sweep.csv"
+        code, out, _ = run(["sweep", "--n", "6", "--r", "3", "8", "--d", "2", "4", "--out", str(path)], capsys)
+        assert (code, out) == (0, f"1 rows written to {path}\n")
 
     def test_exact_sweep_ignores_support_cap(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("SHORTCYCLES_SUPPORT_CAP", "3")

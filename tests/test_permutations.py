@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 from collections import Counter
 
 import pytest
@@ -15,6 +16,7 @@ from shortcycles.permutations import (
     class_size,
     cycle_structure,
     cycle_type_counts,
+    cycle_type_size,
     cycle_types,
     longest_cycle,
     permutations_with_bounded_cycles,
@@ -46,6 +48,27 @@ class TestPermutation:
     def test_hashable_and_eq(self):
         assert Permutation((1, 0)) == Permutation([1, 0])
         assert len({Permutation((1, 0)), Permutation((1, 0))}) == 1
+
+
+class TestCycleTypeSize:
+    def test_returns_n(self):
+        assert cycle_type_size(()) == 0
+        assert cycle_type_size((1, 2, 2), r=2) == 5
+        assert cycle_type_size([3, 1]) == 4  # any order, any sequence
+        assert cycle_type_size((1,) * 7, r=1) == 7
+
+    @pytest.mark.parametrize(
+        "lengths,r,message",
+        [
+            ((0, 2), None, "cycle type (0, 2) has a part that is not positive"),
+            ((2, -1), 3, "cycle type (2, -1) has a part that is not positive"),
+            ((3,), 2, "cycle type (3,) has a cycle longer than r=2"),
+            ([1, 4, 2], 3, "cycle type (1, 4, 2) has a cycle longer than r=3"),
+        ],
+    )
+    def test_rejects_naming_the_tuple(self, lengths, r, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            cycle_type_size(lengths, r)
 
 
 class TestCycleStructure:
@@ -220,6 +243,16 @@ class TestCycleTypes:
         for t in cycle_types(9, 5):
             assert cycle_structure(Permutation.from_cycle_type(t)).lengths == t
         assert Permutation.from_cycle_type((1, 3)).mapping == (0, 2, 3, 1)
+
+    def test_cap(self, monkeypatch):
+        # (9, 3) has 12 cycle types; the enumerator checks the cap before the first
+        monkeypatch.setenv("SHORTCYCLES_SUPPORT_CAP", "11")
+        with pytest.raises(ResourceLimitError, match="^12 cycle types of n=9 with parts <= 3 exceed the cap of 11$"):
+            next(cycle_types(9, 3))
+        with pytest.raises(ResourceLimitError, match="^at least 16 cycle types of n=30 with parts <= 30 exceed"):
+            next(cycle_types(30, 30))
+        monkeypatch.setenv("SHORTCYCLES_SUPPORT_CAP", "12")
+        assert len(list(cycle_types(9, 3))) == 12
 
     def test_validation(self):
         with pytest.raises(ValueError):
