@@ -118,7 +118,7 @@ def _tv_to_poisson(rows: np.ndarray, masses: np.ndarray, spec: PoissonSpec) -> n
     for j, column in enumerate(columns):
         q *= column[rows[:, j]]
     tail = max(0.0, 1.0 - math.fsum(q))
-    return np.array([0.5 * (math.fsum(np.abs(p - q)) + tail) for p in np.atleast_2d(masses)])
+    return np.array([0.5 * (math.fsum(gaps) + tail) for gaps in np.abs(np.atleast_2d(masses) - q).tolist()])
 
 
 def tv_cycle_counts(n: int, r: int, d: int) -> float:

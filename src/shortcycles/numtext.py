@@ -7,6 +7,11 @@ spaces as ``" ".join(map(str, row))`` joins them.
 No Python code runs per number, except ``repr`` for zeros, subnormals and
 non-finite floats.
 
+An int is cut into groups of 4 digits, each turned into ASCII by a 4-digit
+lookup table, and its field keeps the cells from its first digit on.  A
+column whose values are all below 10^4 takes those cells from a second
+lookup table, by value.
+
 A float goes through four array steps:
 
 1. Schubfach (R. Giulietti, "The Schubfach way to render doubles", 2020)
@@ -26,7 +31,7 @@ The rows of a block are laid side by side in one byte matrix, and one
 ``compress`` by the masks gives the block's lines.
 
 The tables are built on first use, so importing this module costs nothing,
-and a file of ints builds only the 4-digit table.
+and a file of ints builds only the two 4-digit int tables.
 """
 
 from __future__ import annotations
@@ -61,6 +66,15 @@ def _ascii4() -> np.ndarray:
     d = np.arange(10000, dtype=np.uint16)
     digits = np.stack([d // 1000, d // 100 % 10, d // 10 % 10, d % 10], axis=1) + ord("0")
     return digits.astype(np.uint8).view(np.uint32).ravel()
+
+
+@functools.cache
+def _keep4() -> np.ndarray:
+    """The cells ``str`` prints of each of 0..9999 in a 4-cell field, as one
+    uint32 word of four bool bytes: its digits, right-aligned."""
+    d = np.arange(10000)
+    digits = 1 + (d >= 10) + (d >= 100) + (d >= 1000)
+    return (np.arange(4) >= 4 - digits[:, None]).view(np.uint32).ravel()
 
 
 @functools.cache
@@ -233,8 +247,12 @@ def _int_field(v: np.ndarray, cells: np.ndarray, keep: np.ndarray) -> None:
     ``cells`` has the shape of ``v`` and one more axis of cells."""
     value = v.astype(_U)
     width = cells.shape[-1]
-    n = 1 + sum(value >= _POW10[i] for i in range(1, width))
     words = cells.view(np.uint32)
+    if width == 4:  # every value below 10^4: its word and its mask are looked up
+        words[..., 0] = np.take(_ascii4(), value)
+        keep.view(np.uint32)[..., 0] = np.take(_keep4(), value)
+        return
+    n = 1 + sum(value >= _POW10[i] for i in range(1, width))
     for i in range(words.shape[-1] - 1, 0, -1):
         value, rest = _divmod(value, _U(10000))
         words[..., i] = np.take(_ascii4(), rest)

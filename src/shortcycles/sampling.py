@@ -6,14 +6,18 @@ Two routes to the same distribution, both on cycle types:
   left, the cycle through any fixed one of them has length k with
   probability nu(m-k, r) / (m * nu(m, r)); drawing one such length per
   cycle gives the cycle type with its exact law, in as many stages as
-  there are cycles (:func:`sample_cycle_type`).  A stage proposes k
-  uniformly on 1..top, top = min(m, r), and accepts with probability
-  nu(m-k, r) / nu(m-top, r) <= 1 (nu is non-increasing), so the law is
-  never formed; that takes one proposal when m <= r and about
-  xi(u) / (1 - e^-xi(u)) deep in the tail, 6.5 at u = n/r = 100.  A
-  proposal takes two uniforms, one for k and one for the acceptance; a draw
-  reads them from blocks of 64 that one numpy call each fills, refilling
-  when a block runs out and dropping what is left when the draw ends.  Given
+  there are cycles (:func:`sample_cycle_type`).  While m > r a stage
+  proposes k uniformly on 1..r and accepts with probability
+  nu(m-k, r) / nu(m-r, r) <= 1 (nu is non-increasing), so the law is
+  never formed; that takes about xi(u) / (1 - e^-xi(u)) proposals deep in
+  the tail, 6.5 at u = n/r = 100.  Once m <= r, nu(m-k, r) = 1 for every
+  k, so the one proposal, k uniform on 1..m, is accepted without reading
+  the table; the batch checks once that log nu(m, r) is 0 for m <= min(n, r).
+  A proposal takes two uniforms, one for k and one for the acceptance, in
+  both kinds of stage; a draw reads them from blocks of 64 that one numpy
+  call each fills, refilling when a block runs out and dropping what is left
+  when the draw ends.  The table entries are read as Python floats through a
+  memoryview.  Given
   its type, a uniform permutation is uniform over that conjugacy class,
   so cutting one uniform arrangement of 0..n-1 into consecutive cycles of
   those lengths finishes the draw.  Exact, and no whole draw is ever
@@ -37,9 +41,9 @@ Two entry points serve both methods, chosen by ``SamplerConfig.method``:
 gives labelled permutations as one ``(count, n)`` int64 array, row i the
 one-line notation of draw i; both take ``(cfg, count, rng)``.  Both read
 one checked stream of types: it builds the double log nu table, so no
-caller passes a table, and checks the count and the stage law once per
-batch.  :func:`draw` labels the types and checks that every row is a
-bijection in one array pass.  Wrap a row in a
+caller passes a table, and checks the count, the stage law and the entries
+m <= r once per batch.  :func:`draw` labels the types and checks that
+every row is a bijection in one array pass.  Wrap a row in a
 :class:`~shortcycles.permutations.Permutation` for its cycles.  All draws
 consume the numpy Generator the caller passes, and no config carries a
 seed; samplers never share mutable state.
@@ -80,36 +84,50 @@ class SamplerConfig:
             raise ValueError(f"thinning must be >= 1, got {self.mcmc_thinning}")
 
 
-def _stage_logs(n: int, table: WindowTable) -> np.ndarray:
-    """The log nu entries the stages of a draw of n read, once the stage law
-    at m = n (sum_k R(k)/n, :func:`nu_ratios`) is found to sum to 1; ``table``
-    must be a nu table covering n.  A batch of draws runs this once."""
+def _stage_logs(n: int, table: WindowTable) -> memoryview:
+    """The log nu entries the stages of a draw of n read, as a memoryview whose
+    items are Python floats, once the stage law at m = n (sum_k R(k)/n,
+    :func:`nu_ratios`) is found to sum to 1 and nu(m, r) = 1 for m <= min(n, r);
+    ``table`` must be a nu table covering n.  A batch of draws runs this once."""
     total = np.add.reduce(nu_ratios(n, min(n, table.r), table)[1:]) / n
     if not abs(total - 1.0) <= 1e-9:
         raise ValueError(f"stage law sums to {total}, table looks inconsistent")
-    return table.log_view()
+    logs = table.log_view()
+    # the stages with m <= r accept every proposal without reading the table
+    if np.any(logs[: min(n, table.r) + 1] != 0.0):
+        raise ValueError(f"log nu(m, {table.r}) is not 0 for some m <= {min(n, table.r)}, table looks inconsistent")
+    return memoryview(logs)
 
 
-def _cycle_type(n: int, r: int, logs: np.ndarray, rng: np.random.Generator) -> tuple[int, ...]:
+def _cycle_type(n: int, r: int, logs: memoryview, rng: np.random.Generator) -> tuple[int, ...]:
     """One draw of :func:`sample_cycle_type` from the checked entries ``logs``."""
     lengths = []
     uniforms: list[float] = []
     at = _UNIFORM_BLOCK  # empty: the first proposal fills the block
     m = n
-    while m > 0:
-        top = min(m, r)
-        floor = logs[m - top]
+    while m > r:
+        floor = logs[m - r]
         while True:
             if at == _UNIFORM_BLOCK:
                 uniforms = rng.random(_UNIFORM_BLOCK).tolist()
                 at = 0
-            k = 1 + int(top * uniforms[at])
+            k = 1 + int(r * uniforms[at])
             ratio = math.exp(logs[m - k] - floor)
             if not ratio <= 1 + 1e-9:
                 raise ValueError(f"nu ratio {ratio} at m={m}, k={k}, table looks inconsistent")
             at += 2
             if uniforms[at - 1] < ratio:
                 break
+        lengths.append(k)
+        m -= k
+    # m <= r: nu(m - k, r) and the floor nu(0, r) are both 1, so the proposal is accepted;
+    # its second uniform is still spent
+    while m > 0:
+        if at == _UNIFORM_BLOCK:
+            uniforms = rng.random(_UNIFORM_BLOCK).tolist()
+            at = 0
+        k = 1 + int(m * uniforms[at])
+        at += 2
         lengths.append(k)
         m -= k
     return tuple(sorted(lengths))
@@ -119,8 +137,10 @@ def sample_cycle_type(n: int, rng: np.random.Generator, table: WindowTable) -> t
     """Cycle lengths of one uniform draw with all cycles <= r = ``table.r``, ascending.
 
     One stage per cycle, drawn by rejection against two entries of the log
-    nu table ``table``, which must cover n.  A stage law at m = n (sum_k R(k)/n,
-    :func:`nu_ratios`) that does not sum to 1, or a proposal ratio above 1, raises ValueError.
+    nu table ``table``, which must cover n, while more than r elements are
+    left, and accepted at once after that.  A stage law at m = n (sum_k R(k)/n,
+    :func:`nu_ratios`) that does not sum to 1, a log nu(m, r) other than 0 for
+    some m <= min(n, r), or a proposal ratio above 1, raises ValueError.
     Uniforms come from ``rng`` in blocks of ``_UNIFORM_BLOCK``, two per
     proposal; the unused rest of the last block is dropped.
     The result is what ``cycle_structure(p).lengths`` gives for the

@@ -244,6 +244,36 @@ def detailed_balance_failures(n: int, r: int) -> list[tuple]:
     return failures
 
 
+def stage_rejection_cycle_types(n: int, r: int, count: int, rng: np.random.Generator, block: int = 64) -> list:
+    """``count`` cycle types by one rejection proposal at a time, every stage alike.
+
+    With m elements left a stage proposes k = 1 + floor(top u), top = min(m, r),
+    and accepts when a second uniform lies below nu(m - k, r) / nu(m - top, r),
+    read as numpy scalars from the double table.  Uniforms come from ``rng`` in
+    blocks of ``block``, and a draw drops what is left of its last block.
+    """
+    logs = count_table(n, r, "double").log_view()
+    types = []
+    for _ in range(count):
+        lengths = []
+        uniforms, at = None, block
+        m = n
+        while m > 0:
+            top = min(m, r)
+            while True:
+                if at == block:
+                    uniforms, at = rng.random(block), 0
+                k = 1 + int(top * uniforms[at])
+                accept = uniforms[at + 1] < math.exp(logs[m - k] - logs[m - top])
+                at += 2
+                if accept:
+                    break
+            lengths.append(k)
+            m -= k
+        types.append(tuple(sorted(lengths)))
+    return types
+
+
 def type_law_pvalue(draws, n: int, r: int) -> float:
     """Chi-square p-value of cycle types ``draws`` against the exact type law
     class_size(type) / (n! nu(n, r)); cells expected below 5 are pooled into one."""

@@ -81,6 +81,19 @@ def by_rows(index, matrix) -> bytes:
     return "".join(f"{i},{field}\r\n" for i, field in [("x0", "x1"), *rows]).encode()
 
 
+@pytest.mark.parametrize(
+    "values",
+    [range(10**4), range(10**4 + 2), [10**8 - 1, 10**8, 10**8 + 1], [10**12 - 1, 10**12, 10**12 + 1]],
+    ids=["below-1e4", "to-1e4+1", "around-1e8", "around-1e12"],
+)
+def test_every_small_int_and_word_boundaries_as_column_and_matrix(path, values):
+    # a field below 10^4 is looked up whole; wider fields are cut into 4-digit words
+    values = np.array(values, dtype=np.int64)
+    assert written(path, values) == by_repr(values)
+    matrix = np.stack([values, values[::-1]], axis=1)
+    assert written(path, range(len(values)), matrix) == by_rows(range(len(values)), matrix)
+
+
 @pytest.mark.parametrize("entries", [1, 3, 4, 5, 9])
 def test_matrix_entries_are_joined_by_spaces(path, entries):
     # widths 1 to 9 digits in one matrix: entries of 4, 5 and 8 digits fill and cross 4-cell words

@@ -8,7 +8,13 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from oracles import apply_transposition, detailed_balance_failures, type_law_pvalue, type_walk_law
+from oracles import (
+    apply_transposition,
+    detailed_balance_failures,
+    stage_rejection_cycle_types,
+    type_law_pvalue,
+    type_walk_law,
+)
 from shortcycles import sampling
 from shortcycles.counting import (
     WindowTable,
@@ -169,6 +175,38 @@ class TestCycleType:
         with pytest.raises(ValueError, match="stage law sums to .* table looks inconsistent"):
             (draw if labelled else draw_cycle_types)(SamplerConfig(60, 10, method), 5, rng)
         assert rng.bit_generator.state == state
+
+    @pytest.mark.parametrize("labelled", [False, True], ids=["types", "labelled"])
+    @pytest.mark.parametrize("method", ["sequential", "mcmc"])
+    def test_table_below_r_that_is_not_one_is_rejected_before_any_draw(self, method, labelled, monkeypatch):
+        # the stages with m <= r accept without reading nu(m, r); the batch check guards that shortcut
+        logs = np.array(count_table(60, 10, "double").log_view())
+        logs[3] = -0.5
+        monkeypatch.setattr(sampling, "count_table", lambda n_max, r, mode: WindowTable(0, r, mode, logs))
+        rng = np.random.default_rng(0)
+        state = rng.bit_generator.state
+        with pytest.raises(ValueError, match="is not 0 for some m <= 10, table looks inconsistent"):
+            (draw if labelled else draw_cycle_types)(SamplerConfig(60, 10, method), 5, rng)
+        assert rng.bit_generator.state == state
+
+    def test_corrupt_entries_above_r_raise_in_the_stage_loop(self):
+        # entries 0..r and the stage law at m = n are intact, so only a proposal ratio can catch the rest
+        logs = np.array(count_table(60, 10, "double").log_view())
+        logs[11:50] = np.nan
+        with pytest.raises(ValueError, match="nu ratio nan at .* table looks inconsistent"):
+            sample_cycle_type(60, np.random.default_rng(0), WindowTable(0, 10, "double", logs))
+
+    @pytest.mark.parametrize(
+        "n,r", [(7, 1), (9, 9), (1, 1), (500, 100), (2000, 400), (1000, 20), (3000, 30), (10**5, 10**4)]
+    )
+    def test_stream_equals_one_rejection_proposal_at_a_time(self, n, r):
+        # the stages with m <= r skip the table, yet spend the same uniforms and give the same types
+        count = 3 if n == 10**5 else 40
+        for seed in range(4):
+            rng, loop_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            types = draw_cycle_types(SamplerConfig(n, r), count, rng)
+            assert types == stage_rejection_cycle_types(n, r, count, loop_rng, sampling._UNIFORM_BLOCK)
+            assert rng.bit_generator.state == loop_rng.bit_generator.state
 
     def test_stage_law_is_checked_once_per_batch(self, monkeypatch):
         calls = []
