@@ -31,7 +31,7 @@ from .distances import PoissonSpec, macroscopic_bound, refined_bound, tv_cycle_c
 from .errors import ResourceLimitError
 from .permutations import CountsVector
 from .sampling import SamplerConfig, draw, draw_cycle_types
-from .stein import CLOSED_FORMS, tally_destruction_lengths, term_estimates_exact, term_estimates_mc, verify_closed_forms
+from .stein import CLOSED_FORMS, term_estimates_exact, term_estimates_mc, verify_closed_forms
 
 SCHEMA_VERSION = 1
 
@@ -192,9 +192,10 @@ def _cmd_sample(args) -> int:
 def _cmd_dickman(args) -> int:
     ev = DickmanEvaluator()
     if args.dickman_command == "rho":
-        if args.grid is None and args.t is None:
-            print("error: rho needs --t or --grid", file=sys.stderr)
-            return 1
+        if args.out and not args.grid:
+            raise ValueError("--out needs --grid; --t prints its value")
+        if args.log and args.grid:
+            raise ValueError("--log needs --t; --grid writes both rho and log_rho")
         if args.grid:
             start, stop, num = args.grid
             if not (math.isfinite(start) and math.isfinite(stop)):
@@ -248,13 +249,6 @@ def _cmd_stein_verify(args) -> int:
         payload["terms"] = [_record_json(row) for row in terms.rows]
         payload["total_bound"] = float(terms.total)
     _emit_json(payload, args.out)
-    tallied = tally_destruction_lengths(args.r, args.d) if terms is not None else ()
-    if tallied:
-        print(
-            f"note: destruction terms for k = {', '.join(map(str, tallied))} come from the event tally, "
-            f"since r = {args.r} <= 2k-2",
-            file=sys.stderr,
-        )
     return 0
 
 
@@ -394,9 +388,10 @@ def build_parser() -> argparse.ArgumentParser:
     for name in ("rho", "xi", "ratio", "gamma-check"):
         q = dsub.add_parser(name)
         if name == "rho":
-            q.add_argument("--t", type=float)
+            at = q.add_mutually_exclusive_group(required=True)
+            at.add_argument("--t", type=float)
+            at.add_argument("--grid", type=float, nargs=3, metavar=("START", "STOP", "NUM"))
             q.add_argument("--log", action="store_true", help="print log rho instead")
-            q.add_argument("--grid", type=float, nargs=3, metavar=("START", "STOP", "NUM"))
             q.add_argument("--out", help="CSV destination for --grid")
         else:
             q.add_argument("--t", type=float, required=True)

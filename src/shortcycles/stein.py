@@ -34,10 +34,13 @@ itself (k-1 partners per element).
 
 The creation identity is exact for every valid (k, d, r).  The destruction
 display has one finite-size blind spot: its small-partner window d-k < L_b
-< k ignores the length budget, so when r <= 2k-2 it counts merges the walk
-actually rejects.  Exhaustive sweeps catalogue exactly those cases rather
-than patching the formula silently: one record per (cycle type, d, k), with
-the type's ``Permutation.from_cycle_type`` as witness and its class size.
+< k ignores the length budget L_b <= r-k, so when r <= 2k-2 it counts
+merges the walk actually rejects.  The display is catalogued as printed, not
+patched: exhaustive sweeps record exactly those cases, one record per
+(cycle type, d, k), with the type's ``Permutation.from_cycle_type`` as
+witness and its class size.  Cut at the budget, every partner length at
+most r-k, it is an identity for every (k, d, r), and the bound terms below
+read it in that form.
 
 ``destruction_probability_rearranged`` evaluates a complement-substituted
 variant whose leading term is the raw k-cycle count; it is retained because
@@ -186,12 +189,14 @@ def _creation_numerator(elements: dict[int, int], k: int, d: int) -> int:
     return 2 * split + merge_ordered
 
 
-def _destruction_numerator(elements: dict[int, int], k: int, d: int, r: int) -> int:
-    """n(n-1) P[destroy_k] by the closed-form display."""
+def _destruction_numerator(elements: dict[int, int], k: int, d: int, r: int, *, budgeted: bool = False) -> int:
+    """n(n-1) P[destroy_k] by the closed-form display; ``budgeted`` cuts its
+    small-partner window at the length budget r-k, which makes it an identity."""
     k_elements = elements.get(k, 0)
     if not k_elements:
         return 0
-    partner_weight = sum(e for length, e in elements.items() if (d < length <= r - k) or (d - k < length < k))
+    small_end = min(k, r - k + 1) if budgeted else k
+    partner_weight = sum(e for length, e in elements.items() if (d < length <= r - k) or (d - k < length < small_end))
     return 2 * k_elements * partner_weight + (k - 1) * k_elements
 
 
@@ -341,29 +346,20 @@ class TermEstimates:
     sample_count: int | None = None
 
 
-def tally_destruction_lengths(r: int, d: int) -> tuple[int, ...]:
-    """The k <= d whose destruction term comes from the enumeration tally: those with r <= 2k-2,
-    where the closed-form display over-counts merges the walk rejects."""
-    return tuple(k for k in range(1, d + 1) if r <= 2 * k - 2)
-
-
 def _type_terms(lengths: tuple[int, ...], r: int, d: int) -> list[tuple[int, int]]:
     """Numerators over 2k(n-1) of (|1/k - c_k P[create_k]|, |W_k - c_k P[destroy_k]|) for k = 1..d, c_k = n/(2k).
 
     With P[create_k] = U/(n(n-1)) and P[destroy_k] = D/(n(n-1)) they are
-    |2(n-1) - U| and |2k(n-1) W_k - D|.  U is the closed form.  D is the
-    closed form where it is an identity (r >= 2k-1) and twice the tally's
-    pair count elsewhere (:func:`tally_destruction_lengths`), because the
-    display over-counts merges the walk rejects when r <= 2k-2.
+    |2(n-1) - U| and |2k(n-1) W_k - D|.  U is the creation closed form and D
+    the destruction display cut at the length budget, both identities for
+    every valid (k, d, r).
     """
     n = sum(lengths)
     elements = _elements(lengths)
-    tallied = tally_destruction_lengths(r, d)
-    tally = _pair_counts(lengths, r, (d,)) if tallied else {}
     terms = []
     for k in range(1, d + 1):
         scale = 2 * k * (n - 1)
-        down = 2 * tally[(d, k)][1] if k in tallied else _destruction_numerator(elements, k, d, r)
+        down = _destruction_numerator(elements, k, d, r, budgeted=True)
         w_k = elements.get(k, 0) // k
         terms.append((abs(2 * (n - 1) - _creation_numerator(elements, k, d)), abs(scale * w_k - down)))
     return terms

@@ -155,6 +155,26 @@ def test_one_checked_type_stream_and_one_list_of_closed_forms():
     assert shortcycles.stein.CLOSED_FORMS == names
 
 
+def test_stein_terms_read_closed_forms_only():
+    # the bound terms take no enumeration route, and the CLI cannot tell which destruction formula they read
+    package = Path(shortcycles.__file__).parent
+    type_terms = next(
+        node
+        for node in ast.parse((package / "stein.py").read_text()).body
+        if isinstance(node, ast.FunctionDef) and node.name == "_type_terms"
+    )
+    calls = {ast.unparse(node.func) for node in ast.walk(type_terms) if isinstance(node, ast.Call)}
+    assert {"_creation_numerator", "_destruction_numerator"} <= calls
+    assert not calls & {"_pair_counts", "event_tally"}
+    from_stein = [
+        alias.name
+        for node in ast.walk(ast.parse((package / "cli.py").read_text()))
+        if isinstance(node, ast.ImportFrom) and node.module == "stein"
+        for alias in node.names
+    ]
+    assert from_stein and not [name for name in from_stein if "tally" in name]
+
+
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize(
     "call,bad",

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 import math
 import subprocess
@@ -148,6 +149,23 @@ class TestDickman:
     def test_missing_argument(self, capsys):
         code, _, _ = run(["dickman", "rho"], capsys)
         assert code == 1
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["--t", "2", "--out", "rho.csv"], "error: --out needs --grid"),
+            (["--t", "2", "--grid", "0", "5", "11"], "error: argument --grid: not allowed with argument --t"),
+            (["--log", "--grid", "0", "5", "11"], "error: --log needs --t"),
+        ],
+    )
+    def test_ignored_option_combinations_are_validation_errors(self, argv, message, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        code, out, err = run(["dickman", "rho", *argv], capsys)
+        assert code == 1
+        assert out == ""
+        errors = [line for line in err.splitlines() if "error:" in line]
+        assert len(errors) == 1 and message in errors[0], err
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize(
         "argv, message",
@@ -557,25 +575,30 @@ class TestSteinVerify:
         assert out == PINNED_STEIN_MC
 
     @pytest.mark.parametrize(
-        "argv,note",
+        "argv,sha256",
         [
-            (["--n", "7", "--r", "5", "--d", "4", "--exhaustive"], "k = 4 come from the event tally, since r = 5"),
+            # SHA-256 of the report as the tally-fallback version printed it, which added a stderr note
+            (["--n", "7", "--r", "5", "--d", "4", "--exhaustive"],
+             "7b9c1e42a7a9c2b6fb13116595ed22d2a85724fd51b3cf366f1d6acf51e39c0e"),
             (["--n", "12", "--r", "3", "--d", "2", "--samples", "5"], None),
             (["--n", "12", "--r", "3", "--d", "4", "--exhaustive"], None),  # d >= r: no terms
-            (["--n", "40", "--r", "4", "--d", "3", "--samples", "5"], "k = 3 come from the event tally, since r = 4"),
-            (["--n", "12", "--r", "6", "--d", "5", "--exhaustive"], "k = 4, 5 come from the event tally, since r = 6"),
+            (["--n", "40", "--r", "4", "--d", "3", "--samples", "5"],
+             "eeb08803cb3a7d7e0b2f5a6c9e8ea97e4b6ab2a219779b0adf4579cb6f1d3602"),
+            (["--n", "12", "--r", "6", "--d", "5", "--exhaustive"],
+             "24874aaebdcf1c79c4f0493f3d164c50453e5ff7d6903319dbbdbd227a525bc8"),
         ],
+        ids=["7-5-4-exhaustive", "12-3-2-samples", "12-3-4-exhaustive", "40-4-3-samples", "12-6-5-exhaustive"],
     )
-    def test_tally_fallback_is_reported_on_stderr(self, argv, note, tmp_path, capsys):
+    def test_report_bytes_kept_and_stderr_empty(self, argv, sha256, tmp_path, capsys):
+        # where a digest is given, r <= 2k-2 for some k: the terms read the display cut at the budget
         path = tmp_path / "report.json"
-        code, _, err = run(["stein-verify", *argv], capsys)
+        code, out, err = run(["stein-verify", *argv], capsys)
         assert code == 0
-        assert run(["stein-verify", *argv, "--out", str(path)], capsys)[2] == err
-        if note is None:
-            assert err == ""
-        else:
-            assert err.count("\n") == 1 and note in err, err
-        assert "note" not in path.read_text()
+        assert err == ""
+        assert run(["stein-verify", *argv, "--out", str(path)], capsys)[2] == ""
+        assert path.read_text() == out
+        if sha256 is not None:
+            assert hashlib.sha256(out.encode()).hexdigest() == sha256
 
     def test_mc_needs_two_samples(self, capsys):
         code, out, err = run(["stein-verify", "--n", "30", "--r", "15", "--d", "2", "--samples", "1"], capsys)

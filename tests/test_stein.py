@@ -25,7 +25,6 @@ from shortcycles.stein import (
     destruction_probability,
     destruction_probability_rearranged,
     event_tally,
-    tally_destruction_lengths,
     term_estimates_exact,
     term_estimates_mc,
     verify_closed_forms,
@@ -199,7 +198,7 @@ class TestTermEstimates:
 
     @pytest.mark.parametrize("n", range(2, 13))
     def test_exact_matches_tally_oracle(self, n):
-        # closed forms (with the tally fallback at r <= 2k-2) against the tally alone
+        # closed forms against the tally alone
         for r in range(2, n + 1):
             for d in range(1, r):
                 assert term_estimates_exact(n, r, d) == term_estimates_by_tally(n, r, d), (n, r, d)
@@ -210,7 +209,7 @@ class TestTermEstimates:
 
     @pytest.mark.parametrize("n,r,d", [(200, 40, 4), (50, 5, 4)])
     def test_mc_is_mean_of_exact_type_terms(self, n, r, d):
-        # (50, 5, 4) has r <= 2k-2 for k = 4, where destruction comes from the tally
+        # (50, 5, 4) has r <= 2k-2 for k = 4, where destruction reads the display cut at the budget
         samples = 60
         terms = term_estimates_mc(n, r, d, samples, np.random.default_rng(11))
         types = draw_cycle_types(SamplerConfig(n, r), samples, np.random.default_rng(11))
@@ -273,7 +272,7 @@ class TestCycleTypeCore:
 class TestIntegerTerms:
     @pytest.mark.parametrize("n", range(2, 11))
     def test_type_terms_match_tally_fractions(self, n):
-        # every cycle type and every d < r, the tally fallback (r <= 2k-2) included:
+        # every cycle type and every d < r, r <= 2k-2 included:
         # numerator / 2k(n-1) against the Fraction terms built from event_tally alone
         for r in range(2, n + 1):
             for lengths in cycle_types(n, r):
@@ -286,11 +285,18 @@ class TestIntegerTerms:
                         assert Fraction(up, 2 * k * (n - 1)) == abs(Fraction(1, k) - c_k * p_up), (lengths, r, d, k)
                         assert Fraction(down, 2 * k * (n - 1)) == abs(lengths.count(k) - c_k * p_down), (lengths, r, d, k)
 
-    def test_tally_destruction_lengths(self):
-        assert tally_destruction_lengths(5, 4) == (4,)
-        assert tally_destruction_lengths(3, 2) == ()
-        assert tally_destruction_lengths(2, 5) == (2, 3, 4, 5)
-        assert tally_destruction_lengths(400, 4) == ()
+    @pytest.mark.parametrize("n,r,d", [(40, 4, 3), (300, 10, 9), (120, 20, 15)])
+    def test_type_terms_match_tally_fractions_on_sampled_types(self, n, r, d):
+        # beyond enumeration, at points with r <= 2k-2 for some k, where the display over-counts
+        # and the terms rely on its cut at the length budget
+        assert r <= 2 * d - 2
+        for lengths in draw_cycle_types(SamplerConfig(n, r), 40, np.random.default_rng(27)):
+            tally = event_tally(lengths, r, (d,))
+            for k, (up, down) in enumerate(_type_terms(lengths, r, d), 1):
+                p_up, p_down = tally[(d, k)]
+                c_k = Fraction(n, 2 * k)
+                assert Fraction(up, 2 * k * (n - 1)) == abs(Fraction(1, k) - c_k * p_up), (lengths, k)
+                assert Fraction(down, 2 * k * (n - 1)) == abs(lengths.count(k) - c_k * p_down), (lengths, k)
 
     def test_wrappers_return_reduced_fractions(self):
         lengths = (1, 1, 2, 3, 3)
