@@ -59,8 +59,6 @@ from .sampling import (
     draw,
     draw_cycle_types,
     mcmc_step,
-    sample_cycle_type,
-    sample_sequential,
 )
 from .stein import (
     ClosedFormMismatch,

@@ -7,7 +7,8 @@ file the tool wrote).  All randomized subcommands are deterministic given
 written with sorted keys and no timestamps.
 
 Exit codes: 0 success, 1 validation error or unwritable output path,
-2 resource-cap error.
+2 resource cap, or memory the machine refused.  A warning a library call
+raises is printed to stderr as one ``warning:`` line.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ import json
 import math
 import re
 import sys
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -451,14 +453,21 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    try:
-        return args.handler(args)
-    except ResourceLimitError as exc:
-        print(f"resource cap: {exc}", file=sys.stderr)
-        return 2
-    except (ValueError, ArithmeticError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            return args.handler(args)
+        except ResourceLimitError as exc:
+            message, code = f"resource cap: {exc}", 2
+        except MemoryError as exc:
+            message, code = f"resource: {exc}", 2
+        except (ValueError, ArithmeticError, OSError) as exc:
+            message, code = f"error: {exc}", 1
+        finally:
+            for caught_warning in caught:
+                print(f"warning: {caught_warning.message}", file=sys.stderr)
+    print(message, file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

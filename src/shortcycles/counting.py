@@ -86,23 +86,25 @@ class WindowTable:
     """f(m) for m = 0..n_max: the fraction of the m! permutations of m
     elements whose cycle lengths all lie in the window (d, r].
 
-    d = 0 gives nu(m, r), 1 <= d <= r gives mu(m).  Exact mode holds the
-    integers ``scaled[m]`` = scale * f(m) and their common ``scale``
-    (n_max! from :func:`count_table`), read as f(m) through
-    :meth:`fraction` and as m! f(m) through :meth:`count`.  Double mode
-    holds only log f(m) (-inf where f(m) = 0), because deep in the tail
-    f(m) lies below the smallest double, and is read through
+    d = 0 gives nu(m, r), 1 <= d <= r gives mu(m).  Each mode has its own
+    readers, and a reader of the other mode raises ValueError naming the
+    right one.  Exact mode holds the integers ``scaled[m]`` = scale * f(m)
+    and their common ``scale`` (n_max! from :func:`count_table`), read as
+    f(m) through :meth:`fraction` and as m! f(m) through :meth:`count`.
+    Double mode holds only log f(m) (-inf where f(m) = 0), because deep in
+    the tail f(m) lies below the smallest double, and is read through
     :meth:`log_view`.
     """
 
     def __init__(self, d: int, r: int, mode: str, values, scale: int = 1):
+        if mode not in ("exact", "double"):
+            raise ValueError(f"unknown mode {mode!r}")
         self.d = d
         self.r = r
         self.mode = mode
         if mode == "exact":
             self.scaled = tuple(values)
             self.scale = scale
-            self._log = None
         else:
             self._log = np.asarray(values, dtype=np.float64)
             self._log.setflags(write=False)
@@ -128,12 +130,9 @@ class WindowTable:
         return value
 
     def log_view(self) -> np.ndarray:
-        """Read-only float64 array of log f(m), -inf where f(m) = 0 (cached in exact mode)."""
-        if self._log is None:
-            # from the reduced fraction: log_fraction of an unreduced p/q can differ in the last bit
-            arr = np.array([log_fraction(self.fraction(m)) for m in range(self.n_max + 1)], dtype=np.float64)
-            arr.setflags(write=False)
-            self._log = arr
+        """Read-only float64 array of log f(m), -inf where f(m) = 0 (double mode only)."""
+        if self.mode != "double":
+            raise ValueError("logs require double mode; read an exact table through fraction()")
         return self._log
 
 
@@ -325,6 +324,8 @@ class SparsePMF:
     """
 
     def __init__(self, d: int, counts: np.ndarray, masses, mode: str):
+        if mode not in ("exact", "double"):
+            raise ValueError(f"unknown mode {mode!r}")
         if len(masses) != len(counts):
             raise ValueError(f"{len(masses)} masses for {len(counts)} count vectors")
         self.d = d

@@ -6,8 +6,8 @@ Two routes to the same distribution, both on cycle types:
   left, the cycle through any fixed one of them has length k with
   probability nu(m-k, r) / (m * nu(m, r)); drawing one such length per
   cycle gives the cycle type with its exact law, in as many stages as
-  there are cycles (:func:`sample_cycle_type`).  While m > r a stage
-  proposes k uniformly on 1..r and accepts with probability
+  there are cycles.  While m > r a stage proposes k uniformly on 1..r
+  and accepts with probability
   nu(m-k, r) / nu(m-r, r) <= 1 (nu is non-increasing), so the law is
   never formed; that takes about xi(u) / (1 - e^-xi(u)) proposals deep in
   the tail, 6.5 at u = n/r = 100.  Once m <= r, nu(m-k, r) = 1 for every
@@ -36,15 +36,16 @@ Two routes to the same distribution, both on cycle types:
   ones.  One step is also the perturbation the event-probability
   identities in :mod:`shortcycles.stein` describe.
 
-Two entry points serve both methods, chosen by ``SamplerConfig.method``:
-:func:`draw_cycle_types` gives a list of cycle types and :func:`draw`
-gives labelled permutations as one ``(count, n)`` int64 array, row i the
-one-line notation of draw i; both take ``(cfg, count, rng)``.  Both read
-one checked stream of types: it builds the double log nu table, so no
-caller passes a table, and checks the count, the stage law and the entries
-m <= r once per batch.  :func:`draw` labels the types and checks that
-every row is a bijection in one array pass.  Wrap a row in a
-:class:`~shortcycles.permutations.Permutation` for its cycles.  All draws
+Every draw goes through one of two entry points, which serve both methods,
+chosen by ``SamplerConfig.method``: :func:`draw_cycle_types` gives a list
+of cycle types and :func:`draw` gives labelled permutations as one
+``(count, n)`` int64 array, row i the one-line notation of draw i; both
+take ``(cfg, count, rng)``, and no sampler takes a table.  Both read one
+checked stream of types: it builds the double log nu table and checks the
+count, the stage law and the entries m <= r once per batch.  :func:`draw`
+labels the types and checks that every row is a bijection in one array
+pass.  Wrap a row in a :class:`~shortcycles.permutations.Permutation` for
+its cycles.  All draws
 consume the numpy Generator the caller passes, and no config carries a
 seed; samplers never share mutable state.
 """
@@ -58,7 +59,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .counting import WindowTable, count_table, nu_ratios
+from .counting import count_table, nu_ratios
 from .permutations import cycle_type_size
 
 _UNIFORM_BLOCK = 64  # uniforms drawn per numpy call in _cycle_type; even, two per proposal
@@ -84,23 +85,28 @@ class SamplerConfig:
             raise ValueError(f"thinning must be >= 1, got {self.mcmc_thinning}")
 
 
-def _stage_logs(n: int, table: WindowTable) -> memoryview:
-    """The log nu entries the stages of a draw of n read, as a memoryview whose
-    items are Python floats, once the stage law at m = n (sum_k R(k)/n,
-    :func:`nu_ratios`) is found to sum to 1 and nu(m, r) = 1 for m <= min(n, r);
-    ``table`` must be a nu table covering n.  A batch of draws runs this once."""
-    total = np.add.reduce(nu_ratios(n, min(n, table.r), table)[1:]) / n
+def _stage_logs(n: int, r: int) -> memoryview:
+    """The log nu(m, r) entries the stages of a draw of n read, from one double
+    nu table, as a memoryview whose items are Python floats, once the stage law
+    at m = n (sum_k R(k)/n, :func:`nu_ratios`) is found to sum to 1 and
+    nu(m, r) = 1 for m <= min(n, r).  A batch of draws runs this once."""
+    table = count_table(n, r, "double")
+    total = np.add.reduce(nu_ratios(n, min(n, r), table)[1:]) / n
     if not abs(total - 1.0) <= 1e-9:
         raise ValueError(f"stage law sums to {total}, table looks inconsistent")
     logs = table.log_view()
     # the stages with m <= r accept every proposal without reading the table
-    if np.any(logs[: min(n, table.r) + 1] != 0.0):
-        raise ValueError(f"log nu(m, {table.r}) is not 0 for some m <= {min(n, table.r)}, table looks inconsistent")
+    if np.any(logs[: min(n, r) + 1] != 0.0):
+        raise ValueError(f"log nu(m, {r}) is not 0 for some m <= {min(n, r)}, table looks inconsistent")
     return memoryview(logs)
 
 
 def _cycle_type(n: int, r: int, logs: memoryview, rng: np.random.Generator) -> tuple[int, ...]:
-    """One draw of :func:`sample_cycle_type` from the checked entries ``logs``."""
+    """Cycle lengths, ascending, of one uniform draw of n elements with cycles <= r:
+    one stage per cycle, by rejection against the checked entries ``logs`` while
+    more than r elements are left, accepted at once after that.  A proposal ratio
+    above 1 raises ValueError.  Two uniforms per proposal, from blocks of
+    ``_UNIFORM_BLOCK``; the rest of the last block is dropped."""
     lengths = []
     uniforms: list[float] = []
     at = _UNIFORM_BLOCK  # empty: the first proposal fills the block
@@ -133,24 +139,6 @@ def _cycle_type(n: int, r: int, logs: memoryview, rng: np.random.Generator) -> t
     return tuple(sorted(lengths))
 
 
-def sample_cycle_type(n: int, rng: np.random.Generator, table: WindowTable) -> tuple[int, ...]:
-    """Cycle lengths of one uniform draw with all cycles <= r = ``table.r``, ascending.
-
-    One stage per cycle, drawn by rejection against two entries of the log
-    nu table ``table``, which must cover n, while more than r elements are
-    left, and accepted at once after that.  A stage law at m = n (sum_k R(k)/n,
-    :func:`nu_ratios`) that does not sum to 1, a log nu(m, r) other than 0 for
-    some m <= min(n, r), or a proposal ratio above 1, raises ValueError.
-    Uniforms come from ``rng`` in blocks of ``_UNIFORM_BLOCK``, two per
-    proposal; the unused rest of the last block is dropped.
-    The result is what ``cycle_structure(p).lengths`` gives for the
-    permutation drawn.
-    """
-    if n < 1:
-        raise ValueError(f"need n >= 1, got n={n}")
-    return _cycle_type(n, table.r, _stage_logs(n, table), rng)
-
-
 def _labelled(lengths: tuple[int, ...], rng: np.random.Generator) -> np.ndarray:
     """The int64 one-line row of a uniform permutation of the cycle type
     ``lengths``: one uniform arrangement of 0..n-1 cut into consecutive
@@ -164,12 +152,6 @@ def _labelled(lengths: tuple[int, ...], rng: np.random.Generator) -> np.ndarray:
     mapping = np.empty(n, dtype=np.int64)
     mapping[order] = order[successor]
     return mapping
-
-
-def sample_sequential(n: int, rng: np.random.Generator, table: WindowTable) -> np.ndarray:
-    """One exact uniform draw of n elements with cycles <= ``table.r`` as an
-    int64 one-line row: a cycle type, then a uniform labelling."""
-    return _labelled(sample_cycle_type(n, rng, table), rng)
 
 
 def _transposition_move(lengths: tuple[int, ...], a: int, b: int, r: int) -> tuple[int, ...]:
@@ -239,7 +221,7 @@ def _types(cfg: SamplerConfig, count: int, rng: np.random.Generator):
     if count < 0:
         raise ValueError("count must be >= 0")
     n, r = cfg.n, cfg.r
-    logs = _stage_logs(n, count_table(n, r, "double"))
+    logs = _stage_logs(n, r)
     if cfg.method == "sequential":
         return (_cycle_type(n, r, logs, rng) for _ in range(count))
     state = _cycle_type(n, r, logs, rng)
@@ -257,7 +239,7 @@ def _types(cfg: SamplerConfig, count: int, rng: np.random.Generator):
 def draw_cycle_types(cfg: SamplerConfig, count: int, rng: np.random.Generator) -> list[tuple[int, ...]]:
     """``count`` cycle types of uniform permutations with cycles <= r, by ``cfg.method``.
 
-    sequential gives independent :func:`sample_cycle_type` draws.  mcmc runs
+    sequential gives independent stage-by-stage draws.  mcmc runs
     ``cfg.mcmc_burn_in`` steps of the transposition walk from one such draw,
     then emits every ``cfg.mcmc_thinning``-th state: the chain a loop of
     :func:`mcmc_step` on ``rng`` runs, with its pairs drawn in blocks.  Every
@@ -271,8 +253,8 @@ def draw(cfg: SamplerConfig, count: int, rng: np.random.Generator) -> np.ndarray
     """``count`` labelled draws with the configured method, from ``rng``, as a
     ``(count, n)`` int64 array: row i is the one-line notation of draw i.
 
-    sequential labels each type as it is drawn, as :func:`sample_sequential`
-    does.  mcmc labels each type of :func:`draw_cycle_types` independently
+    sequential labels each type as it is drawn, so ``draw(cfg, 1, rng)``
+    called repeatedly spends ``rng`` as one batch does.  mcmc labels each type of :func:`draw_cycle_types` independently
     and uniformly, after the whole chain has run.  The stage law is checked
     once, and every row is checked to be a bijection in one pass at the end.
     """

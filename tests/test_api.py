@@ -2,6 +2,7 @@ import ast
 import dataclasses
 import inspect
 import re
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -9,10 +10,10 @@ import pytest
 
 import shortcycles
 from shortcycles import SamplerConfig, joint_pmf, tv_exact
-from shortcycles.counting import count_table
+from shortcycles.counting import SparsePMF, WindowTable, count_table
 from shortcycles.distances import PoissonSpec
 from shortcycles.permutations import CountsVector, Permutation, class_size, cycle_type_counts
-from shortcycles.sampling import mcmc_step, sample_cycle_type, sample_sequential
+from shortcycles.sampling import mcmc_step
 from shortcycles.stein import creation_probability
 
 
@@ -84,6 +85,24 @@ def test_one_cycle_type_sampler():
         assert not hasattr(shortcycles, name), name
         assert not hasattr(shortcycles.sampling, name), name
         assert not hasattr(shortcycles.permutations, name), name
+
+
+def test_no_sampler_takes_a_table():
+    # every draw goes through draw or draw_cycle_types, which build and check their own nu table
+    sampling = shortcycles.sampling
+    own = {
+        name: obj
+        for name, obj in vars(sampling).items()
+        if not name.startswith("_") and callable(obj) and getattr(obj, "__module__", None) == sampling.__name__
+    }
+    assert {"draw", "draw_cycle_types", "mcmc_step"} <= set(own)
+    assert [name for name, obj in own.items() if "table" in inspect.signature(obj).parameters] == []
+
+
+def test_exact_log_view_names_fraction():
+    # the mirror of a double table's fraction(): each mode has its own readers
+    with pytest.raises(ValueError, match=r"fraction\(\)"):
+        count_table(5, 2).log_view()
 
 
 def test_readme_lists_every_cap_the_code_reads():
@@ -186,8 +205,6 @@ def test_stein_terms_read_closed_forms_only():
         (lambda: tv_exact(joint_pmf(4, 2, 1), PoissonSpec.cycle_reference(1), precision=1), "got 1"),
         (lambda: tv_exact(joint_pmf(4, 2, 1), PoissonSpec.cycle_reference(1), precision=16), "got 16"),
         (lambda: mcmc_step((), 2, np.random.default_rng(0)), "state ()"),
-        (lambda: sample_cycle_type(0, np.random.default_rng(0), count_table(5, 2, "double")), "n=0"),
-        (lambda: sample_sequential(0, np.random.default_rng(0), count_table(5, 2, "double")), "n=0"),
         (lambda: cycle_type_counts(-1, 2), "n=-1"),
         (lambda: CountsVector.from_cycle_type((1, 2), -1), "d=-1"),
         (lambda: Permutation.from_cycle_type((0, 2)), "(0, 2)"),
@@ -199,14 +216,16 @@ def test_stein_terms_read_closed_forms_only():
         (lambda: mcmc_step((0, 3), 3, np.random.default_rng(0)), "(0, 3)"),
         (lambda: mcmc_step((3, 1, 2), 6, np.random.default_rng(0)), "(3, 1, 2)"),
         (lambda: joint_pmf(5, 3, 2).probability((0,)), "dimension 1 for a law of dimension d=2"),
+        (lambda: WindowTable(0, 3, "Double", np.zeros(4)), "unknown mode 'Double'"),
+        (lambda: SparsePMF(1, np.array([[0]]), [Fraction(1)], "Exact"), "unknown mode 'Exact'"),
     ],
     ids=[
         "creation-one-element", "creation-empty", "creation-zero-part", "creation-negative-part",
-        "tv-precision-1", "tv-precision-16", "mcmc-step-empty", "sample-cycle-type-n0",
-        "sample-sequential-n0", "cycle-type-counts-negative", "counts-vector-negative-d",
-        "permutation-zero-part", "counts-vector-zero-part", "counts-vector-negative-part",
-        "counts-vector-negative-entry", "class-size-zero-part", "class-size-negative-part",
-        "mcmc-step-zero-part", "mcmc-step-unsorted", "probability-wrong-dimension",
+        "tv-precision-1", "tv-precision-16", "mcmc-step-empty", "cycle-type-counts-negative",
+        "counts-vector-negative-d", "permutation-zero-part", "counts-vector-zero-part",
+        "counts-vector-negative-part", "counts-vector-negative-entry", "class-size-zero-part",
+        "class-size-negative-part", "mcmc-step-zero-part", "mcmc-step-unsorted", "probability-wrong-dimension",
+        "window-table-mode", "sparse-pmf-mode",
     ],
 )
 def test_edge_inputs_raise_value_error_naming_the_value(call, bad):

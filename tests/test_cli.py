@@ -1,9 +1,12 @@
 import csv
 import hashlib
+import itertools
 import json
 import math
 import subprocess
 import sys
+
+import warnings
 
 import numpy as np
 import pytest
@@ -812,6 +815,17 @@ class TestExitCodes:
 
     @pytest.mark.parametrize(
         "argv",
+        [["count", "--n", "1000000000000000", "--r", "5"], ["dickman", "rho", "--grid", "0", "1", "1e15"]],
+        ids=["count", "dickman-grid"],
+    )
+    def test_refused_allocation_is_two(self, argv, capsys):
+        # 10^15 doubles are 8 PB, beyond any user address space, so the allocation fails at once
+        code, out, err = run(argv, capsys)
+        assert (code, out) == (2, "")
+        assert err.startswith("resource: Unable to allocate") and err.count("\n") == 1, err
+
+    @pytest.mark.parametrize(
+        "argv",
         [
             ["pmf", "--n", "1000000", "--r", "10000", "--d", "5000", "--mode", "double"],
             ["stein-verify", "--n", "1000000", "--r", "10000", "--d", "3", "--exhaustive"],
@@ -862,3 +876,77 @@ class TestExitCodes:
         )
         assert result.returncode == 0
         assert "5/12" in result.stdout
+
+
+class TestWarnings:
+    RATIO = ["dickman", "ratio", "--t", "7", "--v", "7"]
+    NOTE = "warning: v=7.0 is large; the exponential prediction assumes v = O(1)\n"
+
+    def test_library_warning_is_one_stderr_line(self, capsys):
+        code, out, err = run(self.RATIO, capsys)
+        assert (code, err) == (0, self.NOTE)
+        assert out.startswith("ratio = ")
+
+    def test_warnings_as_errors_still_print_the_line(self, src_env, capsys):
+        result = subprocess.run(
+            [sys.executable, "-m", "shortcycles", *self.RATIO],
+            env={**src_env, "PYTHONWARNINGS": "error"}, capture_output=True, text=True, timeout=60,
+        )
+        assert (result.returncode, result.stderr) == (0, self.NOTE)
+        assert result.stdout == run(self.RATIO, capsys)[1]
+
+    def test_warning_before_a_failure_is_printed_too(self, monkeypatch, capsys):
+        def warn_then_fail(t, v, ev):
+            warnings.warn("first this")
+            raise ValueError("then this")
+
+        monkeypatch.setattr(cli, "rho_ratio_check", warn_then_fail)
+        assert run(self.RATIO, capsys) == (1, "", "warning: first this\nerror: then this\n")
+
+
+GRID_VALUES = ("-1", "0", "1", "3", "7", "nan")
+GRID_COMMANDS = {  # fixed argv, then the grid options the command takes
+    "count": (["count"], ("--n", "--r")),
+    "count-exact": (["count", "--exact"], ("--n", "--r")),
+    "pmf-exact": (["pmf"], ("--n", "--r", "--d")),
+    "pmf-double": (["pmf", "--mode", "double"], ("--n", "--r", "--d")),
+    "sample-types": (["sample"], ("--n", "--r", "--count")),
+    "sample-full": (["sample", "--full"], ("--n", "--r", "--count")),
+    "sample-mcmc": (["sample", "--method", "mcmc"], ("--n", "--r", "--count")),
+    "tv-exact": (["tv"], ("--n", "--r", "--d")),
+    "tv-mc": (["tv", "--mode", "mc"], ("--n", "--r", "--d", "--samples")),
+    "stein-verify-exhaustive": (["stein-verify", "--exhaustive"], ("--n", "--r", "--d")),
+    "stein-verify-samples": (["stein-verify"], ("--n", "--r", "--d", "--samples")),
+    "bound": (["bound"], ("--n", "--r", "--d")),
+    "sweep": (["sweep"], ("--n", "--r", "--d")),
+    "dickman-rho": (["dickman", "rho"], ("--t",)),
+    "dickman-xi": (["dickman", "xi"], ("--t",)),
+    "dickman-ratio": (["dickman", "ratio"], ("--t", "--v")),
+    "dickman-gamma-check": (["dickman", "gamma-check"], ("--t",)),
+}
+STDERR_PREFIXES = ("error:", "resource cap:", "resource:", "warning:", "usage:", "shortcycles")
+
+
+@pytest.mark.parametrize("command", sorted(GRID_COMMANDS))
+def test_argv_grid_never_escapes_main(command, tmp_path, capsys):
+    # every value of the grid in every option: an answer, or exit 1 or 2 with a one-line reason,
+    # and no exception or warning leaves main; indented lines continue argparse's usage text
+    fixed, options = GRID_COMMANDS[command]
+    if command == "sweep":
+        fixed = [*fixed, "--out", str(tmp_path / "sweep.csv")]
+    escaped = []
+    for values in itertools.product(GRID_VALUES, repeat=len(options)):
+        argv = [*fixed, *itertools.chain.from_iterable(zip(options, values))]
+        with warnings.catch_warnings(record=True) as leaked:
+            warnings.simplefilter("always")
+            try:
+                code, _, err = run(argv, capsys)
+            except (Exception, SystemExit) as exc:
+                escaped.append((argv, repr(exc)))
+                continue
+        if leaked:
+            escaped.append((argv, [str(caught.message) for caught in leaked]))
+        stray = [line for line in err.splitlines() if not line.startswith((*STDERR_PREFIXES, " "))]
+        if code not in (0, 1, 2) or stray:
+            escaped.append((argv, code, stray))
+    assert escaped == []

@@ -29,7 +29,6 @@ from shortcycles.counting import (
 )
 from shortcycles.errors import ResourceLimitError
 from shortcycles.permutations import CountsVector, cycle_type_counts
-from shortcycles.sampling import sample_cycle_type
 
 
 class TestCountTable:
@@ -143,8 +142,6 @@ class TestExactTableOracle:
                 assert table.scale == math.factorial(n_max)
                 assert list(map(table.fraction, range(n_max + 1))) == want
                 assert [table.count(m) for m in range(n_max + 1)] == [f * math.factorial(m) for m, f in enumerate(want)]
-                # logs of the reduced fractions: log_fraction of an unreduced p/q can move the last bit
-                assert table.log_view().tobytes() == np.array(list(map(log_fraction, want))).tobytes()
                 if d == 0:
                     assert nu_ratios(n_max, n_max, table) == [want[n_max - m] / want[n_max] for m in range(n_max + 1)]
 
@@ -157,7 +154,8 @@ class TestExactTableOracle:
 
 def assert_logs_close(double, exact, rel=1e-10):
     """log f agrees to ``rel`` relative (0 exactly where log f = 0), and f to ``rel`` relative."""
-    got, want = double.log_view(), exact.log_view()[: double.n_max + 1]
+    got = double.log_view()
+    want = np.array([log_fraction(exact.fraction(m)) for m in range(double.n_max + 1)])
     assert got.shape == want.shape
     zero = want == -np.inf
     assert np.array_equal(got == -np.inf, zero)
@@ -305,7 +303,6 @@ class TestNuTableCheck:
         "nu_ratios": lambda t: nu_ratios(30, 12, t),
         "factorial_moment": lambda t: factorial_moment(30, (1, 2), t),
         "factorial_moment_zero": lambda t: factorial_moment(30, (0,) * 12 + (1,), t),
-        "sample": lambda t: sample_cycle_type(30, np.random.default_rng(0), t),
     }
 
     @pytest.mark.parametrize("mode", ["exact", "double"])

@@ -1,5 +1,5 @@
 """The benchmark harness still runs: every workload at smoke size, all checks pass, and every
-per-layer metric but the two dead stage-law spans finds a function to trace."""
+per-layer metric but the four dead sequential and stage-law spans finds a function to trace."""
 
 import importlib.util
 import subprocess
@@ -17,9 +17,9 @@ def test_perfbench_smoke():
     assert result.returncode == 0, result.stdout[-4000:] + result.stderr[-4000:]
 
 
-def test_only_the_two_dead_spans_lack_a_traced_function():
+def test_only_the_four_dead_spans_lack_a_traced_function():
     # a renamed or removed sampler function would silently turn its per-layer
-    # metric absent; the two stage-law spans name a function that is gone
+    # metric absent; the sequential and stage-law spans name functions that are gone
     import shortcycles.cli  # noqa: F401  loads every layer module
 
     spec = importlib.util.spec_from_file_location("perfbench_tracing", ROOT / "perfbench" / "tracing.py")
@@ -28,6 +28,8 @@ def test_only_the_two_dead_spans_lack_a_traced_function():
     tracer = tracing.Tracer()
     tracer.install("shortcycles")
     try:
-        assert tracing.layer_metrics({}, Counter(), tracer.present)[1] == ["sampling.stage_law_s", "sampling.stages"]
+        assert tracing.layer_metrics({}, Counter(), tracer.present)[1] == [
+            "sampling.sequential_s", "sampling.sequential_draws", "sampling.stage_law_s", "sampling.stages"
+        ]
     finally:
         tracer.uninstall()

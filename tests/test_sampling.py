@@ -37,8 +37,6 @@ from shortcycles.sampling import (
     draw,
     draw_cycle_types,
     mcmc_step,
-    sample_cycle_type,
-    sample_sequential,
 )
 from shortcycles.stein import _transposition_effects
 
@@ -107,11 +105,11 @@ class TestLabelledRows:
         assert draw(cfg, 0, np.random.default_rng(2)).shape == (0, 12)
 
     def test_rows_equal_sequential_draws_one_at_a_time(self):
-        # a batch calls the generator as successive sample_sequential calls do
-        table = count_table(40, 6, "double")
+        # a batch calls the generator as successive one-row draws on it do
+        cfg = SamplerConfig(40, 6)
         rng = np.random.default_rng(8)
-        one_at_a_time = [sample_sequential(40, rng, table) for _ in range(6)]
-        assert np.array_equal(draw(SamplerConfig(40, 6), 6, np.random.default_rng(8)), one_at_a_time)
+        one_at_a_time = [draw(cfg, 1, rng)[0] for _ in range(6)]
+        assert np.array_equal(draw(cfg, 6, np.random.default_rng(8)), one_at_a_time)
 
     @pytest.mark.parametrize("row", [[0, 0, 2], [0, 1, 3], [0, -1, 2]], ids=["repeat", "too-large", "negative"])
     def test_a_row_that_is_no_bijection_is_rejected(self, row, monkeypatch):
@@ -129,12 +127,12 @@ class TestCycleType:
         assert type_law_pvalue(draws, n, r) >= 1e-3
 
     def test_sequential_draw_relabels_the_sampled_type(self):
-        table = count_table(40, 6)
+        cfg = SamplerConfig(40, 6)
         for seed in range(5):
-            row = sample_sequential(40, np.random.default_rng(seed), table)
+            row = draw(cfg, 1, np.random.default_rng(seed))[0]
             assert row.dtype == np.int64 and row.shape == (40,)
             p = Permutation(row.tolist())
-            assert cycle_structure(p).lengths == sample_cycle_type(40, np.random.default_rng(seed), table)
+            assert [cycle_structure(p).lengths] == draw_cycle_types(cfg, 1, np.random.default_rng(seed))
 
     def test_deep_tail_double_table(self):
         # u = 50: the stage law still sums to 1, and every type is a partition of n
@@ -142,26 +140,6 @@ class TestCycleType:
         assert first_element_cycle_length_pmf(1000, table).sum() == pytest.approx(1.0, abs=1e-12)
         for lengths in draw_cycle_types(SamplerConfig(1000, 20), 5, np.random.default_rng(3)):
             assert sum(lengths) == 1000 and max(lengths) <= 20 and list(lengths) == sorted(lengths)
-
-    def test_table_must_cover(self):
-        with pytest.raises(ValueError):
-            sample_cycle_type(10, np.random.default_rng(0), count_table(9, 3))
-
-    @pytest.mark.parametrize("mode", ["exact", "double"])
-    def test_table_must_be_a_nu_table(self, mode):
-        # a mu table for the window (d, r] has the right r but is not nu
-        for d in (1, 2, 3):
-            with pytest.raises(ValueError, match="does not cover"):
-                sample_cycle_type(30, np.random.default_rng(0), count_table(30, 6, mode, d=d))
-        lengths = sample_cycle_type(30, np.random.default_rng(0), count_table(30, 6, mode, d=0))
-        assert sum(lengths) == 30 and max(lengths) <= 6
-
-    def test_inconsistent_table_is_rejected(self):
-        # entries with the wrong total at m = n fail the once-per-draw check
-        logs = np.array(count_table(60, 10, "double").log_view())
-        logs[50:60] -= 1.0
-        with pytest.raises(ValueError, match="stage law sums to .* table looks inconsistent"):
-            sample_cycle_type(60, np.random.default_rng(0), WindowTable(0, 10, "double", logs))
 
     @pytest.mark.parametrize("labelled", [False, True], ids=["types", "labelled"])
     @pytest.mark.parametrize("method", ["sequential", "mcmc"])
@@ -189,12 +167,13 @@ class TestCycleType:
             (draw if labelled else draw_cycle_types)(SamplerConfig(60, 10, method), 5, rng)
         assert rng.bit_generator.state == state
 
-    def test_corrupt_entries_above_r_raise_in_the_stage_loop(self):
+    def test_corrupt_entries_above_r_raise_in_the_stage_loop(self, monkeypatch):
         # entries 0..r and the stage law at m = n are intact, so only a proposal ratio can catch the rest
         logs = np.array(count_table(60, 10, "double").log_view())
         logs[11:50] = np.nan
+        monkeypatch.setattr(sampling, "count_table", lambda n_max, r, mode: WindowTable(0, r, mode, logs))
         with pytest.raises(ValueError, match="nu ratio nan at .* table looks inconsistent"):
-            sample_cycle_type(60, np.random.default_rng(0), WindowTable(0, 10, "double", logs))
+            draw_cycle_types(SamplerConfig(60, 10), 1, np.random.default_rng(0))
 
     @pytest.mark.parametrize(
         "n,r", [(7, 1), (9, 9), (1, 1), (500, 100), (2000, 400), (1000, 20), (3000, 30), (10**5, 10**4)]
@@ -228,14 +207,14 @@ class TestCycleType:
         # so the second stage proposes against it and must raise, not loop
         script = f"""
 import numpy as np
+from shortcycles import sampling
 from shortcycles.counting import WindowTable, count_table
-from shortcycles.sampling import sample_cycle_type
 logs = np.array(count_table(60, 10, "double").log_view())
 logs[:50] = np.nan if {corruption!r} == "nan" else np.arange(50.0)
-table = WindowTable(0, 10, "double", logs)
+sampling.count_table = lambda n_max, r, mode: WindowTable(0, r, mode, logs)
 for seed in range(20):
     try:
-        sample_cycle_type(60, np.random.default_rng(seed), table)
+        sampling.draw_cycle_types(sampling.SamplerConfig(60, 10), 1, np.random.default_rng(seed))
     except ValueError as exc:
         assert "table looks inconsistent" in str(exc), exc
     else:
@@ -361,7 +340,7 @@ class TestMcmc:
         rng = np.random.default_rng(17)
         types = draw_cycle_types(cfg, count, rng)
         loop_rng = np.random.default_rng(17)
-        state = sample_cycle_type(n, loop_rng, count_table(n, r, "double"))
+        state = draw_cycle_types(SamplerConfig(n, r), 1, loop_rng)[0]
         for _ in range(burn_in):
             state = mcmc_step(state, r, loop_rng)
         want = []
@@ -377,7 +356,7 @@ class TestMcmc:
         rng = np.random.default_rng(4)
         assert draw_cycle_types(cfg, 3, rng) == [(1,)] * 3
         start_only = np.random.default_rng(4)
-        sample_cycle_type(1, start_only, count_table(1, 1, "double"))
+        draw_cycle_types(SamplerConfig(1, 1), 1, start_only)
         assert rng.random() == start_only.random()
 
 
