@@ -14,7 +14,6 @@ raises is printed to stderr as one ``warning:`` line.
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
 import itertools
 import json
@@ -101,7 +100,7 @@ def _record_json(record, **renames: str) -> dict:
     out, and any other value as it is."""
     return {
         renames.get(name, name): _fraction_str(value) if isinstance(value, Fraction) else value
-        for name, value in vars(record).items()
+        for name, value in zip(record._fields, record)
         if value is not None
     }
 
@@ -316,6 +315,8 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_check(args) -> int:
+    import csv  # only this command parses CSV; the writers format lines themselves
+
     path = str(args.file)
     # a --full row holds all n images, so a field can pass the csv module's
     # 128 kB default; lift the process-wide limit only while this file is read

@@ -42,10 +42,9 @@ import warnings
 from array import array
 from collections import Counter
 from collections.abc import Mapping, Sequence
-from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
-from typing import Iterator, Union
+from typing import Iterator, NamedTuple, Union
 
 import numpy as np
 
@@ -499,8 +498,7 @@ def brute_force_pmf(n: int, r: int, d: int) -> SparsePMF:
     return SparsePMF(d, np.array(rows, dtype=np.int64), [Fraction(tally[row], kept) for row in rows], "exact")
 
 
-@dataclass(frozen=True)
-class RatioReport:
+class RatioReport(NamedTuple):
     """Consecutive-argument ratio of nu against its exponential prediction.
 
     No pass/fail: the error constant in the prediction is not pinned down,

@@ -52,12 +52,11 @@ plain function :func:`xi`.
 from __future__ import annotations
 
 import math
-import os
 import threading
 import warnings
-from dataclasses import dataclass
+from typing import NamedTuple
 
-from .errors import ResourceLimitError
+from .errors import ResourceLimitError, env_cap
 
 PANEL_TERMS = 64
 # about 2 kB and 35 us per panel; the paper's regime needs u = n/r up to a few hundred
@@ -75,7 +74,7 @@ GAMMA_BOUND_SLACK = 1e-10
 
 def panel_cap() -> int:
     """Most unit panels an evaluator builds (rho on [0, cap]); override with SHORTCYCLES_DICKMAN_PANEL_CAP."""
-    return int(os.environ.get("SHORTCYCLES_DICKMAN_PANEL_CAP", DEFAULT_PANEL_CAP))
+    return env_cap("SHORTCYCLES_DICKMAN_PANEL_CAP", DEFAULT_PANEL_CAP)
 
 
 class DickmanEvaluator:
@@ -204,8 +203,7 @@ def _xi_series(excess: float) -> float:
     raise ArithmeticError(f"xi failed to converge for t={1.0 + excess}")
 
 
-@dataclass(frozen=True)
-class RhoRatioReport:
+class RhoRatioReport(NamedTuple):
     """rho(t-v)/rho(t) against exp(v*xi(t)); the gap is reported, not judged."""
 
     t: float
@@ -230,8 +228,7 @@ def rho_ratio_check(t: float, v: float, evaluator: DickmanEvaluator) -> RhoRatio
     return RhoRatioReport(t, v, ratio, predicted, gap)
 
 
-@dataclass(frozen=True)
-class GammaBoundReport:
+class GammaBoundReport(NamedTuple):
     """Check of rho(t) <= 1 / Gamma(t+1), performed in log space."""
 
     t: float

@@ -40,10 +40,9 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
 from decimal import Decimal, localcontext
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -51,15 +50,24 @@ from .counting import SparsePMF, count_table
 from .permutations import CountsVector
 
 
-@dataclass(frozen=True)
-class PoissonSpec:
-    """Independent Poisson coordinates with the given means."""
-
+class _PoissonFields(NamedTuple):
     means: tuple[float, ...]
 
-    def __post_init__(self):
-        if not self.means or not all(0 < m < math.inf for m in self.means):
-            raise ValueError(f"means must be finite, positive and non-empty, got {self.means}")
+
+class PoissonSpec(_PoissonFields):
+    """Independent Poisson coordinates with the given means."""
+
+    __slots__ = ()
+
+    def __new__(cls, means: tuple[float, ...]):
+        if not means or not all(0 < m < math.inf for m in means):
+            raise ValueError(f"means must be finite, positive and non-empty, got {means}")
+        return super().__new__(cls, means)
+
+    @classmethod
+    def _make(cls, iterable) -> "PoissonSpec":
+        # _replace builds through _make and unpickling through __new__, so both validate
+        return cls(*iterable)
 
     @property
     def d(self) -> int:
@@ -194,8 +202,7 @@ def _require_normalized(pmf: SparsePMF) -> None:
         raise ValueError(f"pmf is not normalized (total {total})")
 
 
-@dataclass(frozen=True)
-class TvEstimate:
+class TvEstimate(NamedTuple):
     value: float
     stderr: float
     sample_count: int
@@ -252,8 +259,7 @@ def harmonic_number(d: int) -> float:
     return math.fsum(1.0 / k for k in range(1, d + 1))
 
 
-@dataclass(frozen=True)
-class BoundBreakdown:
+class BoundBreakdown(NamedTuple):
     """The refined bound split into its three summands (total = their sum)."""
 
     n: int

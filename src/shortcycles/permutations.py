@@ -13,12 +13,10 @@ from __future__ import annotations
 
 import itertools
 import math
-import os
 from collections import Counter
-from dataclasses import dataclass
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterator, NamedTuple, Sequence
 
-from .errors import ResourceLimitError
+from .errors import ResourceLimitError, env_cap
 
 DEFAULT_BRUTE_FORCE_CAP = 10
 DEFAULT_SUPPORT_CAP = 10**7
@@ -26,12 +24,12 @@ DEFAULT_SUPPORT_CAP = 10**7
 
 def brute_force_cap() -> int:
     """Largest n brute-force enumeration accepts; override with SHORTCYCLES_BRUTE_FORCE_CAP."""
-    return int(os.environ.get("SHORTCYCLES_BRUTE_FORCE_CAP", DEFAULT_BRUTE_FORCE_CAP))
+    return env_cap("SHORTCYCLES_BRUTE_FORCE_CAP", DEFAULT_BRUTE_FORCE_CAP)
 
 
 def support_cap() -> int:
     """Most cycle types, or joint-law support vectors, one call visits; override with SHORTCYCLES_SUPPORT_CAP."""
-    return int(os.environ.get("SHORTCYCLES_SUPPORT_CAP", DEFAULT_SUPPORT_CAP))
+    return env_cap("SHORTCYCLES_SUPPORT_CAP", DEFAULT_SUPPORT_CAP)
 
 
 def cycle_type_size(lengths: Sequence[int], r: int | None = None) -> int:
@@ -92,8 +90,7 @@ class Permutation:
         return f"Permutation({list(self.mapping)})"
 
 
-@dataclass(frozen=True)
-class CycleStructure:
+class CycleStructure(NamedTuple):
     """Disjoint cycles of a permutation, sorted by smallest element.
 
     Each cycle is written starting from its smallest element and following
@@ -109,15 +106,24 @@ class CycleStructure:
         return sum(self.lengths)
 
 
-@dataclass(frozen=True)
-class CountsVector:
-    """Counts of cycles by length: ``counts[k-1]`` cycles of length k, k <= d."""
-
+class _CountsFields(NamedTuple):
     counts: tuple[int, ...]
 
-    def __post_init__(self):
-        if self.counts and min(self.counts) < 0:
-            raise ValueError(f"count vector {self.counts} has a negative entry")
+
+class CountsVector(_CountsFields):
+    """Counts of cycles by length: ``counts[k-1]`` cycles of length k, k <= d."""
+
+    __slots__ = ()
+
+    def __new__(cls, counts: tuple[int, ...]):
+        if counts and min(counts) < 0:
+            raise ValueError(f"count vector {counts} has a negative entry")
+        return super().__new__(cls, counts)
+
+    @classmethod
+    def _make(cls, iterable) -> "CountsVector":
+        # _replace builds through _make and unpickling through __new__, so both validate
+        return cls(*iterable)
 
     @property
     def d(self) -> int:

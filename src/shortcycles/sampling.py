@@ -55,7 +55,7 @@ from __future__ import annotations
 import itertools
 import math
 from bisect import bisect_right, insort
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -66,23 +66,32 @@ _UNIFORM_BLOCK = 64  # uniforms drawn per numpy call in _cycle_type; even, two p
 _PAIR_BLOCK = 4096  # ordered pairs drawn per numpy call by the walk
 
 
-@dataclass(frozen=True)
-class SamplerConfig:
+class _SamplerFields(NamedTuple):
     n: int
     r: int
-    method: str = "sequential"  # sequential | mcmc
-    mcmc_burn_in: int = 0
-    mcmc_thinning: int = 1
+    method: str  # sequential | mcmc
+    mcmc_burn_in: int
+    mcmc_thinning: int
 
-    def __post_init__(self):
-        if not 1 <= self.r <= self.n:
-            raise ValueError(f"need 1 <= r <= n, got r={self.r}, n={self.n}")
-        if self.method not in ("sequential", "mcmc"):
-            raise ValueError(f"unknown method {self.method!r}")
-        if self.mcmc_burn_in < 0:
-            raise ValueError(f"burn-in must be >= 0, got {self.mcmc_burn_in}")
-        if self.mcmc_thinning < 1:
-            raise ValueError(f"thinning must be >= 1, got {self.mcmc_thinning}")
+
+class SamplerConfig(_SamplerFields):
+    __slots__ = ()
+
+    def __new__(cls, n: int, r: int, method: str = "sequential", mcmc_burn_in: int = 0, mcmc_thinning: int = 1):
+        if not 1 <= r <= n:
+            raise ValueError(f"need 1 <= r <= n, got r={r}, n={n}")
+        if method not in ("sequential", "mcmc"):
+            raise ValueError(f"unknown method {method!r}")
+        if mcmc_burn_in < 0:
+            raise ValueError(f"burn-in must be >= 0, got {mcmc_burn_in}")
+        if mcmc_thinning < 1:
+            raise ValueError(f"thinning must be >= 1, got {mcmc_thinning}")
+        return super().__new__(cls, n, r, method, mcmc_burn_in, mcmc_thinning)
+
+    @classmethod
+    def _make(cls, iterable) -> "SamplerConfig":
+        # _replace builds through _make and unpickling through __new__, so both validate
+        return cls(*iterable)
 
 
 def _stage_logs(n: int, r: int) -> memoryview:

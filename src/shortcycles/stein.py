@@ -77,9 +77,8 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 import numpy as np
 
@@ -248,8 +247,7 @@ def destruction_probability_rearranged(lengths: tuple[int, ...], k: int, d: int,
 CLOSED_FORMS = ("creation", "destruction", "destruction_rearranged")  # the closed forms checked against the tally
 
 
-@dataclass(frozen=True)
-class ClosedFormMismatch:
+class ClosedFormMismatch(NamedTuple):
     n: int
     r: int
     d: int
@@ -261,15 +259,14 @@ class ClosedFormMismatch:
     class_size: int  # permutations of that cycle type, all sharing the verdict
 
 
-@dataclass
-class ClosedFormReport:
+class ClosedFormReport(NamedTuple):
     """Exhaustive closed-form vs enumeration comparison over a state space."""
 
     n: int
     r: int
     d_max: int
-    checked: int = 0
-    mismatches: list[ClosedFormMismatch] = field(default_factory=list)
+    checked: int
+    mismatches: list[ClosedFormMismatch]
 
     def mismatch_count(self, which: str) -> int:
         return sum(m.class_size for m in self.mismatches if m.which == which)
@@ -284,19 +281,20 @@ def verify_closed_forms(n: int, r: int, d_max: int) -> ClosedFormReport:
     """
     if not 1 <= r <= n:
         raise ValueError(f"need 1 <= r <= n, got r={r}, n={n}")
-    report = ClosedFormReport(n, r, d_max)
     ds = range(1, min(d_max, r - 1) + 1)
+    checked = 0
+    mismatches = []
     for lengths in cycle_types(n, r):
         size = class_size(lengths)
-        report.checked += size * sum(ds)
+        checked += size * sum(ds)
         gaps = _closed_form_gaps(lengths, r, ds)
         if gaps:
             witness = Permutation.from_cycle_type(lengths).mapping
-            report.mismatches.extend(
+            mismatches.extend(
                 ClosedFormMismatch(n, r, d, k, which, witness, enumerated, formula, size)
                 for d, k, which, enumerated, formula in gaps
             )
-    return report
+    return ClosedFormReport(n, r, d_max, checked, mismatches)
 
 
 def _closed_form_gaps(lengths: tuple[int, ...], r: int, ds: range):
@@ -324,8 +322,7 @@ def _closed_form_gaps(lengths: tuple[int, ...], r: int, ds: range):
     return gaps
 
 
-@dataclass(frozen=True)
-class TermRow:
+class TermRow(NamedTuple):
     k: int
     creation_term: Fraction | float
     destruction_term: Fraction | float
@@ -333,8 +330,7 @@ class TermRow:
     destruction_se: float | None = None
 
 
-@dataclass(frozen=True)
-class TermEstimates:
+class TermEstimates(NamedTuple):
     """Per-length terms of the assembled total-variation upper bound."""
 
     n: int

@@ -1,5 +1,4 @@
 import ast
-import dataclasses
 import inspect
 import re
 from fractions import Fraction
@@ -10,9 +9,10 @@ import pytest
 
 import shortcycles
 from shortcycles import SamplerConfig, joint_pmf, tv_exact
-from shortcycles.counting import SparsePMF, WindowTable, count_table
+from shortcycles.counting import SparsePMF, WindowTable, brute_force_count, count_table
+from shortcycles.dickman import DickmanEvaluator
 from shortcycles.distances import PoissonSpec
-from shortcycles.permutations import CountsVector, Permutation, class_size, cycle_type_counts
+from shortcycles.permutations import CountsVector, Permutation, class_size, cycle_type_counts, cycle_types
 from shortcycles.sampling import mcmc_step
 from shortcycles.stein import creation_probability
 
@@ -50,7 +50,7 @@ def test_generators_and_evaluators_are_always_passed():
 
 
 def test_sampler_config_carries_no_seed():
-    assert "seed" not in {field.name for field in dataclasses.fields(SamplerConfig)}
+    assert "seed" not in SamplerConfig._fields
 
 
 def test_one_door_to_rho_and_xi():
@@ -106,19 +106,38 @@ def test_exact_log_view_names_fraction():
 
 
 def test_readme_lists_every_cap_the_code_reads():
-    # the SHORTCYCLES_* variables read from os.environ are the caps contract of the README
+    # the SHORTCYCLES_* variables read through errors.env_cap, the one reader of
+    # os.environ, are the caps contract of the README
     package = Path(shortcycles.__file__).parent
-    read = {
-        node.args[0].value
+    calls = [
+        (path.stem, node)
         for path in package.glob("*.py")
         for node in ast.walk(ast.parse(path.read_text()))
         if isinstance(node, ast.Call)
-        and ast.unparse(node.func) in ("os.environ.get", "os.getenv")
-        and isinstance(node.args[0], ast.Constant)
-    }
+    ]
+    environ = {stem for stem, node in calls if ast.unparse(node.func) in ("os.environ.get", "os.getenv")}
+    assert environ == {"errors"}
+    read = {node.args[0].value for _, node in calls if ast.unparse(node.func) == "env_cap"}
     readme = (package.parent.parent / "README.md").read_text()
     contract = re.search(r"^- resource caps are set only through .*?(?=^- )", readme, re.M | re.S).group(0)
     assert read == set(re.findall(r"`(SHORTCYCLES_\w+)`", contract))
+
+
+@pytest.mark.parametrize("value", ["abc", "1.5", "-1", "0"])
+@pytest.mark.parametrize(
+    "variable,call",
+    [
+        ("SHORTCYCLES_SUPPORT_CAP", lambda: next(cycle_types(9, 3))),
+        ("SHORTCYCLES_SUPPORT_CAP", lambda: joint_pmf(8, 4, 2)),
+        ("SHORTCYCLES_BRUTE_FORCE_CAP", lambda: brute_force_count(4, 2)),
+        ("SHORTCYCLES_DICKMAN_PANEL_CAP", lambda: DickmanEvaluator().log_rho(5.0)),
+    ],
+    ids=["support-types", "support-pmf", "brute-force", "dickman-panels"],
+)
+def test_cap_that_is_not_a_positive_integer_is_rejected_by_name(variable, call, value, monkeypatch):
+    monkeypatch.setenv(variable, value)
+    with pytest.raises(ValueError, match=f"^{variable} must be a positive integer, got {re.escape(repr(value))}$"):
+        call()
 
 
 def test_private_names_stay_in_their_module():

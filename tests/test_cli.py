@@ -801,6 +801,14 @@ class TestParser:
         assert out == fresh.stdout
 
 
+class TestImport:
+    def test_leaves_out_dataclasses_and_csv(self, src_env):
+        # the result records are NamedTuples, and only check reads CSV; numpy imports neither module
+        script = "import sys, shortcycles.cli; print(sorted({'dataclasses', 'csv'} & set(sys.modules)))"
+        result = subprocess.run([sys.executable, "-c", script], env=src_env, capture_output=True, text=True, timeout=60)
+        assert (result.returncode, result.stdout, result.stderr) == (0, "[]\n", "")
+
+
 class TestExitCodes:
     def test_validation_error_is_one(self, capsys):
         assert run(["count", "--n", "4", "--r", "0"], capsys)[0] == 1
@@ -812,6 +820,20 @@ class TestExitCodes:
     def test_resource_cap_is_two(self, capsys, monkeypatch):
         monkeypatch.setenv("SHORTCYCLES_SUPPORT_CAP", "3")
         assert run(["pmf", "--n", "10", "--r", "5", "--d", "2"], capsys)[0] == 2
+
+    @pytest.mark.parametrize("value", ["abc", "1.5", "-1", "0"])
+    @pytest.mark.parametrize(
+        "variable,argv",
+        [
+            ("SHORTCYCLES_SUPPORT_CAP", ["pmf", "--n", "8", "--r", "4", "--d", "2"]),
+            ("SHORTCYCLES_DICKMAN_PANEL_CAP", ["dickman", "rho", "--t", "5"]),
+        ],
+        ids=["support", "panel"],
+    )
+    def test_cap_that_is_not_a_positive_integer_is_one(self, variable, argv, value, capsys, monkeypatch):
+        # no command enumerates by brute force, so SHORTCYCLES_BRUTE_FORCE_CAP is checked in test_api
+        monkeypatch.setenv(variable, value)
+        assert run(argv, capsys) == (1, "", f"error: {variable} must be a positive integer, got {value!r}\n")
 
     @pytest.mark.parametrize(
         "argv",
