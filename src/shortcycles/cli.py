@@ -21,18 +21,14 @@ import math
 import re
 import sys
 import warnings
+from decimal import Decimal
 from fractions import Fraction
 
-import numpy as np
-
+# only the standard library and errors here: each handler imports the modules
+# it uses when it runs, and numpy only where it builds an array, so --version
+# and the dickman point queries never load numpy
 from . import __version__
-from .counting import count_table, int_str, joint_pmf, log_fraction, table_mode
-from .dickman import DickmanEvaluator, gamma_bound_check, rho_ratio_check, xi
-from .distances import PoissonSpec, macroscopic_bound, refined_bound, tv_cycle_counts, tv_empirical
 from .errors import ResourceLimitError
-from .permutations import CountsVector
-from .sampling import SamplerConfig, draw, draw_cycle_types
-from .stein import CLOSED_FORMS, term_estimates_exact, term_estimates_mc, verify_closed_forms
 
 SCHEMA_VERSION = 1
 
@@ -88,6 +84,14 @@ def _write_numbers(path, header, columns) -> None:
     write_csv(path, header, columns)
 
 
+def int_str(value: int) -> str:
+    """Decimal digits of an int of any size (``str`` refuses more than 4300)."""
+    try:
+        return str(value)
+    except ValueError:
+        return str(Decimal(value))
+
+
 def _fraction_str(x) -> str:
     if isinstance(x, Fraction):
         return f"{int_str(x.numerator)}/{int_str(x.denominator)}"
@@ -122,6 +126,10 @@ def _positive_str(value: float, log_value: float) -> str:
 
 
 def _cmd_count(args) -> int:
+    import numpy as np
+
+    from .counting import count_table, log_fraction, table_mode
+
     mode = "exact" if args.exact else table_mode(args.n)
     table = count_table(args.n, args.r, mode)
     if mode == "exact":
@@ -147,6 +155,10 @@ def _cmd_count(args) -> int:
 
 
 def _cmd_pmf(args) -> int:
+    import numpy as np
+
+    from .counting import joint_pmf
+
     pmf = joint_pmf(args.n, args.r, args.d, mode=args.mode)
     if args.out:
         masses = pmf.masses if args.mode == "double" else np.fromiter(map(float, pmf.masses), np.float64, len(pmf))
@@ -168,6 +180,10 @@ def _cmd_pmf(args) -> int:
 
 
 def _cmd_sample(args) -> int:
+    import numpy as np
+
+    from .sampling import SamplerConfig, draw, draw_cycle_types
+
     cfg = SamplerConfig(
         n=args.n,
         r=args.r,
@@ -191,6 +207,8 @@ def _cmd_sample(args) -> int:
 
 
 def _cmd_dickman(args) -> int:
+    from .dickman import DickmanEvaluator, gamma_bound_check, rho_ratio_check, xi
+
     ev = DickmanEvaluator()
     if args.dickman_command == "rho":
         if args.out and not args.grid:
@@ -203,6 +221,8 @@ def _cmd_dickman(args) -> int:
                 raise ValueError(f"--grid START and STOP must be finite, got {start} and {stop}")
             if not (num.is_integer() and num >= 1):
                 raise ValueError(f"--grid NUM must be a positive integer, got {num}")
+            import numpy as np  # only the grid builds arrays; the point queries stay pure Python
+
             ts = np.linspace(start, stop, int(num))
             log_rho = [ev.log_rho(t) for t in ts.tolist()]
             rho = list(map(math.exp, log_rho))  # ev.rho(t), without evaluating log rho twice
@@ -231,6 +251,10 @@ def _cmd_dickman(args) -> int:
 
 
 def _cmd_stein_verify(args) -> int:
+    import numpy as np
+
+    from .stein import CLOSED_FORMS, term_estimates_exact, term_estimates_mc, verify_closed_forms
+
     payload: dict = {"n": args.n, "r": args.r, "d": args.d, "seed": args.seed}
     if args.exhaustive:
         report = verify_closed_forms(args.n, args.r, args.d)
@@ -256,6 +280,12 @@ def _cmd_stein_verify(args) -> int:
 def _tv_mc(n: int, r: int, d: int, samples: int, seed: int):
     """Empirical TV to the Poisson reference of ``samples`` cycle types drawn with ``seed``;
     the bootstrap uses ``seed + 1``."""
+    import numpy as np
+
+    from .distances import PoissonSpec, tv_empirical
+    from .permutations import CountsVector
+    from .sampling import SamplerConfig, draw_cycle_types
+
     if not 1 <= d <= r <= n:
         raise ValueError(f"need 1 <= d <= r <= n, got d={d}, r={r}, n={n}")
     types = draw_cycle_types(SamplerConfig(n, r), samples, np.random.default_rng(seed))
@@ -264,6 +294,8 @@ def _tv_mc(n: int, r: int, d: int, samples: int, seed: int):
 
 
 def _cmd_tv(args) -> int:
+    from .distances import tv_cycle_counts
+
     payload: dict = {"n": args.n, "r": args.r, "d": args.d, "mode": args.mode}
     if args.mode == "exact":
         payload["tv"] = tv_cycle_counts(args.n, args.r, args.d)
@@ -277,6 +309,8 @@ def _cmd_tv(args) -> int:
 
 
 def _cmd_bound(args) -> int:
+    from .distances import macroscopic_bound, refined_bound
+
     if args.which in ("refined", "both"):
         bb = refined_bound(args.n, args.r, args.d, args.C)
         print(f"refined = {bb.total!r}")
@@ -290,6 +324,8 @@ def _cmd_bound(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
+    from .distances import macroscopic_bound, refined_bound, tv_cycle_counts
+
     for name, values in (("n", args.n), ("r", args.r), ("d", args.d)):
         if min(values) < 1:
             raise ValueError(f"need every --{name} >= 1, got {min(values)}")

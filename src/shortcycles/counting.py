@@ -42,7 +42,6 @@ import warnings
 from array import array
 from collections import Counter
 from collections.abc import Mapping, Sequence
-from decimal import Decimal
 from fractions import Fraction
 from typing import Iterator, NamedTuple, Union
 
@@ -61,14 +60,6 @@ def table_mode(n: int) -> str:
 
 LN2 = math.log(2.0)
 LOG_DOUBLE_MAX = math.log(np.finfo(np.float64).max)
-
-
-def int_str(value: int) -> str:
-    """Decimal digits of an int of any size (``str`` refuses more than 4300)."""
-    try:
-        return str(value)
-    except ValueError:
-        return str(Decimal(value))
 
 
 def log_fraction(x: Fraction) -> float:

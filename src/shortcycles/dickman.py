@@ -241,6 +241,6 @@ def gamma_bound_check(t: float, evaluator: DickmanEvaluator) -> GammaBoundReport
     if not (math.isfinite(t) and t >= 0):
         raise ValueError(f"t must be a finite number >= 0, got t={t}")
     lr = evaluator.log_rho(t)
-    bound = -math.lgamma(t + 1.0)
+    bound = 0.0 - math.lgamma(t + 1.0)  # not -lgamma: lgamma(1) = lgamma(2) = 0.0, and -0.0 prints as "-0.0"
     slack = GAMMA_BOUND_SLACK * max(1.0, abs(bound))
     return GammaBoundReport(t, lr, bound, lr <= bound + slack)

@@ -1,6 +1,9 @@
 import ast
+import importlib
 import inspect
 import re
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -17,9 +20,59 @@ from shortcycles.sampling import mcmc_step
 from shortcycles.stein import creation_probability
 
 
+EXPORTS = [
+    "SparsePMF", "WindowTable", "brute_force_count", "brute_force_pmf", "count_ratio_check", "count_table",
+    "expected_count", "factorial_moment", "first_element_cycle_length_pmf", "joint_pmf", "nu_ratios", "table_mode",
+    "DickmanEvaluator", "GammaBoundReport", "RhoRatioReport", "gamma_bound_check", "rho_ratio_check", "xi",
+    "BoundBreakdown", "PoissonSpec", "TvEstimate", "harmonic_number", "macroscopic_bound", "refined_bound",
+    "tv_cycle_counts", "tv_empirical", "tv_exact",
+    "ResourceLimitError",
+    "CountsVector", "CycleStructure", "Permutation", "class_size", "cycle_structure", "cycle_type_counts",
+    "cycle_type_size", "cycle_types", "longest_cycle", "mappings_with_bounded_cycles",
+    "permutations_with_bounded_cycles",
+    "SamplerConfig", "draw", "draw_cycle_types", "mcmc_step",
+    "ClosedFormMismatch", "ClosedFormReport", "TermEstimates", "creation_probability", "destruction_probability",
+    "destruction_probability_rearranged", "event_tally", "term_estimates_exact", "term_estimates_mc",
+    "verify_closed_forms",
+]
+
+
+def test_all_holds_every_export():
+    # the package imports its exports lazily, so __all__, not vars(), is the list public_callables scans
+    assert sorted(shortcycles.__all__) == sorted(EXPORTS) and len(EXPORTS) == len(set(EXPORTS)) == 53
+
+
+def test_every_export_is_its_home_module_attribute():
+    for name in shortcycles.__all__:
+        obj = getattr(shortcycles, name)
+        assert getattr(importlib.import_module(obj.__module__), name) is obj, name
+
+
+def test_lazy_exports_are_listed_and_unknown_names_refused():
+    listed = dir(shortcycles)
+    assert "__all__" in listed and set(shortcycles.__all__) <= set(listed)
+    with pytest.raises(AttributeError, match="has no attribute 'XiEvaluator'"):
+        shortcycles.XiEvaluator  # noqa: B018
+
+
+def test_exports_and_submodules_resolve_in_a_fresh_interpreter(src_env):
+    # nothing imported beforehand: each name goes through the package's __getattr__ on first use
+    homes = ("counting", "dickman", "distances", "errors", "permutations", "sampling", "stein")
+    script = (
+        "import shortcycles\n"
+        f"print(*(getattr(shortcycles, home).__name__ for home in {homes!r}))\n"
+        "from shortcycles import *\n"
+        "print(xi(2.0), len([name for name in shortcycles.__all__ if name in globals()]))"
+    )
+    result = subprocess.run([sys.executable, "-c", script], env=src_env, capture_output=True, text=True, timeout=60)
+    assert (result.returncode, result.stderr) == (0, "")
+    assert result.stdout == " ".join(f"shortcycles.{home}" for home in homes) + "\n1.2564312086261695 53\n"
+
+
 def public_callables():
-    for name, obj in vars(shortcycles).items():
-        if name.startswith("_") or not callable(obj):
+    for name in shortcycles.__all__:
+        obj = getattr(shortcycles, name)
+        if not callable(obj):
             continue
         if not inspect.isclass(obj):
             yield name, obj

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from oracles import csv_by_writer, nu_table_rows, pmf_csv_by_writer, pmf_printed_by_dict, rho_grid_rows
-from shortcycles import cli, numtext
+from shortcycles import cli, dickman, numtext
 from shortcycles.cli import main
 from shortcycles.counting import joint_pmf
 from shortcycles.distances import tv_cycle_counts
@@ -148,6 +148,12 @@ class TestDickman:
         code, out, _ = run(["dickman", "gamma-check", "--t", "2.0"], capsys)
         assert code == 0
         assert "holds = True" in out
+
+    @pytest.mark.parametrize("t", ["0", "1"])
+    def test_gamma_check_bound_is_positive_zero(self, t, capsys):
+        # log rho(t) = -log Gamma(t + 1) = 0 on [0, 1]; the bound prints as 0.0, not -0.0
+        out = "log_rho = 0.0\nlog_bound = 0.0\nholds = True\n"
+        assert run(["dickman", "gamma-check", "--t", t], capsys) == (0, out, "")
 
     def test_missing_argument(self, capsys):
         code, _, _ = run(["dickman", "rho"], capsys)
@@ -801,12 +807,55 @@ class TestParser:
         assert out == fresh.stdout
 
 
+COMPUTE_MODULES = ("numpy", *(f"shortcycles.{name}" for name in (
+    "counting", "dickman", "distances", "permutations", "sampling", "stein", "numtext")))
+
+
+def loaded_compute_modules(src_env, code: str) -> list[str]:
+    """The compute modules (and numpy) in ``sys.modules`` after ``code`` ran in a fresh interpreter."""
+    script = f"import sys\n{code}\nprint('loaded:', *sorted(set(sys.modules).intersection({COMPUTE_MODULES!r})))"
+    result = subprocess.run([sys.executable, "-c", script], env=src_env, capture_output=True, text=True, timeout=60)
+    assert result.returncode == 0, result.stderr
+    return result.stdout.splitlines()[-1].split()[1:]
+
+
 class TestImport:
     def test_leaves_out_dataclasses_and_csv(self, src_env):
         # the result records are NamedTuples, and only check reads CSV; numpy imports neither module
         script = "import sys, shortcycles.cli; print(sorted({'dataclasses', 'csv'} & set(sys.modules)))"
         result = subprocess.run([sys.executable, "-c", script], env=src_env, capture_output=True, text=True, timeout=60)
         assert (result.returncode, result.stdout, result.stderr) == (0, "[]\n", "")
+
+    @pytest.mark.parametrize("module", ["shortcycles", "shortcycles.cli"])
+    def test_start_up_loads_no_compute_module(self, module, src_env):
+        assert loaded_compute_modules(src_env, f"import {module}") == []
+
+    @pytest.mark.parametrize(
+        "argv, code, modules",
+        [
+            (["dickman", "xi", "--t", "5"], 0, ["shortcycles.dickman"]),
+            (["dickman", "rho", "--t", "5"], 0, ["shortcycles.dickman"]),
+            (["dickman", "rho", "--t", "5", "--log"], 0, ["shortcycles.dickman"]),
+            (["dickman", "ratio", "--t", "5", "--v", "1"], 0, ["shortcycles.dickman"]),
+            (["dickman", "gamma-check", "--t", "5"], 0, ["shortcycles.dickman"]),
+            (["--version"], 0, []),
+            (["count", "--n", "4"], 1, []),
+            (["check", "{json}"], 0, []),
+        ],
+        ids=["xi", "rho-t", "rho-t-log", "ratio", "gamma-check", "version", "usage-error", "check"],
+    )
+    def test_command_loads_no_numpy(self, argv, code, modules, src_env, tmp_path):
+        path = tmp_path / "report.json"
+        path.write_text('{"schema_version": 1}\n')
+        argv = [str(path) if a == "{json}" else a for a in argv]
+        script = f"from shortcycles.cli import main\nassert main({argv!r}) == {code}"
+        assert loaded_compute_modules(src_env, script) == modules
+
+    def test_count_loads_only_what_it_uses(self, src_env):
+        script = "from shortcycles.cli import main\nassert main(['count', '--n', '1000', '--r', '100']) == 0"
+        loaded = loaded_compute_modules(src_env, script)
+        assert "shortcycles.counting" in loaded
+        assert not {"shortcycles.stein", "shortcycles.sampling", "shortcycles.distances"} & set(loaded), loaded
 
 
 class TestExitCodes:
@@ -922,7 +971,7 @@ class TestWarnings:
             warnings.warn("first this")
             raise ValueError("then this")
 
-        monkeypatch.setattr(cli, "rho_ratio_check", warn_then_fail)
+        monkeypatch.setattr(dickman, "rho_ratio_check", warn_then_fail)
         assert run(self.RATIO, capsys) == (1, "", "warning: first this\nerror: then this\n")
 
 

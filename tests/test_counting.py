@@ -8,8 +8,8 @@ import numpy as np
 import pytest
 
 from oracles import law_from_dict, pmf_csv_by_writer, window_fractions
-from shortcycles import cli, counting
-from shortcycles.cli import main
+from shortcycles import counting
+from shortcycles.cli import int_str, main
 from shortcycles.counting import (
     LOG_DOUBLE_MAX,
     SparsePMF,
@@ -21,7 +21,6 @@ from shortcycles.counting import (
     expected_count,
     factorial_moment,
     first_element_cycle_length_pmf,
-    int_str,
     joint_pmf,
     log_fraction,
     nu_ratios,
@@ -233,7 +232,7 @@ class TestWindowTable:
 
     def test_csv_double_has_log_column(self, tmp_path, monkeypatch):
         # count picks exact rationals up to n = 200; force the double table at n = 5
-        monkeypatch.setattr(cli, "table_mode", lambda n: "double")
+        monkeypatch.setattr(counting, "table_mode", lambda n: "double")
         path = tmp_path / "nu.csv"
         assert main(["count", "--n", "5", "--r", "2", "--out", str(path)]) == 0
         lines = path.read_text().strip().splitlines()
