@@ -309,7 +309,7 @@ def _cmd_tv(args) -> int:
 
 
 def _cmd_bound(args) -> int:
-    from .distances import macroscopic_bound, refined_bound
+    from .closedforms import macroscopic_bound, refined_bound
 
     if args.which in ("refined", "both"):
         bb = refined_bound(args.n, args.r, args.d, args.C)
@@ -324,7 +324,8 @@ def _cmd_bound(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    from .distances import macroscopic_bound, refined_bound, tv_cycle_counts
+    from .closedforms import macroscopic_bound, refined_bound
+    from .distances import tv_cycle_counts
 
     for name, values in (("n", args.n), ("r", args.r), ("d", args.d)):
         if min(values) < 1:

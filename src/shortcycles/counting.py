@@ -38,16 +38,14 @@ from __future__ import annotations
 
 import itertools
 import math
-import warnings
 from array import array
 from collections import Counter
 from collections.abc import Mapping, Sequence
 from fractions import Fraction
-from typing import Iterator, NamedTuple, Union
+from typing import Iterator, Union
 
 import numpy as np
 
-from .dickman import xi
 from .errors import ResourceLimitError
 from .permutations import CountsVector, capped_type_count, mappings_with_bounded_cycles, support_cap
 
@@ -488,46 +486,3 @@ def brute_force_pmf(n: int, r: int, d: int) -> SparsePMF:
     kept = types.total()
     return SparsePMF(d, np.array(rows, dtype=np.int64), [Fraction(tally[row], kept) for row in rows], "exact")
 
-
-class RatioReport(NamedTuple):
-    """Consecutive-argument ratio of nu against its exponential prediction.
-
-    No pass/fail: the error constant in the prediction is not pinned down,
-    so the caller gets both sides and the relative gap.
-    """
-
-    n: int
-    r: int
-    k: int
-    u: float
-    exact_ratio: float
-    predicted: float
-    relative_gap: float
-    in_regime: bool
-
-
-def count_ratio_check(n: int, k: int, table: WindowTable) -> RatioReport:
-    """Compare nu(n-k, r)/nu(n, r) with exp((k/r) * xi(n/r)), r = ``table.r``.
-
-    xi(t) is the positive root of e^x = 1 + t*x (with xi(1) = 0 by the limit
-    convention), so for r = n both sides are exactly 1.
-    """
-    r = table.r
-    if not 1 <= r <= n:
-        raise ValueError(f"need 1 <= r <= n, got r={r}, n={n}")
-    if not 0 <= k <= n:
-        raise ValueError(f"k must be in 0..{n}")
-    ratio = nu_ratios(n, k, table)[k]
-    in_regime = r * r >= n * math.log(max(n, 2))
-    if not in_regime:
-        message = f"(n={n}, r={r}) lies outside r >= sqrt(n log n); the prediction is not expected to be accurate"
-        warnings.warn(message, stacklevel=2)
-    u = n / r
-    log_predicted = k / r * (0.0 if u == 1.0 else xi(u))
-    try:
-        exact_ratio, predicted = float(ratio), math.exp(log_predicted)
-    except OverflowError:  # an exact R(k) or the prediction; nu_ratios raises for a double R(k)
-        either = f"exp({log_fraction(Fraction(ratio)):.6g}) or its prediction exp({log_predicted:.6g})"
-        raise ValueError(f"nu({n - k}, {r})/nu({n}, {r}) = {either} lies beyond the double range") from None
-    gap = abs(exact_ratio / predicted - 1.0)
-    return RatioReport(n, r, k, u, exact_ratio, predicted, gap, in_regime)

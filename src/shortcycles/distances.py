@@ -1,4 +1,4 @@
-"""Total-variation distances and the two cycle-count error bounds.
+"""Total-variation distances of the small-cycle counts to the product-Poisson reference.
 
 The reference law for the vector of small-cycle counts is a product of
 independent Poissons with means 1, 1/2, ..., 1/d.  For a finitely supported
@@ -25,15 +25,8 @@ Barbour and Tavare, Logarithmic Combinatorial Structures, 2003).  Hence
 
 one term per s <= n instead of one per count vector.
 
-Two closed-form upper bounds on that distance are provided for a uniform
-permutation with cycle lengths capped at r (u = n/r, natural logs, and an
-explicit constant that is always surfaced rather than baked in):
-
-* refined:      (2 d log d + 10 d)/(n - 1) + C (d^2 + d u) log(u + 1)/(n r)
-* macroscopic:  C (r/n + d log(n)/r)
-
-In the regime r >= sqrt(n log n) the refined form is the sharper of the
-two.
+The two closed-form bounds on that distance live in
+:mod:`shortcycles.closedforms`, which needs neither numpy nor the tables.
 """
 
 from __future__ import annotations
@@ -252,55 +245,3 @@ def tv_empirical(
     value, *spread = _tv_to_poisson(support, np.vstack([counts, replicates]) / n_samples, spec)
     return TvEstimate(float(value), float(np.std(spread, ddof=1)), n_samples)
 
-
-def harmonic_number(d: int) -> float:
-    if d < 0:
-        raise ValueError("d must be >= 0")
-    return math.fsum(1.0 / k for k in range(1, d + 1))
-
-
-class BoundBreakdown(NamedTuple):
-    """The refined bound split into its three summands (total = their sum)."""
-
-    n: int
-    r: int
-    d: int
-    u: float
-    constant: float
-    harmonic_term: float  # 2 d log(d) / (n - 1)
-    fixed_term: float  # 10 d / (n - 1)
-    asymptotic_term: float  # C (d^2 + d u) log(u + 1) / (n r)
-    total: float
-    h_d: float  # d-th harmonic number, <= log(d) + 1
-
-
-def _check_constant(constant: float) -> None:
-    if not (math.isfinite(constant) and constant > 0):
-        raise ValueError(f"the bound constant C must be finite and > 0, got C={constant}")
-
-
-def refined_bound(n: int, r: int, d: int, constant: float = 1.0) -> BoundBreakdown:
-    """Evaluate the sharper of the two bounds, with its parts split out."""
-    if not 1 <= r <= n or n < 2:
-        raise ValueError(f"need 1 <= r <= n and n >= 2, got r={r}, n={n}")
-    if d < 1:
-        raise ValueError("d must be >= 1")
-    _check_constant(constant)
-    u = n / r
-    harmonic_term = 2.0 * d * math.log(d) / (n - 1)
-    fixed_term = 10.0 * d / (n - 1)
-    asymptotic_term = constant * (d * d + d * u) * math.log(u + 1.0) / (n * r)
-    total = harmonic_term + fixed_term + asymptotic_term
-    return BoundBreakdown(
-        n, r, d, u, constant, harmonic_term, fixed_term, asymptotic_term, total, harmonic_number(d)
-    )
-
-
-def macroscopic_bound(n: int, r: int, d: int, constant: float = 1.0) -> float:
-    """The coarse bound C (r/n + d log(n)/r); d = 0 degenerates to C r/n."""
-    if not 1 <= r <= n:
-        raise ValueError(f"need 1 <= r <= n, got r={r}, n={n}")
-    if d < 0:
-        raise ValueError("d must be >= 0")
-    _check_constant(constant)
-    return constant * (r / n + d * math.log(n) / r)

@@ -1,4 +1,4 @@
-"""Exception types and the reader of the resource caps, shared across the package."""
+"""Exception types, the reader of the resource caps and the integer check, shared across the package."""
 
 import os
 
@@ -21,3 +21,10 @@ def env_cap(name: str, default: int) -> int:
     if cap < 1:
         raise ValueError(f"{name} must be a positive integer, got {text!r}")
     return cap
+
+
+def require_int(name: str, value) -> None:
+    """Raise TypeError naming ``name`` and ``value`` unless ``value`` is an int
+    (a bool is not: ``True`` is no size)."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise TypeError(f"{name} must be an integer, got {value!r}")

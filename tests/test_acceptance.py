@@ -22,8 +22,9 @@ from shortcycles.counting import (
     expected_count,
     joint_pmf,
 )
+from shortcycles.closedforms import macroscopic_bound, refined_bound
 from shortcycles.dickman import gamma_bound_check, xi
-from shortcycles.distances import PoissonSpec, macroscopic_bound, refined_bound, tv_exact
+from shortcycles.distances import PoissonSpec, tv_exact
 from shortcycles.permutations import Permutation, longest_cycle, permutations_with_bounded_cycles
 from shortcycles.sampling import SamplerConfig, draw, draw_cycle_types
 from shortcycles.stein import term_estimates_exact, verify_closed_forms

@@ -12,6 +12,7 @@ import pytest
 
 import shortcycles
 from shortcycles import SamplerConfig, joint_pmf, tv_exact
+from shortcycles.closedforms import harmonic_number, macroscopic_bound, refined_bound
 from shortcycles.counting import SparsePMF, WindowTable, brute_force_count, count_table
 from shortcycles.dickman import DickmanEvaluator
 from shortcycles.distances import PoissonSpec
@@ -21,11 +22,11 @@ from shortcycles.stein import creation_probability
 
 
 EXPORTS = [
-    "SparsePMF", "WindowTable", "brute_force_count", "brute_force_pmf", "count_ratio_check", "count_table",
+    "BoundBreakdown", "harmonic_number", "macroscopic_bound", "refined_bound",
+    "SparsePMF", "WindowTable", "brute_force_count", "brute_force_pmf", "count_table",
     "expected_count", "factorial_moment", "first_element_cycle_length_pmf", "joint_pmf", "nu_ratios", "table_mode",
     "DickmanEvaluator", "GammaBoundReport", "RhoRatioReport", "gamma_bound_check", "rho_ratio_check", "xi",
-    "BoundBreakdown", "PoissonSpec", "TvEstimate", "harmonic_number", "macroscopic_bound", "refined_bound",
-    "tv_cycle_counts", "tv_empirical", "tv_exact",
+    "PoissonSpec", "TvEstimate", "tv_cycle_counts", "tv_empirical", "tv_exact",
     "ResourceLimitError",
     "CountsVector", "CycleStructure", "Permutation", "class_size", "cycle_structure", "cycle_type_counts",
     "cycle_type_size", "cycle_types", "longest_cycle", "mappings_with_bounded_cycles",
@@ -39,7 +40,7 @@ EXPORTS = [
 
 def test_all_holds_every_export():
     # the package imports its exports lazily, so __all__, not vars(), is the list public_callables scans
-    assert sorted(shortcycles.__all__) == sorted(EXPORTS) and len(EXPORTS) == len(set(EXPORTS)) == 53
+    assert sorted(shortcycles.__all__) == sorted(EXPORTS) and len(EXPORTS) == len(set(EXPORTS)) == 52
 
 
 def test_every_export_is_its_home_module_attribute():
@@ -57,7 +58,7 @@ def test_lazy_exports_are_listed_and_unknown_names_refused():
 
 def test_exports_and_submodules_resolve_in_a_fresh_interpreter(src_env):
     # nothing imported beforehand: each name goes through the package's __getattr__ on first use
-    homes = ("counting", "dickman", "distances", "errors", "permutations", "sampling", "stein")
+    homes = ("closedforms", "counting", "dickman", "distances", "errors", "permutations", "sampling", "stein")
     script = (
         "import shortcycles\n"
         f"print(*(getattr(shortcycles, home).__name__ for home in {homes!r}))\n"
@@ -66,7 +67,7 @@ def test_exports_and_submodules_resolve_in_a_fresh_interpreter(src_env):
     )
     result = subprocess.run([sys.executable, "-c", script], env=src_env, capture_output=True, text=True, timeout=60)
     assert (result.returncode, result.stderr) == (0, "")
-    assert result.stdout == " ".join(f"shortcycles.{home}" for home in homes) + "\n1.2564312086261695 53\n"
+    assert result.stdout == " ".join(f"shortcycles.{home}" for home in homes) + "\n1.2564312086261695 52\n"
 
 
 def public_callables():
@@ -268,28 +269,32 @@ def test_stein_terms_read_closed_forms_only():
 
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize(
-    "call,bad",
+    "call,error,bad",
     [
-        (lambda: creation_probability((1,), 1, 1), "(1,)"),
-        (lambda: creation_probability((), 1, 1), "()"),
-        (lambda: creation_probability((0, 3), 1, 1), "(0, 3)"),
-        (lambda: creation_probability((-1, 4), 1, 1), "(-1, 4)"),
-        (lambda: tv_exact(joint_pmf(4, 2, 1), PoissonSpec.cycle_reference(1), precision=1), "got 1"),
-        (lambda: tv_exact(joint_pmf(4, 2, 1), PoissonSpec.cycle_reference(1), precision=16), "got 16"),
-        (lambda: mcmc_step((), 2, np.random.default_rng(0)), "state ()"),
-        (lambda: cycle_type_counts(-1, 2), "n=-1"),
-        (lambda: CountsVector.from_cycle_type((1, 2), -1), "d=-1"),
-        (lambda: Permutation.from_cycle_type((0, 2)), "(0, 2)"),
-        (lambda: CountsVector.from_cycle_type((0, 2), 3), "(0, 2)"),
-        (lambda: CountsVector.from_cycle_type((-5, 2), 3), "(-5, 2)"),
-        (lambda: CountsVector((-1,)), "(-1,)"),
-        (lambda: class_size((0,)), "(0,)"),
-        (lambda: class_size((-1, 3)), "(-1, 3)"),
-        (lambda: mcmc_step((0, 3), 3, np.random.default_rng(0)), "(0, 3)"),
-        (lambda: mcmc_step((3, 1, 2), 6, np.random.default_rng(0)), "(3, 1, 2)"),
-        (lambda: joint_pmf(5, 3, 2).probability((0,)), "dimension 1 for a law of dimension d=2"),
-        (lambda: WindowTable(0, 3, "Double", np.zeros(4)), "unknown mode 'Double'"),
-        (lambda: SparsePMF(1, np.array([[0]]), [Fraction(1)], "Exact"), "unknown mode 'Exact'"),
+        (lambda: creation_probability((1,), 1, 1), ValueError, "(1,)"),
+        (lambda: creation_probability((), 1, 1), ValueError, "()"),
+        (lambda: creation_probability((0, 3), 1, 1), ValueError, "(0, 3)"),
+        (lambda: creation_probability((-1, 4), 1, 1), ValueError, "(-1, 4)"),
+        (lambda: tv_exact(joint_pmf(4, 2, 1), PoissonSpec.cycle_reference(1), precision=1), ValueError, "got 1"),
+        (lambda: tv_exact(joint_pmf(4, 2, 1), PoissonSpec.cycle_reference(1), precision=16), ValueError, "got 16"),
+        (lambda: mcmc_step((), 2, np.random.default_rng(0)), ValueError, "state ()"),
+        (lambda: cycle_type_counts(-1, 2), ValueError, "n=-1"),
+        (lambda: CountsVector.from_cycle_type((1, 2), -1), ValueError, "d=-1"),
+        (lambda: Permutation.from_cycle_type((0, 2)), ValueError, "(0, 2)"),
+        (lambda: CountsVector.from_cycle_type((0, 2), 3), ValueError, "(0, 2)"),
+        (lambda: CountsVector.from_cycle_type((-5, 2), 3), ValueError, "(-5, 2)"),
+        (lambda: CountsVector((-1,)), ValueError, "(-1,)"),
+        (lambda: class_size((0,)), ValueError, "(0,)"),
+        (lambda: class_size((-1, 3)), ValueError, "(-1, 3)"),
+        (lambda: mcmc_step((0, 3), 3, np.random.default_rng(0)), ValueError, "(0, 3)"),
+        (lambda: mcmc_step((3, 1, 2), 6, np.random.default_rng(0)), ValueError, "(3, 1, 2)"),
+        (lambda: joint_pmf(5, 3, 2).probability((0,)), ValueError, "dimension 1 for a law of dimension d=2"),
+        (lambda: WindowTable(0, 3, "Double", np.zeros(4)), ValueError, "unknown mode 'Double'"),
+        (lambda: SparsePMF(1, np.array([[0]]), [Fraction(1)], "Exact"), ValueError, "unknown mode 'Exact'"),
+        (lambda: refined_bound(10.5, 5, 2), TypeError, "n must be an integer, got 10.5"),
+        (lambda: macroscopic_bound(10.5, 3, 2), TypeError, "n must be an integer, got 10.5"),
+        (lambda: refined_bound(10, True, 2), TypeError, "r must be an integer, got True"),
+        (lambda: harmonic_number(2.5), TypeError, "d must be an integer, got 2.5"),
     ],
     ids=[
         "creation-one-element", "creation-empty", "creation-zero-part", "creation-negative-part",
@@ -297,11 +302,13 @@ def test_stein_terms_read_closed_forms_only():
         "counts-vector-negative-d", "permutation-zero-part", "counts-vector-zero-part",
         "counts-vector-negative-part", "counts-vector-negative-entry", "class-size-zero-part",
         "class-size-negative-part", "mcmc-step-zero-part", "mcmc-step-unsorted", "probability-wrong-dimension",
-        "window-table-mode", "sparse-pmf-mode",
+        "window-table-mode", "sparse-pmf-mode", "refined-float-n", "macroscopic-float-n", "refined-bool-r",
+        "harmonic-float-d",
     ],
 )
-def test_edge_inputs_raise_value_error_naming_the_value(call, bad):
-    with pytest.raises(ValueError, match=re.escape(bad)):
+def test_edge_inputs_raise_value_error_naming_the_value(call, error, bad):
+    # a value out of range is a ValueError; a size that is not an int (a bool is not) is a TypeError
+    with pytest.raises(error, match=re.escape(bad)):
         call()
 
 

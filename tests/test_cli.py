@@ -808,7 +808,7 @@ class TestParser:
 
 
 COMPUTE_MODULES = ("numpy", *(f"shortcycles.{name}" for name in (
-    "counting", "dickman", "distances", "permutations", "sampling", "stein", "numtext")))
+    "closedforms", "counting", "dickman", "distances", "permutations", "sampling", "stein", "numtext")))
 
 
 def loaded_compute_modules(src_env, code: str) -> list[str]:
@@ -838,11 +838,12 @@ class TestImport:
             (["dickman", "rho", "--t", "5", "--log"], 0, ["shortcycles.dickman"]),
             (["dickman", "ratio", "--t", "5", "--v", "1"], 0, ["shortcycles.dickman"]),
             (["dickman", "gamma-check", "--t", "5"], 0, ["shortcycles.dickman"]),
+            (["bound", "--n", "1000000", "--r", "10000", "--d", "5"], 0, ["shortcycles.closedforms"]),
             (["--version"], 0, []),
             (["count", "--n", "4"], 1, []),
             (["check", "{json}"], 0, []),
         ],
-        ids=["xi", "rho-t", "rho-t-log", "ratio", "gamma-check", "version", "usage-error", "check"],
+        ids=["xi", "rho-t", "rho-t-log", "ratio", "gamma-check", "bound", "version", "usage-error", "check"],
     )
     def test_command_loads_no_numpy(self, argv, code, modules, src_env, tmp_path):
         path = tmp_path / "report.json"
@@ -855,7 +856,8 @@ class TestImport:
         script = "from shortcycles.cli import main\nassert main(['count', '--n', '1000', '--r', '100']) == 0"
         loaded = loaded_compute_modules(src_env, script)
         assert "shortcycles.counting" in loaded
-        assert not {"shortcycles.stein", "shortcycles.sampling", "shortcycles.distances"} & set(loaded), loaded
+        unused = {"shortcycles.stein", "shortcycles.sampling", "shortcycles.distances", "shortcycles.dickman"}
+        assert not unused & set(loaded), loaded
 
 
 class TestExitCodes:

@@ -16,7 +16,6 @@ from shortcycles.counting import (
     WindowTable,
     brute_force_count,
     brute_force_pmf,
-    count_ratio_check,
     count_table,
     expected_count,
     factorial_moment,
@@ -298,7 +297,6 @@ class TestNuTableCheck:
         "first_element": lambda t: first_element_cycle_length_pmf(30, t),
         "expected_count": lambda t: expected_count(30, 1, t),
         "expected_count_above_r": lambda t: expected_count(30, 13, t),
-        "ratio_check": lambda t: count_ratio_check(30, 1, t),
         "nu_ratios": lambda t: nu_ratios(30, 12, t),
         "factorial_moment": lambda t: factorial_moment(30, (1, 2), t),
         "factorial_moment_zero": lambda t: factorial_moment(30, (0,) * 12 + (1,), t),
@@ -486,6 +484,19 @@ class TestFactorialMoment:
             assert got == pytest.approx(float(factorial_moment(n, a, exact)), rel=1e-12, abs=0), a
         assert factorial_moment(n, (0,) * r + (1,), double) == 0.0
 
+    def test_ratios_beyond_double_range_raise(self):
+        # nu(20000, 100) is about e^-1213: a double R(m) stays finite up to the
+        # last top whose log ratio fits a double, and raises past it
+        n, r = 20000, 100
+        table = count_table(n, r, "double")
+        with pytest.raises(ValueError, match="beyond the double range"):
+            nu_ratios(n, n, table)
+        logs = table.log_view()
+        top = max(m for m in range(n + 1) if logs[n - m] - logs[n] <= LOG_DOUBLE_MAX)
+        assert np.isfinite(nu_ratios(n, top, table)).all()
+        with pytest.raises(ValueError, match="beyond the double range"):
+            nu_ratios(n, top + 1, table)
+
     def test_validation(self):
         with pytest.raises(ValueError, match="a_j >= 0"):
             factorial_moment(6, (1, -1), count_table(6, 3))
@@ -563,41 +574,3 @@ class TestSparsePMF:
     def test_constructor_rejects_misaligned_masses(self):
         with pytest.raises(ValueError, match="2 masses for 1 count vectors"):
             SparsePMF(1, np.zeros((1, 1), dtype=np.int64), [0.5, 0.5], "double")
-
-
-class TestRatioCheck:
-    def test_unrestricted_gap_is_zero(self):
-        report = count_ratio_check(50, 3, count_table(50, 50))
-        assert report.exact_ratio == 1.0
-        assert report.predicted == 1.0
-        assert report.relative_gap == 0.0
-
-    def test_k_zero(self):
-        assert count_ratio_check(100, 0, count_table(100, 80)).exact_ratio == 1.0
-
-    def test_moderate_case_small_gap(self):
-        n, r, k = 10000, 5000, 3
-        report = count_ratio_check(n, k, count_table(n, r, "double"))
-        u = n / r
-        assert report.relative_gap <= 5 * u * math.log(u + 1) / r
-
-    @pytest.mark.filterwarnings("ignore:.*lies outside r >= sqrt")
-    def test_ratio_beyond_double_range_raises(self):
-        # R(200) = 200! at r = 1; nu(20000, 100) is about e^-1213
-        with pytest.raises(ValueError, match=r"nu\(0, 1\)/nu\(200, 1\) = exp\(863\.2"):
-            count_ratio_check(200, 200, count_table(200, 1))
-        n, r = 20000, 100
-        table = count_table(n, r, "double")
-        with pytest.raises(ValueError, match=r"nu\(0, 100\)/nu\(20000, 100\) = exp\(1213\.2"):
-            count_ratio_check(n, n, table)
-        with pytest.raises(ValueError, match="beyond the double range"):
-            nu_ratios(n, n, table)
-        logs = table.log_view()
-        top = max(m for m in range(n + 1) if logs[n - m] - logs[n] <= LOG_DOUBLE_MAX)
-        assert np.isfinite(nu_ratios(n, top, table)).all()
-        with pytest.raises(ValueError, match="beyond the double range"):
-            nu_ratios(n, top + 1, table)
-
-    def test_warns_outside_regime(self):
-        with pytest.warns(UserWarning):
-            count_ratio_check(100, 1, count_table(100, 5, "double"))

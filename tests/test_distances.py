@@ -6,14 +6,12 @@ import numpy as np
 import pytest
 
 from oracles import law_from_dict
+from shortcycles.closedforms import harmonic_number, macroscopic_bound, refined_bound
 from shortcycles.counting import brute_force_pmf, joint_pmf
 from shortcycles.distances import (
     PoissonSpec,
     _distinct_rows,
     _tv_to_poisson,
-    harmonic_number,
-    macroscopic_bound,
-    refined_bound,
     tv_cycle_counts,
     tv_empirical,
     tv_exact,

@@ -19,12 +19,14 @@ def test_perfbench_smoke():
 
 def test_only_the_four_dead_spans_lack_a_traced_function():
     # a renamed or removed sampler function would silently turn its per-layer
-    # metric absent; the sequential and stage-law spans name functions that are gone
-    import shortcycles.cli  # noqa: F401  loads every layer module
-
+    # metric absent; the sequential and stage-law spans name functions that are gone.
+    # The tracer wraps only layer modules already imported, and the CLI imports
+    # them per command, so import each one here, whatever ran before this test
     spec = importlib.util.spec_from_file_location("perfbench_tracing", ROOT / "perfbench" / "tracing.py")
     tracing = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracing)
+    for layer in tracing.LAYERS:
+        importlib.import_module(f"shortcycles.{layer}")
     tracer = tracing.Tracer()
     tracer.install("shortcycles")
     try:

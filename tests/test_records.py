@@ -10,9 +10,10 @@ from fractions import Fraction
 
 import pytest
 
-from shortcycles.counting import RatioReport, joint_pmf
+from shortcycles.closedforms import BoundBreakdown
+from shortcycles.counting import joint_pmf
 from shortcycles.dickman import GammaBoundReport, RhoRatioReport
-from shortcycles.distances import BoundBreakdown, PoissonSpec, TvEstimate
+from shortcycles.distances import PoissonSpec, TvEstimate
 from shortcycles.permutations import CountsVector, CycleStructure
 from shortcycles.sampling import SamplerConfig
 from shortcycles.stein import ClosedFormMismatch, ClosedFormReport, TermEstimates, TermRow
@@ -27,10 +28,6 @@ RECORDS = [
         "CycleStructure(cycles=((0, 1), (2,)), lengths=(1, 2))",
     ),
     (lambda: CountsVector((1, 0, 2)), "CountsVector(counts=(1, 0, 2))"),
-    (
-        lambda: RatioReport(40, 20, 3, 2.0, 1.25, 1.2, 0.04, True),
-        "RatioReport(n=40, r=20, k=3, u=2.0, exact_ratio=1.25, predicted=1.2, relative_gap=0.04, in_regime=True)",
-    ),
     (
         lambda: RhoRatioReport(3.5, 1.0, 8.0, 8.5, 0.0625),
         "RhoRatioReport(t=3.5, v=1.0, ratio=8.0, predicted=8.5, relative_gap=0.0625)",
