@@ -28,7 +28,7 @@ from fractions import Fraction
 # it uses when it runs, and numpy only where it builds an array, so --version
 # and the dickman point queries never load numpy
 from . import __version__
-from .errors import ResourceLimitError
+from .errors import ResourceLimitError, require_sizes
 
 SCHEMA_VERSION = 1
 
@@ -286,8 +286,7 @@ def _tv_mc(n: int, r: int, d: int, samples: int, seed: int):
     from .permutations import CountsVector
     from .sampling import SamplerConfig, draw_cycle_types
 
-    if not 1 <= d <= r <= n:
-        raise ValueError(f"need 1 <= d <= r <= n, got d={d}, r={r}, n={n}")
+    require_sizes("1 <= d <= r <= n", d=d, r=r, n=n)
     types = draw_cycle_types(SamplerConfig(n, r), samples, np.random.default_rng(seed))
     vectors = [CountsVector.from_cycle_type(lengths, d) for lengths in types]
     return tv_empirical(vectors, PoissonSpec.cycle_reference(d), rng=np.random.default_rng(seed + 1))

@@ -10,9 +10,9 @@ baked in):
 * macroscopic:  C (r/n + d log(n)/r)
 
 In the regime r >= sqrt(n log n) the refined form is the sharper of the
-two.  The sizes n, r and d must be ints; the distance itself is computed in
-:mod:`shortcycles.distances`.  This module loads neither numpy nor the
-tables, so the ``bound`` command starts without them.
+two.  The sizes n, r and d must be integers; the distance itself is
+computed in :mod:`shortcycles.distances`.  This module loads neither numpy
+nor the tables, so the ``bound`` command starts without them.
 """
 
 from __future__ import annotations
@@ -20,13 +20,11 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
-from .errors import require_int
+from .errors import require_sizes
 
 
 def harmonic_number(d: int) -> float:
-    require_int("d", d)
-    if d < 0:
-        raise ValueError("d must be >= 0")
+    require_sizes("0 <= d", d=d)
     return math.fsum(1.0 / k for k in range(1, d + 1))
 
 
@@ -52,17 +50,13 @@ def _check_constant(constant: float) -> None:
 
 def refined_bound(n: int, r: int, d: int, constant: float = 1.0) -> BoundBreakdown:
     """Evaluate the sharper of the two bounds, with its parts split out."""
-    for name, value in (("n", n), ("r", r), ("d", d)):
-        require_int(name, value)
-    if not 1 <= r <= n or n < 2:
-        raise ValueError(f"need 1 <= r <= n and n >= 2, got r={r}, n={n}")
-    if d < 1:
-        raise ValueError("d must be >= 1")
+    require_sizes("1 <= r <= n, 2 <= n, 1 <= d", n=n, r=r, d=d)
     _check_constant(constant)
     u = n / r
     harmonic_term = 2.0 * d * math.log(d) / (n - 1)
     fixed_term = 10.0 * d / (n - 1)
-    asymptotic_term = constant * (d * d + d * u) * math.log(u + 1.0) / (n * r)
+    # numpy sizes would wrap n * r past 2**63 (n = r = 10**10), so the product is taken in ints
+    asymptotic_term = constant * (d * d + d * u) * math.log(u + 1.0) / (int(n) * int(r))
     total = harmonic_term + fixed_term + asymptotic_term
     return BoundBreakdown(
         n, r, d, u, constant, harmonic_term, fixed_term, asymptotic_term, total, harmonic_number(d)
@@ -71,11 +65,6 @@ def refined_bound(n: int, r: int, d: int, constant: float = 1.0) -> BoundBreakdo
 
 def macroscopic_bound(n: int, r: int, d: int, constant: float = 1.0) -> float:
     """The coarse bound C (r/n + d log(n)/r); d = 0 degenerates to C r/n."""
-    for name, value in (("n", n), ("r", r), ("d", d)):
-        require_int(name, value)
-    if not 1 <= r <= n:
-        raise ValueError(f"need 1 <= r <= n, got r={r}, n={n}")
-    if d < 0:
-        raise ValueError("d must be >= 0")
+    require_sizes("1 <= r <= n, 0 <= d", n=n, r=r, d=d)
     _check_constant(constant)
     return constant * (r / n + d * math.log(n) / r)

@@ -46,7 +46,7 @@ from typing import Iterator, Union
 
 import numpy as np
 
-from .errors import ResourceLimitError
+from .errors import ResourceLimitError, require_sizes
 from .permutations import CountsVector, capped_type_count, mappings_with_bounded_cycles, support_cap
 
 Probability = Union[Fraction, float]
@@ -152,12 +152,7 @@ def count_table(n_max: int, r: int, mode: str = "exact", *, d: int = 0) -> Windo
       Werman).  A step extends its chunk's prefix sum by one add, and a
       complete chunk fills its suffix sums backwards.
     """
-    if n_max < 0:
-        raise ValueError("n_max must be >= 0")
-    if r < 1:
-        raise ValueError("r must be >= 1")
-    if not 0 <= d <= r:
-        raise ValueError(f"need 0 <= d <= r, got d={d}, r={r}")
+    require_sizes("0 <= n_max, 1 <= r, 0 <= d <= r", n_max=n_max, r=r, d=d)
     if mode not in ("exact", "double"):
         raise ValueError(f"unknown mode {mode!r}")
     if mode == "exact":
@@ -244,16 +239,16 @@ def nu_ratios(n: int, top: int, table: WindowTable) -> list[Fraction] | np.ndarr
     Fractions from an exact table.  From a double table a float64 array, the
     reversed view of one exp, or a ValueError if R(top) leaves the double range.
     """
+    require_sizes("0 <= top <= n", top=top, n=n)
     return _ratios(n, 0, top, table)
 
 
 def _ratios(n: int, low: int, top: int, table: WindowTable) -> list[Fraction] | np.ndarray:
-    """R(m) for m = low..top, as :func:`nu_ratios` gives them; this is the one table-coverage check."""
+    """R(m) for m = low..top, 0 <= low <= top <= n, as :func:`nu_ratios` gives
+    them; this is the one table-coverage check."""
     r = table.r
     if table.d != 0 or table.n_max < n:
         raise ValueError(f"table (({table.d}, {r}], m <= {table.n_max}) does not cover nu(m, {r}), m <= {n}")
-    if not 0 <= top <= n:
-        raise ValueError(f"top must be in 0..{n}, got top={top}")
     if table.mode == "exact":
         scaled = table.scaled
         return [Fraction(scaled[n - m], scaled[n]) for m in range(low, top + 1)]
@@ -270,10 +265,8 @@ def first_element_cycle_length_pmf(n: int, table: WindowTable):
     Entry k-1 is R(k) / n (:func:`nu_ratios`).  For r = n this is uniform:
     every length 1..n has probability exactly 1/n.
     """
-    r = table.r
-    if not 1 <= r <= n:
-        raise ValueError(f"need 1 <= r <= n, got r={r}, n={n}")
-    ratios = nu_ratios(n, r, table)[1:]
+    require_sizes("1 <= r <= n", r=table.r, n=n)
+    ratios = _ratios(n, 0, table.r, table)[1:]
     return ratios / n if table.mode == "double" else [x / n for x in ratios]
 
 
@@ -347,8 +340,7 @@ class SparsePMF:
 
     def expectation(self, k: int) -> Probability:
         """E[number of k-cycles] under this law, k <= d."""
-        if not 1 <= k <= self.d:
-            raise ValueError(f"k must be in 1..{self.d}")
+        require_sizes("1 <= k <= d", k=k, d=self.d)
         return sum(c * p for c, p in zip(self.counts[:, k - 1].tolist(), self.mass_list()))
 
 
@@ -391,8 +383,7 @@ def joint_pmf(n: int, r: int, d: int, *, mode: str = "exact") -> SparsePMF:
     range underflows: it is kept, as a subnormal or as 0.0 (exact mode
     gives its true value).  The support is capped by SHORTCYCLES_SUPPORT_CAP.
     """
-    if not 1 <= d <= r <= n:
-        raise ValueError(f"need 1 <= d <= r <= n, got d={d}, r={r}, n={n}")
+    require_sizes("1 <= d <= r <= n", d=d, r=r, n=n)
     cap = support_cap()
     size, exact = capped_type_count(n, d, sum, cap)
     if size > cap:
@@ -441,8 +432,7 @@ def factorial_moment(n: int, a: Sequence[int], table: WindowTable) -> Probabilit
     some a_j > 0 has j > r = ``table.r``: a Fraction from an exact table, a float from a double one.
     """
     r = table.r
-    if not 1 <= r <= n:
-        raise ValueError(f"need 1 <= r <= n, got r={r}, n={n}")
+    require_sizes("1 <= r <= n", r=r, n=n)
     s, weight, longest = 0, 1, 0
     for j, aj in itertools.compress(enumerate(a, 1), a):  # the nonzero a_j only
         if aj < 0:
@@ -461,8 +451,7 @@ def expected_count(n: int, k: int, table: WindowTable) -> Probability:
     :func:`factorial_moment` at a = e_k, R(k) / k: exactly 1/k when r = n, 0 for
     r < k <= n.
     """
-    if not 1 <= k <= n:
-        raise ValueError(f"k must be in 1..{n}, got k={k}")
+    require_sizes("1 <= k <= n", k=k, n=n)
     return factorial_moment(n, (0,) * (k - 1) + (1,), table)
 
 
@@ -476,8 +465,7 @@ def brute_force_pmf(n: int, r: int, d: int) -> SparsePMF:
 
     The oracle for :func:`joint_pmf`; exact rationals throughout.
     """
-    if not 1 <= d <= r:
-        raise ValueError(f"need 1 <= d <= r, got d={d}, r={r}")
+    require_sizes("1 <= d <= r", d=d, r=r)
     types = Counter(lengths for _, lengths in mappings_with_bounded_cycles(n, r))
     tally = Counter()
     for lengths, ways in types.items():

@@ -11,8 +11,8 @@ because off the support |P - Q| = Q pointwise.  :func:`tv_exact` evaluates
 this for a finite law against a :class:`PoissonSpec`, and only that.  No
 truncation heuristics are involved; the only inexactness is the evaluation
 of the Poisson masses themselves, which a log-space recurrence keeps at the
-1e-15 level.  An optional high-precision path (mpmath) exists for regression
-points where the true distance sits below double rounding.
+1e-15 level.  An optional high-precision path (``decimal``) exists for
+regression points where the true distance sits below double rounding.
 
 For the cycle counts themselves the sum collapses further.  P and Q share
 the weight w(c) = prod_j j^{-c_j}/c_j!: P(c) = w(c) mu(n-s)/nu(n, r) and
@@ -40,6 +40,7 @@ from typing import Iterable, NamedTuple, Sequence
 import numpy as np
 
 from .counting import SparsePMF, count_table
+from .errors import require_sizes
 from .permutations import CountsVector
 
 
@@ -69,8 +70,7 @@ class PoissonSpec(_PoissonFields):
     @classmethod
     def cycle_reference(cls, d: int) -> "PoissonSpec":
         """Means 1/k for k = 1..d, the cycle-count reference law."""
-        if d < 1:
-            raise ValueError("d must be >= 1")
+        require_sizes("1 <= d", d=d)
         return cls(tuple(1.0 / k for k in range(1, d + 1)))
 
 
@@ -91,8 +91,8 @@ def tv_exact(pmf: SparsePMF, spec: PoissonSpec, precision: int | None = None) ->
     """Total-variation distance between a finite law and a product-Poisson law.
 
     The complement identity handles the Poisson tail off the support of
-    ``pmf``.  ``precision`` switches to mpmath with that many decimal digits,
-    at least 17: fewer than a double carries round the value away.
+    ``pmf``.  ``precision`` switches to ``decimal`` arithmetic with that many
+    digits, at least 17: fewer than a double carries round the value away.
     """
     if not isinstance(spec, PoissonSpec):
         raise TypeError(f"tv_exact compares a law with a PoissonSpec, got {type(spec).__name__}")
@@ -102,7 +102,7 @@ def tv_exact(pmf: SparsePMF, spec: PoissonSpec, precision: int | None = None) ->
     if precision is not None:
         if precision < 17:
             raise ValueError(f"precision must be at least 17 digits, got {precision}")
-        return _tv_exact_mpmath(pmf, spec, precision)
+        return _tv_exact_decimal(pmf, spec, precision)
     masses = np.asarray(pmf.masses, dtype=np.float64)
     return float(_tv_to_poisson(pmf.counts, masses, spec)[0])
 
@@ -136,8 +136,7 @@ def tv_cycle_counts(n: int, r: int, d: int) -> float:
     below the smallest normal double raises ValueError naming its decimal
     exponent, rather than returning a subnormal with lost digits or 0.0.
     """
-    if not 1 <= d <= r <= n:
-        raise ValueError(f"need 1 <= d <= r <= n, got d={d}, r={r}, n={n}")
+    require_sizes("1 <= d <= r <= n", d=d, r=r, n=n)
     nu_d = count_table(n, d, "exact")
     mu = count_table(n, r, "exact", d=d).scaled
     norm = count_table(n, r, "exact").scaled[n]
@@ -166,24 +165,26 @@ def tv_cycle_counts(n: int, r: int, d: int) -> float:
     return tv
 
 
-def _tv_exact_mpmath(pmf: SparsePMF, spec: PoissonSpec, precision: int) -> float:
-    from mpmath import mp, mpf
-
-    with mp.workdps(precision):
-        means = [mpf(repr(m)) for m in spec.means]
-        total_abs = mpf(0)
-        covered = mpf(0)
+def _tv_exact_decimal(pmf: SparsePMF, spec: PoissonSpec, precision: int) -> float:
+    """The complement identity in ``precision``-digit decimals: each mean is its
+    shortest repr, and each coordinate's masses come from e^-mean by the
+    recurrence q(c) = q(c-1) mean / c."""
+    with localcontext() as ctx:
+        ctx.prec = precision
+        columns = []
+        for mean, top in zip(spec.means, pmf.counts.max(axis=0).tolist()):
+            mean = Decimal(repr(mean))
+            column = [(-mean).exp()]
+            for c in range(1, top + 1):
+                column.append(column[-1] * mean / c)
+            columns.append(column)
+        total_abs = covered = Decimal(0)
         for counts, mass in zip(pmf.counts.tolist(), pmf.mass_list()):
-            q = mpf(1)
-            for mean, c in zip(means, counts):
-                q *= mp.e ** (-mean) * mean**c / mp.factorial(c)
-            p = mpf(mass.numerator) / mass.denominator if isinstance(mass, Fraction) else mpf(repr(mass))
+            q = math.prod((column[c] for column, c in zip(columns, counts)), start=Decimal(1))
+            p = Decimal(mass.numerator) / mass.denominator if isinstance(mass, Fraction) else Decimal(repr(mass))
             total_abs += abs(p - q)
             covered += q
-        tail = mpf(1) - covered
-        if tail < 0:
-            tail = mpf(0)
-        return float((total_abs + tail) / 2)
+        return float((total_abs + max(Decimal(0), 1 - covered)) / 2)
 
 
 def _require_normalized(pmf: SparsePMF) -> None:

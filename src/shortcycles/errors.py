@@ -1,6 +1,9 @@
-"""Exception types, the reader of the resource caps and the integer check, shared across the package."""
+"""Exception types, the reader of the resource caps and the size rule, shared across the package."""
 
+import functools
+import numbers
 import os
+import re
 
 
 class ResourceLimitError(RuntimeError):
@@ -23,8 +26,38 @@ def env_cap(name: str, default: int) -> int:
     return cap
 
 
-def require_int(name: str, value) -> None:
-    """Raise TypeError naming ``name`` and ``value`` unless ``value`` is an int
-    (a bool is not: ``True`` is no size)."""
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise TypeError(f"{name} must be an integer, got {value!r}")
+@functools.cache
+def _chains(rule: str) -> tuple:
+    """Each chain of ``rule`` as its text, its size names and its links, one
+    (left, right, strict) per operator: ``"1 <= d < r"`` links (1, "d", False)
+    and ("d", "r", True)."""
+    chains = []
+    for text in rule.split(", "):
+        terms = re.split(r"\s*(<=|<)\s*", text)
+        operands = [int(term) if term.isdigit() else term for term in terms[::2]]
+        names = tuple(dict.fromkeys(x for x in operands if isinstance(x, str)))
+        links = tuple(zip(operands, operands[1:], [op == "<" for op in terms[1::2]]))
+        chains.append((text, names, links))
+    return tuple(chains)
+
+
+def require_sizes(rule: str, **sizes) -> None:
+    """Check the integer sizes ``sizes`` against ``rule``: one or more chains of
+    ``<=`` and ``<`` over their names and int literals, joined by ``", "``, as
+    in ``require_sizes("1 <= d <= r <= n", d=d, r=r, n=n)``.
+
+    A size that is not an int or a numpy integer (a bool is not: ``True`` is
+    no size) raises TypeError naming it.  The first chain that fails raises
+    ValueError with its text and the values of its names:
+    ``need 1 <= d <= r <= n, got d=0, r=3, n=5``.  The rule is parsed once.
+    """
+    for name, value in sizes.items():
+        if type(value) is not int and (isinstance(value, bool) or not isinstance(value, numbers.Integral)):
+            raise TypeError(f"{name} must be an integer, got {value!r}")
+    get = sizes.get  # a literal is no key, so it reads as itself
+    for text, names, links in _chains(rule):
+        for left, right, strict in links:
+            a, b = get(left, left), get(right, right)
+            if not (a < b if strict else a <= b):
+                got = ", ".join(f"{name}={sizes[name]}" for name in names)
+                raise ValueError(f"need {text}, got {got}")

@@ -16,7 +16,7 @@ import math
 from collections import Counter
 from typing import Callable, Iterator, NamedTuple, Sequence
 
-from .errors import ResourceLimitError, env_cap
+from .errors import ResourceLimitError, env_cap, require_sizes
 
 DEFAULT_BRUTE_FORCE_CAP = 10
 DEFAULT_SUPPORT_CAP = 10**7
@@ -187,8 +187,7 @@ def mappings_with_bounded_cycles(n: int, r: int) -> Iterator[tuple[tuple[int, ..
     against :func:`brute_force_cap`.  n = 0 gives the empty permutation,
     the mapping () with cycle type ().
     """
-    if n < 0 or r < 1:
-        raise ValueError(f"need n >= 0 and r >= 1, got n={n}, r={r}")
+    require_sizes("0 <= n, 1 <= r", n=n, r=r)
     limit = brute_force_cap()
     if n > limit:
         raise ResourceLimitError(f"brute force capped at n <= {limit}, got n={n}")
@@ -203,8 +202,7 @@ def permutations_with_bounded_cycles(n: int, r: int) -> Iterator[Permutation]:
 
     The permutations :func:`mappings_with_bounded_cycles` yields, capped by :func:`brute_force_cap`.
     """
-    if n < 1 or r < 1:
-        raise ValueError(f"need n >= 1 and r >= 1, got n={n}, r={r}")
+    require_sizes("1 <= n, 1 <= r", n=n, r=r)
     for mapping, _ in mappings_with_bounded_cycles(n, r):
         yield Permutation(mapping)
 
@@ -218,8 +216,7 @@ def cycle_types(n: int, r: int) -> Iterator[tuple[int, ...]]:
     first one is (r, ..., r, n mod r) and parts never exceed r.  At most
     :func:`support_cap` types: their number is checked before the first.
     """
-    if n < 1 or r < 1:
-        raise ValueError(f"need n >= 1 and r >= 1, got n={n}, r={r}")
+    require_sizes("1 <= n, 1 <= r", n=n, r=r)
     cap = support_cap()
     types, exact = capped_type_count(n, r, lambda ways: ways[n], cap)
     if types > cap:
@@ -251,14 +248,13 @@ def cycle_type_counts(n: int, r: int) -> list[int]:
     number of count vectors (c_1, ..., c_r) with sum_j j*c_j = s; entry n
     counts what :func:`cycle_types` visits.
     """
+    require_sizes("0 <= n", n=n, r=r)
     *_, ways = _admit_parts(n, r)
     return ways
 
 
 def _admit_parts(n: int, r: int) -> Iterator[list[int]]:
     """cycle_type_counts(n, p) for p = 0, 1, ..., min(n, r): one list, updated in place."""
-    if n < 0:
-        raise ValueError(f"need n >= 0, got n={n}")
     ways = [1] + [0] * n
     yield ways
     for part in range(1, min(n, r) + 1):

@@ -60,6 +60,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .counting import count_table, nu_ratios
+from .errors import require_sizes
 from .permutations import cycle_type_size
 
 _UNIFORM_BLOCK = 64  # uniforms drawn per numpy call in _cycle_type; even, two per proposal
@@ -78,8 +79,7 @@ class SamplerConfig(_SamplerFields):
     __slots__ = ()
 
     def __new__(cls, n: int, r: int, method: str = "sequential", mcmc_burn_in: int = 0, mcmc_thinning: int = 1):
-        if not 1 <= r <= n:
-            raise ValueError(f"need 1 <= r <= n, got r={r}, n={n}")
+        require_sizes("1 <= r <= n", r=r, n=n)
         if method not in ("sequential", "mcmc"):
             raise ValueError(f"unknown method {method!r}")
         if mcmc_burn_in < 0:

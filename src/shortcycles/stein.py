@@ -82,6 +82,7 @@ from typing import Iterable, NamedTuple
 
 import numpy as np
 
+from .errors import require_sizes
 from .permutations import Permutation, class_size, cycle_type_size, cycle_types
 from .sampling import SamplerConfig, draw_cycle_types
 
@@ -163,11 +164,6 @@ def _type_size(lengths: tuple[int, ...], r: int | None = None) -> int:
     return n
 
 
-def _validate_kdr(n: int, k: int, d: int, r: int) -> None:
-    if not 1 <= k <= d < r <= n:
-        raise ValueError(f"need 1 <= k <= d < r <= n, got k={k}, d={d}, r={r}, n={n}")
-
-
 # The closed forms as integer numerators over n(n-1), read off the cycle
 # type's element counts {length: elements in cycles of that length}.
 
@@ -220,15 +216,14 @@ def _rearranged_numerator(elements: dict[int, int], n: int, k: int, d: int, r: i
 def creation_probability(lengths: tuple[int, ...], k: int, d: int) -> Fraction:
     """Closed form for the creation event, read off the cycle lengths."""
     n = _type_size(lengths)
-    if not 1 <= k <= d:
-        raise ValueError(f"need 1 <= k <= d, got k={k}, d={d}")
+    require_sizes("1 <= k <= d", k=k, d=d)
     return Fraction(_creation_numerator(_elements(lengths), k, d), n * (n - 1))
 
 
 def destruction_probability(lengths: tuple[int, ...], k: int, d: int, r: int) -> Fraction:
     """Closed form for the destruction event, read off the cycle lengths."""
     n = _type_size(lengths, r)
-    _validate_kdr(n, k, d, r)
+    require_sizes("1 <= k <= d < r <= n", k=k, d=d, r=r, n=n)
     return Fraction(_destruction_numerator(_elements(lengths), k, d, r), n * (n - 1))
 
 
@@ -240,7 +235,7 @@ def destruction_probability_rearranged(lengths: tuple[int, ...], k: int, d: int,
     so reports can show the gap explicitly.
     """
     n = _type_size(lengths, r)
-    _validate_kdr(n, k, d, r)
+    require_sizes("1 <= k <= d < r <= n", k=k, d=d, r=r, n=n)
     return Fraction(_rearranged_numerator(_elements(lengths), n, k, d, r), n * (n - 1))
 
 
@@ -279,8 +274,7 @@ def verify_closed_forms(n: int, r: int, d_max: int) -> ClosedFormReport:
     permutation only through its cycle type, so each type is checked once;
     ``checked`` and ``mismatch_count`` weight it by its class size.
     """
-    if not 1 <= r <= n:
-        raise ValueError(f"need 1 <= r <= n, got r={r}, n={n}")
+    require_sizes("1 <= r <= n", r=r, n=n, d_max=d_max)
     ds = range(1, min(d_max, r - 1) + 1)
     checked = 0
     mismatches = []
@@ -381,8 +375,7 @@ def term_estimates_exact(n: int, r: int, d: int) -> TermEstimates:
     weighted by the class size n!/prod_j j^{c_j} c_j!.  The number of cycle
     types is capped by SHORTCYCLES_SUPPORT_CAP.
     """
-    if not 1 <= d < r <= n:
-        raise ValueError(f"need 1 <= d < r <= n, got d={d}, r={r}, n={n}")
+    require_sizes("1 <= d < r <= n", d=d, r=r, n=n)
     sums = [[0, 0] for _ in range(d)]
     count = 0
     for lengths in cycle_types(n, r):
@@ -415,8 +408,7 @@ def term_estimates_mc(
     """
     if sample_count < 2:
         raise ValueError(f"need at least 2 samples for a standard error, got {sample_count}")
-    if not 1 <= d < r <= n:
-        raise ValueError(f"need 1 <= d < r <= n, got d={d}, r={r}, n={n}")
+    require_sizes("1 <= d < r <= n", d=d, r=r, n=n)
     types = draw_cycle_types(SamplerConfig(n, r), sample_count, rng)
     # int / int is correctly rounded, as float(Fraction) is
     scales = [2 * k * (n - 1) for k in range(1, d + 1)]

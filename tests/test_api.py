@@ -13,12 +13,15 @@ import pytest
 import shortcycles
 from shortcycles import SamplerConfig, joint_pmf, tv_exact
 from shortcycles.closedforms import harmonic_number, macroscopic_bound, refined_bound
-from shortcycles.counting import SparsePMF, WindowTable, brute_force_count, count_table
+from shortcycles.counting import (
+    SparsePMF, WindowTable, brute_force_count, count_table, expected_count, factorial_moment, nu_ratios,
+)
 from shortcycles.dickman import DickmanEvaluator
-from shortcycles.distances import PoissonSpec
+from shortcycles.distances import PoissonSpec, tv_cycle_counts
+from shortcycles.errors import require_sizes
 from shortcycles.permutations import CountsVector, Permutation, class_size, cycle_type_counts, cycle_types
 from shortcycles.sampling import mcmc_step
-from shortcycles.stein import creation_probability
+from shortcycles.stein import creation_probability, term_estimates_exact
 
 
 EXPORTS = [
@@ -295,6 +298,18 @@ def test_stein_terms_read_closed_forms_only():
         (lambda: macroscopic_bound(10.5, 3, 2), TypeError, "n must be an integer, got 10.5"),
         (lambda: refined_bound(10, True, 2), TypeError, "r must be an integer, got True"),
         (lambda: harmonic_number(2.5), TypeError, "d must be an integer, got 2.5"),
+        (lambda: count_table(20, 13.0, "exact"), TypeError, "r must be an integer, got 13.0"),
+        (lambda: count_table(20.0, 13, "double"), TypeError, "n_max must be an integer, got 20.0"),
+        (lambda: count_table(20, 13, "double", d=2.0), TypeError, "d must be an integer, got 2.0"),
+        (lambda: count_table(20, True, "exact"), TypeError, "r must be an integer, got True"),
+        (lambda: joint_pmf(10.0, 5, 2), TypeError, "n must be an integer, got 10.0"),
+        (lambda: tv_cycle_counts(10, 5.0, 2), TypeError, "r must be an integer, got 5.0"),
+        (lambda: next(cycle_types(6.0, 3)), TypeError, "n must be an integer, got 6.0"),
+        (lambda: term_estimates_exact(6, 3.0, 2), TypeError, "r must be an integer, got 3.0"),
+        (lambda: factorial_moment(6.0, (1,), count_table(6, 3)), TypeError, "n must be an integer, got 6.0"),
+        (lambda: expected_count(6, 1.0, count_table(6, 3)), TypeError, "k must be an integer, got 1.0"),
+        (lambda: nu_ratios(6, 2.0, count_table(6, 3)), TypeError, "top must be an integer, got 2.0"),
+        (lambda: SamplerConfig(10.5, 3), TypeError, "n must be an integer, got 10.5"),
     ],
     ids=[
         "creation-one-element", "creation-empty", "creation-zero-part", "creation-negative-part",
@@ -303,7 +318,9 @@ def test_stein_terms_read_closed_forms_only():
         "counts-vector-negative-part", "counts-vector-negative-entry", "class-size-zero-part",
         "class-size-negative-part", "mcmc-step-zero-part", "mcmc-step-unsorted", "probability-wrong-dimension",
         "window-table-mode", "sparse-pmf-mode", "refined-float-n", "macroscopic-float-n", "refined-bool-r",
-        "harmonic-float-d",
+        "harmonic-float-d", "count-table-float-r", "count-table-float-n", "count-table-float-d", "count-table-bool-r",
+        "joint-pmf-float-n", "tv-cycle-counts-float-r", "cycle-types-float-n", "term-estimates-exact-float-r",
+        "factorial-moment-float-n", "expected-count-float-k", "nu-ratios-float-top", "sampler-config-float-n",
     ],
 )
 def test_edge_inputs_raise_value_error_naming_the_value(call, error, bad):
@@ -312,21 +329,27 @@ def test_edge_inputs_raise_value_error_naming_the_value(call, error, bad):
         call()
 
 
-def test_permutations_owns_the_cycle_type_check_and_the_type_cap():
-    # which tuples are cycle types is decided by permutations.cycle_type_size
-    # alone, and the cap on the number of cycle types by the enumerator
+def _definitions(*modules: str) -> dict:
+    """The functions and methods of the package's ``modules``, keyed ``name`` or ``Class.name``."""
     package = Path(shortcycles.__file__).parent
     functions = {}
-    for module in ("permutations", "sampling", "stein"):
-        tree = ast.parse((package / f"{module}.py").read_text())
-        if module == "stein":
-            imported = [node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) and node.level]
-            assert "counting" not in imported
-        for node in tree.body:
+    for module in modules:
+        for node in ast.parse((package / f"{module}.py").read_text()).body:
             if isinstance(node, ast.ClassDef):
                 functions.update({f"{node.name}.{f.name}": f for f in node.body if isinstance(f, ast.FunctionDef)})
             elif isinstance(node, ast.FunctionDef):
                 functions[node.name] = node
+    return functions
+
+
+def test_permutations_owns_the_cycle_type_check_and_the_type_cap():
+    # which tuples are cycle types is decided by permutations.cycle_type_size
+    # alone, and the cap on the number of cycle types by the enumerator
+    package = Path(shortcycles.__file__).parent
+    tree = ast.parse((package / "stein.py").read_text())
+    imported = [node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) and node.level]
+    assert "counting" not in imported
+    functions = _definitions("permutations", "sampling", "stein")
 
     def calls(name):
         return {ast.unparse(node.func) for node in ast.walk(functions[name]) if isinstance(node, ast.Call)}
@@ -340,3 +363,98 @@ def test_permutations_owns_the_cycle_type_check_and_the_type_cap():
     unchecked = [door for door in doors if not {"cycle_type_size", "_type_size"} & calls(door)]
     assert unchecked == []
     assert "capped_type_count" in calls("cycle_types")
+
+
+SIZE_DOORS = {
+    "closedforms": ("harmonic_number", "refined_bound", "macroscopic_bound"),
+    "counting": (
+        "count_table", "nu_ratios", "first_element_cycle_length_pmf", "SparsePMF.expectation", "joint_pmf",
+        "factorial_moment", "expected_count", "brute_force_pmf",
+    ),
+    "distances": ("PoissonSpec.cycle_reference", "tv_cycle_counts"),
+    "permutations": (
+        "mappings_with_bounded_cycles", "permutations_with_bounded_cycles", "cycle_types", "cycle_type_counts",
+    ),
+    "sampling": ("SamplerConfig.__new__",),
+    "stein": (
+        "creation_probability", "destruction_probability", "destruction_probability_rearranged",
+        "verify_closed_forms", "term_estimates_exact", "term_estimates_mc",
+    ),
+    "cli": ("_tv_mc",),
+}
+
+
+def test_every_door_checks_its_sizes_with_one_rule():
+    # which sizes are valid is decided by errors.require_sizes alone: one call
+    # per door, whose rule names only the sizes it is passed
+    unchecked = []
+    for module, doors in SIZE_DOORS.items():
+        functions = _definitions(module)
+        for door in doors:
+            rules = [
+                node
+                for node in ast.walk(functions[door])
+                if isinstance(node, ast.Call) and ast.unparse(node.func) == "require_sizes"
+            ]
+            if len(rules) != 1:
+                unchecked.append(f"{module}.{door}")
+                continue
+            named = set(re.findall(r"[A-Za-z_]\w*", rules[0].args[0].value))
+            assert named <= {keyword.arg for keyword in rules[0].keywords}, door
+    assert unchecked == []
+    assert not hasattr(shortcycles.errors, "require_int") and not hasattr(shortcycles.stein, "_validate_kdr")
+
+
+@pytest.mark.parametrize(
+    "sizes,message",
+    [
+        ({"k": 1, "d": 2, "r": 3, "n": 4}, None),
+        ({"k": 1, "d": 3, "r": 3, "n": 5}, "need 1 <= k <= d < r <= n, got k=1, d=3, r=3, n=5"),
+        ({"k": 0, "d": 2, "r": 3, "n": 4}, "need 1 <= k <= d < r <= n, got k=0, d=2, r=3, n=4"),
+        ({"k": 1, "d": 2, "r": 3, "n": 3}, "need 4 <= n, got n=3"),
+        ({"k": np.int64(1), "d": np.int32(2), "r": np.uint8(3), "n": 4}, None),
+    ],
+    ids=["holds", "strict-link", "literal-link", "second-chain", "numpy-integers"],
+)
+def test_size_rule_reports_the_first_chain_that_fails(sizes, message):
+    rule = "1 <= k <= d < r <= n, 4 <= n"
+    if message is None:
+        require_sizes(rule, **sizes)
+    else:
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            require_sizes(rule, **sizes)
+
+
+@pytest.mark.parametrize("value", [2.0, True, np.bool_(True), "2", Fraction(2), None])
+def test_size_that_is_not_an_integer_is_a_type_error(value):
+    with pytest.raises(TypeError, match=f"^d must be an integer, got {re.escape(repr(value))}$"):
+        require_sizes("1 <= d", d=value)
+
+
+def test_numpy_integer_sizes_give_the_int_results():
+    n, r, d = np.int64(10), np.int64(5), np.int64(2)
+    assert count_table(n, r, "exact").scaled == count_table(10, 5, "exact").scaled
+    assert np.array_equal(count_table(n, r, "double", d=d).log_view(), count_table(10, 5, "double", d=2).log_view())
+    law, expected = joint_pmf(n, r, d), joint_pmf(10, 5, 2)
+    assert np.array_equal(law.counts, expected.counts) and law.masses == expected.masses
+    assert tv_cycle_counts(n, r, d) == tv_cycle_counts(10, 5, 2)
+    assert refined_bound(n, r, d) == refined_bound(10, 5, 2)
+    huge = np.int64(10**10)  # n * r leaves the int64 range
+    assert refined_bound(huge, huge, d) == refined_bound(10**10, 10**10, 2)
+    assert list(cycle_types(n, r)) == list(cycle_types(10, 5))
+
+
+def test_numpy_is_the_one_runtime_dependency():
+    # the package imports the standard library and numpy, and pyproject.toml asks for numpy alone
+    tomllib = pytest.importorskip("tomllib")
+    package = Path(shortcycles.__file__).parent
+    imported = set()
+    for path in package.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                imported.update(alias.name.split(".")[0] for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                imported.add(node.module.split(".")[0])
+    assert imported - set(sys.stdlib_module_names) == {"numpy"}
+    project = tomllib.loads((package.parent.parent / "pyproject.toml").read_text())["project"]
+    assert [re.match(r"[\w.-]+", requirement).group(0) for requirement in project["dependencies"]] == ["numpy"]

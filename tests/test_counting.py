@@ -500,7 +500,7 @@ class TestFactorialMoment:
     def test_validation(self):
         with pytest.raises(ValueError, match="a_j >= 0"):
             factorial_moment(6, (1, -1), count_table(6, 3))
-        with pytest.raises(ValueError, match="top must be in 0..6"):
+        with pytest.raises(ValueError, match="need 0 <= top <= n, got top=7, n=6"):
             nu_ratios(6, 7, count_table(6, 3))
 
 

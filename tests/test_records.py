@@ -131,24 +131,26 @@ def test_counts_vector_is_a_key_of_the_law_entries():
 
 
 @pytest.mark.parametrize(
-    "build,change,message",
+    "build,change,error,message",
     [
-        (lambda: CountsVector((1, 2)), {"counts": (1, -2)}, "count vector (1, -2) has a negative entry"),
-        (lambda: PoissonSpec((1.0,)), {"means": ()}, "means must be finite, positive and non-empty, got ()"),
-        (lambda: PoissonSpec((1.0,)), {"means": (0.0,)}, "means must be finite, positive and non-empty, got (0.0,)"),
-        (lambda: PoissonSpec((1.0,)), {"means": (math.inf,)}, "means must be finite, positive and non-empty, got (inf,)"),
-        (lambda: SamplerConfig(5, 3), {"r": 6}, "need 1 <= r <= n, got r=6, n=5"),
-        (lambda: SamplerConfig(5, 3), {"r": 0}, "need 1 <= r <= n, got r=0, n=5"),
-        (lambda: SamplerConfig(5, 3), {"method": "rejection"}, "unknown method 'rejection'"),
-        (lambda: SamplerConfig(5, 3), {"mcmc_burn_in": -1}, "burn-in must be >= 0, got -1"),
-        (lambda: SamplerConfig(5, 3), {"mcmc_thinning": 0}, "thinning must be >= 1, got 0"),
+        (lambda: CountsVector((1, 2)), {"counts": (1, -2)}, ValueError, "count vector (1, -2) has a negative entry"),
+        (lambda: PoissonSpec((1.0,)), {"means": ()}, ValueError, "means must be finite, positive and non-empty, got ()"),
+        (lambda: PoissonSpec((1.0,)), {"means": (0.0,)}, ValueError, "means must be finite, positive and non-empty, got (0.0,)"),
+        (lambda: PoissonSpec((1.0,)), {"means": (math.inf,)}, ValueError, "means must be finite, positive and non-empty, got (inf,)"),
+        (lambda: SamplerConfig(5, 3), {"r": 6}, ValueError, "need 1 <= r <= n, got r=6, n=5"),
+        (lambda: SamplerConfig(5, 3), {"r": 0}, ValueError, "need 1 <= r <= n, got r=0, n=5"),
+        (lambda: SamplerConfig(5, 3), {"method": "rejection"}, ValueError, "unknown method 'rejection'"),
+        (lambda: SamplerConfig(5, 3), {"mcmc_burn_in": -1}, ValueError, "burn-in must be >= 0, got -1"),
+        (lambda: SamplerConfig(5, 3), {"mcmc_thinning": 0}, ValueError, "thinning must be >= 1, got 0"),
+        (lambda: SamplerConfig(5, 3), {"n": 10.5}, TypeError, "n must be an integer, got 10.5"),
     ],
     ids=[
         "counts-negative", "means-empty", "means-zero", "means-inf",
         "sampler-r-above-n", "sampler-r-zero", "sampler-method", "sampler-burn-in", "sampler-thinning",
+        "sampler-float-n",
     ],
 )
-def test_validated_types_reject_bad_values_by_constructor_and_replace(build, change, message):
+def test_validated_types_reject_bad_values_by_constructor_and_replace(build, change, error, message):
     valid = build()
     cls = type(valid)
     values = valid._asdict()
@@ -161,6 +163,6 @@ def test_validated_types_reject_bad_values_by_constructor_and_replace(build, cha
         # an instance that skipped validation does not survive a pickle round trip
         lambda: pickle.loads(pickle.dumps(tuple.__new__(cls, values.values()))),
     ):
-        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
             make()
     assert pickle.loads(pickle.dumps(valid)) == valid and type(pickle.loads(pickle.dumps(valid))) is cls
