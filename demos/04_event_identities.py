@@ -4,13 +4,11 @@
 The creation/destruction probabilities of k-cycles (with counts of lengths
 k+1..d frozen) admit closed forms over the cycle lengths.  Enumerating
 all n(n-1)/2 transpositions gives the same numbers, exhaustively.  One
-finite-size blind spot of the destruction formula is catalogued instead of
-patched: when r <= 2k-2 it counts merges the walk rejects.  Cut at the
-length budget r-k, the formula is an identity, and the Stein bound terms
-read it in that form.
+finite-size blind spot of the printed destruction formula is catalogued
+instead of patched: when r <= 2k-2 it counts merges the walk rejects.  Cut
+at the length budget r-k, the formula is an identity, and both
+destruction_probability and the Stein bound terms read it in that form.
 """
-
-from fractions import Fraction
 
 from shortcycles import (
     Permutation,
@@ -18,7 +16,6 @@ from shortcycles import (
     cycle_structure,
     cycle_type_counts,
     destruction_probability,
-    destruction_probability_rearranged,
     event_tally,
     verify_closed_forms,
 )
@@ -58,22 +55,12 @@ print(f"  witness sigma = {m.mapping} (a 2-cycle and a 3-cycle), one of {m.class
 print(f"  enumeration: {m.enumerated}   closed form: {m.formula}")
 print("  the formula counts merging the 3-cycle with the 2-cycle, but the")
 print("  resulting 5-cycle would exceed r = 4, so the walk rejects it")
-
-
-def budgeted_destruction(lengths, k, d, r):
-    """The destruction display with every partner length cut at the budget r-k."""
-    n = sum(lengths)
-    e_k = k * lengths.count(k)
-    partners = sum(L for L in lengths if L <= r - k and (L > d or d - k < L < k))
-    return Fraction(2 * e_k * partners + (k - 1) * e_k, n * (n - 1))
-
-
 witness = cycle_structure(Permutation(m.mapping)).lengths
-cut = budgeted_destruction(witness, m.k, m.d, 4)
+cut = destruction_probability(witness, m.k, m.d, 4)
 print(f"  cut at the budget r-k = {4 - m.k}: {cut}   enumeration: {m.enumerated}   agree: {cut == m.enumerated}")
 records = [rec for rec in verify_closed_forms(7, 5, 4).mismatches if rec.which == "destruction"]
 agree = sum(
-    budgeted_destruction(cycle_structure(Permutation(rec.mapping)).lengths, rec.k, rec.d, 5) == rec.enumerated
+    destruction_probability(cycle_structure(Permutation(rec.mapping)).lengths, rec.k, rec.d, 5) == rec.enumerated
     for rec in records
 )
 print(f"  n=7, r=5, d<=4: the cut form matches enumeration on {agree} of {len(records)} blind-spot records")
@@ -85,7 +72,12 @@ print("=" * 72)
 sigma = Permutation((1, 0, 2, 3, 4))  # one 2-cycle, three fixed points
 lengths = cycle_structure(sigma).lengths
 enum = event_tally(lengths, 3, (1,))[(1, 1)][1]
-variant = destruction_probability_rearranged(lengths, 1, 1, 3)
+# the variant is no public function: the exhaustive catalogue records its value for this type
+variant = next(
+    rec.formula
+    for rec in verify_closed_forms(5, 3, 1).mismatches
+    if rec.which == "destruction_rearranged" and cycle_structure(Permutation(rec.mapping)).lengths == lengths
+)
 closed = destruction_probability(lengths, 1, 1, 3)
 print(f"  sigma = {sigma.mapping}, k = d = 1, r = 3")
 print(f"  enumeration:          {enum}")

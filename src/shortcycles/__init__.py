@@ -76,7 +76,6 @@ _HOMES = {
         "TermEstimates",
         "creation_probability",
         "destruction_probability",
-        "destruction_probability_rearranged",
         "event_tally",
         "term_estimates_exact",
         "term_estimates_mc",

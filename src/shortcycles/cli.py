@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import itertools
 import json
 import math
 import re
@@ -44,11 +43,8 @@ class _Parser(argparse.ArgumentParser):
     # for resource caps, so remap to 1
     def error(self, message):
         self.print_usage(sys.stderr)
-        raise SystemExit(self._validation_exit(message))
-
-    def _validation_exit(self, message):
         print(f"{self.prog}: error: {message}", file=sys.stderr)
-        return 1
+        raise SystemExit(1)
 
 
 def _emit_json(payload: dict, out) -> None:
@@ -63,17 +59,14 @@ def _emit_json(payload: dict, out) -> None:
 
 
 def _write_csv(path, header, rows) -> None:
-    """Write ``header`` and ``rows`` of strings and ints one line at a time,
-    in the bytes ``csv.writer`` gives for fields that need no quoting: fields
-    joined by ``,`` and each line ended by ``\r\n``.  A field holding ``,``,
-    ``"``, ``\r`` or ``\n`` raises ValueError.  Number columns go through
-    :func:`_write_numbers` instead."""
+    """Write ``header`` and ``rows`` of strings and ints through ``csv.writer``,
+    one row at a time.  Number columns go through :func:`_write_numbers` instead."""
+    import csv  # only the commands that write string rows load the module
+
     with open(path, "w", newline="") as fh:
-        for row in itertools.chain((header,), rows):
-            line = ",".join(map(str, row))
-            if line.count(",") != len(row) - 1 or '"' in line or "\r" in line or "\n" in line:
-                raise ValueError(f"CSV field would need quoting in row {row!r}")
-            fh.write(line + "\r\n")
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 def _write_numbers(path, header, columns) -> None:
@@ -351,7 +344,7 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_check(args) -> int:
-    import csv  # only this command parses CSV; the writers format lines themselves
+    import csv  # only the commands that read or write CSV load the module
 
     path = str(args.file)
     # a --full row holds all n images, so a field can pass the csv module's

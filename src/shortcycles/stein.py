@@ -35,18 +35,14 @@ itself (k-1 partners per element).
 The creation identity is exact for every valid (k, d, r).  The destruction
 display has one finite-size blind spot: its small-partner window d-k < L_b
 < k ignores the length budget L_b <= r-k, so when r <= 2k-2 it counts
-merges the walk actually rejects.  The display is catalogued as printed, not
-patched: exhaustive sweeps record exactly those cases, one record per
-(cycle type, d, k), with the type's ``Permutation.from_cycle_type`` as
-witness and its class size.  Cut at the budget, every partner length at
-most r-k, it is an identity for every (k, d, r), and the bound terms below
-read it in that form.
-
-``destruction_probability_rearranged`` evaluates a complement-substituted
-variant whose leading term is the raw k-cycle count; it is retained because
-it does NOT agree with enumeration (the leading term only matches after
-scaling by n/2k), and the comparison report catalogues the gap with witness
-permutations instead of asserting either way.
+merges the walk actually rejects.  Cut at the budget, every partner length at
+most r-k, it is an identity for every (k, d, r); :func:`destruction_probability`
+and the bound terms below read it in that form.  The display as printed is
+catalogued, not patched: exhaustive sweeps record exactly those cases, one
+record per (cycle type, d, k), with the type's ``Permutation.from_cycle_type``
+as witness and its class size.  The catalogue, not a public function, also
+carries a complement-substituted variant whose leading term is the raw
+k-cycle count; it is no identity, and the sweeps record its gap.
 
 The assembled upper bound on the total-variation distance from the product
 Poisson law is
@@ -148,9 +144,12 @@ def event_tally(
     Classifies the outcome of each of the n(n-1)/2 transpositions of a
     permutation with this cycle type (rejected proposals included); the
     enumeration is grouped by effect, so it costs O(n) rather than O(n^2)
-    per (d, k).
+    per (d, k).  Each d must satisfy 1 <= d < r.
     """
     n = _type_size(lengths, r)
+    ds = list(ds)
+    for d in ds:
+        require_sizes("1 <= d < r", d=d, r=r)
     total = n * (n - 1) // 2
     counts = _pair_counts(lengths, r, ds)
     return {key: (Fraction(up, total), Fraction(down, total)) for key, (up, down) in counts.items()}
@@ -184,13 +183,14 @@ def _creation_numerator(elements: dict[int, int], k: int, d: int) -> int:
     return 2 * split + merge_ordered
 
 
-def _destruction_numerator(elements: dict[int, int], k: int, d: int, r: int, *, budgeted: bool = False) -> int:
-    """n(n-1) P[destroy_k] by the closed-form display; ``budgeted`` cuts its
-    small-partner window at the length budget r-k, which makes it an identity."""
+def _destruction_numerator(elements: dict[int, int], k: int, d: int, r: int, *, printed: bool = False) -> int:
+    """n(n-1) P[destroy_k] by the closed-form display with its small-partner
+    window cut at the length budget r-k, an identity; ``printed`` leaves the
+    window uncut, as the display is printed, for the catalogue."""
     k_elements = elements.get(k, 0)
     if not k_elements:
         return 0
-    small_end = min(k, r - k + 1) if budgeted else k
+    small_end = k if printed else min(k, r - k + 1)
     partner_weight = sum(e for length, e in elements.items() if (d < length <= r - k) or (d - k < length < small_end))
     return 2 * k_elements * partner_weight + (k - 1) * k_elements
 
@@ -221,22 +221,11 @@ def creation_probability(lengths: tuple[int, ...], k: int, d: int) -> Fraction:
 
 
 def destruction_probability(lengths: tuple[int, ...], k: int, d: int, r: int) -> Fraction:
-    """Closed form for the destruction event, read off the cycle lengths."""
+    """Closed form for the destruction event, read off the cycle lengths: the
+    display cut at the length budget, an identity for every valid (k, d, r)."""
     n = _type_size(lengths, r)
     require_sizes("1 <= k <= d < r <= n", k=k, d=d, r=r, n=n)
     return Fraction(_destruction_numerator(_elements(lengths), k, d, r), n * (n - 1))
-
-
-def destruction_probability_rearranged(lengths: tuple[int, ...], k: int, d: int, r: int) -> Fraction:
-    """Complement-substituted variant with the raw count as leading term, read off the cycle lengths.
-
-    Not an identity: enumeration sweeps catalogue its deviation (the leading
-    term matches the event probability only after the n/2k scaling).  Kept
-    so reports can show the gap explicitly.
-    """
-    n = _type_size(lengths, r)
-    require_sizes("1 <= k <= d < r <= n", k=k, d=d, r=r, n=n)
-    return Fraction(_rearranged_numerator(_elements(lengths), n, k, d, r), n * (n - 1))
 
 
 CLOSED_FORMS = ("creation", "destruction", "destruction_rearranged")  # the closed forms checked against the tally
@@ -274,7 +263,7 @@ def verify_closed_forms(n: int, r: int, d_max: int) -> ClosedFormReport:
     permutation only through its cycle type, so each type is checked once;
     ``checked`` and ``mismatch_count`` weight it by its class size.
     """
-    require_sizes("1 <= r <= n", r=r, n=n, d_max=d_max)
+    require_sizes("1 <= r <= n, 1 <= d_max", r=r, n=n, d_max=d_max)
     ds = range(1, min(d_max, r - 1) + 1)
     checked = 0
     mismatches = []
@@ -306,7 +295,7 @@ def _closed_form_gaps(lengths: tuple[int, ...], r: int, ds: range):
     for (d, k), (up, down) in _pair_counts(lengths, r, ds).items():
         formulas = (
             _creation_numerator(elements, k, d),
-            _destruction_numerator(elements, k, d, r),
+            _destruction_numerator(elements, k, d, r, printed=True),
             _rearranged_numerator(elements, n, k, d, r),
         )
         # the tally counts pairs out of n(n-1)/2
@@ -349,7 +338,7 @@ def _type_terms(lengths: tuple[int, ...], r: int, d: int) -> list[tuple[int, int
     terms = []
     for k in range(1, d + 1):
         scale = 2 * k * (n - 1)
-        down = _destruction_numerator(elements, k, d, r, budgeted=True)
+        down = _destruction_numerator(elements, k, d, r)
         w_k = elements.get(k, 0) // k
         terms.append((abs(2 * (n - 1) - _creation_numerator(elements, k, d)), abs(scale * w_k - down)))
     return terms

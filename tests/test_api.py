@@ -21,7 +21,7 @@ from shortcycles.distances import PoissonSpec, tv_cycle_counts
 from shortcycles.errors import require_sizes
 from shortcycles.permutations import CountsVector, Permutation, class_size, cycle_type_counts, cycle_types
 from shortcycles.sampling import mcmc_step
-from shortcycles.stein import creation_probability, term_estimates_exact
+from shortcycles.stein import creation_probability, event_tally, term_estimates_exact, verify_closed_forms
 
 
 EXPORTS = [
@@ -36,14 +36,13 @@ EXPORTS = [
     "permutations_with_bounded_cycles",
     "SamplerConfig", "draw", "draw_cycle_types", "mcmc_step",
     "ClosedFormMismatch", "ClosedFormReport", "TermEstimates", "creation_probability", "destruction_probability",
-    "destruction_probability_rearranged", "event_tally", "term_estimates_exact", "term_estimates_mc",
-    "verify_closed_forms",
+    "event_tally", "term_estimates_exact", "term_estimates_mc", "verify_closed_forms",
 ]
 
 
 def test_all_holds_every_export():
     # the package imports its exports lazily, so __all__, not vars(), is the list public_callables scans
-    assert sorted(shortcycles.__all__) == sorted(EXPORTS) and len(EXPORTS) == len(set(EXPORTS)) == 52
+    assert sorted(shortcycles.__all__) == sorted(EXPORTS) and len(EXPORTS) == len(set(EXPORTS)) == 51
 
 
 def test_every_export_is_its_home_module_attribute():
@@ -70,7 +69,7 @@ def test_exports_and_submodules_resolve_in_a_fresh_interpreter(src_env):
     )
     result = subprocess.run([sys.executable, "-c", script], env=src_env, capture_output=True, text=True, timeout=60)
     assert (result.returncode, result.stderr) == (0, "")
-    assert result.stdout == " ".join(f"shortcycles.{home}" for home in homes) + "\n1.2564312086261695 52\n"
+    assert result.stdout == " ".join(f"shortcycles.{home}" for home in homes) + "\n1.2564312086261695 51\n"
 
 
 def public_callables():
@@ -310,6 +309,12 @@ def test_stein_terms_read_closed_forms_only():
         (lambda: expected_count(6, 1.0, count_table(6, 3)), TypeError, "k must be an integer, got 1.0"),
         (lambda: nu_ratios(6, 2.0, count_table(6, 3)), TypeError, "top must be an integer, got 2.0"),
         (lambda: SamplerConfig(10.5, 3), TypeError, "n must be an integer, got 10.5"),
+        (lambda: verify_closed_forms(6, 4, 0), ValueError, "need 1 <= d_max, got d_max=0"),
+        (lambda: verify_closed_forms(6, 4, -3), ValueError, "need 1 <= d_max, got d_max=-3"),
+        (lambda: event_tally((1, 2, 3), 3, [0]), ValueError, "need 1 <= d < r, got d=0, r=3"),
+        (lambda: event_tally((1, 2, 3), 3, [-3]), ValueError, "need 1 <= d < r, got d=-3, r=3"),
+        (lambda: event_tally((1, 2, 3), 3, [7]), ValueError, "need 1 <= d < r, got d=7, r=3"),
+        (lambda: event_tally((1, 2, 3), 3, [2, 3]), ValueError, "need 1 <= d < r, got d=3, r=3"),
     ],
     ids=[
         "creation-one-element", "creation-empty", "creation-zero-part", "creation-negative-part",
@@ -321,6 +326,8 @@ def test_stein_terms_read_closed_forms_only():
         "harmonic-float-d", "count-table-float-r", "count-table-float-n", "count-table-float-d", "count-table-bool-r",
         "joint-pmf-float-n", "tv-cycle-counts-float-r", "cycle-types-float-n", "term-estimates-exact-float-r",
         "factorial-moment-float-n", "expected-count-float-k", "nu-ratios-float-top", "sampler-config-float-n",
+        "verify-closed-forms-zero-d", "verify-closed-forms-negative-d", "event-tally-zero-d", "event-tally-negative-d",
+        "event-tally-d-above-r", "event-tally-d-at-r",
     ],
 )
 def test_edge_inputs_raise_value_error_naming_the_value(call, error, bad):
@@ -358,7 +365,7 @@ def test_permutations_owns_the_cycle_type_check_and_the_type_cap():
     assert "cycle_type_size" in calls("_type_size")
     doors = (
         "Permutation.from_cycle_type", "CountsVector.from_cycle_type", "class_size", "mcmc_step",
-        "creation_probability", "destruction_probability", "destruction_probability_rearranged", "event_tally",
+        "creation_probability", "destruction_probability", "event_tally",
     )
     unchecked = [door for door in doors if not {"cycle_type_size", "_type_size"} & calls(door)]
     assert unchecked == []
@@ -377,8 +384,8 @@ SIZE_DOORS = {
     ),
     "sampling": ("SamplerConfig.__new__",),
     "stein": (
-        "creation_probability", "destruction_probability", "destruction_probability_rearranged",
-        "verify_closed_forms", "term_estimates_exact", "term_estimates_mc",
+        "creation_probability", "destruction_probability", "event_tally", "verify_closed_forms",
+        "term_estimates_exact", "term_estimates_mc",
     ),
     "cli": ("_tv_mc",),
 }

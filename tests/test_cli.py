@@ -786,9 +786,14 @@ class TestCsvWriter:
         assert len(written) == 4
 
     @pytest.mark.parametrize("field", ["a,b", 'say "x"', "a\rb", "a\nb"])
-    def test_field_needing_quotes_is_rejected(self, field, tmp_path):
-        with pytest.raises(ValueError, match="would need quoting"):
-            cli._write_csv(tmp_path / "x.csv", ["index", "value"], [(0, "1"), (1, field)])
+    def test_field_needing_quotes_is_written_quoted_and_read_back(self, field, tmp_path, capsys):
+        rows = [(0, "1"), (1, field)]
+        path = tmp_path / "x.csv"
+        cli._write_csv(path, ["index", "value"], rows)
+        assert path.read_bytes() == csv_by_writer(["index", "value"], rows)
+        assert run(["check", str(path)], capsys) == (0, "ok\n", "")
+        with open(path, newline="") as fh:
+            assert list(csv.reader(fh)) == [["index", "value"]] + [[str(i), field] for i, field in rows]
 
 
 class TestParser:

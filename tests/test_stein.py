@@ -20,10 +20,12 @@ from shortcycles.permutations import (
 )
 from shortcycles.sampling import SamplerConfig, draw_cycle_types
 from shortcycles.stein import (
+    _destruction_numerator,
+    _elements,
+    _rearranged_numerator,
     _type_terms,
     creation_probability,
     destruction_probability,
-    destruction_probability_rearranged,
     event_tally,
     term_estimates_exact,
     term_estimates_mc,
@@ -69,8 +71,6 @@ class TestClosedForms:
             destruction_probability((1, 1, 6), 1, 1, 3)
         with pytest.raises(ValueError, match="has a cycle longer than r"):
             event_tally((1, 1, 6), 3, (1,))
-        with pytest.raises(ValueError, match="has a cycle longer than r"):
-            destruction_probability_rearranged((1, 1, 6), 1, 1, 3)
 
     def test_no_k_cycle_means_no_destruction(self):
         lengths = cycle_structure(Permutation((1, 2, 0, 4, 5, 3))).lengths  # two 3-cycles
@@ -92,8 +92,16 @@ class TestClosedForms:
                 for k in range(1, d + 1):
                     p_up, p_down = event_tally(lengths, r, (d,))[(d, k)]
                     assert creation_probability(lengths, k, d) == p_up
-                    if r >= 2 * k - 1:
-                        assert destruction_probability(lengths, k, d, r) == p_down
+                    assert destruction_probability(lengths, k, d, r) == p_down
+
+    def test_destruction_is_the_identity_in_the_blind_spot(self):
+        # (0 1)(2 3 4) at r = 4, k = d = 3: merging the 3-cycle with the 2-cycle builds a 5-cycle > r,
+        # which the printed display counts and the walk rejects
+        lengths, k, d, r = (2, 3), 3, 3, 4
+        assert r <= 2 * k - 2
+        assert destruction_probability(lengths, k, d, r) == event_tally(lengths, r, (d,))[(d, k)][1] == Fraction(3, 10)
+        # the catalogue still records the printed display's miss
+        assert verify_closed_forms(5, 4, 3).mismatch_count("destruction") == 20
 
 
 class TestExhaustiveVerification:
@@ -142,14 +150,18 @@ class TestExhaustiveVerification:
                 combinations = 0
                 for p in permutations_with_bounded_cycles(n, r):
                     lengths = cycle_structure(p).lengths
+                    elements = _elements(lengths)
                     for d in range(1, min(3, r - 1) + 1):
                         for k in range(1, d + 1):
                             combinations += 1
                             up, down = enumerated_events(p, r, k, d)
+                            # the catalogue checks the display as printed and the variant, neither a public function
+                            printed = _destruction_numerator(elements, k, d, r, printed=True)
+                            variant = _rearranged_numerator(elements, n, k, d, r)
                             for which, enumerated, formula in (
                                 ("creation", up, creation_probability(lengths, k, d)),
-                                ("destruction", down, destruction_probability(lengths, k, d, r)),
-                                ("destruction_rearranged", down, destruction_probability_rearranged(lengths, k, d, r)),
+                                ("destruction", down, Fraction(printed, n * (n - 1))),
+                                ("destruction_rearranged", down, Fraction(variant, n * (n - 1))),
                             ):
                                 if formula != enumerated:
                                     verdicts[(lengths, d, k, which)] += 1
@@ -273,7 +285,8 @@ class TestIntegerTerms:
     @pytest.mark.parametrize("n", range(2, 11))
     def test_type_terms_match_tally_fractions(self, n):
         # every cycle type and every d < r, r <= 2k-2 included:
-        # numerator / 2k(n-1) against the Fraction terms built from event_tally alone
+        # numerator / 2k(n-1) against the Fraction terms built from event_tally alone,
+        # and the public closed forms against the tally
         for r in range(2, n + 1):
             for lengths in cycle_types(n, r):
                 tally = event_tally(lengths, r, range(1, r))
@@ -281,6 +294,8 @@ class TestIntegerTerms:
                     for k, (up, down) in enumerate(_type_terms(lengths, r, d), 1):
                         assert isinstance(up, int) and isinstance(down, int)
                         p_up, p_down = tally[(d, k)]
+                        assert creation_probability(lengths, k, d) == p_up, (lengths, r, d, k)
+                        assert destruction_probability(lengths, k, d, r) == p_down, (lengths, r, d, k)
                         c_k = Fraction(n, 2 * k)
                         assert Fraction(up, 2 * k * (n - 1)) == abs(Fraction(1, k) - c_k * p_up), (lengths, r, d, k)
                         assert Fraction(down, 2 * k * (n - 1)) == abs(lengths.count(k) - c_k * p_down), (lengths, r, d, k)
@@ -303,6 +318,6 @@ class TestIntegerTerms:
         p_up, p_down = event_tally(lengths, 5, (3,))[(3, 3)]
         assert creation_probability(lengths, 3, 3) == p_up
         assert destruction_probability(lengths, 3, 3, 5) == p_down
-        for value in (p_up, p_down, destruction_probability_rearranged(lengths, 3, 3, 5)):
+        for value in (p_up, p_down, creation_probability(lengths, 3, 3), destruction_probability(lengths, 3, 3, 5)):
             assert isinstance(value, Fraction)
             assert math.gcd(value.numerator, value.denominator) == 1
