@@ -11,21 +11,17 @@ Exit codes: 0 success, 1 validation error or unwritable output path,
 raises is printed to stderr as one ``warning:`` line.
 """
 
-from __future__ import annotations
-
 import argparse
 import functools
-import json
 import math
 import re
 import sys
 import warnings
-from decimal import Decimal
-from fractions import Fraction
 
-# only the standard library and errors here: each handler imports the modules
-# it uses when it runs, and numpy only where it builds an array, so --version
-# and the dickman point queries never load numpy
+# only the standard modules above and errors here: each handler imports the
+# modules it uses when it runs (json only where a command writes or reads it),
+# and numpy only where it builds an array, so --version and the dickman point
+# queries never load numpy
 from . import __version__
 from .errors import ResourceLimitError, require_sizes
 
@@ -49,6 +45,8 @@ class _Parser(argparse.ArgumentParser):
 
 def _emit_json(payload: dict, out) -> None:
     """Write the report with its schema version to ``out``, or print it."""
+    import json
+
     text = json.dumps({"schema_version": SCHEMA_VERSION, **payload}, sort_keys=True, indent=2)
     if out:
         with open(out, "w") as fh:
@@ -82,11 +80,20 @@ def int_str(value: int) -> str:
     try:
         return str(value)
     except ValueError:
+        from decimal import Decimal
+
         return str(Decimal(value))
 
 
+def _fraction_type():
+    """``fractions.Fraction``, or ``()``, of which nothing is an instance, while
+    no module has imported ``fractions``: no Fraction exists before then, so
+    start-up need not load the module."""
+    return getattr(sys.modules.get("fractions"), "Fraction", ())
+
+
 def _fraction_str(x) -> str:
-    if isinstance(x, Fraction):
+    if isinstance(x, _fraction_type()):
         return f"{int_str(x.numerator)}/{int_str(x.denominator)}"
     return repr(x)
 
@@ -95,8 +102,9 @@ def _record_json(record, **renames: str) -> dict:
     """The fields of a result record as JSON values, each under its name or
     its new name in ``renames``: a Fraction as ``"p/q"``, a None field left
     out, and any other value as it is."""
+    fraction = _fraction_type()
     return {
-        renames.get(name, name): _fraction_str(value) if isinstance(value, Fraction) else value
+        renames.get(name, name): _fraction_str(value) if isinstance(value, fraction) else value
         for name, value in zip(record._fields, record)
         if value is not None
     }
@@ -250,6 +258,8 @@ def _cmd_stein_verify(args) -> int:
 
     payload: dict = {"n": args.n, "r": args.r, "d": args.d, "seed": args.seed}
     if args.exhaustive:
+        # verify_closed_forms checks its d_max with this rule; checked here, the message names --d
+        require_sizes("1 <= r <= n, 1 <= d", r=args.r, n=args.n, d=args.d)
         report = verify_closed_forms(args.n, args.r, args.d)
         terms = term_estimates_exact(args.n, args.r, args.d) if args.d < args.r else None
         payload["mode"] = "exhaustive"
@@ -345,6 +355,7 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_check(args) -> int:
     import csv  # only the commands that read or write CSV load the module
+    import json
 
     path = str(args.file)
     # a --full row holds all n images, so a field can pass the csv module's

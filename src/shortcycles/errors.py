@@ -1,7 +1,6 @@
 """Exception types, the reader of the resource caps and the size rule, shared across the package."""
 
 import functools
-import numbers
 import os
 import re
 
@@ -52,8 +51,12 @@ def require_sizes(rule: str, **sizes) -> None:
     ``need 1 <= d <= r <= n, got d=0, r=3, n=5``.  The rule is parsed once.
     """
     for name, value in sizes.items():
-        if type(value) is not int and (isinstance(value, bool) or not isinstance(value, numbers.Integral)):
-            raise TypeError(f"{name} must be an integer, got {value!r}")
+        if type(value) is not int:
+            # a numpy integer arrives only once numpy, which imports numbers, is loaded
+            import numbers
+
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise TypeError(f"{name} must be an integer, got {value!r}")
     get = sizes.get  # a literal is no key, so it reads as itself
     for text, names, links in _chains(rule):
         for left, right, strict in links:

@@ -387,7 +387,7 @@ SIZE_DOORS = {
         "creation_probability", "destruction_probability", "event_tally", "verify_closed_forms",
         "term_estimates_exact", "term_estimates_mc",
     ),
-    "cli": ("_tv_mc",),
+    "cli": ("_tv_mc", "_cmd_stein_verify"),
 }
 
 
@@ -436,6 +436,25 @@ def test_size_rule_reports_the_first_chain_that_fails(sizes, message):
 def test_size_that_is_not_an_integer_is_a_type_error(value):
     with pytest.raises(TypeError, match=f"^d must be an integer, got {re.escape(repr(value))}$"):
         require_sizes("1 <= d", d=value)
+
+
+def test_int_sizes_leave_numbers_unloaded(src_env):
+    # only a size that is not an int imports numbers, so the start-up checks do not load it
+    script = (
+        "import sys\n"
+        "assert 'numbers' not in sys.modules\n"
+        "from shortcycles.errors import require_sizes\n"
+        "require_sizes('1 <= r', r=2)\n"
+        "print(sorted({'numbers'} & set(sys.modules)))\n"
+        "for value in (2.5, True):\n"
+        "    try:\n"
+        "        require_sizes('1 <= r', r=value)\n"
+        "    except TypeError as exc:\n"
+        "        print(exc)\n"
+    )
+    result = subprocess.run([sys.executable, "-c", script], env=src_env, capture_output=True, text=True, timeout=60)
+    assert (result.returncode, result.stderr) == (0, "")
+    assert result.stdout == "[]\nr must be an integer, got 2.5\nr must be an integer, got True\n"
 
 
 def test_numpy_integer_sizes_give_the_int_results():

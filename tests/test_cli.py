@@ -560,6 +560,17 @@ class TestSteinVerify:
         keys = {(tuple(m["witness_permutation"]), m["d"], m["k"], m["which"]) for m in mismatches}
         assert len(keys) == 240
 
+    @pytest.mark.parametrize("d", ["0", "-3"])
+    @pytest.mark.parametrize(
+        "mode,rule",
+        [(["--exhaustive"], "need 1 <= d, got d={d}"), (["--samples", "10"], "need 1 <= d < r <= n, got d={d}, r=4, n=6")],
+        ids=["exhaustive", "samples"],
+    )
+    def test_d_below_one_names_d(self, mode, rule, d, capsys):
+        # both modes name the --d the user typed, not a library parameter
+        argv = ["stein-verify", "--n", "6", "--r", "4", "--d", d, *mode]
+        assert run(argv, capsys) == (1, "", f"error: {rule.format(d=d)}\n")
+
     def test_r_above_n_names_the_given_values(self, capsys):
         code, _, err = run(["stein-verify", "--n", "5", "--r", "6", "--d", "2", "--exhaustive"], capsys)
         assert code == 1
@@ -816,9 +827,10 @@ COMPUTE_MODULES = ("numpy", *(f"shortcycles.{name}" for name in (
     "closedforms", "counting", "dickman", "distances", "permutations", "sampling", "stein", "numtext")))
 
 
-def loaded_compute_modules(src_env, code: str) -> list[str]:
-    """The compute modules (and numpy) in ``sys.modules`` after ``code`` ran in a fresh interpreter."""
-    script = f"import sys\n{code}\nprint('loaded:', *sorted(set(sys.modules).intersection({COMPUTE_MODULES!r})))"
+def loaded_modules(src_env, code: str, among=COMPUTE_MODULES) -> list[str]:
+    """The modules of ``among`` (by default the compute modules and numpy) in
+    ``sys.modules`` after ``code`` ran in a fresh interpreter."""
+    script = f"import sys\n{code}\nprint('loaded:', *sorted(set(sys.modules).intersection({among!r})))"
     result = subprocess.run([sys.executable, "-c", script], env=src_env, capture_output=True, text=True, timeout=60)
     assert result.returncode == 0, result.stderr
     return result.stdout.splitlines()[-1].split()[1:]
@@ -826,14 +838,15 @@ def loaded_compute_modules(src_env, code: str) -> list[str]:
 
 class TestImport:
     def test_leaves_out_dataclasses_and_csv(self, src_env):
-        # the result records are NamedTuples, and only check reads CSV; numpy imports neither module
-        script = "import sys, shortcycles.cli; print(sorted({'dataclasses', 'csv'} & set(sys.modules)))"
-        result = subprocess.run([sys.executable, "-c", script], env=src_env, capture_output=True, text=True, timeout=60)
-        assert (result.returncode, result.stdout, result.stderr) == (0, "[]\n", "")
+        # the result records are NamedTuples and only check reads CSV; json, decimal and fractions
+        # load where a command uses them, numbers where a size is not an int, and no annotation
+        # needs __future__
+        lazy = ("dataclasses", "csv", "json", "decimal", "fractions", "numbers", "__future__")
+        assert loaded_modules(src_env, "import shortcycles.cli", among=lazy) == []
 
     @pytest.mark.parametrize("module", ["shortcycles", "shortcycles.cli"])
     def test_start_up_loads_no_compute_module(self, module, src_env):
-        assert loaded_compute_modules(src_env, f"import {module}") == []
+        assert loaded_modules(src_env, f"import {module}") == []
 
     @pytest.mark.parametrize(
         "argv, code, modules",
@@ -846,7 +859,7 @@ class TestImport:
             (["bound", "--n", "1000000", "--r", "10000", "--d", "5"], 0, ["shortcycles.closedforms"]),
             (["--version"], 0, []),
             (["count", "--n", "4"], 1, []),
-            (["check", "{json}"], 0, []),
+            (["check", "{json}"], 0, ["json"]),
         ],
         ids=["xi", "rho-t", "rho-t-log", "ratio", "gamma-check", "bound", "version", "usage-error", "check"],
     )
@@ -855,11 +868,12 @@ class TestImport:
         path.write_text('{"schema_version": 1}\n')
         argv = [str(path) if a == "{json}" else a for a in argv]
         script = f"from shortcycles.cli import main\nassert main({argv!r}) == {code}"
-        assert loaded_compute_modules(src_env, script) == modules
+        # json, decimal and fractions load only with a command that uses them
+        assert loaded_modules(src_env, script, among=(*COMPUTE_MODULES, "json", "decimal", "fractions")) == modules
 
     def test_count_loads_only_what_it_uses(self, src_env):
         script = "from shortcycles.cli import main\nassert main(['count', '--n', '1000', '--r', '100']) == 0"
-        loaded = loaded_compute_modules(src_env, script)
+        loaded = loaded_modules(src_env, script)
         assert "shortcycles.counting" in loaded
         unused = {"shortcycles.stein", "shortcycles.sampling", "shortcycles.distances", "shortcycles.dickman"}
         assert not unused & set(loaded), loaded
