@@ -172,10 +172,9 @@ def _cmd_pmf(args) -> int:
     if args.mode == "double":
         below = int(np.count_nonzero(pmf.masses < sys.float_info.min))
         if below:
-            print(
-                f"warning: {below} of {len(pmf)} masses lie below the smallest normal double "
-                "and are written as 0.0 or subnormal; --mode exact gives their true values",
-                file=sys.stderr,
+            warnings.warn(
+                f"{below} of {len(pmf)} masses lie below the smallest normal double "
+                "and are written as 0.0 or subnormal; --mode exact gives their true values"
             )
     return 0
 
@@ -234,8 +233,8 @@ def _cmd_dickman(args) -> int:
                 for row in zip(ts.tolist(), rho, log_rho):
                     print(*row)
         else:
-            value = ev.log_rho(args.t) if args.log else ev.rho(args.t)
-            print(repr(value))
+            log_rho = ev.log_rho(args.t)
+            print(repr(log_rho) if args.log else _positive_str(math.exp(log_rho), log_rho))
     elif args.dickman_command == "xi":
         print(repr(xi(args.t)))
     elif args.dickman_command == "ratio":

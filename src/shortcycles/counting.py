@@ -46,8 +46,8 @@ from typing import Iterator, Union
 
 import numpy as np
 
-from .errors import ResourceLimitError, require_sizes
-from .permutations import CountsVector, capped_type_count, mappings_with_bounded_cycles, support_cap
+from .errors import ResourceLimitError, env_cap, require_sizes
+from .permutations import CountsVector, capped_type_count, mappings_with_bounded_cycles
 
 Probability = Union[Fraction, float]
 
@@ -384,7 +384,7 @@ def joint_pmf(n: int, r: int, d: int, *, mode: str = "exact") -> SparsePMF:
     gives its true value).  The support is capped by SHORTCYCLES_SUPPORT_CAP.
     """
     require_sizes("1 <= d <= r <= n", d=d, r=r, n=n)
-    cap = support_cap()
+    cap = env_cap("SHORTCYCLES_SUPPORT_CAP")
     size, exact = capped_type_count(n, d, sum, cap)
     if size > cap:
         bound = "" if exact else "at least "

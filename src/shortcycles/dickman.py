@@ -59,8 +59,6 @@ from typing import NamedTuple
 from .errors import ResourceLimitError, env_cap
 
 PANEL_TERMS = 64
-# about 2 kB and 35 us per panel; the paper's regime needs u = n/r up to a few hundred
-DEFAULT_PANEL_CAP = 10**4
 # |g(x)| <= XI_RESIDUAL_TOLERANCE * x stops the solve; one last Newton step
 # then takes the root to rounding level
 XI_RESIDUAL_TOLERANCE = 1e-13
@@ -72,13 +70,8 @@ XI_SERIES_MAX_T = 1.25
 GAMMA_BOUND_SLACK = 1e-10
 
 
-def panel_cap() -> int:
-    """Most unit panels an evaluator builds (rho on [0, cap]); override with SHORTCYCLES_DICKMAN_PANEL_CAP."""
-    return env_cap("SHORTCYCLES_DICKMAN_PANEL_CAP", DEFAULT_PANEL_CAP)
-
-
 class DickmanEvaluator:
-    """Panel-by-panel evaluator for rho and log-rho; :func:`panel_cap` bounds t."""
+    """Panel-by-panel evaluator for rho and log-rho; ``SHORTCYCLES_DICKMAN_PANEL_CAP`` unit panels bound t."""
 
     def __init__(self):
         # panel k covers [k, k+1] and stores the coefficients of rho(k+1-z)/rho(k+1)
@@ -101,14 +94,15 @@ class DickmanEvaluator:
         self._panels.append([x / ratio for x in a])
         self._log_checkpoints.append(self._log_checkpoints[k] + math.log(ratio))
 
-    def _ensure(self, k: int) -> None:
-        """Make panels 0..k (hence checkpoints 0..k+1) available."""
+    def _ensure(self, k: int, t: float) -> None:
+        """Make panels 0..k (hence checkpoints 0..k+1) available for rho at ``t``."""
         if len(self._panels) > k:
             return
-        cap = panel_cap()
+        cap = env_cap("SHORTCYCLES_DICKMAN_PANEL_CAP")
         if k >= cap:
+            # k + 1 = ceil(t) is a double, so :.16g prints it exactly, or in exponent form past 16 digits
             raise ResourceLimitError(
-                f"rho on [0, {k + 1}] needs {k + 1} Dickman panels, exceeding the cap of {cap} "
+                f"rho at t={t!r} needs {k + 1:.16g} Dickman panels, exceeding the cap of {cap} "
                 "(SHORTCYCLES_DICKMAN_PANEL_CAP)"
             )
         with self._lock:
@@ -126,9 +120,9 @@ class DickmanEvaluator:
             return 0.0
         k = int(math.floor(t))
         if t == k:
-            self._ensure(k - 1)
+            self._ensure(k - 1, t)
             return self._log_checkpoints[k]
-        self._ensure(k)
+        self._ensure(k, t)
         z = k + 1 - t
         scaled = 0.0
         for coef in reversed(self._panels[k]):
@@ -222,8 +216,13 @@ def rho_ratio_check(t: float, v: float, evaluator: DickmanEvaluator) -> RhoRatio
         raise ValueError(f"need 0 <= v <= t, got t={t}, v={v}")
     if v > 3:
         warnings.warn(f"v={v} is large; the exponential prediction assumes v = O(1)", stacklevel=2)
-    ratio = math.exp(evaluator.log_rho(t - v) - evaluator.log_rho(t))
-    predicted = math.exp(v * xi(t)) if t > 1 else 1.0
+    log_ratio = evaluator.log_rho(t - v) - evaluator.log_rho(t)
+    exponent = v * xi(t)
+    try:  # the ratio tops the prediction only where v < 1 (measured for t <= 1000), so it fits where this does
+        predicted = math.exp(exponent)
+    except OverflowError:
+        raise ValueError(f"exp(v*xi(t)) = exp({exponent!r}) lies beyond the double range, got t={t}, v={v}") from None
+    ratio = math.exp(log_ratio)
     gap = abs(ratio / predicted - 1.0)
     return RhoRatioReport(t, v, ratio, predicted, gap)
 
@@ -238,8 +237,6 @@ class GammaBoundReport(NamedTuple):
 
 
 def gamma_bound_check(t: float, evaluator: DickmanEvaluator) -> GammaBoundReport:
-    if not (math.isfinite(t) and t >= 0):
-        raise ValueError(f"t must be a finite number >= 0, got t={t}")
     lr = evaluator.log_rho(t)
     bound = 0.0 - math.lgamma(t + 1.0)  # not -lgamma: lgamma(1) = lgamma(2) = 0.0, and -0.0 prints as "-0.0"
     slack = GAMMA_BOUND_SLACK * max(1.0, abs(bound))

@@ -235,8 +235,7 @@ def tv_empirical(
     samples = list(samples)
     if len(samples) < 2:
         raise ValueError(f"need at least 2 samples for a standard error, got {len(samples)}")
-    if bootstrap < 2:
-        raise ValueError(f"need at least 2 bootstrap replicates for a standard error, got bootstrap={bootstrap}")
+    require_sizes("2 <= bootstrap", bootstrap=bootstrap)
     for cv in samples:
         if cv.d != spec.d:
             raise ValueError(f"sample has dimension {cv.d}, expected {spec.d}")

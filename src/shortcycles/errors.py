@@ -1,4 +1,4 @@
-"""Exception types, the reader of the resource caps and the size rule, shared across the package."""
+"""Exception types, the table and the reader of the resource caps, and the size rule, shared across the package."""
 
 import functools
 import os
@@ -9,13 +9,20 @@ class ResourceLimitError(RuntimeError):
     """A configured resource cap (support size, brute-force size, Dickman panels) was hit."""
 
 
-def env_cap(name: str, default: int) -> int:
-    """The resource cap set by the environment variable ``name``, or ``default``
-    where it is unset.  A value that is not a positive integer raises ValueError
-    naming the variable."""
+CAPS = {  # every resource cap: its environment variable and its default
+    "SHORTCYCLES_SUPPORT_CAP": 10**7,  # cycle types, or joint-law support vectors, one call visits
+    "SHORTCYCLES_BRUTE_FORCE_CAP": 10,  # largest n brute-force enumeration accepts
+    "SHORTCYCLES_DICKMAN_PANEL_CAP": 10**4,  # unit panels of a Dickman evaluator, about 2 kB and 35 us each
+}
+
+
+def env_cap(name: str) -> int:
+    """The resource cap set by the environment variable ``name``, one of
+    :data:`CAPS`, or its default there where it is unset.  A value that is not
+    a positive integer raises ValueError naming the variable."""
     text = os.environ.get(name)
     if text is None:
-        return default
+        return CAPS[name]
     try:
         cap = int(text)
     except ValueError:

@@ -5,7 +5,7 @@ is where ``i`` goes; its cycle structure is derived from that array.  A cycle
 type is a tuple of positive cycle lengths, and :func:`cycle_type_size` is the
 one check of that rule, and of a bound r on the parts, for every function of
 the package that takes cycle lengths.  :func:`cycle_types` enumerates the
-types of n with parts <= r, at most :func:`support_cap` of them.  Entry ``k``
+types of n with parts <= r, at most ``SHORTCYCLES_SUPPORT_CAP`` of them.  Entry ``k``
 of a :class:`CountsVector`, never negative, is the number of k-cycles.
 """
 
@@ -17,19 +17,6 @@ from collections import Counter
 from typing import Callable, Iterator, NamedTuple, Sequence
 
 from .errors import ResourceLimitError, env_cap, require_sizes
-
-DEFAULT_BRUTE_FORCE_CAP = 10
-DEFAULT_SUPPORT_CAP = 10**7
-
-
-def brute_force_cap() -> int:
-    """Largest n brute-force enumeration accepts; override with SHORTCYCLES_BRUTE_FORCE_CAP."""
-    return env_cap("SHORTCYCLES_BRUTE_FORCE_CAP", DEFAULT_BRUTE_FORCE_CAP)
-
-
-def support_cap() -> int:
-    """Most cycle types, or joint-law support vectors, one call visits; override with SHORTCYCLES_SUPPORT_CAP."""
-    return env_cap("SHORTCYCLES_SUPPORT_CAP", DEFAULT_SUPPORT_CAP)
 
 
 def cycle_type_size(lengths: Sequence[int], r: int | None = None) -> int:
@@ -184,11 +171,11 @@ def mappings_with_bounded_cycles(n: int, r: int) -> Iterator[tuple[tuple[int, ..
     its one-line mapping and its cycle type (``cycle_structure(p).lengths``).
 
     The brute-force enumerator: it filters all n! arrays, after checking n
-    against :func:`brute_force_cap`.  n = 0 gives the empty permutation,
+    against ``SHORTCYCLES_BRUTE_FORCE_CAP``.  n = 0 gives the empty permutation,
     the mapping () with cycle type ().
     """
     require_sizes("0 <= n, 1 <= r", n=n, r=r)
-    limit = brute_force_cap()
+    limit = env_cap("SHORTCYCLES_BRUTE_FORCE_CAP")
     if n > limit:
         raise ResourceLimitError(f"brute force capped at n <= {limit}, got n={n}")
     for mapping in itertools.permutations(range(n)):
@@ -200,7 +187,7 @@ def mappings_with_bounded_cycles(n: int, r: int) -> Iterator[tuple[tuple[int, ..
 def permutations_with_bounded_cycles(n: int, r: int) -> Iterator[Permutation]:
     """All permutations of n >= 1 elements whose every cycle has length <= r.
 
-    The permutations :func:`mappings_with_bounded_cycles` yields, capped by :func:`brute_force_cap`.
+    The permutations :func:`mappings_with_bounded_cycles` yields, capped by ``SHORTCYCLES_BRUTE_FORCE_CAP``.
     """
     require_sizes("1 <= n, 1 <= r", n=n, r=r)
     for mapping, _ in mappings_with_bounded_cycles(n, r):
@@ -214,10 +201,10 @@ def cycle_types(n: int, r: int) -> Iterator[tuple[int, ...]]:
     lengths like :attr:`CycleStructure.lengths`.  Partitions are visited in
     reverse lexicographic order of their parts read largest first, so the
     first one is (r, ..., r, n mod r) and parts never exceed r.  At most
-    :func:`support_cap` types: their number is checked before the first.
+    ``SHORTCYCLES_SUPPORT_CAP`` types: their number is checked before the first.
     """
     require_sizes("1 <= n, 1 <= r", n=n, r=r)
-    cap = support_cap()
+    cap = env_cap("SHORTCYCLES_SUPPORT_CAP")
     types, exact = capped_type_count(n, r, lambda ways: ways[n], cap)
     if types > cap:
         bound = "" if exact else "at least "

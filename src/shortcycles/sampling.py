@@ -59,7 +59,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .counting import count_table, nu_ratios
+from .counting import count_table, first_element_cycle_length_pmf
 from .errors import require_sizes
 from .permutations import cycle_type_size
 
@@ -79,13 +79,12 @@ class SamplerConfig(_SamplerFields):
     __slots__ = ()
 
     def __new__(cls, n: int, r: int, method: str = "sequential", mcmc_burn_in: int = 0, mcmc_thinning: int = 1):
-        require_sizes("1 <= r <= n", r=r, n=n)
+        require_sizes(
+            "1 <= r <= n, 0 <= mcmc_burn_in, 1 <= mcmc_thinning",
+            r=r, n=n, mcmc_burn_in=mcmc_burn_in, mcmc_thinning=mcmc_thinning,
+        )
         if method not in ("sequential", "mcmc"):
             raise ValueError(f"unknown method {method!r}")
-        if mcmc_burn_in < 0:
-            raise ValueError(f"burn-in must be >= 0, got {mcmc_burn_in}")
-        if mcmc_thinning < 1:
-            raise ValueError(f"thinning must be >= 1, got {mcmc_thinning}")
         return super().__new__(cls, n, r, method, mcmc_burn_in, mcmc_thinning)
 
     @classmethod
@@ -97,10 +96,10 @@ class SamplerConfig(_SamplerFields):
 def _stage_logs(n: int, r: int) -> memoryview:
     """The log nu(m, r) entries the stages of a draw of n read, from one double
     nu table, as a memoryview whose items are Python floats, once the stage law
-    at m = n (sum_k R(k)/n, :func:`nu_ratios`) is found to sum to 1 and
+    at m = n (:func:`first_element_cycle_length_pmf`) is found to sum to 1 and
     nu(m, r) = 1 for m <= min(n, r).  A batch of draws runs this once."""
     table = count_table(n, r, "double")
-    total = np.add.reduce(nu_ratios(n, min(n, r), table)[1:]) / n
+    total = np.add.reduce(first_element_cycle_length_pmf(n, table))
     if not abs(total - 1.0) <= 1e-9:
         raise ValueError(f"stage law sums to {total}, table looks inconsistent")
     logs = table.log_view()
@@ -227,8 +226,7 @@ def _ordered_pairs(n: int, steps: int, rng: np.random.Generator):
 
 def _types(cfg: SamplerConfig, count: int, rng: np.random.Generator):
     """The types of :func:`draw_cycle_types`, lazy for sequential; a plain function, so its checks run on the call."""
-    if count < 0:
-        raise ValueError("count must be >= 0")
+    require_sizes("0 <= count", count=count)
     n, r = cfg.n, cfg.r
     logs = _stage_logs(n, r)
     if cfg.method == "sequential":

@@ -17,10 +17,10 @@ from shortcycles.counting import (
     SparsePMF, WindowTable, brute_force_count, count_table, expected_count, factorial_moment, nu_ratios,
 )
 from shortcycles.dickman import DickmanEvaluator
-from shortcycles.distances import PoissonSpec, tv_cycle_counts
+from shortcycles.distances import PoissonSpec, tv_cycle_counts, tv_empirical
 from shortcycles.errors import require_sizes
 from shortcycles.permutations import CountsVector, Permutation, class_size, cycle_type_counts, cycle_types
-from shortcycles.sampling import mcmc_step
+from shortcycles.sampling import draw, draw_cycle_types, mcmc_step
 from shortcycles.stein import creation_probability, event_tally, term_estimates_exact, verify_closed_forms
 
 
@@ -162,8 +162,9 @@ def test_exact_log_view_names_fraction():
 
 
 def test_readme_lists_every_cap_the_code_reads():
-    # the SHORTCYCLES_* variables read through errors.env_cap, the one reader of
-    # os.environ, are the caps contract of the README
+    # errors.CAPS, the table of errors.env_cap, the one reader of os.environ,
+    # holds every SHORTCYCLES_* variable a call site names, and it is the caps
+    # contract of the README
     package = Path(shortcycles.__file__).parent
     calls = [
         (path.stem, node)
@@ -174,9 +175,10 @@ def test_readme_lists_every_cap_the_code_reads():
     environ = {stem for stem, node in calls if ast.unparse(node.func) in ("os.environ.get", "os.getenv")}
     assert environ == {"errors"}
     read = {node.args[0].value for _, node in calls if ast.unparse(node.func) == "env_cap"}
+    assert read == set(shortcycles.errors.CAPS)
     readme = (package.parent.parent / "README.md").read_text()
     contract = re.search(r"^- resource caps are set only through .*?(?=^- )", readme, re.M | re.S).group(0)
-    assert read == set(re.findall(r"`(SHORTCYCLES_\w+)`", contract))
+    assert set(shortcycles.errors.CAPS) == set(re.findall(r"`(SHORTCYCLES_\w+)`", contract))
 
 
 @pytest.mark.parametrize("value", ["abc", "1.5", "-1", "0"])
@@ -269,6 +271,9 @@ def test_stein_terms_read_closed_forms_only():
     assert from_stein and not [name for name in from_stein if "tally" in name]
 
 
+TWO_SAMPLES = (CountsVector((0,)), CountsVector((1,)))
+
+
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize(
     "call,error,bad",
@@ -309,6 +314,18 @@ def test_stein_terms_read_closed_forms_only():
         (lambda: expected_count(6, 1.0, count_table(6, 3)), TypeError, "k must be an integer, got 1.0"),
         (lambda: nu_ratios(6, 2.0, count_table(6, 3)), TypeError, "top must be an integer, got 2.0"),
         (lambda: SamplerConfig(10.5, 3), TypeError, "n must be an integer, got 10.5"),
+        (lambda: SamplerConfig(10, 3, "mcmc", 1.5), TypeError, "mcmc_burn_in must be an integer, got 1.5"),
+        (lambda: SamplerConfig(10, 3, "mcmc", True), TypeError, "mcmc_burn_in must be an integer, got True"),
+        (lambda: SamplerConfig(10, 3, "mcmc", 0, 2.0), TypeError, "mcmc_thinning must be an integer, got 2.0"),
+        (lambda: SamplerConfig(10, 3, "mcmc", 0, True), TypeError, "mcmc_thinning must be an integer, got True"),
+        (lambda: draw_cycle_types(SamplerConfig(10, 3), 2.0, np.random.default_rng(0)), TypeError,
+         "count must be an integer, got 2.0"),
+        (lambda: draw(SamplerConfig(10, 3), True, np.random.default_rng(0)), TypeError,
+         "count must be an integer, got True"),
+        (lambda: tv_empirical(TWO_SAMPLES, PoissonSpec.cycle_reference(1), bootstrap=200.0,
+                              rng=np.random.default_rng(0)), TypeError, "bootstrap must be an integer, got 200.0"),
+        (lambda: tv_empirical(TWO_SAMPLES, PoissonSpec.cycle_reference(1), bootstrap=True,
+                              rng=np.random.default_rng(0)), TypeError, "bootstrap must be an integer, got True"),
         (lambda: verify_closed_forms(6, 4, 0), ValueError, "need 1 <= d_max, got d_max=0"),
         (lambda: verify_closed_forms(6, 4, -3), ValueError, "need 1 <= d_max, got d_max=-3"),
         (lambda: event_tally((1, 2, 3), 3, [0]), ValueError, "need 1 <= d < r, got d=0, r=3"),
@@ -326,6 +343,9 @@ def test_stein_terms_read_closed_forms_only():
         "harmonic-float-d", "count-table-float-r", "count-table-float-n", "count-table-float-d", "count-table-bool-r",
         "joint-pmf-float-n", "tv-cycle-counts-float-r", "cycle-types-float-n", "term-estimates-exact-float-r",
         "factorial-moment-float-n", "expected-count-float-k", "nu-ratios-float-top", "sampler-config-float-n",
+        "sampler-config-float-burn-in", "sampler-config-bool-burn-in", "sampler-config-float-thinning",
+        "sampler-config-bool-thinning", "draw-cycle-types-float-count", "draw-bool-count",
+        "tv-empirical-float-bootstrap", "tv-empirical-bool-bootstrap",
         "verify-closed-forms-zero-d", "verify-closed-forms-negative-d", "event-tally-zero-d", "event-tally-negative-d",
         "event-tally-d-above-r", "event-tally-d-at-r",
     ],
@@ -378,11 +398,11 @@ SIZE_DOORS = {
         "count_table", "nu_ratios", "first_element_cycle_length_pmf", "SparsePMF.expectation", "joint_pmf",
         "factorial_moment", "expected_count", "brute_force_pmf",
     ),
-    "distances": ("PoissonSpec.cycle_reference", "tv_cycle_counts"),
+    "distances": ("PoissonSpec.cycle_reference", "tv_cycle_counts", "tv_empirical"),
     "permutations": (
         "mappings_with_bounded_cycles", "permutations_with_bounded_cycles", "cycle_types", "cycle_type_counts",
     ),
-    "sampling": ("SamplerConfig.__new__",),
+    "sampling": ("SamplerConfig.__new__", "_types"),
     "stein": (
         "creation_probability", "destruction_probability", "event_tally", "verify_closed_forms",
         "term_estimates_exact", "term_estimates_mc",

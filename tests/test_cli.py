@@ -3,10 +3,13 @@ import hashlib
 import itertools
 import json
 import math
+import re
+import shlex
 import subprocess
 import sys
 
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -229,6 +232,43 @@ class TestDickman:
         assert run(["dickman", "rho", "--grid", "1", "40", "4", "--out", str(path)], capsys)[0] == 2
         assert not path.exists()
 
+    @pytest.mark.parametrize(
+        "t, out",
+        [
+            ("2.5", "0.13031956183225074\n"),
+            ("127", "2.042361859043638e-307\n"),
+            # below the normal double range the value is printed from log rho, as count prints nu
+            ("128", "2.35722692950821e-310\n"),
+            ("268", "3.60166582193533e-751\n"),
+        ],
+    )
+    def test_rho_below_the_double_range_is_printed_from_its_log(self, t, out, capsys):
+        assert run(["dickman", "rho", "--t", t], capsys) == (0, out, "")
+
+    def test_rho_deep_in_the_tail_agrees_with_log_rho(self, capsys):
+        code, out, _ = run(["dickman", "rho", "--t", "300"], capsys)
+        assert code == 0
+        mantissa, exponent = out.split("e")
+        code, log_out, _ = run(["dickman", "rho", "--t", "300", "--log"], capsys)
+        assert code == 0
+        assert math.log(float(mantissa)) + int(exponent) * math.log(10) == pytest.approx(float(log_out), rel=1e-14)
+
+    @pytest.mark.parametrize(
+        "argv, t", [(["ratio", "--t", "1e308", "--v", "1"], "1e+308"), (["gamma-check", "--t", "1e300"], "1e+300")]
+    )
+    def test_panel_cap_names_t_not_its_digits(self, argv, t, capsys):
+        # ceil(t) panels, printed as t is: not the hundreds of digits of floor(t) + 1
+        message = f"rho at t={t} needs {t} Dickman panels, exceeding the cap of 10000 (SHORTCYCLES_DICKMAN_PANEL_CAP)"
+        assert run(["dickman", *argv], capsys) == (2, "", f"resource cap: {message}\n")
+
+    def test_ratio_beyond_the_double_range_is_a_validation_error(self, capsys):
+        code, out, err = run(["dickman", "ratio", "--t", "1000", "--v", "500"], capsys)
+        assert (code, out) == (1, "")
+        assert err.splitlines() == [
+            "warning: v=500.0 is large; the exponential prediction assumes v = O(1)",
+            "error: exp(v*xi(t)) = exp(4559.064822416894) lies beyond the double range, got t=1000.0, v=500.0",
+        ]
+
     def test_t_max_option_is_gone(self, capsys):
         code, out, _ = run(["dickman", "rho", "--t", "300"], capsys)
         assert code == 0
@@ -404,7 +444,7 @@ class TestSample:
             capsys,
         )
         assert code == 1
-        assert "thinning must be >= 1, got 0" in err
+        assert "need 1 <= mcmc_thinning, got mcmc_thinning=0" in err
         assert not path.exists()
 
     def test_negative_count_is_a_validation_error(self, tmp_path, capsys):
@@ -414,7 +454,7 @@ class TestSample:
                 ["sample", "--n", "8", "--r", "4", "--count", "-1", "--out", str(path), *extra], capsys
             )
             assert code == 1
-            assert "count must be >= 0" in err
+            assert "need 0 <= count, got count=-1" in err
             assert not path.exists()
 
 
@@ -1042,3 +1082,24 @@ def test_argv_grid_never_escapes_main(command, tmp_path, capsys):
         if code not in (0, 1, 2) or stray:
             escaped.append((argv, code, stray))
     assert escaped == []
+
+
+def readme_examples() -> list[list[str]]:
+    """The argv of each ``shortcycles ...`` line of README's "Command line" block."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = re.search(r"^## Command line\n.*?^```\n(.*?)^```", readme, re.M | re.S).group(1)
+    return [shlex.split(line, comments=True)[1:] for line in block.splitlines() if line.startswith("shortcycles ")]
+
+
+def test_readme_examples_run_and_write_files_check_accepts(tmp_path, monkeypatch, capsys):
+    # a README that drifts from the code fails here: every example exits 0, in order, in one directory
+    monkeypatch.chdir(tmp_path)
+    examples = readme_examples()
+    assert len(examples) == 16
+    for argv in examples:
+        code, _, err = run(argv, capsys)
+        assert code == 0, (argv, err)
+    named = {argv[argv.index("--out") + 1] for argv in examples if "--out" in argv}
+    assert {path.name for path in tmp_path.iterdir()} == named
+    for name in sorted(named):
+        assert run(["check", name], capsys) == (0, "ok\n", ""), name

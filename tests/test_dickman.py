@@ -173,6 +173,13 @@ class TestRhoRatio:
             with pytest.raises(ValueError, match="finite"):
                 rho_ratio_check(t, v, dickman)
 
+    @pytest.mark.filterwarnings("ignore:v=")
+    def test_prediction_beyond_the_double_range_is_a_value_error(self, dickman):
+        # exp(v*xi(t)) overflows a double; the error names the exponent, not a raw math range error
+        with pytest.raises(ValueError, match=r"^exp\(v\*xi\(t\)\) = exp\(4559\.\d+\) lies beyond the double range"):
+            rho_ratio_check(1000.0, 500.0, dickman)
+        assert rho_ratio_check(300.0, 90.0, dickman).ratio < math.inf
+
 
 class TestGammaBound:
     def test_equality_at_one(self, dickman):
@@ -196,6 +203,7 @@ class TestGammaBound:
             assert gamma_bound_check(j * 0.5, dickman).holds
 
     def test_non_finite(self, dickman):
-        for t in (math.nan, math.inf):
-            with pytest.raises(ValueError, match=f"t={t}"):
+        # the domain of t is the evaluator's
+        for t in (math.nan, math.inf, -1.0):
+            with pytest.raises(ValueError, match=f"^rho is only defined for finite t >= 0, got t={t}$"):
                 gamma_bound_check(t, dickman)

@@ -140,8 +140,8 @@ def test_counts_vector_is_a_key_of_the_law_entries():
         (lambda: SamplerConfig(5, 3), {"r": 6}, ValueError, "need 1 <= r <= n, got r=6, n=5"),
         (lambda: SamplerConfig(5, 3), {"r": 0}, ValueError, "need 1 <= r <= n, got r=0, n=5"),
         (lambda: SamplerConfig(5, 3), {"method": "rejection"}, ValueError, "unknown method 'rejection'"),
-        (lambda: SamplerConfig(5, 3), {"mcmc_burn_in": -1}, ValueError, "burn-in must be >= 0, got -1"),
-        (lambda: SamplerConfig(5, 3), {"mcmc_thinning": 0}, ValueError, "thinning must be >= 1, got 0"),
+        (lambda: SamplerConfig(5, 3), {"mcmc_burn_in": -1}, ValueError, "need 0 <= mcmc_burn_in, got mcmc_burn_in=-1"),
+        (lambda: SamplerConfig(5, 3), {"mcmc_thinning": 0}, ValueError, "need 1 <= mcmc_thinning, got mcmc_thinning=0"),
         (lambda: SamplerConfig(5, 3), {"n": 10.5}, TypeError, "n must be an integer, got 10.5"),
     ],
     ids=[

@@ -21,7 +21,6 @@ from shortcycles.counting import (
     count_table,
     expected_count,
     first_element_cycle_length_pmf,
-    nu_ratios,
 )
 from shortcycles.permutations import (
     Permutation,
@@ -48,9 +47,9 @@ class TestConfig:
         for method in ("magic", "rejection"):
             with pytest.raises(ValueError, match="unknown method"):
                 SamplerConfig(n=4, r=2, method=method)
-        with pytest.raises(ValueError, match="thinning must be >= 1"):
+        with pytest.raises(ValueError, match="need 1 <= mcmc_thinning, got mcmc_thinning=0"):
             SamplerConfig(n=4, r=2, method="mcmc", mcmc_thinning=0)
-        with pytest.raises(ValueError, match="burn-in must be >= 0"):
+        with pytest.raises(ValueError, match="need 0 <= mcmc_burn_in, got mcmc_burn_in=-1"):
             SamplerConfig(n=4, r=2, method="mcmc", mcmc_burn_in=-1)
 
 
@@ -192,9 +191,9 @@ class TestCycleType:
 
         def counted(*args):
             calls.append(args)
-            return nu_ratios(*args)
+            return first_element_cycle_length_pmf(*args)
 
-        monkeypatch.setattr(sampling, "nu_ratios", counted)
+        monkeypatch.setattr(sampling, "first_element_cycle_length_pmf", counted)
         for method in ("sequential", "mcmc"):
             for run in (draw, draw_cycle_types):
                 calls.clear()
