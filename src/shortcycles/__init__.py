@@ -37,10 +37,6 @@ _HOMES = {
     ),
     "dickman": (
         "DickmanEvaluator",
-        "GammaBoundReport",
-        "RhoRatioReport",
-        "gamma_bound_check",
-        "rho_ratio_check",
         "xi",
     ),
     "distances": (

@@ -1,10 +1,10 @@
 """Batch command-line front end.
 
-One subcommand per capability: count, pmf, sample, dickman (rho, xi,
-ratio, gamma-check), stein-verify, tv, bound, sweep, and check (re-parse a
-file the tool wrote).  All randomized subcommands are deterministic given
---seed, and identical argv produce byte-identical output files: JSON is
-written with sorted keys and no timestamps.
+One subcommand per capability: count, pmf, sample, dickman (rho, xi),
+stein-verify, tv, bound, sweep, and check (re-parse a file the tool
+wrote).  All randomized subcommands are deterministic given --seed, and
+identical argv produce byte-identical output files: JSON is written with
+sorted keys and no timestamps.
 
 Exit codes: 0 success, 1 validation error or unwritable output path,
 2 resource cap, or memory the machine refused.  A warning a library call
@@ -207,10 +207,10 @@ def _cmd_sample(args) -> int:
 
 
 def _cmd_dickman(args) -> int:
-    from .dickman import DickmanEvaluator, gamma_bound_check, rho_ratio_check, xi
+    from .dickman import DickmanEvaluator, xi
 
-    ev = DickmanEvaluator()
     if args.dickman_command == "rho":
+        ev = DickmanEvaluator()
         if args.out and not args.grid:
             raise ValueError("--out needs --grid; --t prints its value")
         if args.log and args.grid:
@@ -235,18 +235,8 @@ def _cmd_dickman(args) -> int:
         else:
             log_rho = ev.log_rho(args.t)
             print(repr(log_rho) if args.log else _positive_str(math.exp(log_rho), log_rho))
-    elif args.dickman_command == "xi":
+    else:  # xi
         print(repr(xi(args.t)))
-    elif args.dickman_command == "ratio":
-        report = rho_ratio_check(args.t, args.v, ev)
-        print(f"ratio = {report.ratio!r}")
-        print(f"predicted = {report.predicted!r}")
-        print(f"relative_gap = {report.relative_gap!r}")
-    else:  # gamma-check
-        report = gamma_bound_check(args.t, ev)
-        print(f"log_rho = {report.log_rho!r}")
-        print(f"log_bound = {report.log_bound!r}")
-        print(f"holds = {report.holds}")
     return 0
 
 
@@ -427,19 +417,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("dickman", help="rho / xi numerics")
     dsub = p.add_subparsers(dest="dickman_command", required=True, parser_class=_Parser)
-    for name in ("rho", "xi", "ratio", "gamma-check"):
-        q = dsub.add_parser(name)
-        if name == "rho":
-            at = q.add_mutually_exclusive_group(required=True)
-            at.add_argument("--t", type=float)
-            at.add_argument("--grid", type=float, nargs=3, metavar=("START", "STOP", "NUM"))
-            q.add_argument("--log", action="store_true", help="print log rho instead")
-            q.add_argument("--out", help="CSV destination for --grid")
-        else:
-            q.add_argument("--t", type=float, required=True)
-        if name == "ratio":
-            q.add_argument("--v", type=float, required=True)
-        q.set_defaults(handler=_cmd_dickman)
+    q = dsub.add_parser("rho")
+    at = q.add_mutually_exclusive_group(required=True)
+    at.add_argument("--t", type=float)
+    at.add_argument("--grid", type=float, nargs=3, metavar=("START", "STOP", "NUM"))
+    q.add_argument("--log", action="store_true", help="print log rho instead")
+    q.add_argument("--out", help="CSV destination for --grid")
+    q.set_defaults(handler=_cmd_dickman)
+    q = dsub.add_parser("xi")
+    q.add_argument("--t", type=float, required=True)
+    q.set_defaults(handler=_cmd_dickman)
 
     p = sub.add_parser("stein-verify", help="event identities: exhaustive check or MC terms")
     p.add_argument("--n", type=int, required=True)

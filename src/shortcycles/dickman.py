@@ -44,8 +44,8 @@ arguments: rho(t - v) / rho(t) is approximately exp(v * xi(t)) for moderate
 v, which is also the scale of consecutive checkpoint ratios above.
 
 rho and log rho come only from a :class:`DickmanEvaluator` the caller
-holds, and the checks below take one: each evaluator keeps its own
-panels, and the module keeps no shared one.  xi needs no state and is the
+holds: each evaluator keeps its own panels, and the module keeps no
+shared one.  xi needs no state and is the
 plain function :func:`xi`.
 """
 
@@ -53,8 +53,6 @@ from __future__ import annotations
 
 import math
 import threading
-import warnings
-from typing import NamedTuple
 
 from .errors import ResourceLimitError, env_cap
 
@@ -66,8 +64,6 @@ XI_MAX_ITERATIONS = 200
 # up to this t, xi comes from the positive series in t - 1, whose error stays
 # near 2e-16 while the log form's grows like 3e-17/(t - 1); they cross near here
 XI_SERIES_MAX_T = 1.25
-# relative slack of gamma_bound_check, 100 times the panel accuracy
-GAMMA_BOUND_SLACK = 1e-10
 
 
 class DickmanEvaluator:
@@ -195,49 +191,3 @@ def _xi_series(excess: float) -> float:
         if step <= XI_RESIDUAL_TOLERANCE * x:
             return x
     raise ArithmeticError(f"xi failed to converge for t={1.0 + excess}")
-
-
-class RhoRatioReport(NamedTuple):
-    """rho(t-v)/rho(t) against exp(v*xi(t)); the gap is reported, not judged."""
-
-    t: float
-    v: float
-    ratio: float
-    predicted: float
-    relative_gap: float
-
-
-def rho_ratio_check(t: float, v: float, evaluator: DickmanEvaluator) -> RhoRatioReport:
-    if not (math.isfinite(t) and math.isfinite(v)):
-        raise ValueError(f"ratio check needs finite t and v, got t={t}, v={v}")
-    if t < 1:
-        raise ValueError(f"ratio check requires t >= 1, got t={t}")
-    if not 0 <= v <= t:
-        raise ValueError(f"need 0 <= v <= t, got t={t}, v={v}")
-    if v > 3:
-        warnings.warn(f"v={v} is large; the exponential prediction assumes v = O(1)", stacklevel=2)
-    log_ratio = evaluator.log_rho(t - v) - evaluator.log_rho(t)
-    exponent = v * xi(t)
-    try:  # the ratio tops the prediction only where v < 1 (measured for t <= 1000), so it fits where this does
-        predicted = math.exp(exponent)
-    except OverflowError:
-        raise ValueError(f"exp(v*xi(t)) = exp({exponent!r}) lies beyond the double range, got t={t}, v={v}") from None
-    ratio = math.exp(log_ratio)
-    gap = abs(ratio / predicted - 1.0)
-    return RhoRatioReport(t, v, ratio, predicted, gap)
-
-
-class GammaBoundReport(NamedTuple):
-    """Check of rho(t) <= 1 / Gamma(t+1), performed in log space."""
-
-    t: float
-    log_rho: float
-    log_bound: float
-    holds: bool
-
-
-def gamma_bound_check(t: float, evaluator: DickmanEvaluator) -> GammaBoundReport:
-    lr = evaluator.log_rho(t)
-    bound = 0.0 - math.lgamma(t + 1.0)  # not -lgamma: lgamma(1) = lgamma(2) = 0.0, and -0.0 prints as "-0.0"
-    slack = GAMMA_BOUND_SLACK * max(1.0, abs(bound))
-    return GammaBoundReport(t, lr, bound, lr <= bound + slack)

@@ -53,6 +53,7 @@ class Permutation:
 
     @classmethod
     def identity(cls, n: int) -> "Permutation":
+        require_sizes("1 <= n", n=n)
         return cls(range(n))
 
     @classmethod
@@ -119,8 +120,7 @@ class CountsVector(_CountsFields):
     @classmethod
     def from_cycle_type(cls, lengths: Sequence[int], d: int) -> "CountsVector":
         """Number of cycles of each length 1..d among the cycle lengths ``lengths``."""
-        if d < 0:
-            raise ValueError(f"need d >= 0, got d={d}")
+        require_sizes("0 <= d", d=d)
         cycle_type_size(lengths)
         counts = [0] * d
         for length in lengths:

@@ -186,6 +186,19 @@ def xi_oracle(t: float, digits: int = 50) -> float:
         return float(mpmath.findroot(lambda x: mpmath.expm1(x) - t * x, start))
 
 
+def gamma_bound_misses(evaluator: DickmanEvaluator, ts, slack: float = 1e-10) -> list[float]:
+    """The t of ``ts`` where rho(t) <= 1/Gamma(t + 1) fails in logs:
+    log_rho(t) > -lgamma(t + 1) + slack * max(1, |lgamma(t + 1)|).  The
+    default slack is 100 times the panel accuracy."""
+    misses = []
+    for t in ts:
+        log_rho = evaluator.log_rho(t)  # first, so t outside rho's domain meets the evaluator's error
+        bound = -math.lgamma(t + 1.0)
+        if not log_rho <= bound + slack * max(1.0, abs(bound)):
+            misses.append(t)
+    return misses
+
+
 def apply_transposition(p: Permutation, a: int, b: int) -> Permutation:
     """``p`` followed by the swap of ``a != b``: the images a and b trade places.
 

@@ -14,7 +14,13 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from oracles import detailed_balance_failures, dickman_fixed_step, dickman_fixed_step_at, type_law_pvalue
+from oracles import (
+    detailed_balance_failures,
+    dickman_fixed_step,
+    dickman_fixed_step_at,
+    gamma_bound_misses,
+    type_law_pvalue,
+)
 from shortcycles.counting import (
     brute_force_count,
     brute_force_pmf,
@@ -23,7 +29,7 @@ from shortcycles.counting import (
     joint_pmf,
 )
 from shortcycles.closedforms import macroscopic_bound, refined_bound
-from shortcycles.dickman import gamma_bound_check, xi
+from shortcycles.dickman import xi
 from shortcycles.distances import PoissonSpec, tv_exact
 from shortcycles.permutations import Permutation, longest_cycle, permutations_with_bounded_cycles
 from shortcycles.sampling import SamplerConfig, draw, draw_cycle_types
@@ -74,8 +80,7 @@ def test_criterion_03_dickman_accuracy(dickman):
             assert dickman.rho(t) == pytest.approx(
                 dickman_fixed_step_at(panels, t), rel=1e-9
             ), t
-        for j in range(0, 101):
-            assert gamma_bound_check(j * 0.5, dickman).holds, j * 0.5
+        assert gamma_bound_misses(dickman, [j * 0.5 for j in range(101)]) == []
 
 
 def test_criterion_04_xi_correctness():

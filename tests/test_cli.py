@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from oracles import csv_by_writer, nu_table_rows, pmf_csv_by_writer, pmf_printed_by_dict, rho_grid_rows
-from shortcycles import cli, dickman, numtext
+from shortcycles import cli, counting, numtext
 from shortcycles.cli import main
 from shortcycles.counting import joint_pmf
 from shortcycles.distances import tv_cycle_counts
@@ -147,17 +147,6 @@ class TestDickman:
         assert lines[0] == "t,rho,log_rho"
         assert len(lines) == 12
 
-    def test_gamma_check(self, capsys):
-        code, out, _ = run(["dickman", "gamma-check", "--t", "2.0"], capsys)
-        assert code == 0
-        assert "holds = True" in out
-
-    @pytest.mark.parametrize("t", ["0", "1"])
-    def test_gamma_check_bound_is_positive_zero(self, t, capsys):
-        # log rho(t) = -log Gamma(t + 1) = 0 on [0, 1]; the bound prints as 0.0, not -0.0
-        out = "log_rho = 0.0\nlog_bound = 0.0\nholds = True\n"
-        assert run(["dickman", "gamma-check", "--t", t], capsys) == (0, out, "")
-
     def test_missing_argument(self, capsys):
         code, _, _ = run(["dickman", "rho"], capsys)
         assert code == 1
@@ -186,19 +175,17 @@ class TestDickman:
             (["rho", "--grid", "1", "5", "nan"], "got nan"),
             (["rho", "--t", "nan"], "t=nan"),
             (["rho", "--t", "inf"], "t=inf"),
-            (["gamma-check", "--t", "nan"], "t=nan"),
+            (["rho", "--t", "nan", "--log"], "t=nan"),
             (["xi", "--t", "nan"], "t=nan"),
             (["xi", "--t", "inf"], "t=inf"),
-            (["ratio", "--t", "5", "--v", "nan"], "v=nan"),
-            (["ratio", "--t", "inf", "--v", "1"], "t=inf"),
+            (["xi", "--t", "-inf"], "t=-inf"),
+            (["rho", "--t", "inf", "--log"], "t=inf"),
             (["rho", "--grid", "0", "inf", "3"], "got 0.0 and inf"),
             # negative values in scientific or inf notation reach the domain checks
             (["rho", "--t", "-1e3"], "t=-1000.0"),
             (["rho", "--grid", "-1e3", "5", "3"], "t=-1000.0"),
             (["rho", "--grid", "-inf", "5", "3"], "got -inf and 5.0"),
             (["rho", "--t", "-inf"], "t=-inf"),
-            (["ratio", "--t", "5", "--v", "-1e-3"], "need 0 <= v <= t"),
-            (["ratio", "--t", "5", "--v", "-1e-3"], "need 0 <= v <= t, got t=5.0, v=-0.001"),
         ],
     )
     @pytest.mark.filterwarnings("error")  # a numpy warning on the way is a failure
@@ -254,25 +241,16 @@ class TestDickman:
         assert math.log(float(mantissa)) + int(exponent) * math.log(10) == pytest.approx(float(log_out), rel=1e-14)
 
     @pytest.mark.parametrize(
-        "argv, t", [(["ratio", "--t", "1e308", "--v", "1"], "1e+308"), (["gamma-check", "--t", "1e300"], "1e+300")]
+        "argv, t", [(["rho", "--t", "1e308"], "1e+308"), (["rho", "--t", "1e300", "--log"], "1e+300")]
     )
     def test_panel_cap_names_t_not_its_digits(self, argv, t, capsys):
         # ceil(t) panels, printed as t is: not the hundreds of digits of floor(t) + 1
         message = f"rho at t={t} needs {t} Dickman panels, exceeding the cap of 10000 (SHORTCYCLES_DICKMAN_PANEL_CAP)"
         assert run(["dickman", *argv], capsys) == (2, "", f"resource cap: {message}\n")
 
-    def test_ratio_beyond_the_double_range_is_a_validation_error(self, capsys):
-        code, out, err = run(["dickman", "ratio", "--t", "1000", "--v", "500"], capsys)
-        assert (code, out) == (1, "")
-        assert err.splitlines() == [
-            "warning: v=500.0 is large; the exponential prediction assumes v = O(1)",
-            "error: exp(v*xi(t)) = exp(4559.064822416894) lies beyond the double range, got t=1000.0, v=500.0",
-        ]
-
     def test_t_max_option_is_gone(self, capsys):
-        code, out, _ = run(["dickman", "rho", "--t", "300"], capsys)
-        assert code == 0
-        assert float(out) == 0.0  # rho(300) lies below the smallest double
+        # rho(300) lies below the smallest double and is printed from its log
+        assert run(["dickman", "rho", "--t", "300"], capsys) == (0, "4.7783809616497e-858\n", "")
         code, _, err = run(["dickman", "rho", "--t", "5", "--t-max", "1e9"], capsys)
         assert code == 1
         assert "--t-max" in err
@@ -281,6 +259,13 @@ class TestDickman:
         code, _, err = run(["dickman", "rho", "--t", "2.5", "--tolerance", "1e-9"], capsys)
         assert code == 1
         assert "--tolerance" in err
+
+    @pytest.mark.parametrize("argv", [["ratio", "--t", "20", "--v", "1"], ["gamma-check", "--t", "30"]])
+    def test_self_check_commands_are_gone(self, argv, capsys):
+        # the ratio and Gamma-bound checks of the evaluator are tests of log_rho now
+        code, out, err = run(["dickman", *argv], capsys)
+        assert (code, out) == (1, "")
+        assert f"error: argument dickman_command: invalid choice: '{argv[0]}'" in err
 
 
 class TestBound:
@@ -894,14 +879,12 @@ class TestImport:
             (["dickman", "xi", "--t", "5"], 0, ["shortcycles.dickman"]),
             (["dickman", "rho", "--t", "5"], 0, ["shortcycles.dickman"]),
             (["dickman", "rho", "--t", "5", "--log"], 0, ["shortcycles.dickman"]),
-            (["dickman", "ratio", "--t", "5", "--v", "1"], 0, ["shortcycles.dickman"]),
-            (["dickman", "gamma-check", "--t", "5"], 0, ["shortcycles.dickman"]),
             (["bound", "--n", "1000000", "--r", "10000", "--d", "5"], 0, ["shortcycles.closedforms"]),
             (["--version"], 0, []),
             (["count", "--n", "4"], 1, []),
             (["check", "{json}"], 0, ["json"]),
         ],
-        ids=["xi", "rho-t", "rho-t-log", "ratio", "gamma-check", "bound", "version", "usage-error", "check"],
+        ids=["xi", "rho-t", "rho-t-log", "bound", "version", "usage-error", "check"],
     )
     def test_command_loads_no_numpy(self, argv, code, modules, src_env, tmp_path):
         path = tmp_path / "report.json"
@@ -1011,29 +994,33 @@ class TestExitCodes:
 
 
 class TestWarnings:
-    RATIO = ["dickman", "ratio", "--t", "7", "--v", "7"]
-    NOTE = "warning: v=7.0 is large; the exponential prediction assumes v = O(1)\n"
+    PMF = ["pmf", "--n", "200", "--r", "200", "--d", "1", "--mode", "double", "--out", "pmf.csv"]
+    NOTE = (
+        "warning: 29 of 200 masses lie below the smallest normal double and are written as 0.0 or subnormal; "
+        "--mode exact gives their true values\n"
+    )
 
-    def test_library_warning_is_one_stderr_line(self, capsys):
-        code, out, err = run(self.RATIO, capsys)
-        assert (code, err) == (0, self.NOTE)
-        assert out.startswith("ratio = ")
+    def test_library_warning_is_one_stderr_line(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        assert run(self.PMF, capsys) == (0, "pmf written to pmf.csv (200 support points)\n", self.NOTE)
 
-    def test_warnings_as_errors_still_print_the_line(self, src_env, capsys):
+    def test_warnings_as_errors_still_print_the_line(self, src_env, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
         result = subprocess.run(
-            [sys.executable, "-m", "shortcycles", *self.RATIO],
+            [sys.executable, "-m", "shortcycles", *self.PMF],
             env={**src_env, "PYTHONWARNINGS": "error"}, capture_output=True, text=True, timeout=60,
         )
         assert (result.returncode, result.stderr) == (0, self.NOTE)
-        assert result.stdout == run(self.RATIO, capsys)[1]
+        assert result.stdout == run(self.PMF, capsys)[1]
 
-    def test_warning_before_a_failure_is_printed_too(self, monkeypatch, capsys):
-        def warn_then_fail(t, v, ev):
+    def test_warning_before_a_failure_is_printed_too(self, tmp_path, monkeypatch, capsys):
+        def warn_then_fail(n, r, d, mode):
             warnings.warn("first this")
             raise ValueError("then this")
 
-        monkeypatch.setattr(dickman, "rho_ratio_check", warn_then_fail)
-        assert run(self.RATIO, capsys) == (1, "", "warning: first this\nerror: then this\n")
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr(counting, "joint_pmf", warn_then_fail)
+        assert run(self.PMF, capsys) == (1, "", "warning: first this\nerror: then this\n")
 
 
 GRID_VALUES = ("-1", "0", "1", "3", "7", "nan")
@@ -1053,8 +1040,6 @@ GRID_COMMANDS = {  # fixed argv, then the grid options the command takes
     "sweep": (["sweep"], ("--n", "--r", "--d")),
     "dickman-rho": (["dickman", "rho"], ("--t",)),
     "dickman-xi": (["dickman", "xi"], ("--t",)),
-    "dickman-ratio": (["dickman", "ratio"], ("--t", "--v")),
-    "dickman-gamma-check": (["dickman", "gamma-check"], ("--t",)),
 }
 STDERR_PREFIXES = ("error:", "resource cap:", "resource:", "warning:", "usage:", "shortcycles")
 
@@ -1095,7 +1080,7 @@ def test_readme_examples_run_and_write_files_check_accepts(tmp_path, monkeypatch
     # a README that drifts from the code fails here: every example exits 0, in order, in one directory
     monkeypatch.chdir(tmp_path)
     examples = readme_examples()
-    assert len(examples) == 16
+    assert len(examples) == 15
     for argv in examples:
         code, _, err = run(argv, capsys)
         assert code == 0, (argv, err)

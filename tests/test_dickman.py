@@ -3,13 +3,8 @@ import sys
 
 import pytest
 
-from oracles import dickman_fixed_step, dickman_fixed_step_at, dickman_log_rho_series, xi_oracle
-from shortcycles.dickman import (
-    DickmanEvaluator,
-    gamma_bound_check,
-    rho_ratio_check,
-    xi,
-)
+from oracles import dickman_fixed_step, dickman_fixed_step_at, dickman_log_rho_series, gamma_bound_misses, xi_oracle
+from shortcycles.dickman import DickmanEvaluator, xi
 from shortcycles.errors import ResourceLimitError
 
 # certified against an independent high-precision window-identity solver
@@ -41,8 +36,8 @@ class TestRho:
     def test_domain_errors(self, dickman):
         with pytest.raises(ValueError):
             dickman.rho(-0.1)
-        for t in (math.nan, math.inf):
-            with pytest.raises(ValueError, match=f"t={t}"):
+        for t in (math.nan, math.inf, -1.0):
+            with pytest.raises(ValueError, match=f"^rho is only defined for finite t >= 0, got t={t}$"):
                 dickman.log_rho(t)
 
     def test_continuity_at_integer_boundaries(self, dickman):
@@ -144,66 +139,46 @@ class TestXi:
 
 
 class TestRhoRatio:
-    def test_v_zero(self, dickman):
-        report = rho_ratio_check(5.0, 0.0, dickman)
-        assert report.ratio == 1.0 and report.relative_gap == 0.0
-
+    # rho(t - v)/rho(t) read from log_rho, against the prediction exp(v xi(t))
     def test_closed_forms_second_panel(self, dickman):
-        report = rho_ratio_check(2.0, 1.0, dickman)
-        assert report.ratio == pytest.approx(1 / (1 - math.log(2)), rel=1e-10)
-        assert report.predicted == pytest.approx(math.exp(XI_2), rel=1e-10)
+        assert math.exp(dickman.log_rho(1.0) - dickman.log_rho(2.0)) == pytest.approx(1 / (1 - math.log(2)), rel=1e-10)
+        assert math.exp(xi(2.0)) == pytest.approx(math.exp(XI_2), rel=1e-10)
 
     def test_moderate_gap_envelope(self, dickman):
-        report = rho_ratio_check(20.0, 1.0, dickman)
-        assert report.relative_gap <= 0.25
+        ratio = math.exp(dickman.log_rho(19.0) - dickman.log_rho(20.0))
+        assert abs(ratio / math.exp(xi(20.0)) - 1.0) <= 0.25
 
-    def test_warns_for_large_v(self, dickman):
-        with pytest.warns(UserWarning):
-            rho_ratio_check(10.0, 4.0, dickman)
+    @pytest.mark.parametrize("t", [5.0, 20.0, 100.0, 300.0, 1000.0])
+    def test_gap_within_v_over_t(self, dickman, t):
+        # the ratio tops the prediction for v < 1 and falls below it for v >= 1, by less than v/t
+        for v in (0.5, 1.0, 2.0):
+            excess = math.exp(dickman.log_rho(t - v) - dickman.log_rho(t) - v * xi(t)) - 1.0
+            assert (excess > 0) == (v < 1) and abs(excess) < v / t, v
 
-    def test_domain(self, dickman):
-        # each error names the values it got
-        with pytest.raises(ValueError, match=r"^ratio check requires t >= 1, got t=0\.5$"):
-            rho_ratio_check(0.5, 0.1, dickman)
-        with pytest.raises(ValueError, match=r"^need 0 <= v <= t, got t=3\.0, v=4\.0$"):
-            rho_ratio_check(3.0, 4.0, dickman)
-        with pytest.raises(ValueError, match=r"^need 0 <= v <= t, got t=5\.0, v=-0\.001$"):
-            rho_ratio_check(5.0, -1e-3, dickman)
-        for t, v in ((math.nan, 1.0), (5.0, math.nan), (math.inf, 1.0)):
-            with pytest.raises(ValueError, match="finite"):
-                rho_ratio_check(t, v, dickman)
-
-    @pytest.mark.filterwarnings("ignore:v=")
-    def test_prediction_beyond_the_double_range_is_a_value_error(self, dickman):
-        # exp(v*xi(t)) overflows a double; the error names the exponent, not a raw math range error
-        with pytest.raises(ValueError, match=r"^exp\(v\*xi\(t\)\) = exp\(4559\.\d+\) lies beyond the double range"):
-            rho_ratio_check(1000.0, 500.0, dickman)
-        assert rho_ratio_check(300.0, 90.0, dickman).ratio < math.inf
+    def test_ratio_deep_in_the_tail_is_finite(self, dickman):
+        # rho(210) and rho(300) both lie far below the double range; their ratio does not
+        assert 1.0 < math.exp(dickman.log_rho(210.0) - dickman.log_rho(300.0)) < math.inf
 
 
 class TestGammaBound:
+    # rho(t) <= 1/Gamma(t + 1), read in logs from log_rho
     def test_equality_at_one(self, dickman):
-        report = gamma_bound_check(1.0, dickman)
-        assert report.holds
-        assert report.log_rho == pytest.approx(report.log_bound, abs=1e-14)
+        assert gamma_bound_misses(dickman, [1.0]) == []
+        assert dickman.log_rho(1.0) == pytest.approx(-math.lgamma(2.0), abs=1e-14)
 
     def test_second_panel(self, dickman):
-        report = gamma_bound_check(2.0, dickman)
-        assert report.holds
-        assert math.exp(report.log_rho) == pytest.approx(1 - math.log(2), rel=1e-10)
-        assert math.exp(report.log_bound) == pytest.approx(0.5, rel=1e-12)
+        assert gamma_bound_misses(dickman, [2.0]) == []
+        assert math.exp(dickman.log_rho(2.0)) == pytest.approx(1 - math.log(2), rel=1e-10)
 
     def test_large_t_margin(self, dickman):
-        report = gamma_bound_check(10.0, dickman)
-        assert report.holds
-        assert report.log_rho < report.log_bound - 1.0
+        assert dickman.log_rho(10.0) < -math.lgamma(11.0) - 1.0
 
     def test_grid(self, dickman):
-        for j in range(0, 101):
-            assert gamma_bound_check(j * 0.5, dickman).holds
+        # t = 0, 0.5, ..., 50, then points where rho itself lies below the double range
+        assert gamma_bound_misses(dickman, [j * 0.5 for j in range(101)] + [150.0, 300.0, 1000.5]) == []
 
     def test_non_finite(self, dickman):
         # the domain of t is the evaluator's
         for t in (math.nan, math.inf, -1.0):
             with pytest.raises(ValueError, match=f"^rho is only defined for finite t >= 0, got t={t}$"):
-                gamma_bound_check(t, dickman)
+                gamma_bound_misses(dickman, [t])

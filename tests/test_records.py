@@ -12,7 +12,6 @@ import pytest
 
 from shortcycles.closedforms import BoundBreakdown
 from shortcycles.counting import joint_pmf
-from shortcycles.dickman import GammaBoundReport, RhoRatioReport
 from shortcycles.distances import PoissonSpec, TvEstimate
 from shortcycles.permutations import CountsVector, CycleStructure
 from shortcycles.sampling import SamplerConfig
@@ -28,14 +27,6 @@ RECORDS = [
         "CycleStructure(cycles=((0, 1), (2,)), lengths=(1, 2))",
     ),
     (lambda: CountsVector((1, 0, 2)), "CountsVector(counts=(1, 0, 2))"),
-    (
-        lambda: RhoRatioReport(3.5, 1.0, 8.0, 8.5, 0.0625),
-        "RhoRatioReport(t=3.5, v=1.0, ratio=8.0, predicted=8.5, relative_gap=0.0625)",
-    ),
-    (
-        lambda: GammaBoundReport(2.5, -2.0, -1.25, True),
-        "GammaBoundReport(t=2.5, log_rho=-2.0, log_bound=-1.25, holds=True)",
-    ),
     (lambda: PoissonSpec((1.0, 0.5)), "PoissonSpec(means=(1.0, 0.5))"),
     (lambda: TvEstimate(0.25, 0.01, 100), "TvEstimate(value=0.25, stderr=0.01, sample_count=100)"),
     (
